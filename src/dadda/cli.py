@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -346,8 +347,10 @@ def _verify_transport(n, seeds, failures):
 
 def _verify_gth(seed, failures):
     rng = np.random.Generator(np.random.Philox(seed))
-    for trial in range(20):
-        k = int(rng.integers(2, 9))
+    # 20 small orders on the sequential elimination, then two orders that
+    # run the blocked panels (one of them with a ragged last panel)
+    small = (int(rng.integers(2, 9)) for _ in range(20))
+    for trial, k in enumerate(itertools.chain(small, (230, 837))):
         N = rng.uniform(size=(k, k))
         np.fill_diagonal(N, 0.0)
         u = rng.uniform(0.5, 1.5, size=k)
@@ -359,13 +362,16 @@ def _verify_gth(seed, failures):
             failures.append(f"gth trial {trial}: factorization refused a valid triplet")
             continue
         b = rng.uniform(size=k)
-        x = fact.solve(b)
-        if np.any(x < 0.0):
-            failures.append(f"gth trial {trial}: negative solution for b >= 0")
-        ref = np.linalg.solve(trip.matrix(), b)
-        rel = float(np.max(np.abs(x - ref) / np.maximum(np.abs(ref), 1e-300)))
-        if rel > 1e-12:
-            failures.append(f"gth trial {trial}: relative error {rel:.3e}")
+        M = trip.matrix()
+        for transpose in (False, True):
+            x = fact.solve(b, transpose=transpose)
+            side = "transposed " if transpose else ""
+            if np.any(x < 0.0):
+                failures.append(f"gth trial {trial}: negative {side}solution for b >= 0")
+            ref = np.linalg.solve(M.T if transpose else M, b)
+            rel = float(np.max(np.abs(x - ref) / np.maximum(np.abs(ref), 1e-300)))
+            if rel > 1e-12:
+                failures.append(f"gth trial {trial}: {side}relative error {rel:.3e}")
 
 
 def cmd_verify(args) -> int:

@@ -20,6 +20,12 @@ terms).  Transposed systems reuse the same factors: M^T = U^T L^T, so the
 forward pass runs on U^T and the backward pass on L^T with the identical
 sign argument.
 
+None of this depends on the order in which the nonnegative terms are
+summed, so the substitutions run through LAPACK triangular solves and the
+large dense elimination through BLAS-3 panel updates (``trsm``, ``gemm``);
+they change results at rounding level only.  The sign invariants are
+checked explicitly and raise :class:`NotMMatrixError` when broken.
+
 For diag(d) - P R^T with skinny nonnegative P, R the module provides a
 Sherman-Morrison-Woodbury path whose r x r capacitance matrix
 I - R^T diag(d)^{-1} P is itself represented by a triplet (derived from
@@ -31,8 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
-from .linalg import _reduce_ascending, matmul, ordered_dot
+from .linalg import matmul, ordered_dot
 
 __all__ = [
     "DiagLowRankSolver",
@@ -94,14 +101,15 @@ class TripletRepresentation:
 
     @staticmethod
     def from_parts(N, u, v) -> "TripletRepresentation":
-        N = np.array(N, dtype=np.float64)
-        u = np.array(u, dtype=np.float64).ravel()
-        v = np.array(v, dtype=np.float64).ravel()
+        """Validated triplet; float64 arrays are taken over, not copied."""
+        N = np.asarray(N, dtype=np.float64)
+        u = np.asarray(u, dtype=np.float64).ravel()
+        v = np.asarray(v, dtype=np.float64).ravel()
         return TripletRepresentation(n=u.shape[0], N=N, u=u, v=v)
 
     def matrix(self) -> np.ndarray:
         """Dense M with the implied diagonal."""
-        out = -self.N.copy()
+        out = -self.N
         np.fill_diagonal(out, diagonal_from_triplet(self))
         return out
 
@@ -130,44 +138,49 @@ class GthFactorization:
     U: np.ndarray
 
     def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """Solve M x = b (or M.T x = b) by substitution.
+        """Solve M x = b (or M.T x = b) by two LAPACK triangular solves.
 
-        Row reductions accumulate in ascending index order and, for b >= 0,
-        consist solely of nonnegative additions, so x >= 0 exactly.
+        L then U for M, U^T then L^T for M^T.  Every off-diagonal factor
+        entry is <= 0, so for b >= 0 each update b_i - F_ij x_j adds the
+        nonnegative term (-F_ij) x_j, and each division is by a positive
+        pivot: x >= 0 exactly, whatever order LAPACK sums in.
         """
         b, squeeze = _column_form(b, self.n)
-        n = self.n
-        L, U = self.L, self.U
-        y = np.zeros_like(b)
-        x = np.zeros_like(b)
         if not transpose:
-            for k in range(n):
-                if k == 0:
-                    y[k] = b[k]
-                else:
-                    terms = (-L[k, :k])[:, None] * y[:k]
-                    y[k] = b[k] + _reduce_ascending(terms)
-            for k in range(n - 1, -1, -1):
-                if k == n - 1:
-                    x[k] = y[k] / U[k, k]
-                else:
-                    terms = (-U[k, k + 1 :])[:, None] * x[k + 1 :]
-                    x[k] = (y[k] + _reduce_ascending(terms)) / U[k, k]
+            y = _trsolve(self.L, b, lower=True, unit=True)
+            x = _trsolve(self.U, y, lower=False, overwrite=True)
         else:
-            # M^T = U^T L^T: forward on U^T, backward on L^T.
-            for k in range(n):
-                if k == 0:
-                    y[k] = b[k] / U[k, k]
-                else:
-                    terms = (-U[:k, k])[:, None] * y[:k]
-                    y[k] = (b[k] + _reduce_ascending(terms)) / U[k, k]
-            for k in range(n - 1, -1, -1):
-                if k == n - 1:
-                    x[k] = y[k]
-                else:
-                    terms = (-L[k + 1 :, k])[:, None] * x[k + 1 :]
-                    x[k] = y[k] + _reduce_ascending(terms)
+            y = _trsolve(self.U, b, lower=False, transpose=True)
+            x = _trsolve(self.L, y, lower=True, transpose=True, unit=True, overwrite=True)
         return x[:, 0] if squeeze else x
+
+
+def _trsolve(T, b, lower, transpose=False, unit=False, overwrite=False):
+    """LAPACK ``trtrs`` (``trsm`` behind a zero-pivot check) on T x = b.
+
+    Solves T^T x = b with ``transpose``.  LAPACK reads T as the Fortran
+    array T^T with the triangle and the transposition flipped, which costs
+    no copy when T is C-contiguous.  Calling the routine directly keeps
+    small systems at a few microseconds per solve.
+    """
+    x, info = dtrtrs(
+        T.T, b, lower=not lower, trans=not transpose, unitdiag=unit,
+        overwrite_b=overwrite,
+    )
+    if info != 0:
+        raise NotMMatrixError(f"triangular solve failed (LAPACK info {info})")
+    return x
+
+
+def _check_sign(ok, what: str) -> None:
+    """Raise unless a sign invariant of the elimination holds.
+
+    The invariants follow from N >= 0, which the triplet validated when it
+    was built; a failure means the data changed since or was never an
+    M-matrix.  Explicit, so that they hold under ``python -O`` too.
+    """
+    if not ok:
+        raise NotMMatrixError(f"not a nonsingular M-matrix ({what} has the wrong sign)")
 
 
 def gth_factorize(
@@ -180,14 +193,14 @@ def gth_factorize(
     Optional bandwidths restrict the elimination windows; for a banded M
     the factors keep the band, so this drops the cost to
     O(lower * upper * n).  Raises :class:`NotMMatrixError` on a
-    non-positive pivot.
+    non-positive pivot or a broken sign invariant.
     """
     n = t.n
     if lower_bandwidth is None and upper_bandwidth is None and n >= 192:
-        # panel-deferred Schur updates; same sign guarantees, differs from
-        # the sequential loop below by rounding only (see its docstring)
+        # BLAS-3 panels; same sign guarantees, differs from the sequential
+        # loop below by rounding only (see its docstring)
         return _factorize_dense_blocked(t)
-    U = -t.N.copy()
+    U = -t.N
     L = np.eye(n)
     u = t.u
     v = t.v.copy()
@@ -206,72 +219,91 @@ def gth_factorize(
             )
         U[k, k] = pivot
         col = U[k + 1 : lo, k] / pivot
+        _check_sign(np.all(col <= 0.0), f"L column {k}")
         L[k + 1 : lo, k] = col
         U[k + 1 : lo, k] = 0.0
         if row.size and col.size:
-            U[k + 1 : lo, k + 1 : hi] -= col[:, None] * row[None, :]
-            # the trailing diagonal stays implied by the running (u, v)
             sub = U[k + 1 : lo, k + 1 : hi]
+            sub -= col[:, None] * row[None, :]
+            _check_sign(np.all(sub <= 0.0), "trailing block")
+            # the trailing diagonal stays implied by the running (u, v)
             np.fill_diagonal(sub, 0.0)
         v[k + 1 : lo] = v[k + 1 : lo] + v[k] * (-col)
-        assert np.all(col <= 0.0)
-        assert np.all(U[k + 1 : lo, k + 1 : hi] <= 0.0)
-        assert np.all(v[k + 1 : lo] >= 0.0)
+        _check_sign(np.all(v[k + 1 : lo] >= 0.0), "running v")
     return GthFactorization(n=n, L=L, U=U)
 
 
-_PANEL = 64
+_PANEL = 128
+# rows of the trailing block per gemm, so the product never needs an
+# order^2 temporary
+_SLAB = 256
 
 
 def _factorize_dense_blocked(t: TripletRepresentation) -> GthFactorization:
-    """Dense GTH elimination with panel-deferred Schur updates.
+    """Dense GTH elimination in panels of _PANEL pivots, through BLAS-3.
 
-    Within a panel of _PANEL pivots only the panel's columns and rows are
-    updated eagerly (an L-shape), keeping every quantity a pivot reads
-    current.  The square below the panel receives all the panel's rank-1
-    updates at panel end as a single dense product.  That product groups
-    the additions differently from the sequential loop, but every addend
-    is nonnegative, so the elimination stays cancellation-free and the
-    sign guarantees are unchanged; results can differ from the sequential
-    path by rounding only.  Forcing explicit bandwidths selects the fully
-    sequential ascending-order loop instead.
+    Only the panel's diagonal block is eliminated pivot by pivot.  Pivot k
+    still comes from the triplet formula; the part of row k beyond the
+    panel enters it as the carried row mass s_k = (-U[k, pe:]) u[pe:],
+    which eliminating an earlier panel pivot j updates by
+    s_k += (-L_kj) s_j rather than by rewriting the row.  At panel end
+
+        L21 = A21 U11^{-1},  U12 = L11^{-1} A12      (two trsm)
+        v[pe:] += (-L21) v[panel],  A22 -= L21 U12   (gemv, gemm)
+
+    U11^{-1} and L11^{-1} are entrywise nonnegative (triangular M-matrices)
+    and A21, A12 <= 0, so each trsm sums nonpositive terms only; the gemm
+    subtracts a nonnegative product from a nonpositive block.  Every
+    addition thus combines terms of one sign, in whatever order BLAS
+    chooses: the elimination stays cancellation-free, the sign guarantees
+    hold exactly, and the factors differ from the sequential loop in
+    :func:`gth_factorize` (forced by explicit bandwidths) by rounding only.
+    Diagonal entries of the unreduced part are implied by (u, v), so they
+    are never read, only overwritten by their pivots.
     """
     n = t.n
-    U = -t.N.copy()
+    U = -t.N
     L = np.eye(n)
     u = t.u
     v = t.v.copy()
     for p0 in range(0, n, _PANEL):
         pe = min(n, p0 + _PANEL)
-        for k in range(p0, pe):
-            row = U[k, k + 1 :]
-            pivot = (v[k] + ordered_dot(-row, u[k + 1 :])) / u[k]
+        s = -(U[p0:pe, pe:] @ u[pe:])
+        _check_sign(np.all(s >= 0.0), "carried row mass")
+        D = U[p0:pe, p0:pe]
+        for k in range(pe - p0):
+            g = p0 + k
+            row = D[k, k + 1 :]
+            pivot = (v[g] + s[k] - row @ u[g + 1 : pe]) / u[g]
             if not (pivot > 0.0 and np.isfinite(pivot)):
                 raise NotMMatrixError(
-                    f"not a nonsingular M-matrix (pivot {k} non-positive)"
+                    f"not a nonsingular M-matrix (pivot {g} non-positive)"
                 )
-            U[k, k] = pivot
-            col = U[k + 1 :, k] / pivot
-            L[k + 1 :, k] = col
-            U[k + 1 :, k] = 0.0
-            width = pe - (k + 1)
-            if width:
-                U[k + 1 :, k + 1 : pe] -= col[:, None] * row[None, :width]
-                np.fill_diagonal(U[k + 1 : pe, k + 1 : pe], 0.0)
-                U[k + 1 : pe, pe:] -= col[:width, None] * row[None, width:]
-                assert np.all(U[k + 1 :, k + 1 : pe] <= 0.0)
-                assert np.all(U[k + 1 : pe, pe:] <= 0.0)
-            v[k + 1 :] = v[k + 1 :] + v[k] * (-col)
-            assert np.all(col <= 0.0)
-            assert np.all(v[k + 1 :] >= 0.0)
+            D[k, k] = pivot
+            col = D[k + 1 :, k] / pivot
+            L[g + 1 : pe, g] = col
+            D[k + 1 :, k] = 0.0
+            D[k + 1 :, k + 1 :] -= col[:, None] * row
+            s[k + 1 :] -= col * s[k]
+            v[g + 1 : pe] -= col * v[g]
+        _check_sign(np.all(np.tril(L[p0:pe, p0:pe], -1) <= 0.0), "L11")
+        _check_sign(np.all(np.triu(D, 1) <= 0.0), "U11")
+        _check_sign(np.all(v[p0:pe] >= 0.0), "running v")
         if pe == n:
             break
-        trail = U[pe:, pe:]
-        # L[pe:, panel] <= 0 and U[panel, pe:] <= 0, so the product is
-        # entrywise nonnegative and the subtraction cannot cancel
-        trail -= np.dot(L[pe:, p0:pe], U[p0:pe, pe:])
-        assert np.all(trail <= 0.0)
-        np.fill_diagonal(trail, 0.0)
+        L21 = _trsolve(D, U[pe:, p0:pe].T, lower=False, transpose=True).T
+        _check_sign(np.all(L21 <= 0.0), "L21")
+        U12 = _trsolve(L[p0:pe, p0:pe], U[p0:pe, pe:], lower=True, unit=True)
+        _check_sign(np.all(U12 <= 0.0), "U12")
+        L[pe:, p0:pe] = L21
+        U[pe:, p0:pe] = 0.0
+        U[p0:pe, pe:] = U12
+        v[pe:] -= L21 @ v[p0:pe]
+        _check_sign(np.all(v[pe:] >= 0.0), "running v")
+        for r0 in range(0, n - pe, _SLAB):
+            slab = U[pe + r0 : pe + r0 + _SLAB, pe:]
+            slab -= L21[r0 : r0 + _SLAB] @ U12
+            _check_sign(np.all(slab <= 0.0), "trailing block")
     return GthFactorization(n=n, L=L, U=U)
 
 
@@ -298,8 +330,7 @@ def triplet_for_capacitance(d, P, R, u, v) -> TripletRepresentation:
         raise NotMMatrixError("diagonal part must be strictly positive")
     if np.any(P < 0.0) or np.any(R < 0.0):
         raise ValueError("capacitance triplet requires nonnegative factors")
-    core = matmul(R.T, P / d[:, None])
-    N = core.copy()
+    N = matmul(R.T, P / d[:, None])
     np.fill_diagonal(N, 0.0)
     cap_u = matmul(R.T, u[:, None])[:, 0]
     if np.any(cap_u <= 0.0):
@@ -405,8 +436,7 @@ class DiagLowRankSolver:
         self._dinv_R = R / d[:, None]
 
     def _build_fallback(self, u, v):
-        lr = matmul(self.P, self.R.T)
-        N = lr.copy()
+        N = matmul(self.P, self.R.T)
         np.fill_diagonal(N, 0.0)
         if np.any(N < 0.0):
             raise NotMMatrixError(

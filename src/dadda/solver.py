@@ -194,23 +194,16 @@ def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _refresh_kernel(state: DaddaState) -> None:
-    reps = 2**state.k
-    yz = _gram(state.Y, state.Z)
-    N = yz.copy()
-    np.fill_diagonal(N, 0.0)
-    u = np.tile(state.bru1, reps)
-    v = state.v1k + matmul(state.Y, state.v2k[:, None])[:, 0]
-    trip = TripletRepresentation.from_parts(N, u, v)
-    state.kernel = gth_factorize(trip)
+    # drop the previous order's factors and solution before the new ones
+    state.kernel = state.X = state._H = None
+    state.kernel = gth_factorize(kernel_triplet(state))
     state.X = state.kernel.solve(state.Qcheck.T)
     assert np.all(state.X >= 0.0)
-    state._H = None
 
 
 def kernel_triplet(state: DaddaState) -> TripletRepresentation:
     """Triplet of I - Y_k Z_k (assembled additively, never by subtraction)."""
-    yz = _gram(state.Y, state.Z)
-    N = yz.copy()
+    N = _gram(state.Y, state.Z)
     np.fill_diagonal(N, 0.0)
     u = np.tile(state.bru1, 2**state.k)
     v = state.v1k + matmul(state.Y, state.v2k[:, None])[:, 0]
@@ -221,8 +214,7 @@ def dual_kernel_triplet(state: DaddaState) -> TripletRepresentation:
     """Triplet of I - Z_k Y_k, for the dual iterate G_k."""
     if np.any(state.cru2 <= 0.0):
         raise ValueError("dual kernel requires Cr^T u2 > 0 strictly")
-    zy = _gram(state.Z, state.Y)
-    N = zy.copy()
+    N = _gram(state.Z, state.Y)
     np.fill_diagonal(N, 0.0)
     u = np.tile(state.cru2, 2**state.k)
     v = state.v2k + matmul(state.Z, state.v1k[:, None])[:, 0]

@@ -1,12 +1,18 @@
 """GTH-like factorization, triplet handling, and the SMW fast path."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dadda
 from conftest import fraction_solve, random_triplet
 from dadda.gth import (
+    _PANEL,
     DenseGthSolver,
     DiagLowRankSolver,
     DiagonalSolver,
@@ -156,24 +162,61 @@ class TestFactorization:
             gth_factorize(t, lower_bandwidth=-1, upper_bandwidth=0)
 
     def test_blocked_matches_sequential(self):
-        # above order 192 the dense path defers Schur updates per panel;
-        # forcing full bandwidths selects the sequential reference loop
-        rng = _rng(25)
-        n = 230
-        N, u, v = random_triplet(rng, n, v_scale=1e-6, density=0.3)
-        t = TripletRepresentation.from_parts(N, u, v)
-        blocked = gth_factorize(t)
-        seq = gth_factorize(t, lower_bandwidth=n - 1, upper_bandwidth=n - 1)
-        _sign_ok(blocked)
-        _sign_ok(seq)
-        scale = np.abs(seq.U).max()
-        assert np.abs(blocked.U - seq.U).max() <= 1e-13 * scale
-        assert np.abs(blocked.L - seq.L).max() <= 1e-13
-        b = rng.uniform(size=n)
-        xb = blocked.solve(b)
-        xs = seq.solve(b)
-        assert np.abs(xb - xs).max() <= 1e-13 * np.abs(xs).max()
-        assert np.all(xb >= 0.0)
+        # above order 192 the dense path runs BLAS-3 panels; forcing full
+        # bandwidths selects the sequential reference loop.  The second
+        # order spans three full panels and a ragged one.
+        for n, seed in ((230, 25), (3 * _PANEL + _PANEL // 2 + 5, 30)):
+            rng = _rng(seed)
+            N, u, v = random_triplet(rng, n, v_scale=1e-6, density=0.3)
+            t = TripletRepresentation.from_parts(N, u, v)
+            blocked = gth_factorize(t)
+            seq = gth_factorize(t, lower_bandwidth=n - 1, upper_bandwidth=n - 1)
+            _sign_ok(blocked)
+            _sign_ok(seq)
+            scale = np.abs(seq.U).max()
+            assert np.abs(blocked.U - seq.U).max() <= 1e-13 * scale
+            assert np.abs(blocked.L - seq.L).max() <= 1e-13
+            b = rng.uniform(size=n)
+            xb = blocked.solve(b)
+            xs = seq.solve(b)
+            assert np.abs(xb - xs).max() <= 1e-13 * np.abs(xs).max()
+            assert np.all(xb >= 0.0)
+            xbt = blocked.solve(b, transpose=True)
+            xst = seq.solve(b, transpose=True)
+            assert np.abs(xbt - xst).max() <= 1e-13 * np.abs(xst).max()
+            assert np.all(xbt >= 0.0)
+
+    def test_sign_violation_raises_under_optimize(self):
+        # N changed after validation: U gains a positive entry below the
+        # first pivot, so L would too.  The check must survive python -O,
+        # on the sequential (n = 5) and the panelled (n = 300) path.
+        src = os.path.dirname(os.path.dirname(dadda.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for n in (5, 300):
+            code = f"""
+import numpy as np
+from dadda.gth import NotMMatrixError, TripletRepresentation, gth_factorize
+rng = np.random.Generator(np.random.Philox(31))
+N = rng.uniform(size=({n}, {n}))
+np.fill_diagonal(N, 0.0)
+t = TripletRepresentation.from_parts(
+    N, rng.uniform(0.5, 1.5, size={n}), rng.uniform(0.1, 1.0, size={n})
+)
+t.N[{n} - 1, 0] = -0.5
+try:
+    gth_factorize(t)
+except NotMMatrixError:
+    raise SystemExit(0)
+raise SystemExit("factorization returned despite a positive off-diagonal entry")
+"""
+            proc = subprocess.run(
+                [sys.executable, "-O", "-c", code],
+                env=dict(os.environ, PYTHONPATH=path),
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, (n, proc.stderr)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
