@@ -7,7 +7,8 @@ Benchmark CSV columns are exactly
 ``method,m,n,erres,ererr,rank_h,frob_h,iters,seconds`` with ``ererr``
 left blank when no reference solution is known; the ``adda_oracle``
 method rows appear only when m + n <= 200 (the dense reference refuses
-larger problems).  The ``seconds`` column is wall clock and is the only
+larger problems).  Both rows come from one stopping loop (``solve`` and
+``solve_dense``).  The ``seconds`` column is wall clock and is the only
 column excluded from golden-file comparisons.
 
 Report JSON schema (solve): termination, iterations, criterion,
@@ -23,13 +24,12 @@ import itertools
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
-from . import benchgen, oracle
+from . import benchgen
 from .gth import NotMMatrixError, TripletRepresentation, gth_factorize
-from .linalg import frobenius_norm, matmul
+from .linalg import matmul
 from .problem import MareProblem, load_problem, make_shifts
 from .solver import (
     SolveReport,
@@ -39,9 +39,8 @@ from .solver import (
     ererr,
     initialize,
     kernel_triplet,
-    normalized_residual,
-    relative_change,
     solve,
+    solve_dense,
 )
 
 _EXIT_BY_TERMINATION = {
@@ -61,10 +60,6 @@ def _criteria_from_args(args, default_tol, default_max_iter) -> StopCriteria:
         ),
         kernel_row_cap=args.kernel_cap,
     )
-
-
-def _shifts_from_args(prob, args):
-    return make_shifts(prob, alpha=args.alpha, beta=args.beta)
 
 
 def _report_to_json(report: SolveReport) -> dict:
@@ -109,7 +104,7 @@ def cmd_solve(args) -> int:
                 print(f"invalid problem: {msg}", file=sys.stderr)
             return 1
         criteria = _criteria_from_args(args, default_tol=1e-14, default_max_iter=20)
-        shifts = _shifts_from_args(prob, args)
+        shifts = make_shifts(prob, alpha=args.alpha, beta=args.beta)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
@@ -126,89 +121,28 @@ def cmd_solve(args) -> int:
 
 # -- benchmarks --------------------------------------------------------------
 
-
-def _dense_criterion(prob, H, h_prev, kind, x_true):
-    if kind == "erres":
-        return erres(prob, H)
-    if kind == "nres":
-        return normalized_residual(prob, H)
-    if kind == "rchange":
-        return float("inf") if h_prev is None else relative_change(H, h_prev)
-    if x_true is None:
-        raise ValueError("criterion 'ererr' needs a reference solution")
-    return ererr(H, x_true)
+# instance (problem, reference solution or None), default tolerance and
+# default iteration cap of each bench-* subcommand
+_BENCH = {
+    "bench-fluid": (lambda args: benchgen.gen_fluid(args.m, args.n), 1e-14, 20),
+    "bench-transport": (
+        lambda args: (benchgen.gen_transport(args.n, args.seed), None), 1e-13, 100
+    ),
+}
 
 
-def _oracle_run(prob, shifts, criteria, x_true):
-    """Dense reference run under the same stopping rule as the solver."""
-    t0 = time.perf_counter()
-    quad = oracle.initial_quadruple(prob, shifts)
-    h_prev = None
-    iters = 0
-    termination = "max_iterations"
-    while True:
-        H = quad[3]
-        value = _dense_criterion(prob, H, h_prev, criteria.criterion, x_true)
-        if value <= criteria.tolerance:
-            termination = "converged"
-            break
-        if iters >= criteria.max_iterations:
-            break
-        h_prev = H
-        quad = oracle.step_quadruple(*quad)
-        iters += 1
-    H = quad[3]
-    sv = np.linalg.svd(H, compute_uv=False)
-    rank = 0
-    if sv.size and sv[0] > 0.0:
-        rank = int(np.sum(sv > 1e-10 * sv[0]))
+def _csv_row(method: str, prob: MareProblem, report: SolveReport, x_true) -> dict:
     return {
-        "termination": termination,
-        "iters": iters,
-        "H": H,
-        "erres": erres(prob, H),
-        "rank_h": rank,
-        "frob_h": frobenius_norm(H),
-        "seconds": time.perf_counter() - t0,
+        "method": method,
+        "m": prob.m,
+        "n": prob.n,
+        "erres": f"{report.erres_final:.16e}",
+        "ererr": f"{ererr(report.H, x_true):.16e}" if x_true is not None else "",
+        "rank_h": report.rank_h,
+        "frob_h": f"{report.frob_h:.16e}",
+        "iters": report.iterations,
+        "seconds": f"{report.seconds:.6e}",
     }
-
-
-def _bench_rows(prob, shifts, criteria, x_true):
-    rows = []
-    report = solve(prob, shifts=shifts, criteria=criteria, x_true=x_true)
-    rows.append(
-        {
-            "method": "dadda",
-            "m": prob.m,
-            "n": prob.n,
-            "erres": f"{report.erres_final:.16e}",
-            "ererr": (
-                f"{ererr(report.H, x_true):.16e}" if x_true is not None else ""
-            ),
-            "rank_h": report.rank_h,
-            "frob_h": f"{report.frob_h:.16e}",
-            "iters": report.iterations,
-            "seconds": f"{report.seconds:.6e}",
-        }
-    )
-    if prob.m + prob.n <= _ORACLE_LIMIT:
-        res = _oracle_run(prob, shifts, criteria, x_true)
-        rows.append(
-            {
-                "method": "adda_oracle",
-                "m": prob.m,
-                "n": prob.n,
-                "erres": f"{res['erres']:.16e}",
-                "ererr": (
-                    f"{ererr(res['H'], x_true):.16e}" if x_true is not None else ""
-                ),
-                "rank_h": res["rank_h"],
-                "frob_h": f"{res['frob_h']:.16e}",
-                "iters": res["iters"],
-                "seconds": f"{res['seconds']:.6e}",
-            }
-        )
-    return report, rows
 
 
 def _write_csv(rows, path: str | None) -> None:
@@ -224,30 +158,21 @@ def _write_csv(rows, path: str | None) -> None:
             fh.close()
 
 
-def cmd_bench_fluid(args) -> int:
+def cmd_bench(args) -> int:
+    """dadda and, when small enough, the dense oracle under one stopping rule."""
+    instance, default_tol, default_max_iter = _BENCH[args.command]
     try:
-        prob, x_true = benchgen.gen_fluid(args.m, args.n)
-        criteria = _criteria_from_args(args, default_tol=1e-14, default_max_iter=20)
-        shifts = _shifts_from_args(prob, args)
+        prob, x_true = instance(args)
+        criteria = _criteria_from_args(args, default_tol, default_max_iter)
+        shifts = make_shifts(prob, alpha=args.alpha, beta=args.beta)
+        report = solve(prob, shifts=shifts, criteria=criteria, x_true=x_true)
+        rows = [_csv_row("dadda", prob, report, x_true)]
+        if prob.m + prob.n <= _ORACLE_LIMIT:
+            dense = solve_dense(prob, shifts=shifts, criteria=criteria, x_true=x_true)
+            rows.append(_csv_row("adda_oracle", prob, dense, x_true))
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    report, rows = _bench_rows(prob, shifts, criteria, x_true)
-    _write_csv(rows, args.csv)
-    if args.out:
-        _write_report(report, args.out)
-    return _EXIT_BY_TERMINATION[report.termination]
-
-
-def cmd_bench_transport(args) -> int:
-    try:
-        prob = benchgen.gen_transport(args.n, args.seed)
-        criteria = _criteria_from_args(args, default_tol=1e-13, default_max_iter=100)
-        shifts = _shifts_from_args(prob, args)
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    report, rows = _bench_rows(prob, shifts, criteria, None)
     _write_csv(rows, args.csv)
     if args.out:
         _write_report(report, args.out)
@@ -257,12 +182,11 @@ def cmd_bench_transport(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         prob = benchgen.gen_transport(args.n, args.seed)
+        criteria = _criteria_from_args(args, default_tol=1e-13, default_max_iter=100)
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     defaults = make_shifts(prob)
-    tol = args.tol if args.tol is not None else 1e-13
-    max_iter = args.max_iter if args.max_iter is not None else 100
     prefix = args.csv if args.csv else "sweep"
     points = args.points
     for name, fixed in (("alpha", defaults.beta), ("beta", defaults.alpha)):
@@ -274,13 +198,11 @@ def cmd_sweep(args) -> int:
                 shifts = make_shifts(prob, alpha=float(val), beta=fixed)
             else:
                 shifts = make_shifts(prob, alpha=fixed, beta=float(val))
-            criteria = StopCriteria(
-                criterion=args.criterion,
-                tolerance=tol,
-                max_iterations=max_iter,
-                kernel_row_cap=args.kernel_cap,
-            )
-            report = solve(prob, shifts=shifts, criteria=criteria)
+            try:
+                report = solve(prob, shifts=shifts, criteria=criteria)
+            except ValueError as exc:
+                print(f"input error: {exc}", file=sys.stderr)
+                return 1
             rows.append((f"{val:.16e}", report.iterations,
                          f"{report.erres_final:.16e}"))
         path = f"{prefix}_{name}.csv"
@@ -405,16 +327,20 @@ def cmd_verify(args) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
-def _add_common(parser):
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="shift for A (default: largest admissible)")
-    parser.add_argument("--beta", type=float, default=None,
-                        help="shift for D (default: largest admissible)")
+def _add_stopping(parser):
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--max-iter", type=int, default=None)
     parser.add_argument("--criterion", default="erres",
                         choices=["nres", "rchange", "erres", "ererr"])
     parser.add_argument("--kernel-cap", type=int, default=4096)
+
+
+def _add_common(parser):
+    parser.add_argument("--alpha", type=float, default=None,
+                        help="shift for A (default: largest admissible)")
+    parser.add_argument("--beta", type=float, default=None,
+                        help="shift for D (default: largest admissible)")
+    _add_stopping(parser)
     parser.add_argument("--out", default=None, help="JSON report path")
     parser.add_argument("--csv", default=None, help="CSV output path")
 
@@ -435,19 +361,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_bench_fluid)
+    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("bench-transport", help="run the transport family")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
-    p.set_defaults(func=cmd_bench_transport)
+    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("sweep", help="sweep both shifts on a transport instance")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--points", type=int, default=200)
-    _add_common(p)
+    _add_stopping(p)
+    p.add_argument("--csv", default=None,
+                   help="output path prefix (default: sweep)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run invariant checks on generated instances")

@@ -51,7 +51,6 @@ __all__ = [
     "build_solver",
     "diagonal_from_triplet",
     "gth_factorize",
-    "gth_solve",
     "smw_solve_diag_lowrank",
     "triplet_for_capacitance",
 ]
@@ -305,13 +304,6 @@ def _factorize_dense_blocked(t: TripletRepresentation) -> GthFactorization:
             slab -= L21[r0 : r0 + _SLAB] @ U12
             _check_sign(np.all(slab <= 0.0), "trailing block")
     return GthFactorization(n=n, L=L, U=U)
-
-
-def gth_solve(
-    f: GthFactorization, b: np.ndarray, transpose: bool = False
-) -> np.ndarray:
-    """Module-level alias for :meth:`GthFactorization.solve`."""
-    return f.solve(b, transpose=transpose)
 
 
 def triplet_for_capacitance(d, P, R, u, v) -> TripletRepresentation:

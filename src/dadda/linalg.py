@@ -31,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "StructuredSquare",
-    "apply_structured",
     "frobenius_norm",
     "matmul",
     "max_entrywise_ratio",
@@ -253,10 +252,6 @@ class StructuredSquare:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def order(self) -> int:
-        return self.n
-
     def lowrank_rowdot(self) -> np.ndarray:
         """Row dots sum_t P_it R_it (diag_plus_lowrank only)."""
         if self.kind != "diag_plus_lowrank":
@@ -447,10 +442,3 @@ class StructuredSquare:
             rowdot = _reduce_ascending((self.p * self.r).T)
             out = -self.sign * (lr - x * rowdot[None, :])
         return out[0] if squeeze else out
-
-
-def apply_structured(
-    s: StructuredSquare, x: np.ndarray, transpose: bool = False
-) -> np.ndarray:
-    """Module-level alias for :meth:`StructuredSquare.apply`."""
-    return s.apply(x, transpose=transpose)

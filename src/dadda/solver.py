@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .gth import TripletRepresentation, build_solver, gth_factorize
+from . import oracle
+from .gth import TripletRepresentation, _check_sign, build_solver, gth_factorize
 from .linalg import frobenius_norm, matmul, max_entrywise_ratio
 from .problem import (
     MareProblem,
@@ -65,6 +66,7 @@ __all__ = [
     "rank_of_iterate",
     "relative_change",
     "solve",
+    "solve_dense",
 ]
 
 CRITERIA = ("nres", "rchange", "erres", "ererr")
@@ -94,7 +96,7 @@ class StopCriteria:
 class IterationRecord:
     k: int
     value: float
-    kernel_order: int
+    kernel_order: int | None
     seconds: float
 
 
@@ -170,9 +172,18 @@ class DaddaState:
     def H(self) -> np.ndarray:
         """Dense current iterate, materialized lazily."""
         if self._H is None:
-            self._H = self.shifts.gamma * _gram(self.Ucheck, self.X)
-            assert np.all(self._H >= 0.0)
+            H = self.shifts.gamma * _gram(self.Ucheck, self.X)
+            _check_sign(np.all(H >= 0.0), "iterate H")
+            self._H = H
         return self._H
+
+    # the iterate interface of _stopping_loop, which _DenseAdda shares
+
+    def step(self) -> None:
+        advance(self)
+
+    def rank(self) -> int:
+        return rank_of_iterate(self)
 
 
 _GRAM_DOT_MIN = 192
@@ -187,7 +198,7 @@ def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     so the result stays exactly nonnegative and cancellation-free; it can
     differ from the fixed-order product by rounding only.
     """
-    assert np.all(a >= 0.0) and np.all(b >= 0.0)
+    _check_sign(np.all(a >= 0.0) and np.all(b >= 0.0), "kernel-order factor")
     if min(a.shape[0], b.shape[1]) >= _GRAM_DOT_MIN:
         return np.dot(a, b)
     return matmul(a, b)
@@ -198,7 +209,7 @@ def _refresh_kernel(state: DaddaState) -> None:
     state.kernel = state.X = state._H = None
     state.kernel = gth_factorize(kernel_triplet(state))
     state.X = state.kernel.solve(state.Qcheck.T)
-    assert np.all(state.X >= 0.0)
+    _check_sign(np.all(state.X >= 0.0), "kernel solution X")
 
 
 def kernel_triplet(state: DaddaState) -> TripletRepresentation:
@@ -235,7 +246,7 @@ def initialize(prob: MareProblem, shifts: ShiftPair | None = None) -> DaddaState
     w0 = solver_d.solve(prob.Cl)
     q0 = solver_d.solve(prob.Br, transpose=True)
     for blk in (u0, v0, w0, q0):
-        assert np.all(blk >= 0.0)
+        _check_sign(np.all(blk >= 0.0), "k = 0 factor block")
 
     bru1 = matmul(prob.Br.T, prob.u1[:, None])[:, 0]
     cru2 = matmul(prob.Cr.T, prob.u2[:, None])[:, 0]
@@ -312,7 +323,7 @@ def advance(state: DaddaState) -> DaddaState:
             state.solver_d.solve(state.q_blocks[-1], transpose=True), transpose=True
         )
         for blk in (u_new, v_new, w_new, q_new):
-            assert np.all(blk >= 0.0)
+            _check_sign(np.all(blk >= 0.0), "factor block")
         state.u_blocks.append(u_new)
         state.v_blocks.append(v_new)
         state.w_blocks.append(w_new)
@@ -331,7 +342,7 @@ def advance(state: DaddaState) -> DaddaState:
         state.prefix_v = state.prefix_v + matmul(v_new.T, state.ainv_v2[:, None])[:, 0]
     state.v1k = np.concatenate([state.v1k, v1_new])
     state.v2k = np.concatenate([state.v2k, v2_new])
-    assert np.all(state.v1k >= 0.0) and np.all(state.v2k >= 0.0)
+    _check_sign(np.all(state.v1k >= 0.0) and np.all(state.v2k >= 0.0), "kernel image")
 
     state.k += 1
     _refresh_kernel(state)
@@ -399,35 +410,136 @@ def ererr(H: np.ndarray, x_true: np.ndarray) -> float:
     return max_entrywise_ratio(num, x_true)
 
 
-def rank_of_iterate(state: DaddaState) -> int:
-    """Numerical rank of H_k from its skinny factors (threshold 1e-10)."""
-    ru = scipy.linalg.qr(state.Ucheck, mode="economic")[1]
-    core = state.shifts.gamma * matmul(ru, state.X)
-    sv = np.linalg.svd(core, compute_uv=False)
+def _numerical_rank(a: np.ndarray) -> int:
+    """Singular values of ``a`` above 1e-10 times the largest (0 if a = 0)."""
+    sv = np.linalg.svd(a, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > 1e-10 * sv[0]))
 
 
+def rank_of_iterate(state: DaddaState) -> int:
+    """Numerical rank of H_k from its skinny factors (threshold 1e-10)."""
+    ru = scipy.linalg.qr(state.Ucheck, mode="economic")[1]
+    core = state.shifts.gamma * matmul(ru, state.X)
+    return _numerical_rank(core)
+
+
+class _DenseAdda:
+    """The dense ADDA reference (:mod:`dadda.oracle`) as an iterate.
+
+    It has no kernel (``kernel_order`` is None), so the kernel row cap
+    never stops it.
+    """
+
+    kernel_order = None
+
+    def __init__(self, prob: MareProblem, shifts: ShiftPair):
+        self.quad = oracle.initial_quadruple(prob, shifts)
+        self.k = 0
+
+    @property
+    def H(self) -> np.ndarray:
+        return self.quad[3]
+
+    def step(self) -> None:
+        self.quad = oracle.step_quadruple(*self.quad)
+        self.k += 1
+
+    def rank(self) -> int:
+        return _numerical_rank(self.H)
+
+
 def _criterion_value(
     prob: MareProblem,
-    state: DaddaState,
-    criteria: StopCriteria,
+    H: np.ndarray,
+    kind: str,
     h_prev: np.ndarray | None,
     x_true: np.ndarray | None,
 ) -> float:
-    kind = criteria.criterion
     if kind == "erres":
-        return erres(prob, state.H)
+        return erres(prob, H)
     if kind == "nres":
-        return normalized_residual(prob, state.H)
+        return normalized_residual(prob, H)
     if kind == "rchange":
         if h_prev is None:
             return float("inf")
-        return relative_change(state.H, h_prev)
-    if x_true is None:
+        return relative_change(H, h_prev)
+    return ererr(H, x_true)
+
+
+def _stopping_loop(
+    prob: MareProblem,
+    it: DaddaState | _DenseAdda,
+    shifts: ShiftPair,
+    criteria: StopCriteria,
+    x_true: np.ndarray | None,
+    t0: float,
+) -> SolveReport:
+    """Evaluate the criterion on ``it`` and step it until the rule stops.
+
+    ``it`` is a DaddaState or a _DenseAdda.  A ``kernel_order`` of None
+    means no kernel, which the kernel row cap then never stops.  The
+    report's seconds count from ``t0``.
+    """
+    records: list[IterationRecord] = []
+    h_prev: np.ndarray | None = None
+    t_mark = t0
+    while True:
+        value = _criterion_value(prob, it.H, criteria.criterion, h_prev, x_true)
+        now = time.perf_counter()
+        records.append(
+            IterationRecord(
+                k=it.k,
+                value=value,
+                kernel_order=it.kernel_order,
+                seconds=now - t_mark,
+            )
+        )
+        t_mark = now
+        if value <= criteria.tolerance:
+            termination = "converged"
+            break
+        if it.k >= criteria.max_iterations:
+            termination = "max_iterations"
+            break
+        next_rows = 2 ** (it.k + 1) * max(prob.p, prob.q)
+        if it.kernel_order is not None and next_rows > criteria.kernel_row_cap:
+            termination = "kernel_cap_exceeded"
+            break
+        if criteria.criterion == "rchange":
+            h_prev = it.H
+        it.step()
+
+    h_final = it.H
+    if criteria.criterion == "erres":
+        erres_final = records[-1].value
+    else:
+        erres_final = erres(prob, h_final)
+    return SolveReport(
+        termination=termination,
+        iterations=it.k,
+        criterion=criteria.criterion,
+        tolerance=criteria.tolerance,
+        alpha=shifts.alpha,
+        beta=shifts.beta,
+        records=records,
+        H=h_final,
+        erres_final=erres_final,
+        frob_h=frobenius_norm(h_final),
+        rank_h=it.rank(),
+        seconds=time.perf_counter() - t0,
+    )
+
+
+def _defaults(prob, shifts, criteria, x_true) -> tuple[ShiftPair, StopCriteria]:
+    if criteria is None:
+        criteria = StopCriteria()
+    if shifts is None:
+        shifts = default_shifts(prob)
+    if criteria.criterion == "ererr" and x_true is None:
         raise ValueError("criterion 'ererr' needs the true solution")
-    return ererr(state.H, x_true)
+    return shifts, criteria
 
 
 def solve(
@@ -438,67 +550,30 @@ def solve(
     compute_dual: bool = False,
 ) -> SolveReport:
     """Run the doubling iteration under a stopping rule."""
-    if criteria is None:
-        criteria = StopCriteria()
-    if shifts is None:
-        shifts = default_shifts(prob)
+    shifts, criteria = _defaults(prob, shifts, criteria, x_true)
     if criteria.kernel_row_cap < prob.p + prob.q:
         raise ValueError("kernel_row_cap must be at least p + q")
     t0 = time.perf_counter()
     state = initialize(prob, shifts)
-    records: list[IterationRecord] = []
-    h_prev: np.ndarray | None = None
-    termination = "max_iterations"
-    t_mark = t0
-    while True:
-        value = _criterion_value(prob, state, criteria, h_prev, x_true)
-        now = time.perf_counter()
-        records.append(
-            IterationRecord(
-                k=state.k,
-                value=value,
-                kernel_order=state.kernel_order,
-                seconds=now - t_mark,
-            )
-        )
-        t_mark = now
-        if value <= criteria.tolerance:
-            termination = "converged"
-            break
-        if state.k >= criteria.max_iterations:
-            termination = "max_iterations"
-            break
-        next_rows = 2 ** (state.k + 1) * max(prob.p, prob.q)
-        if next_rows > criteria.kernel_row_cap:
-            termination = "kernel_cap_exceeded"
-            break
-        if criteria.criterion == "rchange":
-            h_prev = state.H
-        advance(state)
-
-    h_final = state.H
-    if criteria.criterion == "erres":
-        erres_final = records[-1].value
-    else:
-        erres_final = erres(prob, h_final)
-    dual = None
+    report = _stopping_loop(prob, state, shifts, criteria, x_true, t0)
     if compute_dual:
-        trip = dual_kernel_triplet(state)
-        fact = gth_factorize(trip)
-        xg = fact.solve(state.Vcheck.T)
-        dual = state.shifts.gamma * matmul(state.Wcheck, xg)
-    return SolveReport(
-        termination=termination,
-        iterations=state.k,
-        criterion=criteria.criterion,
-        tolerance=criteria.tolerance,
-        alpha=shifts.alpha,
-        beta=shifts.beta,
-        records=records,
-        H=h_final,
-        erres_final=erres_final,
-        frob_h=frobenius_norm(h_final),
-        rank_h=rank_of_iterate(state),
-        seconds=time.perf_counter() - t0,
-        G=dual,
-    )
+        xg = gth_factorize(dual_kernel_triplet(state)).solve(state.Vcheck.T)
+        report.G = shifts.gamma * matmul(state.Wcheck, xg)
+        report.seconds = time.perf_counter() - t0
+    return report
+
+
+def solve_dense(
+    prob: MareProblem,
+    shifts: ShiftPair | None = None,
+    criteria: StopCriteria | None = None,
+    x_true: np.ndarray | None = None,
+) -> SolveReport:
+    """Run the dense ADDA reference under the stopping rule of :func:`solve`.
+
+    Dense and capped at m + n <= 200 (see :mod:`dadda.oracle`); the report
+    has no kernel orders and no dual iterate.
+    """
+    shifts, criteria = _defaults(prob, shifts, criteria, x_true)
+    t0 = time.perf_counter()
+    return _stopping_loop(prob, _DenseAdda(prob, shifts), shifts, criteria, x_true, t0)

@@ -18,7 +18,6 @@ from dadda.cli import main as cli_main
 from dadda.gth import (
     TripletRepresentation,
     gth_factorize,
-    gth_solve,
     smw_solve_diag_lowrank,
 )
 from dadda.linalg import frobenius_norm, matmul
@@ -154,7 +153,7 @@ def test_criterion_05_gth_extended_precision():
         v_scale = 1e-10 if trial % 4 == 0 else 1.0
         N, u, v = random_triplet(rng, order, v_scale=v_scale)
         b = rng.uniform(0.1, 1.0, size=order)
-        x = gth_solve(gth_factorize(TripletRepresentation.from_parts(N, u, v)), b)
+        x = gth_factorize(TripletRepresentation.from_parts(N, u, v)).solve(b)
         violations += int(np.any(x < 0.0))
         ref = np.asarray(fraction_solve(N, u, v, b))
         worst = max(worst, float(np.max(np.abs(x - ref) / np.abs(ref))))
@@ -200,9 +199,7 @@ def test_criterion_06_smw_fast_path():
         x_smw = smw_solve_diag_lowrank(d, P, R, u, v, b)
         N = np.outer(P[:, 0], R[:, 0])
         np.fill_diagonal(N, 0.0)
-        x_dense = gth_solve(
-            gth_factorize(TripletRepresentation.from_parts(N, u, v)), b
-        )
+        x_dense = gth_factorize(TripletRepresentation.from_parts(N, u, v)).solve(b)
         worst = max(worst, float(np.max(np.abs(x_smw - x_dense) / np.abs(x_dense))))
     ratio = _smw_time(200_000) / _smw_time(100_000)
     ok = worst <= 1e-14 and ratio <= 2.6

@@ -111,6 +111,13 @@ class TestBench:
         assert float(lead["erres"]) <= 1e-14
         assert float(lead["ererr"]) <= 1e-10
         assert abs(float(lead["frob_h"]) - 1.0 / 3.0) <= 1e-6 / 3.0
+        # both rows stop by the same rule, rchange included
+        code = main([
+            "bench-fluid", "--m", "2", "--n", "18", "--criterion", "rchange",
+            "--csv", str(csv_path),
+        ])
+        assert code == 0
+        assert [r["iters"] for r in _read_csv(str(csv_path))] == ["5", "5"]
 
     def test_oracle_row_respects_size_limit(self, tmp_path):
         csv_path = tmp_path / "big.csv"
@@ -147,12 +154,27 @@ class TestBench:
 
     def test_report_option(self, tmp_path):
         out = tmp_path / "rep.json"
-        code = main([
-            "bench-transport", "--n", "6", "--seed", "1", "--out", str(out),
-            "--csv", str(tmp_path / "t.csv"),
-        ])
-        assert code == 0
-        assert json.loads(out.read_text())["termination"] == "converged"
+        csv_path = tmp_path / "t.csv"
+        # the oracle has no kernel, so the kernel cap stops the dadda row only
+        for cap, code_want, termination, iters in (
+            ("4096", 0, "converged", ["11", "11"]),
+            ("2", 3, "kernel_cap_exceeded", ["1", "11"]),
+        ):
+            code = main([
+                "bench-transport", "--n", "6", "--seed", "1", "--out", str(out),
+                "--csv", str(csv_path), "--kernel-cap", cap,
+            ])
+            assert code == code_want
+            assert json.loads(out.read_text())["termination"] == termination
+            assert [r["iters"] for r in _read_csv(str(csv_path))] == iters
+
+    def test_solver_refusal_exit_one(self, capsys):
+        for argv in (
+            ["bench-transport", "--n", "6", "--criterion", "ererr"],
+            ["bench-fluid", "--m", "2", "--n", "18", "--kernel-cap", "1"],
+        ):
+            assert main(argv) == 1
+            assert "input error" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -172,6 +194,24 @@ class TestSweep:
                 assert np.isfinite(float(value))
                 assert int(iters) >= 0
                 assert np.isfinite(float(res))
+
+    def test_input_errors_exit_one(self, tmp_path, capsys):
+        prefix = str(tmp_path / "sw")
+        for extra in (["--criterion", "ererr"], ["--max-iter", "-1"]):
+            code = main([
+                "sweep", "--n", "6", "--points", "2", "--csv", prefix, *extra,
+            ])
+            assert code == 1
+            assert "input error" in capsys.readouterr().err
+
+    def test_shift_and_report_flags_rejected(self, tmp_path, capsys):
+        # sweep sets both shifts itself and writes no JSON report
+        prefix = str(tmp_path / "sw")
+        for flag in ("--alpha", "--beta", "--out"):
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--n", "6", "--points", "2", "--csv", prefix,
+                      flag, "0.001"])
+            assert exc.value.code == 2
 
 
 class TestVerify:

@@ -21,7 +21,6 @@ from dadda.gth import (
     build_solver,
     diagonal_from_triplet,
     gth_factorize,
-    gth_solve,
     smw_solve_diag_lowrank,
     triplet_for_capacitance,
 )
@@ -30,6 +29,19 @@ from dadda.linalg import StructuredSquare, frobenius_norm, matmul
 
 def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _run_optimized(code):
+    """Run ``code`` in a fresh ``python -O`` with this dadda importable."""
+    src = os.path.dirname(os.path.dirname(dadda.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 def _sign_ok(f):
@@ -79,7 +91,6 @@ class TestFactorization:
         assert np.array_equal(f.solve([1.0, 1.0]), [1.0, 1.0])
         x = f.solve([1.0, 0.0])
         assert x == pytest.approx([2.0 / 3.0, 1.0 / 3.0], rel=1e-15)
-        assert np.array_equal(gth_solve(f, [1.0, 1.0]), [1.0, 1.0])
 
     def test_reconstruction_and_signs(self):
         rng = _rng(20)
@@ -190,8 +201,6 @@ class TestFactorization:
         # N changed after validation: U gains a positive entry below the
         # first pivot, so L would too.  The check must survive python -O,
         # on the sequential (n = 5) and the panelled (n = 300) path.
-        src = os.path.dirname(os.path.dirname(dadda.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         for n in (5, 300):
             code = f"""
 import numpy as np
@@ -209,14 +218,26 @@ except NotMMatrixError:
     raise SystemExit(0)
 raise SystemExit("factorization returned despite a positive off-diagonal entry")
 """
-            proc = subprocess.run(
-                [sys.executable, "-O", "-c", code],
-                env=dict(os.environ, PYTHONPATH=path),
-                capture_output=True,
-                text=True,
-                timeout=120,
-            )
+            proc = _run_optimized(code)
             assert proc.returncode == 0, (n, proc.stderr)
+
+    def test_solver_sign_violation_raises_under_optimize(self):
+        # a negative entry planted in the kernel solution X must stop the
+        # materialization of H = gamma Ucheck X under python -O as well
+        code = """
+from dadda.benchgen import gen_fluid
+from dadda.gth import NotMMatrixError
+from dadda.solver import initialize
+state = initialize(gen_fluid(2, 18)[0])
+state.X[0, 0] = -1.0
+try:
+    state.H
+except NotMMatrixError:
+    raise SystemExit(0)
+raise SystemExit("H materialized despite a negative kernel solution")
+"""
+        proc = _run_optimized(code)
+        assert proc.returncode == 0, proc.stderr
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

@@ -9,7 +9,6 @@ from conftest import naive_matmul
 from dadda.linalg import (
     StructuredSquare,
     _reduce_ascending,
-    apply_structured,
     frobenius_norm,
     matmul,
     max_entrywise_ratio,
@@ -243,9 +242,3 @@ class TestStructuredSquare:
             StructuredSquare.diag_plus_lowrank(
                 np.ones(3), np.ones((3, 1)), np.ones((3, 1)), sign=0
             )
-
-    def test_apply_structured_matches_apply(self):
-        rng = _rng(14)
-        s = self._cases(rng)[1]
-        x = rng.standard_normal((6, 2))
-        assert np.array_equal(apply_structured(s, x), s.apply(x))
