@@ -19,6 +19,7 @@ tolerance, alpha, beta, erres_final, frob_h, rank_h, seconds, records
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -183,17 +184,18 @@ def cmd_sweep(args) -> int:
     try:
         prob = benchgen.gen_transport(args.n, args.seed)
         criteria = _criteria_from_args(args, default_tol=1e-13, default_max_iter=100)
+        grids = {
+            name: np.linspace(0.0, 1.0 / float(np.max(coef.diagonal())), args.points)
+            for name, coef in (("alpha", prob.A), ("beta", prob.D))
+        }
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     defaults = make_shifts(prob)
     prefix = args.csv if args.csv else "sweep"
-    points = args.points
     for name, fixed in (("alpha", defaults.beta), ("beta", defaults.alpha)):
-        bound = 1.0 / float(np.max((prob.A if name == "alpha" else prob.D).diagonal()))
-        values = np.linspace(0.0, bound, points)
         rows = []
-        for val in values:
+        for val in grids[name]:
             if name == "alpha":
                 shifts = make_shifts(prob, alpha=float(val), beta=fixed)
             else:
@@ -217,10 +219,20 @@ def cmd_sweep(args) -> int:
 # -- verify ------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _invariants(label, failures):
+    """Record a broken sign invariant of the iteration as a failure of ``label``."""
+    try:
+        yield
+    except NotMMatrixError as exc:
+        failures.append(f"{label}: {exc}")
+
+
 def _verify_fluid(sizes, failures):
     fault = os.environ.get("DADDA_VERIFY_FAULT", "")
     for m, n in sizes:
         prob, x_true = benchgen.gen_fluid(m, n)
+        label = f"fluid {m}x{n}"
         w_ones = np.concatenate(
             [
                 prob.D.apply(prob.u1) - matmul(prob.Cl, prob.Cr.T @ prob.u2[:, None])[:, 0],
@@ -228,43 +240,45 @@ def _verify_fluid(sizes, failures):
             ]
         )
         if np.max(np.abs(w_ones)) > 1e-12:
-            failures.append(f"fluid {m}x{n}: W 1 != 0")
-        state = initialize(prob)
-        h_prev = state.H
-        for _ in range(4):
-            advance(state)
-            h_new = state.H
-            if fault == "sign-flip":
-                h_new = h_new.copy()
-                h_new[0, 0] = -h_new[0, 0]
-            if np.min(h_new - h_prev) < -1e-15:
-                failures.append(f"fluid {m}x{n}: monotonicity violated at k={state.k}")
-            h_prev = h_new
-        res = erres(prob, state.H)
-        if res > 1e-14:
-            failures.append(f"fluid {m}x{n}: erres {res:.3e} > 1e-14 at k=4")
-        err = ererr(state.H, x_true)
-        if err > 1e-10:
-            failures.append(f"fluid {m}x{n}: ererr {err:.3e} > 1e-10 at k=4")
+            failures.append(f"{label}: W 1 != 0")
+        with _invariants(label, failures):
+            state = initialize(prob)
+            h_prev = state.H
+            for _ in range(4):
+                advance(state)
+                h_new = state.H
+                if fault == "sign-flip":
+                    h_new = h_new.copy()
+                    h_new[0, 0] = -h_new[0, 0]
+                if np.min(h_new - h_prev) < -1e-15:
+                    failures.append(f"{label}: monotonicity violated at k={state.k}")
+                h_prev = h_new
+            res = erres(prob, state.H)
+            if res > 1e-14:
+                failures.append(f"{label}: erres {res:.3e} > 1e-14 at k=4")
+            err = ererr(state.H, x_true)
+            if err > 1e-10:
+                failures.append(f"{label}: ererr {err:.3e} > 1e-10 at k=4")
 
 
 def _verify_transport(n, seeds, failures):
     for seed in seeds:
         prob = benchgen.gen_transport(n, seed)
-        state = initialize(prob)
-        for _ in range(4):
-            advance(state)
-        trip = kernel_triplet(state)
-        image = trip.matrix() @ trip.u
-        target = trip.v
-        scale = max(float(np.max(np.abs(target))), 1e-300)
-        if float(np.max(np.abs(image - target))) > 1e-12 * scale:
-            failures.append(f"transport n={n} seed={seed}: kernel triplet identity")
-        if np.any(state.v1k < 0.0) or np.any(state.v2k < 0.0):
-            failures.append(f"transport n={n} seed={seed}: negative kernel image")
-        inv = np.linalg.inv(np.eye(trip.n) - matmul(state.Y, state.Z))
-        if float(np.min(inv)) < -1e-12:
-            failures.append(f"transport n={n} seed={seed}: kernel inverse negative")
+        label = f"transport n={n} seed={seed}"
+        with _invariants(label, failures):
+            state = initialize(prob)
+            for _ in range(4):
+                advance(state)
+            # a negative kernel image raises inside kernel_triplet
+            trip = kernel_triplet(state)
+            image = trip.matrix() @ trip.u
+            target = trip.v
+            scale = max(float(np.max(np.abs(target))), 1e-300)
+            if float(np.max(np.abs(image - target))) > 1e-12 * scale:
+                failures.append(f"{label}: kernel triplet identity")
+            inv = np.linalg.inv(np.eye(trip.n) - matmul(state.Y, state.Z))
+            if float(np.min(inv)) < -1e-12:
+                failures.append(f"{label}: kernel inverse negative")
 
 
 def _verify_gth(seed, failures):
@@ -301,20 +315,25 @@ def cmd_verify(args) -> int:
     sizes = [(2, 18), (18, 2), (90, 10)]
     if args.sizes:
         try:
-            sizes = [
-                tuple(int(t) for t in chunk.split("x"))
-                for chunk in args.sizes.split(",")
-            ]
+            sizes = []
+            for chunk in args.sizes.split(","):
+                m, n = (int(t) for t in chunk.split("x"))
+                sizes.append((m, n))
         except ValueError:
             print(f"input error: bad --sizes {args.sizes!r}", file=sys.stderr)
             return 1
     family = args.family
-    if family in ("fluid", "all"):
-        _verify_fluid(sizes, failures)
-    if family in ("transport", "all"):
-        _verify_transport(args.n, [args.seed, args.seed + 1], failures)
-    if family in ("gth", "all"):
-        _verify_gth(args.seed, failures)
+    try:
+        if family in ("fluid", "all"):
+            _verify_fluid(sizes, failures)
+        if family in ("transport", "all"):
+            _verify_transport(args.n, [args.seed, args.seed + 1], failures)
+        if family in ("gth", "all"):
+            _verify_gth(args.seed, failures)
+    except ValueError as exc:
+        # a NotMMatrixError of a walk is a failure, recorded by _invariants
+        print(f"input error: {exc}", file=sys.stderr)
+        return 1
     payload = {"ok": not failures, "failures": failures}
     text = json.dumps(payload, indent=2)
     if args.out:

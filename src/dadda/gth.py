@@ -367,6 +367,18 @@ class DenseGthSolver:
         return self.factorization.solve(b, transpose=transpose)
 
 
+def _dense_gth(N, u, v, lower_bandwidth=None, upper_bandwidth=None) -> DenseGthSolver:
+    """:class:`DenseGthSolver` on (N, u, v); N's diagonal is overwritten with 0."""
+    np.fill_diagonal(N, 0.0)
+    if np.any(N < 0.0):
+        raise NotMMatrixError(
+            "not a nonsingular M-matrix (positive off-diagonal entry)"
+        )
+    return DenseGthSolver(
+        TripletRepresentation.from_parts(N, u, v), lower_bandwidth, upper_bandwidth
+    )
+
+
 class DiagLowRankSolver:
     """Solve (diag(d) - P R^T) x = b through the SMW identity.
 
@@ -428,14 +440,8 @@ class DiagLowRankSolver:
         self._dinv_R = R / d[:, None]
 
     def _build_fallback(self, u, v):
-        N = matmul(self.P, self.R.T)
-        np.fill_diagonal(N, 0.0)
-        if np.any(N < 0.0):
-            raise NotMMatrixError(
-                "not a nonsingular M-matrix (positive off-diagonal entry)"
-            )
+        self._fallback = _dense_gth(matmul(self.P, self.R.T), u, v)
         self._mode = "dense"
-        self._fallback = DenseGthSolver(TripletRepresentation.from_parts(N, u, v))
 
     def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
         b, squeeze = _column_form(b, self.n)
@@ -480,17 +486,7 @@ def build_solver(matrix, u, v):
     if matrix.kind == "banded":
         if matrix.lower == 0 and matrix.upper == 0:
             return DiagonalSolver(matrix.bands[0])
-        dense = matrix.to_dense()
-        N = -dense
-        np.fill_diagonal(N, 0.0)
-        if np.any(N < 0.0):
-            raise NotMMatrixError(
-                "not a nonsingular M-matrix (positive off-diagonal entry)"
-            )
-        trip = TripletRepresentation.from_parts(N, u, v)
-        return DenseGthSolver(
-            trip, lower_bandwidth=matrix.lower, upper_bandwidth=matrix.upper
-        )
+        return _dense_gth(-matrix.to_dense(), u, v, matrix.lower, matrix.upper)
     if matrix.kind == "diag_plus_lowrank":
         if matrix.sign == 1:
             if matrix.p.any() and matrix.r.any():
@@ -499,12 +495,4 @@ def build_solver(matrix, u, v):
                 )
             return DiagonalSolver(matrix.diagonal())
         return DiagLowRankSolver(matrix.d, matrix.p, matrix.r, u, v)
-    dense = matrix.to_dense()
-    N = -dense
-    np.fill_diagonal(N, 0.0)
-    if np.any(N < 0.0):
-        raise NotMMatrixError(
-            "not a nonsingular M-matrix (positive off-diagonal entry)"
-        )
-    trip = TripletRepresentation.from_parts(N, u, v)
-    return DenseGthSolver(trip)
+    return _dense_gth(-matrix.to_dense(), u, v)

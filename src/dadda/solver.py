@@ -27,10 +27,12 @@ triplet is assembled additively: with u-side B_r^T u1 tiled 2^k times,
     v1k block i = alpha * Q_0^T v1 + Q_i^T u1
                   + gamma * (sum_{j<i} Q_j)^T (D_alpha^{-1} v1),
 
-(v2k symmetrically with beta, V-blocks, and A_beta^{-T}... A_beta^{-1} v2),
-and the kernel image is v1k + Y_k v2k.  The partial sums are accumulated
-in ascending block order and never by differencing, so the image stays
-exactly nonnegative even in the critical case.
+(v2k symmetrically with beta, the V blocks, u2 and A_beta^{-1} v2), and
+the kernel image is v1k + Y_k v2k.  The image is no running state: it is
+derived from the stacked factor blocks on demand, by one ordered product
+Qcheck^T [u1, D_alpha^{-1} v1] and an ascending cumulative sum over the
+blocks.  Every term is nonnegative and nothing is ever differenced, so
+the image stays exactly nonnegative even in the critical case.
 """
 
 from __future__ import annotations
@@ -134,14 +136,8 @@ class DaddaState:
     q_blocks: list[np.ndarray]
     Y: np.ndarray
     Z: np.ndarray
-    v1k: np.ndarray
-    v2k: np.ndarray
-    q0v1: np.ndarray
-    v0v2: np.ndarray
     dinv_v1: np.ndarray
     ainv_v2: np.ndarray
-    prefix_q: np.ndarray
-    prefix_v: np.ndarray
     bru1: np.ndarray
     cru2: np.ndarray
     kernel: object = None
@@ -177,6 +173,22 @@ class DaddaState:
             self._H = H
         return self._H
 
+    @property
+    def v1k(self) -> np.ndarray:
+        """Kernel image from the Q blocks (see the module docstring)."""
+        return _kernel_image(
+            self.q_blocks, self.prob.u1, self.dinv_v1, self.prob.v1,
+            self.shifts.alpha, self.shifts.gamma,
+        )
+
+    @property
+    def v2k(self) -> np.ndarray:
+        """Kernel image from the V blocks, the mirror of :attr:`v1k`."""
+        return _kernel_image(
+            self.v_blocks, self.prob.u2, self.ainv_v2, self.prob.v2,
+            self.shifts.beta, self.shifts.gamma,
+        )
+
     # the iterate interface of _stopping_loop, which _DenseAdda shares
 
     def step(self) -> None:
@@ -204,6 +216,23 @@ def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return matmul(a, b)
 
 
+def _kernel_image(blocks, u, inv_v, v, shift, gamma) -> np.ndarray:
+    """Block i: shift * B_0^T v + B_i^T u + gamma * (sum_{j<i} B_j)^T inv_v.
+
+    One ordered product gives every B_i^T u and B_i^T inv_v; the prefix
+    sums accumulate the latter in ascending block order (block 0 adds
+    gamma * 0.0), so each entry is a sum of nonnegative terms.
+    """
+    width = blocks[0].shape[1]
+    cols = matmul(np.concatenate(blocks, axis=1).T, np.column_stack([u, inv_v]))
+    prefix = np.zeros((len(blocks), width))
+    np.cumsum(cols[:-width, 1].reshape(-1, width), axis=0, out=prefix[1:])
+    head = shift * matmul(blocks[0].T, v[:, None])[:, 0]
+    image = np.tile(head, len(blocks)) + cols[:, 0] + gamma * prefix.ravel()
+    _check_sign(np.all(image >= 0.0), "kernel image")
+    return image
+
+
 def _refresh_kernel(state: DaddaState) -> None:
     # drop the previous order's factors and solution before the new ones
     state.kernel = state.X = state._H = None
@@ -212,24 +241,25 @@ def _refresh_kernel(state: DaddaState) -> None:
     _check_sign(np.all(state.X >= 0.0), "kernel solution X")
 
 
+def _kernel_from(y, z, u_side, image_y, image_z, k) -> TripletRepresentation:
+    """Triplet (offdiag(y z), u_side tiled 2^k times, image_y + y image_z) of I - y z."""
+    N = _gram(y, z)
+    np.fill_diagonal(N, 0.0)
+    u = np.tile(u_side, 2**k)
+    v = image_y + matmul(y, image_z[:, None])[:, 0]
+    return TripletRepresentation.from_parts(N, u, v)
+
+
 def kernel_triplet(state: DaddaState) -> TripletRepresentation:
     """Triplet of I - Y_k Z_k (assembled additively, never by subtraction)."""
-    N = _gram(state.Y, state.Z)
-    np.fill_diagonal(N, 0.0)
-    u = np.tile(state.bru1, 2**state.k)
-    v = state.v1k + matmul(state.Y, state.v2k[:, None])[:, 0]
-    return TripletRepresentation.from_parts(N, u, v)
+    return _kernel_from(state.Y, state.Z, state.bru1, state.v1k, state.v2k, state.k)
 
 
 def dual_kernel_triplet(state: DaddaState) -> TripletRepresentation:
     """Triplet of I - Z_k Y_k, for the dual iterate G_k."""
     if np.any(state.cru2 <= 0.0):
         raise ValueError("dual kernel requires Cr^T u2 > 0 strictly")
-    N = _gram(state.Z, state.Y)
-    np.fill_diagonal(N, 0.0)
-    u = np.tile(state.cru2, 2**state.k)
-    v = state.v2k + matmul(state.Z, state.v1k[:, None])[:, 0]
-    return TripletRepresentation.from_parts(N, u, v)
+    return _kernel_from(state.Z, state.Y, state.cru2, state.v2k, state.v1k, state.k)
 
 
 def initialize(prob: MareProblem, shifts: ShiftPair | None = None) -> DaddaState:
@@ -239,7 +269,6 @@ def initialize(prob: MareProblem, shifts: ShiftPair | None = None) -> DaddaState
     parts = shifted_parts(prob, shifts)
     solver_a = build_solver(parts.A_beta, prob.u2, parts.image_a_beta)
     solver_d = build_solver(parts.D_alpha, prob.u1, parts.image_d_alpha)
-    alpha, beta = shifts.alpha, shifts.beta
 
     u0 = solver_a.solve(prob.Bl)
     v0 = solver_a.solve(prob.Cr, transpose=True)
@@ -253,14 +282,6 @@ def initialize(prob: MareProblem, shifts: ShiftPair | None = None) -> DaddaState
     if np.any(bru1 <= 0.0):
         raise ValueError("Br^T u1 must be strictly positive (kernel u-side)")
 
-    dinv_v1 = solver_d.solve(prob.v1)
-    ainv_v2 = solver_a.solve(prob.v2)
-    q0v1 = matmul(q0.T, prob.v1[:, None])[:, 0]
-    v0v2 = matmul(v0.T, prob.v2[:, None])[:, 0]
-
-    v1k = alpha * q0v1 + matmul(q0.T, prob.u1[:, None])[:, 0]
-    v2k = beta * v0v2 + matmul(v0.T, prob.u2[:, None])[:, 0]
-
     state = DaddaState(
         prob=prob,
         shifts=shifts,
@@ -273,16 +294,10 @@ def initialize(prob: MareProblem, shifts: ShiftPair | None = None) -> DaddaState
         v_blocks=[v0],
         w_blocks=[w0],
         q_blocks=[q0],
-        Y=alpha * matmul(q0.T, prob.Cl),
-        Z=beta * matmul(prob.Cr.T, u0),
-        v1k=v1k,
-        v2k=v2k,
-        q0v1=q0v1,
-        v0v2=v0v2,
-        dinv_v1=dinv_v1,
-        ainv_v2=ainv_v2,
-        prefix_q=matmul(q0.T, dinv_v1[:, None])[:, 0],
-        prefix_v=matmul(v0.T, ainv_v2[:, None])[:, 0],
+        Y=shifts.alpha * matmul(q0.T, prob.Cl),
+        Z=shifts.beta * matmul(prob.Cr.T, u0),
+        dinv_v1=solver_d.solve(prob.v1),
+        ainv_v2=solver_a.solve(prob.v2),
         bru1=bru1,
         cru2=cru2,
     )
@@ -290,59 +305,34 @@ def initialize(prob: MareProblem, shifts: ShiftPair | None = None) -> DaddaState
     return state
 
 
+def _doubled(old: np.ndarray, corner: np.ndarray) -> np.ndarray:
+    """[[0, old], [old, corner]], the doubling of Y (or Z)."""
+    rows, cols = old.shape
+    out = np.zeros((2 * rows, 2 * cols))
+    out[:rows, cols:] = old
+    out[rows:, :cols] = old
+    out[rows:, cols:] = corner
+    return out
+
+
 def advance(state: DaddaState) -> DaddaState:
     """One doubling step: k -> k + 1."""
     gamma = state.shifts.gamma
-    alpha, beta = state.shifts.alpha, state.shifts.beta
-    prob = state.prob
+    state.Y = _doubled(state.Y, gamma * _gram(state.Qcheck.T, state.Wcheck))
+    state.Z = _doubled(state.Z, gamma * _gram(state.Vcheck.T, state.Ucheck))
 
-    t_k = _gram(state.Qcheck.T, state.Wcheck)
-    s_k = _gram(state.Vcheck.T, state.Ucheck)
-    rows_y, cols_y = state.Y.shape
-    y_next = np.zeros((2 * rows_y, 2 * cols_y))
-    y_next[:rows_y, cols_y:] = state.Y
-    y_next[rows_y:, :cols_y] = state.Y
-    y_next[rows_y:, cols_y:] = gamma * t_k
-    z_next = np.zeros((2 * cols_y, 2 * rows_y))
-    z_next[:cols_y, rows_y:] = state.Z
-    z_next[cols_y:, :rows_y] = state.Z
-    z_next[cols_y:, rows_y:] = gamma * s_k
-    state.Y = y_next
-    state.Z = z_next
-
-    new_count = len(state.u_blocks)
-    v1_new = np.empty(new_count * prob.p)
-    v2_new = np.empty(new_count * prob.q)
-    for i in range(new_count):
-        u_new = state.a_neg.apply(state.solver_a.solve(state.u_blocks[-1]))
-        v_new = state.a_neg.apply(
-            state.solver_a.solve(state.v_blocks[-1], transpose=True), transpose=True
-        )
-        w_new = state.d_neg.apply(state.solver_d.solve(state.w_blocks[-1]))
-        q_new = state.d_neg.apply(
-            state.solver_d.solve(state.q_blocks[-1], transpose=True), transpose=True
-        )
-        for blk in (u_new, v_new, w_new, q_new):
+    # (blocks, shifted solver, negated part, transposed) of U, V, W and Q
+    families = (
+        (state.u_blocks, state.solver_a, state.a_neg, False),
+        (state.v_blocks, state.solver_a, state.a_neg, True),
+        (state.w_blocks, state.solver_d, state.d_neg, False),
+        (state.q_blocks, state.solver_d, state.d_neg, True),
+    )
+    for _ in range(len(state.u_blocks)):
+        for blocks, shifted, neg, transpose in families:
+            blk = neg.apply(shifted.solve(blocks[-1], transpose=transpose), transpose=transpose)
             _check_sign(np.all(blk >= 0.0), "factor block")
-        state.u_blocks.append(u_new)
-        state.v_blocks.append(v_new)
-        state.w_blocks.append(w_new)
-        state.q_blocks.append(q_new)
-        v1_new[i * prob.p : (i + 1) * prob.p] = (
-            alpha * state.q0v1
-            + matmul(q_new.T, prob.u1[:, None])[:, 0]
-            + gamma * state.prefix_q
-        )
-        v2_new[i * prob.q : (i + 1) * prob.q] = (
-            beta * state.v0v2
-            + matmul(v_new.T, prob.u2[:, None])[:, 0]
-            + gamma * state.prefix_v
-        )
-        state.prefix_q = state.prefix_q + matmul(q_new.T, state.dinv_v1[:, None])[:, 0]
-        state.prefix_v = state.prefix_v + matmul(v_new.T, state.ainv_v2[:, None])[:, 0]
-    state.v1k = np.concatenate([state.v1k, v1_new])
-    state.v2k = np.concatenate([state.v2k, v2_new])
-    _check_sign(np.all(state.v1k >= 0.0) and np.all(state.v2k >= 0.0), "kernel image")
+            blocks.append(blk)
 
     state.k += 1
     _refresh_kernel(state)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_mare
+from dadda import cli, solver
 from dadda.cli import main
 from dadda.problem import problem_to_json, save_problem
 
@@ -197,7 +198,7 @@ class TestSweep:
 
     def test_input_errors_exit_one(self, tmp_path, capsys):
         prefix = str(tmp_path / "sw")
-        for extra in (["--criterion", "ererr"], ["--max-iter", "-1"]):
+        for extra in (["--criterion", "ererr"], ["--max-iter", "-1"], ["--points", "-1"]):
             code = main([
                 "sweep", "--n", "6", "--points", "2", "--csv", prefix, *extra,
             ])
@@ -237,6 +238,36 @@ class TestVerify:
     def test_bad_sizes_exit_one(self, capsys):
         code = main(["verify", "--family", "fluid", "--sizes", "2y18"])
         assert code == 1
+
+    def test_input_errors_exit_one(self, capsys):
+        for argv in (
+            ["verify", "--family", "fluid", "--sizes", "2x3x4"],
+            ["verify", "--family", "fluid", "--sizes", "0x5"],
+            ["verify", "--family", "transport", "--n", "0"],
+            ["verify", "--family", "gth", "--seed", "-1"],
+        ):
+            assert main(argv) == 1
+            assert "input error" in capsys.readouterr().err
+
+    def test_broken_invariant_is_a_failure(self, monkeypatch, capsys):
+        # a negative factor block makes initialize/advance raise
+        # NotMMatrixError; verify records it instead of crashing
+        def planted(prob):
+            state = solver.initialize(prob)
+            state.u_blocks[0][0, 0] = -1.0
+            return state
+
+        monkeypatch.setattr(cli, "initialize", planted)
+        for argv, label in (
+            (["--family", "fluid", "--sizes", "2x18"], "fluid 2x18"),
+            (["--family", "transport", "--n", "6"], "transport n=6 seed=0"),
+        ):
+            assert main(["verify", *argv]) == 4
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["ok"] is False
+            assert any(
+                f.startswith(label) and "wrong sign" in f for f in payload["failures"]
+            )
 
     def test_requires_command(self):
         with pytest.raises(SystemExit) as exc:

@@ -127,6 +127,33 @@ class TestKernels:
             res = trip.u - zy @ trip.u - trip.v
             assert np.abs(res).max() <= 1e-12 * np.abs(trip.v).max()
 
+    def test_kernel_image_matches_definition(self):
+        # v1k / v2k are bitwise the block sums of the module docstring, every
+        # product a literal ascending loop and every sum left to right
+        lowrank = random_mare(54, kind="lowrank")
+        assert (lowrank.p, lowrank.q) == (3, 2)
+        for prob in (gen_transport(10, 0), lowrank):
+            state = initialize(prob)
+            sh = state.shifts
+            for k in range(5):
+                if k:
+                    advance(state)
+                for blocks, u, inv_v, v, shift, image in (
+                    (state.q_blocks, prob.u1, state.dinv_v1, prob.v1, sh.alpha, state.v1k),
+                    (state.v_blocks, prob.u2, state.ainv_v2, prob.v2, sh.beta, state.v2k),
+                ):
+                    head = shift * naive_matmul(blocks[0].T, v[:, None])[:, 0]
+                    prefix = None
+                    expect = []
+                    for blk in blocks:
+                        term = head + naive_matmul(blk.T, u[:, None])[:, 0]
+                        if prefix is not None:
+                            term = term + sh.gamma * prefix
+                        expect.append(term)
+                        part = naive_matmul(blk.T, inv_v[:, None])[:, 0]
+                        prefix = part if prefix is None else prefix + part
+                    assert np.array_equal(image, np.concatenate(expect))
+
     def test_kernel_inverse_nonnegative(self):
         prob = random_mare(58)
         state = initialize(prob, default_shifts(prob))
