@@ -41,7 +41,6 @@ from .problem import MareProblem
 __all__ = [
     "TransportDraw",
     "draw_transport",
-    "gauss_legendre",
     "gen_fluid",
     "gen_transport",
 ]
@@ -197,40 +196,3 @@ def gen_transport(
     """Seeded random transport MARE (problem only)."""
     return draw_transport(n, seed, alpha_t=alpha_t, beta_t=beta_t).problem
 
-
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on (0, 1), descending, weights summing to 1.
-
-    Newton iteration on P_n evaluated by the three-term recurrence, from
-    the Chebyshev-like initial guesses; tolerance 1e-15 on the update.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    i = np.arange(1, n + 1)
-    x = np.cos(np.pi * (4.0 * i - 1.0) / (4.0 * n + 2.0))
-    def legendre_pair(x):
-        # returns (P_n(x), P_{n-1}(x)) by the three-term recurrence
-        p_prev = np.ones_like(x)
-        p = x.copy()
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2.0 * k - 1.0) * x * p - (k - 1.0) * p_prev) / k
-        return p, p_prev
-
-    for _ in range(100):
-        p, p_prev = legendre_pair(x)
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-        step = p / dp
-        x = x - step
-        if np.max(np.abs(step)) <= 1e-15:
-            break
-    else:
-        raise RuntimeError("Legendre Newton iteration did not converge")
-    # final recurrence pass for the weights at the converged nodes
-    p, p_prev = legendre_pair(x)
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    nodes = (1.0 + x) / 2.0
-    order = np.argsort(nodes)[::-1]
-    nodes = nodes[order].copy()
-    weights = _normalize_exact((w / 2.0)[order].copy())
-    return nodes, weights

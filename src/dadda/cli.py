@@ -23,7 +23,6 @@ import contextlib
 import csv
 import itertools
 import json
-import os
 import sys
 
 import numpy as np
@@ -31,6 +30,7 @@ import numpy as np
 from . import benchgen
 from .gth import NotMMatrixError, TripletRepresentation, gth_factorize
 from .linalg import matmul
+from .oracle import _ORACLE_CAP
 from .problem import MareProblem, load_problem, make_shifts
 from .solver import (
     SolveReport,
@@ -49,7 +49,6 @@ _EXIT_BY_TERMINATION = {
     "max_iterations": 2,
     "kernel_cap_exceeded": 3,
 }
-_ORACLE_LIMIT = 200
 
 
 def _criteria_from_args(args, default_tol, default_max_iter) -> StopCriteria:
@@ -168,7 +167,7 @@ def cmd_bench(args) -> int:
         shifts = make_shifts(prob, alpha=args.alpha, beta=args.beta)
         report = solve(prob, shifts=shifts, criteria=criteria, x_true=x_true)
         rows = [_csv_row("dadda", prob, report, x_true)]
-        if prob.m + prob.n <= _ORACLE_LIMIT:
+        if prob.m + prob.n <= _ORACLE_CAP:
             dense = solve_dense(prob, shifts=shifts, criteria=criteria, x_true=x_true)
             rows.append(_csv_row("adda_oracle", prob, dense, x_true))
     except ValueError as exc:
@@ -229,7 +228,6 @@ def _invariants(label, failures):
 
 
 def _verify_fluid(sizes, failures):
-    fault = os.environ.get("DADDA_VERIFY_FAULT", "")
     for m, n in sizes:
         prob, x_true = benchgen.gen_fluid(m, n)
         label = f"fluid {m}x{n}"
@@ -247,9 +245,6 @@ def _verify_fluid(sizes, failures):
             for _ in range(4):
                 advance(state)
                 h_new = state.H
-                if fault == "sign-flip":
-                    h_new = h_new.copy()
-                    h_new[0, 0] = -h_new[0, 0]
                 if np.min(h_new - h_prev) < -1e-15:
                     failures.append(f"{label}: monotonicity violated at k={state.k}")
                 h_prev = h_new

@@ -29,7 +29,9 @@ checked explicitly and raise :class:`NotMMatrixError` when broken.
 For diag(d) - P R^T with skinny nonnegative P, R the module provides a
 Sherman-Morrison-Woodbury path whose r x r capacitance matrix
 I - R^T diag(d)^{-1} P is itself represented by a triplet (derived from
-M u = v), so the whole O(n r^2) fast path stays cancellation-free.
+M u = v), so the whole O(n r^2) fast path stays cancellation-free.  A zero
+capacitance or a capacitance triplet that GTH refuses proves M singular
+and raises at once, before any n x n expansion is built.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .linalg import matmul, ordered_dot
+from .linalg import _column_form, matmul, ordered_dot
 
 __all__ = [
     "DiagLowRankSolver",
@@ -51,23 +53,12 @@ __all__ = [
     "build_solver",
     "diagonal_from_triplet",
     "gth_factorize",
-    "smw_solve_diag_lowrank",
     "triplet_for_capacitance",
 ]
 
 
 class NotMMatrixError(ValueError):
     """Raised when the data cannot describe a nonsingular M-matrix."""
-
-
-def _column_form(b: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
-    b = np.asarray(b, dtype=np.float64)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
-    if b.ndim != 2 or b.shape[0] != n:
-        raise ValueError(f"right-hand side must have {n} rows, got {b.shape}")
-    return b, squeeze
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,10 +376,12 @@ class DiagLowRankSolver:
     The capacitance system is handled by a dedicated scalar formula for
     r = 1 and by a GTH factorization of the capacitance triplet for
     r > 1; both reuse the (u, v) triplet so the path is cancellation-free
-    and costs O(n r^2) per solve.  A zero capacitance denominator (the
-    signature of a singular M, e.g. v = 0 in the critical case) falls
-    back to a GTH factorization of the dense expansion, which then fails
-    loudly if M really is singular.
+    and costs O(n r^2) per solve.  A singular M shows on the small
+    system, which raises :class:`NotMMatrixError` at once: a zero rank-one
+    capacitance (a sum of nonnegative terms, e.g. v = 0 in the critical
+    case) or a capacitance triplet that GTH refuses.  Only mixed-sign
+    factors and a zero column of R, which admit no capacitance triplet,
+    fall back to a GTH factorization of the dense n x n expansion.
     """
 
     def __init__(self, d, P, R, u, v):
@@ -421,9 +414,10 @@ class DiagLowRankSolver:
             # bb^T diag(d)^{-1} a = a^T diag(d)^{-1} bb.
             num = ordered_dot(bb, u)
             den = ordered_dot(bb, v / d)
-            if den <= 0.0 or not np.isfinite(num / den):
-                self._build_fallback(u, v)
-                return
+            if not (den > 0.0 and np.isfinite(num / den)):
+                raise NotMMatrixError(
+                    "not a nonsingular M-matrix (rank-one capacitance is zero)"
+                )
             self._mode = "rank1"
             self._factor = num / den
             self._dinv_a = a / d
@@ -431,10 +425,11 @@ class DiagLowRankSolver:
             return
         try:
             cap = triplet_for_capacitance(d, P, R, u, v)
-            self._cap = gth_factorize(cap)
         except NotMMatrixError:
+            # a zero column of R: R^T u has a zero entry
             self._build_fallback(u, v)
             return
+        self._cap = gth_factorize(cap)
         self._mode = "capacitance"
         self._dinv_P = P / d[:, None]
         self._dinv_R = R / d[:, None]
@@ -468,11 +463,6 @@ class DiagLowRankSolver:
                 y = self._cap.solve(z, transpose=True)
                 x = dinv_b + matmul(self._dinv_R, y)
         return x[:, 0] if squeeze else x
-
-
-def smw_solve_diag_lowrank(d, P, R, u, v, b, transpose: bool = False) -> np.ndarray:
-    """One-shot solve of (diag(d) - P R^T) x = b; see DiagLowRankSolver."""
-    return DiagLowRankSolver(d, P, R, u, v).solve(b, transpose=transpose)
 
 
 def build_solver(matrix, u, v):

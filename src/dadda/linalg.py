@@ -20,11 +20,14 @@ Square coefficient matrices come in three structured kinds:
 
 The structured kinds keep application, diagonal extraction, and affine
 shifts at O(n * bandwidth) or O(n * r) so large instances never densify.
+Every product, and every shifted solve in :mod:`dadda.gth`, checks its
+operand through ``_column_form``; all band products run one loop,
+``_band_apply``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
@@ -167,11 +170,42 @@ def max_entrywise_ratio(num: np.ndarray, den: np.ndarray) -> float:
     return float(np.max(ratio))
 
 
-def _as_vector(x, n: int, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
-    return v
+def _column_form(x, n: int) -> tuple[np.ndarray, bool]:
+    """``x`` as an (n, cols) float array, and whether it was a vector.
+
+    The one operand check of the structured products and the shifted
+    solves: a vector becomes one column, anything but n rows or more than
+    two dimensions raises ``ValueError``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    squeeze = x.ndim == 1
+    if squeeze:
+        x = x[:, None]
+    if x.ndim != 2 or x.shape[0] != n:
+        raise ValueError(f"operand must have {n} rows, got shape {x.shape}")
+    return x, squeeze
+
+
+def _band_apply(bands: Dict[int, np.ndarray], x: np.ndarray, transpose: bool) -> np.ndarray:
+    """Banded matrix (diagonals by offset) times an (n, cols) array.
+
+    Offsets are added in ascending order; ``transpose`` applies the
+    transposed matrix, whose offset o diagonal is the stored offset -o.
+    """
+    n = x.shape[0]
+    out = np.zeros_like(x)
+    for off in sorted(bands):
+        vals = bands[off]
+        o = -off if transpose else off
+        if o >= 0:
+            out[: n - o] += vals[:, None] * x[o:]
+        else:
+            out[-o:] += vals[:, None] * x[: n + o]
+    return out
+
+
+# largest order whose Z-pattern check may densify a diag_plus_lowrank matrix
+_DENSE_CHECK_LIMIT = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,23 +323,11 @@ class StructuredSquare:
 
         ``x`` may be a vector or an (n, cols) matrix.
         """
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[:, None]
-        if x.shape[0] != self.n:
-            raise ValueError(f"operand rows {x.shape[0]} != order {self.n}")
+        x, squeeze = _column_form(x, self.n)
         if self.kind == "dense":
             out = matmul(self.a.T if transpose else self.a, x)
         elif self.kind == "banded":
-            out = np.zeros_like(x)
-            for off in sorted(self.bands):
-                vals = self.bands[off]
-                o = -off if transpose else off
-                if o >= 0:
-                    out[: self.n - o] += vals[:, None] * x[o:]
-                else:
-                    out[-o:] += vals[:, None] * x[: self.n + o]
+            out = _band_apply(self.bands, x, transpose)
         else:
             out = self._apply_lowrank(x, transpose)
         return out[:, 0] if squeeze else out
@@ -361,11 +383,11 @@ class StructuredSquare:
             d, self.p, abs(scale) * self.r, new_sign
         )
 
-    def offdiag_nonpositive(self, dense_limit: int = 4096) -> bool | None:
+    def offdiag_nonpositive(self) -> bool | None:
         """Whether all off-diagonal entries are <= 0 (Z-pattern).
 
         Returns None when the representation cannot be checked without an
-        O(n^2) densification and the order exceeds ``dense_limit``.
+        O(n^2) densification and the order exceeds ``_DENSE_CHECK_LIMIT``.
         """
         if self.kind == "dense":
             off = self.a - np.diag(np.diagonal(self.a))
@@ -376,7 +398,7 @@ class StructuredSquare:
             )
         if self.sign == -1 and np.all(self.p >= 0.0) and np.all(self.r >= 0.0):
             return True
-        if self.n <= dense_limit:
+        if self.n <= _DENSE_CHECK_LIMIT:
             dense = self.to_dense()
             off = dense - np.diag(np.diagonal(dense))
             return bool(np.all(off <= 0.0))
@@ -387,58 +409,31 @@ class StructuredSquare:
     ) -> np.ndarray:
         """Apply N = diag(M) - M (entrywise |off-diagonal| for a Z-matrix).
 
-        ``side="left"`` computes N @ x, ``side="right"`` computes x @ N.
-        Used by the entrywise residual, where the off-diagonal mass enters
-        the nonnegative group.
+        ``side="left"`` computes N @ x, ``side="right"`` computes x @ N as
+        (N^T @ x.T).T: the operand check and the band product run on x.T,
+        while the dense and low-rank products keep x's row form.  Used by
+        the entrywise residual, where the off-diagonal mass enters the
+        nonnegative group.
         """
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
+        left = side == "left"
         x = np.asarray(x, dtype=np.float64)
-        if side == "left":
-            squeeze = x.ndim == 1
-            if squeeze:
-                x = x[:, None]
-            if x.shape[0] != self.n:
-                raise ValueError("operand rows must match the order")
-            if self.kind == "dense":
-                nmat = np.diag(np.diagonal(self.a)) - self.a
-                out = matmul(nmat, x)
-            elif self.kind == "banded":
-                out = np.zeros_like(x)
-                for off in sorted(self.bands):
-                    if off == 0:
-                        continue
-                    vals = -self.bands[off]
-                    if off > 0:
-                        out[: self.n - off] += vals[:, None] * x[off:]
-                    else:
-                        out[-off:] += vals[:, None] * x[: self.n + off]
-            else:
-                # N = diag(M) - M = -sign * (P R^T - diag(rowdots))
-                lr = matmul(self.p, matmul(self.r.T, x))
-                rowdot = _reduce_ascending((self.p * self.r).T)
-                out = -self.sign * (lr - rowdot[:, None] * x)
-            return out[:, 0] if squeeze else out
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[1] != self.n:
-            raise ValueError("operand columns must match the order")
-        if self.kind == "dense":
+        cols, squeeze = _column_form(x if left else x.T, self.n)
+        if self.kind == "banded":
+            neg = {off: -vals for off, vals in self.bands.items() if off != 0}
+            out = _band_apply(neg, cols, transpose=not left)
+        elif self.kind == "dense":
             nmat = np.diag(np.diagonal(self.a)) - self.a
-            out = matmul(x, nmat)
-        elif self.kind == "banded":
-            out = np.zeros_like(x)
-            for off in sorted(self.bands):
-                if off == 0:
-                    continue
-                vals = -self.bands[off]
-                if off > 0:
-                    out[:, off:] += x[:, : self.n - off] * vals[None, :]
-                else:
-                    out[:, : self.n + off] += x[:, -off:] * vals[None, :]
+            out = matmul(nmat, cols) if left else matmul(cols.T, nmat).T
         else:
-            lr = matmul(matmul(x, self.p), self.r.T)
-            rowdot = _reduce_ascending((self.p * self.r).T)
-            out = -self.sign * (lr - x * rowdot[None, :])
-        return out[0] if squeeze else out
+            # N = diag(M) - M = -sign * (P R^T - diag(rowdots))
+            rowdot = self.lowrank_rowdot()
+            if left:
+                lr = matmul(self.p, matmul(self.r.T, cols))
+                out = -self.sign * (lr - rowdot[:, None] * cols)
+            else:
+                lr = matmul(matmul(cols.T, self.p), self.r.T)
+                out = (-self.sign * (lr - cols.T * rowdot[None, :])).T
+        out = out[:, 0] if squeeze else out
+        return out if left else out.T

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problem import MareProblem, ShiftPair, default_shifts
+from .problem import MareProblem, ShiftPair, make_shifts
 
 __all__ = [
     "closed_form_g0",
@@ -54,7 +54,7 @@ def _dense_blocks(prob: MareProblem):
 def initial_quadruple(prob: MareProblem, shifts: ShiftPair | None = None):
     """(E0, F0, G0, H0) from the dense block solve."""
     if shifts is None:
-        shifts = default_shifts(prob)
+        shifts = make_shifts(prob)
     A, D, B, C = _dense_blocks(prob)
     m, n = prob.m, prob.n
     alpha, beta = shifts.alpha, shifts.beta
@@ -104,7 +104,7 @@ def iterate_oracle(
 def closed_form_h0(prob: MareProblem, shifts: ShiftPair | None = None):
     """H0 = gamma (Ab - alpha beta B Da^{-1} C)^{-1} B Da^{-1}."""
     if shifts is None:
-        shifts = default_shifts(prob)
+        shifts = make_shifts(prob)
     A, D, B, C = _dense_blocks(prob)
     m, n = prob.m, prob.n
     alpha, beta = shifts.alpha, shifts.beta
@@ -118,7 +118,7 @@ def closed_form_h0(prob: MareProblem, shifts: ShiftPair | None = None):
 def closed_form_g0(prob: MareProblem, shifts: ShiftPair | None = None):
     """G0 = gamma (Da - alpha beta C Ab^{-1} B)^{-1} C Ab^{-1}."""
     if shifts is None:
-        shifts = default_shifts(prob)
+        shifts = make_shifts(prob)
     A, D, B, C = _dense_blocks(prob)
     m, n = prob.m, prob.n
     alpha, beta = shifts.alpha, shifts.beta

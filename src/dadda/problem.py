@@ -34,7 +34,6 @@ __all__ = [
     "ShiftPair",
     "ShiftedParts",
     "ValidationReport",
-    "default_shifts",
     "load_problem",
     "make_shifts",
     "problem_from_json",
@@ -215,18 +214,14 @@ class ShiftPair:
         return self.alpha + self.beta
 
 
-def default_shifts(prob: MareProblem) -> ShiftPair:
-    """alpha = 1 / max diag(A), beta = 1 / max diag(D)."""
-    return ShiftPair(
-        alpha=1.0 / float(np.max(prob.A.diagonal())),
-        beta=1.0 / float(np.max(prob.D.diagonal())),
-    )
-
-
 def make_shifts(
     prob: MareProblem, alpha: float | None = None, beta: float | None = None
 ) -> ShiftPair:
-    """Build a ShiftPair, defaulting each missing shift and checking bounds."""
+    """Build a ShiftPair, checking the bounds.
+
+    A missing shift defaults to its largest admissible value:
+    alpha = 1 / max diag(A), beta = 1 / max diag(D).
+    """
     max_a = float(np.max(prob.A.diagonal()))
     max_d = float(np.max(prob.D.diagonal()))
     if alpha is None:
@@ -256,7 +251,6 @@ class ShiftedParts:
     when a shift sits exactly on the admissible bound.
     """
 
-    shifts: ShiftPair
     A_beta: StructuredSquare
     D_alpha: StructuredSquare
     A_neg_alpha: StructuredSquare
@@ -291,7 +285,6 @@ def shifted_parts(prob: MareProblem, shifts: ShiftPair) -> ShiftedParts:
     image_d_alpha = prob.u1 + alpha * prob.v1 + alpha * cu2
     image_a_beta = prob.u2 + beta * prob.v2 + beta * bu1
     return ShiftedParts(
-        shifts=shifts,
         A_beta=prob.A.affine(beta, 1.0),
         D_alpha=prob.D.affine(alpha, 1.0),
         A_neg_alpha=_clamp_diagonal(prob.A.affine(-alpha, 1.0)),
@@ -363,8 +356,11 @@ def problem_to_json(prob: MareProblem) -> dict[str, Any]:
 
 
 def problem_from_json(obj: dict[str, Any]) -> MareProblem:
+    if not isinstance(obj, dict):
+        raise ValueError(f"problem JSON must be an object, got {type(obj).__name__}")
     try:
         m, n = int(obj["m"]), int(obj["n"])
+        p, q = int(obj["p"]), int(obj["q"])
         prob = MareProblem(
             A=_structured_from_json(obj["A"], m, "A"),
             D=_structured_from_json(obj["D"], n, "D"),
@@ -373,7 +369,7 @@ def problem_from_json(obj: dict[str, Any]) -> MareProblem:
         )
     except KeyError as exc:
         raise ValueError(f"problem JSON missing field {exc}") from exc
-    if prob.p != int(obj["p"]) or prob.q != int(obj["q"]):
+    if prob.p != p or prob.q != q:
         raise ValueError("declared p/q do not match the factor shapes")
     return prob
 

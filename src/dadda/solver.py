@@ -46,12 +46,7 @@ import scipy.linalg
 from . import oracle
 from .gth import TripletRepresentation, _check_sign, build_solver, gth_factorize
 from .linalg import frobenius_norm, matmul, max_entrywise_ratio
-from .problem import (
-    MareProblem,
-    ShiftPair,
-    default_shifts,
-    shifted_parts,
-)
+from .problem import MareProblem, ShiftPair, make_shifts, shifted_parts
 
 __all__ = [
     "DaddaState",
@@ -265,7 +260,7 @@ def dual_kernel_triplet(state: DaddaState) -> TripletRepresentation:
 def initialize(prob: MareProblem, shifts: ShiftPair | None = None) -> DaddaState:
     """Build the k = 0 state (one block per family, kernel factorized)."""
     if shifts is None:
-        shifts = default_shifts(prob)
+        shifts = make_shifts(prob)
     parts = shifted_parts(prob, shifts)
     solver_a = build_solver(parts.A_beta, prob.u2, parts.image_a_beta)
     solver_d = build_solver(parts.D_alpha, prob.u1, parts.image_d_alpha)
@@ -526,7 +521,7 @@ def _defaults(prob, shifts, criteria, x_true) -> tuple[ShiftPair, StopCriteria]:
     if criteria is None:
         criteria = StopCriteria()
     if shifts is None:
-        shifts = default_shifts(prob)
+        shifts = make_shifts(prob)
     if criteria.criterion == "ererr" and x_true is None:
         raise ValueError("criterion 'ererr' needs the true solution")
     return shifts, criteria

@@ -15,11 +15,7 @@ from conftest import fraction_solve, random_mare, random_triplet
 from dadda import oracle
 from dadda.benchgen import gen_fluid, gen_transport
 from dadda.cli import main as cli_main
-from dadda.gth import (
-    TripletRepresentation,
-    gth_factorize,
-    smw_solve_diag_lowrank,
-)
+from dadda.gth import DiagLowRankSolver, TripletRepresentation, gth_factorize
 from dadda.linalg import frobenius_norm, matmul
 from dadda.problem import make_shifts
 from dadda.solver import (
@@ -180,11 +176,11 @@ def _smw_instance(n, seed):
 
 def _smw_time(n, reps=9):
     args = _smw_instance(n, seed=n)
-    smw_solve_diag_lowrank(*args)
+    DiagLowRankSolver(*args[:5]).solve(args[5])
     times = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        smw_solve_diag_lowrank(*args)
+        DiagLowRankSolver(*args[:5]).solve(args[5])
         times.append(time.perf_counter() - t0)
     return min(times)
 
@@ -196,7 +192,7 @@ def test_criterion_06_smw_fast_path():
     worst = 0.0
     for seed in range(100):
         d, P, R, u, v, b = _smw_instance(int(3 + seed % 28), seed)
-        x_smw = smw_solve_diag_lowrank(d, P, R, u, v, b)
+        x_smw = DiagLowRankSolver(d, P, R, u, v).solve(b)
         N = np.outer(P[:, 0], R[:, 0])
         np.fill_diagonal(N, 0.0)
         x_dense = gth_factorize(TripletRepresentation.from_parts(N, u, v)).solve(b)

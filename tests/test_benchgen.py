@@ -1,9 +1,9 @@
-"""Benchmark families: fluid flow, transport, and the quadrature helper."""
+"""Benchmark families: fluid flow and transport."""
 
 import numpy as np
 import pytest
 
-from dadda.benchgen import draw_transport, gauss_legendre, gen_fluid, gen_transport
+from dadda.benchgen import draw_transport, gen_fluid, gen_transport
 from dadda.linalg import matmul, ordered_dot, ordered_sum
 
 
@@ -99,36 +99,3 @@ class TestTransport:
         assert (prob.m, prob.n) == (4, 4)
         assert np.array_equal(prob.Bl, np.ones((4, 1)))
 
-
-class TestGaussLegendre:
-    def test_one_point(self):
-        x, w = gauss_legendre(1)
-        assert np.array_equal(x, [0.5])
-        assert np.array_equal(w, [1.0])
-
-    def test_two_point(self):
-        x, w = gauss_legendre(2)
-        ref = np.array([(1.0 + 1.0 / np.sqrt(3.0)) / 2.0, (1.0 - 1.0 / np.sqrt(3.0)) / 2.0])
-        assert x == pytest.approx(ref, rel=1e-15)
-        assert w == pytest.approx([0.5, 0.5], rel=1e-15)
-        # degree-3 exactness: integral of x^3 over (0, 1)
-        assert ordered_dot(w, x**3) == pytest.approx(0.25, rel=1e-14)
-
-    def test_matches_reference_quadrature(self):
-        for n in (3, 5, 20, 64):
-            x, w = gauss_legendre(n)
-            xr, wr = np.polynomial.legendre.leggauss(n)
-            assert np.abs(x - ((xr[::-1] + 1.0) / 2.0)).max() <= 1e-13
-            assert np.abs(w - (wr[::-1] / 2.0)).max() <= 1e-13
-
-    def test_weights_sum_exactly(self):
-        for n in (1, 2, 3, 5, 8, 13, 20, 40, 64):
-            x, w = gauss_legendre(n)
-            assert ordered_sum(w) == 1.0
-            assert np.all(w > 0.0)
-            assert np.all(np.diff(x) < 0.0)
-            assert 0.0 < x[-1] and x[0] < 1.0
-
-    def test_bad_order(self):
-        with pytest.raises(ValueError):
-            gauss_legendre(0)

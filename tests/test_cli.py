@@ -228,7 +228,15 @@ class TestVerify:
         assert payload["failures"] == []
 
     def test_fault_injection_detected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DADDA_VERIFY_FAULT", "sign-flip")
+        # every H_k after a step reads back with H[0, 0] sign-flipped
+        def flipped(state):
+            solver.advance(state)
+            h = state.H.copy()
+            h[0, 0] = -h[0, 0]
+            state._H = h
+            return state
+
+        monkeypatch.setattr(cli, "advance", flipped)
         code = main(["verify", "--family", "fluid", "--sizes", "2x18"])
         assert code == 4
         payload = json.loads(capsys.readouterr().out)

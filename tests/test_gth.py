@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from dadda.gth import (
     build_solver,
     diagonal_from_triplet,
     gth_factorize,
-    smw_solve_diag_lowrank,
     triplet_for_capacitance,
 )
 from dadda.linalg import StructuredSquare, frobenius_norm, matmul
@@ -264,14 +264,14 @@ class TestDiagLowRank:
         R = np.array([[0.5], [0.5]])
         u = np.array([1.0, 1.0])
         v = np.array([1.5, 1.5])  # (diag(d) - P R^T) u
-        x = smw_solve_diag_lowrank(d, P, R, u, v, np.array([1.0, 1.0]))
+        x = DiagLowRankSolver(d, P, R, u, v).solve(np.array([1.0, 1.0]))
         assert x == pytest.approx([2.0 / 3.0, 2.0 / 3.0], rel=1e-15)
 
     def test_zero_lowrank_reduces_to_diagonal(self):
         d = np.array([2.0, 4.0])
         P = np.zeros((2, 1))
         R = np.zeros((2, 1))
-        x = smw_solve_diag_lowrank(d, P, R, [1, 1], d, np.array([1.0, 2.0]))
+        x = DiagLowRankSolver(d, P, R, [1, 1], d).solve(np.array([1.0, 2.0]))
         assert np.array_equal(x, [0.5, 0.5])
 
     def _random_instance(self, rng, n, r):
@@ -354,6 +354,20 @@ class TestDiagLowRank:
         v = np.zeros(2)
         with pytest.raises(NotMMatrixError):
             DiagLowRankSolver(d, P, R, u, v).solve(np.array([1.0, 1.0]))
+
+    def test_singular_rank_one_rejected_without_expansion(self):
+        # diag(n) - 1 1^T with u = 1, v = 0: the rank-one capacitance is
+        # exactly 0, which proves M singular; no n x n expansion is built
+        n = 3000
+        d, P, R = np.full(n, float(n)), np.ones((n, 1)), np.ones((n, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotMMatrixError):
+                DiagLowRankSolver(d, P, R, np.ones(n), np.zeros(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_nonpositive_diagonal_rejected(self):
         with pytest.raises(NotMMatrixError):

@@ -150,13 +150,15 @@ class TestStructuredSquare:
     def test_apply_matches_dense(self):
         rng = _rng(7)
         for s in self._cases(rng):
-            x = rng.standard_normal((6, 4))
-            ref = s.to_dense() @ x
-            assert np.allclose(s.apply(x), ref, rtol=1e-13, atol=1e-13)
-            ref_t = s.to_dense().T @ x
-            assert np.allclose(
-                s.apply(x, transpose=True), ref_t, rtol=1e-13, atol=1e-13
-            )
+            for x in (rng.standard_normal((6, 4)), rng.standard_normal(6)):
+                ref = s.to_dense() @ x
+                assert np.allclose(s.apply(x), ref, rtol=1e-13, atol=1e-13)
+                ref_t = s.to_dense().T @ x
+                assert np.allclose(
+                    s.apply(x, transpose=True), ref_t, rtol=1e-13, atol=1e-13
+                )
+            with pytest.raises(ValueError):
+                s.apply(np.ones((6, 2, 2)))
 
     def test_dense_apply_bitwise(self):
         rng = _rng(8)
@@ -200,12 +202,15 @@ class TestStructuredSquare:
         for s in self._cases(rng):
             dense = s.to_dense()
             noff = np.diag(np.diagonal(dense)) - dense
-            h = rng.uniform(size=(6, 4))
-            left = s.offdiag_abs_apply(h, side="left")
-            assert np.allclose(left, noff @ h, rtol=1e-13, atol=1e-14)
-            hr = rng.uniform(size=(4, 6))
-            right = s.offdiag_abs_apply(hr, side="right")
-            assert np.allclose(right, hr @ noff, rtol=1e-13, atol=1e-14)
+            for h in (rng.uniform(size=(6, 4)), rng.uniform(size=6)):
+                left = s.offdiag_abs_apply(h, side="left")
+                assert np.allclose(left, noff @ h, rtol=1e-13, atol=1e-14)
+            for hr in (rng.uniform(size=(4, 6)), rng.uniform(size=6)):
+                right = s.offdiag_abs_apply(hr, side="right")
+                assert np.allclose(right, hr @ noff, rtol=1e-13, atol=1e-14)
+            for side in ("left", "right"):
+                with pytest.raises(ValueError):
+                    s.offdiag_abs_apply(np.ones((6, 6, 6)), side=side)
 
     def test_sign_safe_apply_exact_nonneg(self):
         # stored diagonal negative, true diagonal nonnegative: the apply

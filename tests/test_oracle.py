@@ -6,13 +6,13 @@ import pytest
 from conftest import random_mare
 from dadda import oracle
 from dadda.benchgen import gen_fluid, gen_transport
-from dadda.problem import default_shifts
+from dadda.problem import make_shifts
 
 
 class TestInitialQuadruple:
     def test_block_solve_identity(self):
         for prob in (random_mare(40), gen_transport(6, seed=0)):
-            sh = default_shifts(prob)
+            sh = make_shifts(prob)
             m, n = prob.m, prob.n
             alpha, beta = sh.alpha, sh.beta
             A, D = prob.A.to_dense(), prob.D.to_dense()
@@ -36,7 +36,7 @@ class TestInitialQuadruple:
     def test_closed_forms_match_block_solve(self):
         for seed in (41, 42, 43):
             prob = random_mare(seed)
-            sh = default_shifts(prob)
+            sh = make_shifts(prob)
             _, _, G0, H0 = oracle.initial_quadruple(prob, sh)
             h0 = oracle.closed_form_h0(prob, sh)
             g0 = oracle.closed_form_g0(prob, sh)
@@ -46,7 +46,7 @@ class TestInitialQuadruple:
     def test_default_shifts_used(self):
         prob = random_mare(44)
         a = oracle.initial_quadruple(prob)
-        b = oracle.initial_quadruple(prob, default_shifts(prob))
+        b = oracle.initial_quadruple(prob, make_shifts(prob))
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -66,7 +66,7 @@ class TestIteration:
 
     def test_residual_shrinks(self):
         prob = random_mare(46)
-        sh = default_shifts(prob)
+        sh = make_shifts(prob)
         r_prev = None
         for steps in (0, 2, 4, 7):
             _, _, _, H = oracle.iterate_oracle(prob, sh, steps)

@@ -11,7 +11,6 @@ from dadda.linalg import StructuredSquare
 from dadda.problem import (
     MareProblem,
     ShiftPair,
-    default_shifts,
     load_problem,
     make_shifts,
     problem_from_json,
@@ -99,13 +98,13 @@ class TestValidate:
 
 class TestShifts:
     def test_default_shifts_frozen(self):
-        sh = default_shifts(_small_problem())
+        sh = make_shifts(_small_problem())
         assert (sh.alpha, sh.beta) == (0.5, 0.2)
         assert sh.gamma == 0.7
 
     def test_fluid_shifts_frozen(self):
         prob, _ = gen_fluid(2, 18)
-        sh = default_shifts(prob)
+        sh = make_shifts(prob)
         assert sh.alpha == 1.0 / 18.0
         # true diagonal of D carries the rank-one part: 1e4*18 + 2 - 1e4
         assert sh.beta == 1.0 / 170002.0
@@ -141,7 +140,7 @@ class TestShiftedParts:
         # image vectors must equal the direct applications of the shifted
         # matrices, but be computed purely by adding nonnegative terms
         for prob in (_small_problem(), gen_transport(6, seed=1)):
-            sh = default_shifts(prob)
+            sh = make_shifts(prob)
             parts = shifted_parts(prob, sh)
             ref_d = parts.D_alpha.apply(prob.u1)
             ref_a = parts.A_beta.apply(prob.u2)
@@ -152,7 +151,7 @@ class TestShiftedParts:
 
     def test_fluid_images_exact(self):
         prob, _ = gen_fluid(2, 18)
-        sh = default_shifts(prob)
+        sh = make_shifts(prob)
         parts = shifted_parts(prob, sh)
         # v = 0, C u2 = m * ones, B u1 = n * ones
         assert np.array_equal(parts.image_d_alpha, np.full(18, 1.0 + sh.alpha * 2.0))
@@ -166,13 +165,13 @@ class TestShiftedParts:
             gen_fluid(2, 18)[0],
             gen_transport(6, seed=2),
         ):
-            parts = shifted_parts(prob, default_shifts(prob))
+            parts = shifted_parts(prob, make_shifts(prob))
             assert np.all(parts.A_neg_alpha.to_dense() >= 0.0)
             assert np.all(parts.D_neg_beta.to_dense() >= 0.0)
 
     def test_affine_matches_dense(self):
         prob = gen_transport(5, seed=3)
-        sh = default_shifts(prob)
+        sh = make_shifts(prob)
         parts = shifted_parts(prob, sh)
         a = prob.A.to_dense()
         d = prob.D.to_dense()
@@ -220,6 +219,17 @@ class TestJsonRoundTrip:
         del obj["u1"]
         with pytest.raises(ValueError, match="missing field"):
             problem_from_json(obj)
+
+    def test_missing_rank_field(self):
+        for key in ("p", "q"):
+            obj = problem_to_json(_small_problem())
+            del obj[key]
+            with pytest.raises(ValueError, match="missing field"):
+                problem_from_json(obj)
+
+    def test_top_level_not_an_object(self):
+        with pytest.raises(ValueError, match="object"):
+            problem_from_json([problem_to_json(_small_problem())])
 
     def test_declared_rank_mismatch(self):
         obj = problem_to_json(_small_problem())

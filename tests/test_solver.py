@@ -6,7 +6,7 @@ import pytest
 from conftest import naive_matmul, random_mare
 from dadda import oracle
 from dadda.benchgen import gen_fluid, gen_transport
-from dadda.problem import ShiftPair, default_shifts, make_shifts
+from dadda.problem import ShiftPair, make_shifts
 from dadda.solver import (
     StopCriteria,
     advance,
@@ -33,7 +33,7 @@ class TestIterates:
     def test_h0_matches_closed_form(self):
         for seed in (50, 51):
             prob = random_mare(seed)
-            sh = default_shifts(prob)
+            sh = make_shifts(prob)
             state = initialize(prob, sh)
             h0 = oracle.closed_form_h0(prob, sh)
             assert np.abs(state.H - h0).max() <= 1e-12 * np.abs(h0).max()
@@ -43,7 +43,7 @@ class TestIterates:
         # three coefficient kinds
         for seed, kind in ((52, "dense"), (53, "banded"), (54, "lowrank")):
             prob = random_mare(seed, kind=kind)
-            sh = default_shifts(prob)
+            sh = make_shifts(prob)
             state = initialize(prob, sh)
             for k in range(3):
                 state = advance(state)
@@ -80,12 +80,12 @@ class TestIterates:
 
     def test_rank_of_fluid_iterate_is_one(self):
         prob, _ = gen_fluid(9, 5)
-        state = _run_state(prob, default_shifts(prob), 3)
+        state = _run_state(prob, make_shifts(prob), 3)
         assert rank_of_iterate(state) == 1
 
     def test_dual_iterate(self):
         prob = random_mare(56)
-        sh = default_shifts(prob)
+        sh = make_shifts(prob)
         rep = solve(
             prob,
             shifts=sh,
@@ -156,7 +156,7 @@ class TestKernels:
 
     def test_kernel_inverse_nonnegative(self):
         prob = random_mare(58)
-        state = initialize(prob, default_shifts(prob))
+        state = initialize(prob, make_shifts(prob))
         for _ in range(4):
             state = advance(state)
         order = state.kernel_order
