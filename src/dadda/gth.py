@@ -26,12 +26,13 @@ large dense elimination through BLAS-3 panel updates (``trsm``, ``gemm``);
 they change results at rounding level only.  The sign invariants are
 checked explicitly and raise :class:`NotMMatrixError` when broken.
 
-For diag(d) - P R^T with skinny nonnegative P, R the module provides a
-Sherman-Morrison-Woodbury path whose r x r capacitance matrix
-I - R^T diag(d)^{-1} P is itself represented by a triplet (derived from
-M u = v), so the whole O(n r^2) fast path stays cancellation-free.  A zero
-capacitance or a capacitance triplet that GTH refuses proves M singular
-and raises at once, before any n x n expansion is built.
+For diag(d) - P R^T with skinny P, R >= 0 (the canonical low-rank form of
+:mod:`dadda.linalg`) the module provides a Sherman-Morrison-Woodbury path
+whose r x r capacitance matrix I - R^T diag(d)^{-1} P is itself
+represented by a triplet (derived from M u = v), so the whole O(n r^2)
+fast path stays cancellation-free and no low-rank block is ever expanded
+to n x n.  A zero capacitance or a capacitance triplet that GTH refuses
+proves M singular and raises at once.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .linalg import _column_form, matmul, ordered_dot
+from .linalg import _canonical_lowrank, _column_form, matmul, ordered_dot
 
 __all__ = [
     "DiagLowRankSolver",
@@ -373,40 +374,38 @@ def _dense_gth(N, u, v, lower_bandwidth=None, upper_bandwidth=None) -> DenseGthS
 class DiagLowRankSolver:
     """Solve (diag(d) - P R^T) x = b through the SMW identity.
 
-    The capacitance system is handled by a dedicated scalar formula for
-    r = 1 and by a GTH factorization of the capacitance triplet for
-    r > 1; both reuse the (u, v) triplet so the path is cancellation-free
-    and costs O(n r^2) per solve.  A singular M shows on the small
+    P and R are put in the canonical low-rank form of :mod:`dadda.linalg`
+    (mixed signs raise ``ValueError``), so the mode depends on the rank r
+    alone: diag(d) for r = 0, a scalar capacitance for r = 1, and a GTH
+    factorization of the capacitance triplet for r > 1.  Both reuse the
+    (u, v) triplet, so the path is cancellation-free and costs O(n r^2)
+    per solve, with no n x n step.  A singular M shows on the small
     system, which raises :class:`NotMMatrixError` at once: a zero rank-one
     capacitance (a sum of nonnegative terms, e.g. v = 0 in the critical
-    case) or a capacitance triplet that GTH refuses.  Only mixed-sign
-    factors and a zero column of R, which admit no capacitance triplet,
-    fall back to a GTH factorization of the dense n x n expansion.
+    case) or a capacitance triplet that GTH refuses.
     """
 
     def __init__(self, d, P, R, u, v):
         d = np.asarray(d, dtype=np.float64)
-        P = np.asarray(P, dtype=np.float64)
-        R = np.asarray(R, dtype=np.float64)
         u = np.asarray(u, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
         if np.any(d <= 0.0):
             raise NotMMatrixError(
                 "not a nonsingular M-matrix (diagonal part not positive)"
             )
+        P, R, sign = _canonical_lowrank(
+            np.asarray(P, dtype=np.float64), np.asarray(R, dtype=np.float64), -1
+        )
+        if sign == 1:
+            raise ValueError("P R^T <= 0 has no SMW form; use build_solver")
         self.n = d.shape[0]
         self.d = d
         self.P = P
         self.R = R
         self.r = P.shape[1]
-        self._mode = "diag"
-        self._fallback: DenseGthSolver | None = None
-        if self.r == 0 or (not P.any()) or (not R.any()):
-            return
-        if np.any(P < 0.0) or np.any(R < 0.0):
-            self._build_fallback(u, v)
-            return
-        if self.r == 1:
+        if self.r == 0:
+            self._mode = "diag"
+        elif self.r == 1:
             a = P[:, 0]
             bb = R[:, 0]
             # capacitance 1 - bb^T diag(d)^{-1} a equals (bb^T diag(d)^{-1} v)
@@ -422,27 +421,14 @@ class DiagLowRankSolver:
             self._factor = num / den
             self._dinv_a = a / d
             self._dinv_b = bb / d
-            return
-        try:
-            cap = triplet_for_capacitance(d, P, R, u, v)
-        except NotMMatrixError:
-            # a zero column of R: R^T u has a zero entry
-            self._build_fallback(u, v)
-            return
-        self._cap = gth_factorize(cap)
-        self._mode = "capacitance"
-        self._dinv_P = P / d[:, None]
-        self._dinv_R = R / d[:, None]
-
-    def _build_fallback(self, u, v):
-        self._fallback = _dense_gth(matmul(self.P, self.R.T), u, v)
-        self._mode = "dense"
+        else:
+            self._cap = gth_factorize(triplet_for_capacitance(d, P, R, u, v))
+            self._mode = "capacitance"
+            self._dinv_P = P / d[:, None]
+            self._dinv_R = R / d[:, None]
 
     def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
         b, squeeze = _column_form(b, self.n)
-        if self._mode == "dense":
-            x = self._fallback.solve(b, transpose=transpose)
-            return x[:, 0] if squeeze else x
         dinv_b = b / self.d[:, None]
         if self._mode == "diag":
             x = dinv_b
@@ -478,11 +464,12 @@ def build_solver(matrix, u, v):
             return DiagonalSolver(matrix.bands[0])
         return _dense_gth(-matrix.to_dense(), u, v, matrix.lower, matrix.upper)
     if matrix.kind == "diag_plus_lowrank":
+        if not matrix.offdiag_nonpositive():
+            raise NotMMatrixError(
+                "not a nonsingular M-matrix (positive low-rank off-diagonal)"
+            )
         if matrix.sign == 1:
-            if matrix.p.any() and matrix.r.any():
-                raise NotMMatrixError(
-                    "not a nonsingular M-matrix (positive low-rank off-diagonal)"
-                )
+            # a Z-pattern with sign +1: every pair sits on the diagonal
             return DiagonalSolver(matrix.diagonal())
         return DiagLowRankSolver(matrix.d, matrix.p, matrix.r, u, v)
     return _dense_gth(-matrix.to_dense(), u, v)

@@ -16,10 +16,12 @@ Square coefficient matrices come in three structured kinds:
 - ``dense``: explicit (n, n) array;
 - ``banded``: diagonals stored by offset in [-lower, upper], offset 0
   always present;
-- ``diag_plus_lowrank``: diag(d) + sign * P @ R.T with skinny P, R.
+- ``diag_plus_lowrank``: diag(d) + sign * P @ R.T with skinny P, R >= 0
+  (``_canonical_lowrank`` puts every payload in that form or rejects it).
 
-The structured kinds keep application, diagonal extraction, and affine
-shifts at O(n * bandwidth) or O(n * r) so large instances never densify.
+The structured kinds keep application, diagonal extraction, affine
+shifts and the Z-pattern check at O(n * bandwidth) or O(n * r), so large
+instances never densify.
 Every product, and every shifted solve in :mod:`dadda.gth`, checks its
 operand through ``_column_form``; all band products run one loop,
 ``_band_apply``.
@@ -204,8 +206,29 @@ def _band_apply(bands: Dict[int, np.ndarray], x: np.ndarray, transpose: bool) ->
     return out
 
 
-# largest order whose Z-pattern check may densify a diag_plus_lowrank matrix
-_DENSE_CHECK_LIMIT = 4096
+def _canonical_lowrank(p: np.ndarray, r: np.ndarray, sign: int):
+    """(P, R, sign) of sign * P R^T in canonical form: P, R >= 0, no zero pair.
+
+    Pairs with a zero column are dropped.  Nonpositive columns are negated
+    exactly (0.0 - x keeps zeros +0.0), and the sign flips when every
+    product P_t R_t^T is <= 0.  A low-rank part with entries of both signs
+    has no nonnegative capacitance triplet and raises ``ValueError``.  O(n r).
+    """
+    keep = p.any(axis=0) & r.any(axis=0)
+    if not keep.all():
+        p, r = p[:, keep], r[:, keep]
+    if p.min(initial=0.0) >= 0.0 and r.min(initial=0.0) >= 0.0:
+        return p, r, sign
+    p_neg, r_neg = (p < 0.0).any(axis=0), (r < 0.0).any(axis=0)
+    flips = p_neg != r_neg
+    ok = ~(p_neg & (p > 0.0).any(axis=0)) & ~(r_neg & (r > 0.0).any(axis=0))
+    ok &= flips == flips[0]
+    if not ok.all():
+        t = np.flatnonzero(keep)[np.argmin(ok)]
+        raise ValueError(f"low-rank part mixes signs at pair {t}; store the block as `dense`")
+    p = np.where(p_neg, 0.0 - p, p)
+    r = np.where(r_neg, 0.0 - r, r)
+    return p, r, -sign if flips[0] else sign
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,6 +303,7 @@ class StructuredSquare:
         for name, arr in (("d", d), ("P", p), ("R", r)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} has non-finite entries")
+        p, r, sign = _canonical_lowrank(p, r, sign)
         return StructuredSquare(
             kind="diag_plus_lowrank", n=n, d=d, p=p, r=r, sign=int(sign)
         )
@@ -290,8 +314,6 @@ class StructuredSquare:
         """Row dots sum_t P_it R_it (diag_plus_lowrank only)."""
         if self.kind != "diag_plus_lowrank":
             raise ValueError("rowdot applies to diag_plus_lowrank only")
-        if self.p.shape[1] == 0:
-            return np.zeros(self.n)
         return _reduce_ascending((self.p * self.r).T)
 
     def diagonal(self) -> np.ndarray:
@@ -333,13 +355,7 @@ class StructuredSquare:
         return out[:, 0] if squeeze else out
 
     def _apply_lowrank(self, x: np.ndarray, transpose: bool) -> np.ndarray:
-        if (
-            self.sign == 1
-            and np.any(self.d < 0.0)
-            and np.all(self.p >= 0.0)
-            and np.all(self.r >= 0.0)
-            and np.all(x >= 0.0)
-        ):
+        if self.sign == 1 and np.any(self.d < 0.0) and np.all(x >= 0.0):
             tdiag = self.d + self.lowrank_rowdot()
             if np.all(tdiag >= 0.0):
                 # Nonnegative matrix whose stored diagonal is negative
@@ -373,21 +389,18 @@ class StructuredSquare:
             bands = {off: scale * vals for off, vals in self.bands.items()}
             bands[0] = bands[0] + shift
             return StructuredSquare.banded(self.n, self.lower, self.upper, bands)
-        d = scale * self.d + shift
-        if scale == 0.0:
-            return StructuredSquare.diag_plus_lowrank(
-                d, self.p, np.zeros_like(self.r), self.sign
-            )
-        new_sign = self.sign if scale > 0 else -self.sign
+        # scale 0 zeroes R, so the canonical form drops every pair
         return StructuredSquare.diag_plus_lowrank(
-            d, self.p, abs(scale) * self.r, new_sign
+            scale * self.d + shift, self.p, abs(scale) * self.r,
+            -self.sign if scale < 0.0 else self.sign,
         )
 
-    def offdiag_nonpositive(self) -> bool | None:
-        """Whether all off-diagonal entries are <= 0 (Z-pattern).
+    def offdiag_nonpositive(self) -> bool:
+        """Whether all off-diagonal entries are <= 0 (Z-pattern), exactly.
 
-        Returns None when the representation cannot be checked without an
-        O(n^2) densification and the order exceeds ``_DENSE_CHECK_LIMIT``.
+        A canonical low-rank block has P, R >= 0, so sign -1 always is one;
+        sign +1 is one only if each pair is supported on one common index,
+        where P_t R_t^T touches the diagonal alone.
         """
         if self.kind == "dense":
             off = self.a - np.diag(np.diagonal(self.a))
@@ -396,13 +409,12 @@ class StructuredSquare:
             return all(
                 bool(np.all(v <= 0.0)) for o, v in self.bands.items() if o != 0
             )
-        if self.sign == -1 and np.all(self.p >= 0.0) and np.all(self.r >= 0.0):
+        if self.sign == -1:
             return True
-        if self.n <= _DENSE_CHECK_LIMIT:
-            dense = self.to_dense()
-            off = dense - np.diag(np.diagonal(dense))
-            return bool(np.all(off <= 0.0))
-        return None
+        support = self.p != 0.0
+        return bool(
+            np.array_equal(support, self.r != 0.0) and np.all(support.sum(axis=0) == 1)
+        )
 
     def offdiag_abs_apply(
         self, x: np.ndarray, side: str = "left"

@@ -160,11 +160,8 @@ class MareProblem:
         if np.any(self.v1 < 0.0) or np.any(self.v2 < 0.0):
             err("v1, v2 must be nonnegative")
         for name, s in (("A", self.A), ("D", self.D)):
-            zpat = s.offdiag_nonpositive()
-            if zpat is False:
+            if not s.offdiag_nonpositive():
                 err(f"{name} has a positive off-diagonal entry (not a Z-matrix)")
-            elif zpat is None:
-                note(f"{name}: Z-pattern not verified (too large to densify)")
             if np.any(s.diagonal() <= 0.0):
                 err(f"{name} must have a strictly positive diagonal")
         for name, a in (("Bl", self.Bl), ("Br", self.Br),
@@ -317,6 +314,8 @@ def _structured_to_json(s: StructuredSquare) -> dict[str, Any]:
 
 
 def _structured_from_json(obj: dict[str, Any], n: int, name: str) -> StructuredSquare:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "dense":
         s = StructuredSquare.dense(obj["entries"])
@@ -369,6 +368,8 @@ def problem_from_json(obj: dict[str, Any]) -> MareProblem:
         )
     except KeyError as exc:
         raise ValueError(f"problem JSON missing field {exc}") from exc
+    except TypeError as exc:  # e.g. "m": null or "bands": 5
+        raise ValueError(f"problem JSON field of the wrong type ({exc})") from exc
     if prob.p != p or prob.q != q:
         raise ValueError("declared p/q do not match the factor shapes")
     return prob

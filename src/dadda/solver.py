@@ -135,7 +135,6 @@ class DaddaState:
     ainv_v2: np.ndarray
     bru1: np.ndarray
     cru2: np.ndarray
-    kernel: object = None
     X: np.ndarray | None = None
     _H: np.ndarray | None = field(default=None, repr=False)
 
@@ -229,10 +228,9 @@ def _kernel_image(blocks, u, inv_v, v, shift, gamma) -> np.ndarray:
 
 
 def _refresh_kernel(state: DaddaState) -> None:
-    # drop the previous order's factors and solution before the new ones
-    state.kernel = state.X = state._H = None
-    state.kernel = gth_factorize(kernel_triplet(state))
-    state.X = state.kernel.solve(state.Qcheck.T)
+    # drop the previous order's solution before the new factors
+    state.X = state._H = None
+    state.X = gth_factorize(kernel_triplet(state)).solve(state.Qcheck.T)
     _check_sign(np.all(state.X >= 0.0), "kernel solution X")
 
 

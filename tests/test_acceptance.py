@@ -10,6 +10,7 @@ import csv
 import time
 
 import numpy as np
+import pytest
 
 from conftest import fraction_solve, random_mare, random_triplet
 from dadda import oracle
@@ -204,6 +205,7 @@ def test_criterion_06_smw_fast_path():
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_transport_convergence():
     # 20 seeded draws at each n in {10, 20, 40, 100}; over the 80 runs,
     # >= 90% reach erres <= 1e-12 within 30 steps and the median step
@@ -303,6 +305,7 @@ def test_criterion_09_monotone_iterates():
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_sweep_smoke(tmp_path):
     # both shift sweeps on the n=10 transport instance: 200 rows each,
     # every recorded value finite; jump points are recorded, not asserted

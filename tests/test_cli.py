@@ -64,6 +64,16 @@ class TestSolve:
         assert code == 1
         assert "input error" in capsys.readouterr().err
 
+    def test_wrong_field_type_exit_one(self, tmp_path, capsys):
+        for key, value in (("A", [1]), ("m", None)):
+            obj = problem_to_json(random_mare(83))
+            obj[key] = value
+            path = tmp_path / "typed.json"
+            path.write_text(json.dumps(obj))
+            code = main(["solve", "--input", str(path)])
+            assert code == 1
+            assert "input error" in capsys.readouterr().err
+
     def test_invalid_problem_exit_one(self, tmp_path, capsys):
         obj = problem_to_json(random_mare(83))
         obj["u1"][0] = -1.0

@@ -331,22 +331,51 @@ class TestDiagLowRank:
         implied = diagonal_from_triplet(cap)
         assert np.allclose(implied, np.diagonal(dense_cap), rtol=1e-13, atol=0)
 
-    def test_negative_factors_fall_back_to_dense(self):
-        # mixed-sign factors whose product is still nonnegative cannot use
-        # the capacitance triplet; the dense expansion handles them
+    def test_negative_factors_take_rank_one_path(self):
+        # P = R = -1 has the same nonnegative product as P = R = 1; the
+        # canonical form negates both exactly and keeps the SMW path
         d = np.array([3.0, 3.0])
         P = np.array([[-1.0], [-1.0]])
         R = np.array([[-1.0], [-1.0]])
         u = np.array([1.0, 1.0])
         v = np.array([1.0, 1.0])  # (diag(d) - P R^T) u with P R^T = ones
         solver = DiagLowRankSolver(d, P, R, u, v)
-        assert solver._mode == "dense"
+        assert solver._mode == "rank1"
         x = solver.solve(np.array([1.0, 1.0]))
         dense = np.diag(d) - matmul(P, R.T)
         assert np.allclose(x, np.linalg.solve(dense, np.array([1.0, 1.0])), rtol=1e-13)
+        # P R^T <= 0 would flip the sign: diag(d) + |P| |R|^T has no SMW form
+        with pytest.raises(ValueError, match="SMW"):
+            DiagLowRankSolver(d, P, -R, u, v)
+
+    def test_mixed_sign_pairs_rejected_without_expansion(self):
+        # a pair with entries of both signs, and two pairs whose products
+        # have opposite signs (diag(n + 1) - [1 1] [2 -1]^T, which is
+        # diag(n + 1) - 1 1^T): no nonnegative capacitance triplet exists,
+        # so both constructors refuse them, in O(n r) memory
+        n = 5000
+        d, u, v = np.full(n, n + 1.0), np.ones(n), np.ones(n)
+        one = np.ones(n)
+        mixed = one.copy()
+        mixed[0] = -1.0
+        cases = [
+            (one[:, None], mixed[:, None]),
+            (np.column_stack([one, one]), np.column_stack([2.0 * one, -one])),
+        ]
+        tracemalloc.start()
+        try:
+            for P, R in cases:
+                with pytest.raises(ValueError, match="mixes signs.*dense"):
+                    StructuredSquare.diag_plus_lowrank(d, P, R, sign=-1)
+                with pytest.raises(ValueError, match="mixes signs.*dense"):
+                    DiagLowRankSolver(d, P, R, u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_singular_critical_instance_raises(self):
-        # row sums exactly zero: truly singular, fallback must refuse
+        # row sums exactly zero: truly singular, the capacitance GTH refuses
         d = np.array([1.0, 1.0])
         P = np.array([[1.0, 0.0], [0.0, 1.0]])
         R = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -415,6 +444,49 @@ class TestSolverDispatch:
         )
         with pytest.raises(NotMMatrixError):
             build_solver(mp, np.ones(2), np.ones(2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_z_pattern_rule_matches_dense_check(self, data):
+        # small integer blocks, so every dense entry is exact: zero pairs,
+        # nonpositive pairs and pairs on one diagonal index, all of one
+        # product sign, under either stored sign
+        n = data.draw(st.integers(2, 4))
+        sign = data.draw(st.sampled_from((-1, 1)))
+        product = data.draw(st.sampled_from((-1, 1)))
+        cols_p, cols_r = [], []
+        for _ in range(data.draw(st.integers(0, min(n, 3)))):
+            sp = data.draw(st.sampled_from((-1, 1)))
+            kind = data.draw(st.sampled_from(("zero", "single", "full")))
+            if kind == "single":
+                p = np.zeros(n)
+                r = np.zeros(n)
+                i = data.draw(st.integers(0, n - 1))
+                p[i], r[i] = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+            else:
+                col = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                p = np.array(data.draw(col), dtype=float)
+                r = np.zeros(n) if kind == "zero" else np.array(data.draw(col), dtype=float)
+            cols_p.append(sp * p)
+            cols_r.append(sp * product * r)
+        P = np.array(cols_p).T.reshape(n, -1)
+        R = np.array(cols_r).T.reshape(n, -1)
+        lr = np.abs(matmul(P, R.T))
+        d = 1.0 + 2.0 * lr.sum(axis=1)
+        block = StructuredSquare.diag_plus_lowrank(d, P, R, sign)
+        assert np.all(block.p >= 0.0) and np.all(block.r >= 0.0)
+        dense = block.to_dense()
+        assert np.array_equal(dense, np.diag(d) + sign * matmul(P, R.T))
+        zpat = bool(np.all(dense[~np.eye(n, dtype=bool)] <= 0.0))
+        assert block.offdiag_nonpositive() is zpat
+        u = np.ones(n)
+        v = matmul(dense, u[:, None])[:, 0]
+        if zpat:
+            x = build_solver(block, u, v).solve(v)
+            assert np.allclose(x, u, rtol=1e-13)
+        else:
+            with pytest.raises(NotMMatrixError):
+                build_solver(block, u, v)
 
     def test_rhs_shape_validation(self):
         s = DiagonalSolver(np.array([1.0, 1.0]))

@@ -231,6 +231,23 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="object"):
             problem_from_json([problem_to_json(_small_problem())])
 
+    def test_wrong_field_types(self):
+        fluid = problem_to_json(gen_fluid(3, 5)[0])  # A banded, D low-rank
+        for key, field, value in (
+            ("A", None, [1]),
+            ("D", None, "dense"),
+            ("m", None, None),
+            ("D", "sign", None),
+            ("A", "bands", 5),
+        ):
+            obj = json.loads(json.dumps(fluid))
+            if field is None:
+                obj[key] = value
+            else:
+                obj[key][field] = value
+            with pytest.raises(ValueError, match="object|wrong type"):
+                problem_from_json(obj)
+
     def test_declared_rank_mismatch(self):
         obj = problem_to_json(_small_problem())
         obj["p"] = 2

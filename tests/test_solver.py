@@ -1,11 +1,14 @@
 """Decoupled doubling iteration: iterates, kernels, residuals, stopping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import naive_matmul, random_mare
 from dadda import oracle
 from dadda.benchgen import gen_fluid, gen_transport
+from dadda.linalg import StructuredSquare
 from dadda.problem import ShiftPair, make_shifts
 from dadda.solver import (
     StopCriteria,
@@ -235,6 +238,22 @@ class TestSolveLoop:
         assert rep.termination == "converged"
         assert rep.iterations == 4
         assert rep.erres_final <= 1e-14
+        assert ererr(rep.H, x_true) <= 1e-10
+
+    def test_sign_plus_one_diagonal_block(self):
+        # diag(1, 2, 2) + e0 e0^T is fluid 3x2's A = 2 I in low-rank form:
+        # a sign +1 Z-pattern, so it validates and solves as a diagonal
+        prob, x_true = gen_fluid(3, 2)
+        e0 = np.eye(3)[:, :1]
+        low = StructuredSquare.diag_plus_lowrank([1.0, 2.0, 2.0], e0, e0, sign=1)
+        assert np.array_equal(low.to_dense(), prob.A.to_dense())
+        twin = dataclasses.replace(prob, A=low)
+        assert twin.validate().ok
+        rep = solve(twin, x_true=x_true)
+        ref = solve(prob, x_true=x_true)
+        assert rep.termination == ref.termination == "converged"
+        assert rep.iterations == ref.iterations
+        assert np.allclose(rep.H, ref.H, rtol=1e-14, atol=0.0)
         assert ererr(rep.H, x_true) <= 1e-10
 
     def test_record_stream(self):
