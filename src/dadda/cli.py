@@ -11,9 +11,11 @@ larger problems).  Both rows come from one stopping loop (``solve`` and
 ``solve_dense``).  The ``seconds`` column is wall clock and is the only
 column excluded from golden-file comparisons.
 
-Report JSON schema (solve): termination, iterations, criterion,
-tolerance, alpha, beta, erres_final, frob_h, rank_h, seconds, records
-(list of {k, value, kernel_order, seconds}).
+Report JSON schema (solve): termination, iterations, switched_at,
+criterion, tolerance, alpha, beta, erres_final, frob_h, rank_h, seconds,
+records (list of {k, value, kernel_order, seconds}).  ``switched_at`` is
+the k at which the solve handed off from dADDA to triplet-form ADDA, or
+null.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ def _report_to_json(report: SolveReport) -> dict:
     return {
         "termination": report.termination,
         "iterations": report.iterations,
+        "switched_at": report.switched_at,
         "criterion": report.criterion,
         "tolerance": report.tolerance,
         "alpha": report.alpha,

@@ -313,6 +313,14 @@ def _structured_to_json(s: StructuredSquare) -> dict[str, Any]:
     }
 
 
+def _json_int(x: Any, name: str) -> int:
+    """An integer field of the JSON format; bools and fractions raise TypeError."""
+    integral = isinstance(x, int) or (isinstance(x, float) and x.is_integer())
+    if isinstance(x, bool) or not integral:
+        raise TypeError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def _structured_from_json(obj: dict[str, Any], n: int, name: str) -> StructuredSquare:
     if not isinstance(obj, dict):
         raise ValueError(f"{name} must be a JSON object, got {type(obj).__name__}")
@@ -321,12 +329,13 @@ def _structured_from_json(obj: dict[str, Any], n: int, name: str) -> StructuredS
         s = StructuredSquare.dense(obj["entries"])
     elif kind == "banded":
         s = StructuredSquare.banded(
-            n, int(obj["lower"]), int(obj["upper"]),
-            {int(off): vals for off, vals in obj["bands"]},
+            n, _json_int(obj["lower"], f"{name}.lower"),
+            _json_int(obj["upper"], f"{name}.upper"),
+            {_json_int(off, f"{name} band offset"): vals for off, vals in obj["bands"]},
         )
     elif kind == "diag_plus_lowrank":
         s = StructuredSquare.diag_plus_lowrank(
-            obj["diag"], obj["left"], obj["right"], int(obj["sign"])
+            obj["diag"], obj["left"], obj["right"], _json_int(obj["sign"], f"{name}.sign")
         )
     else:
         raise ValueError(f"{name}: unknown structured kind {kind!r}")
@@ -358,8 +367,7 @@ def problem_from_json(obj: dict[str, Any]) -> MareProblem:
     if not isinstance(obj, dict):
         raise ValueError(f"problem JSON must be an object, got {type(obj).__name__}")
     try:
-        m, n = int(obj["m"]), int(obj["n"])
-        p, q = int(obj["p"]), int(obj["q"])
+        m, n, p, q = (_json_int(obj[key], key) for key in ("m", "n", "p", "q"))
         prob = MareProblem(
             A=_structured_from_json(obj["A"], m, "A"),
             D=_structured_from_json(obj["D"], n, "D"),
@@ -368,7 +376,7 @@ def problem_from_json(obj: dict[str, Any]) -> MareProblem:
         )
     except KeyError as exc:
         raise ValueError(f"problem JSON missing field {exc}") from exc
-    except TypeError as exc:  # e.g. "m": null or "bands": 5
+    except TypeError as exc:  # e.g. "m": null, "m": 3.7 or "bands": 5
         raise ValueError(f"problem JSON field of the wrong type ({exc})") from exc
     if prob.p != p or prob.q != q:
         raise ValueError("declared p/q do not match the factor shapes")

@@ -33,6 +33,39 @@ derived from the stacked factor blocks on demand, by one ordered product
 Qcheck^T [u1, D_alpha^{-1} v1] and an ascending cumulative sum over the
 blocks.  Every term is nonnegative and nothing is ever differenced, so
 the image stays exactly nonnegative even in the critical case.
+
+Hand-off to triplet-form ADDA.  The kernel order 2^k max(p, q) doubles
+each step whatever m and n are.  At the first step where the next order
+would exceed m + n, the stopping loop switches to :class:`_TripletAdda`,
+the coupled ADDA iteration on the dense quadruple of order m + n.  It
+restarts from k = 0 and steps back to the current k before it takes the
+step.  Its H_k is the same iterate as dADDA's, up to rounding.  The kernel
+row cap is checked first, so m + n stays below it, and the quadruple
+holds no more than the kernel it replaces would have.
+
+The quadruple [[E, G], [H, F]] = L^{-1} R comes from one GTH factorization
+of L = [[alpha D + I, -beta C], [-alpha B, beta A + I]].  With
+R = [[I - beta D, alpha C], [beta B, I - alpha A]] >= 0 (the diagonal
+blocks from :func:`shifted_parts`, clamped as for dADDA) and
+L - R = gamma W, the triplet of L is (offdiag part, u, R u + gamma v),
+with u = [u1; u2] and v = [v1; v2].  The carried vector w = gamma L^{-1} v
+keeps u = [[E, G], [H, F]] u + w at every step, which gives each step's
+kernels a triplet without a subtraction:
+
+    K1 = I - G H:  (offdiag(G H), u1, w1 + E u1 + G (w2 + F u2)),
+    K2 = I - H G:  (offdiag(H G), u2, w2 + F u2 + H (w1 + E u1)).
+
+One step is then
+
+    E <- E K1^{-1} E,    G <- G + E K1^{-1} G F,
+    F <- F K2^{-1} F,    H <- H + F K2^{-1} H E,
+    w1 <- w1 + E K1^{-1} (w1 + G w2),   w2 <- w2 + F K2^{-1} (w2 + H w1).
+
+Every product has nonnegative operands and every solve is a GTH solve
+with a nonnegative right-hand side, so each operation adds nonnegative
+terms only.  That holds in any summation order, so the products run
+through BLAS: the quadruple stays exactly nonnegative and its entries
+keep their componentwise accuracy.
 """
 
 from __future__ import annotations
@@ -112,6 +145,7 @@ class SolveReport:
     rank_h: int
     seconds: float
     G: np.ndarray | None = None
+    switched_at: int | None = None
 
 
 @dataclass(eq=False)
@@ -190,6 +224,11 @@ class DaddaState:
 
     def rank(self) -> int:
         return rank_of_iterate(self)
+
+    def dual(self) -> np.ndarray:
+        """The dual iterate G_k = gamma Wcheck (I - Z_k Y_k)^{-1} Vcheck^T."""
+        xg = gth_factorize(dual_kernel_triplet(self)).solve(self.Vcheck.T)
+        return self.shifts.gamma * matmul(self.Wcheck, xg)
 
 
 _GRAM_DOT_MIN = 192
@@ -411,8 +450,8 @@ def rank_of_iterate(state: DaddaState) -> int:
 class _DenseAdda:
     """The dense ADDA reference (:mod:`dadda.oracle`) as an iterate.
 
-    It has no kernel (``kernel_order`` is None), so the kernel row cap
-    never stops it.
+    It has no kernel (``kernel_order`` is None).  The stopping loop applies
+    the kernel row cap and the hand-off to a DaddaState only.
     """
 
     kernel_order = None
@@ -431,6 +470,70 @@ class _DenseAdda:
 
     def rank(self) -> int:
         return _numerical_rank(self.H)
+
+    def dual(self) -> np.ndarray:
+        return self.quad[2]
+
+
+def _kernel_solve(prod, u, v, rhs) -> np.ndarray:
+    """Solve (I - prod) x = [rhs...] by GTH on the triplet (offdiag(prod), u, v)."""
+    np.fill_diagonal(prod, 0.0)
+    lu = gth_factorize(TripletRepresentation.from_parts(prod, u, v))
+    return lu.solve(np.column_stack(rhs))
+
+
+class _TripletAdda(_DenseAdda):
+    """ADDA on the quadruple (E, F, G, H) with every solve a GTH solve.
+
+    The iterate that dADDA hands off to (see the module docstring).  Its
+    ``kernel_order`` is max(m, n), the order of its larger kernel.
+    """
+
+    def __init__(self, prob: MareProblem, shifts: ShiftPair):
+        parts = shifted_parts(prob, shifts)
+        alpha, beta = shifts.alpha, shifts.beta
+        n = prob.n
+        b, c = prob.B_dense(), prob.C_dense()
+        R = np.block([
+            [parts.D_neg_beta.to_dense(), alpha * c],
+            [beta * b, parts.A_neg_alpha.to_dense()],
+        ])
+        _check_sign(np.all(R >= 0.0), "ADDA right-hand block")
+        N = np.block([
+            [-parts.D_alpha.to_dense(), beta * c],
+            [alpha * b, -parts.A_beta.to_dense()],
+        ])
+        np.fill_diagonal(N, 0.0)
+        u = np.concatenate([prob.u1, prob.u2])
+        gv = shifts.gamma * np.concatenate([prob.v1, prob.v2])
+        lu = gth_factorize(TripletRepresentation.from_parts(N, u, R @ u + gv))
+        sol = lu.solve(np.column_stack([R, gv]))
+        self.quad = (sol[:n, :n], sol[n:, n:-1], sol[:n, n:-1], sol[n:, :n])
+        self.w1, self.w2 = sol[:n, -1], sol[n:, -1]
+        self.u1, self.u2 = prob.u1, prob.u2
+        self.kernel_order = max(prob.m, n)
+        self.k = 0
+
+    def step(self) -> None:
+        E, F, G, H = self.quad
+        w1, w2 = self.w1, self.w2
+        _check_sign(
+            all(np.all(x >= 0.0) for x in (E, F, G, H, w1, w2)), "ADDA quadruple"
+        )
+        n, m = E.shape[0], F.shape[0]
+        r1 = w1 + E @ self.u1
+        r2 = w2 + F @ self.u2
+        x1 = _kernel_solve(G @ H, self.u1, r1 + G @ r2, [E, G @ F, w1 + G @ w2])
+        x2 = _kernel_solve(H @ G, self.u2, r2 + H @ r1, [F, H @ E, w2 + H @ w1])
+        self.quad = (
+            E @ x1[:, :n],
+            F @ x2[:, :m],
+            G + E @ x1[:, n:-1],
+            H + F @ x2[:, m:-1],
+        )
+        self.w1 = w1 + E @ x1[:, -1]
+        self.w2 = w2 + F @ x2[:, -1]
+        self.k += 1
 
 
 def _criterion_value(
@@ -458,15 +561,18 @@ def _stopping_loop(
     criteria: StopCriteria,
     x_true: np.ndarray | None,
     t0: float,
+    compute_dual: bool = False,
 ) -> SolveReport:
     """Evaluate the criterion on ``it`` and step it until the rule stops.
 
-    ``it`` is a DaddaState or a _DenseAdda.  A ``kernel_order`` of None
-    means no kernel, which the kernel row cap then never stops.  The
-    report's seconds count from ``t0``.
+    ``it`` is a DaddaState or a _DenseAdda.  A DaddaState is stopped by the
+    kernel row cap, and handed off to a :class:`_TripletAdda` once its next
+    kernel would outgrow m + n; the loop drops it there, so its factor
+    blocks are freed.  The report's seconds count from ``t0``.
     """
     records: list[IterationRecord] = []
     h_prev: np.ndarray | None = None
+    switched_at: int | None = None
     t_mark = t0
     while True:
         value = _criterion_value(prob, it.H, criteria.criterion, h_prev, x_true)
@@ -487,11 +593,17 @@ def _stopping_loop(
             termination = "max_iterations"
             break
         next_rows = 2 ** (it.k + 1) * max(prob.p, prob.q)
-        if it.kernel_order is not None and next_rows > criteria.kernel_row_cap:
+        on_dadda = isinstance(it, DaddaState)
+        if on_dadda and next_rows > criteria.kernel_row_cap:
             termination = "kernel_cap_exceeded"
             break
         if criteria.criterion == "rchange":
             h_prev = it.H
+        if on_dadda and next_rows > prob.m + prob.n:
+            switched_at = it.k
+            it = _TripletAdda(prob, shifts)
+            while it.k < switched_at:
+                it.step()
         it.step()
 
     h_final = it.H
@@ -511,6 +623,8 @@ def _stopping_loop(
         erres_final=erres_final,
         frob_h=frobenius_norm(h_final),
         rank_h=it.rank(),
+        G=it.dual() if compute_dual else None,
+        switched_at=switched_at,
         seconds=time.perf_counter() - t0,
     )
 
@@ -532,18 +646,20 @@ def solve(
     x_true: np.ndarray | None = None,
     compute_dual: bool = False,
 ) -> SolveReport:
-    """Run the doubling iteration under a stopping rule."""
+    """Run the doubling iteration under a stopping rule.
+
+    dADDA runs until its next kernel would outgrow m + n; the rest of the
+    solve runs on triplet-form ADDA (``report.switched_at`` gives the k).
+    With ``compute_dual`` the report carries the final iterate's G.
+    """
     shifts, criteria = _defaults(prob, shifts, criteria, x_true)
     if criteria.kernel_row_cap < prob.p + prob.q:
         raise ValueError("kernel_row_cap must be at least p + q")
     t0 = time.perf_counter()
-    state = initialize(prob, shifts)
-    report = _stopping_loop(prob, state, shifts, criteria, x_true, t0)
-    if compute_dual:
-        xg = gth_factorize(dual_kernel_triplet(state)).solve(state.Vcheck.T)
-        report.G = shifts.gamma * matmul(state.Wcheck, xg)
-        report.seconds = time.perf_counter() - t0
-    return report
+    # no reference kept here: the loop frees the DaddaState at a hand-off
+    return _stopping_loop(
+        prob, initialize(prob, shifts), shifts, criteria, x_true, t0, compute_dual
+    )
 
 
 def solve_dense(

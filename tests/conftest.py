@@ -2,12 +2,29 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 
+import dadda
 from dadda.linalg import StructuredSquare, matmul
 from dadda.problem import MareProblem
+
+
+def _run_optimized(code):
+    """Run ``code`` in a fresh ``python -O`` with this dadda importable."""
+    src = os.path.dirname(os.path.dirname(dadda.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_mare
 from dadda import cli, solver
+from dadda.benchgen import gen_fluid
 from dadda.cli import main
 from dadda.problem import problem_to_json, save_problem
 
@@ -69,6 +70,16 @@ class TestSolve:
             obj = problem_to_json(random_mare(83))
             obj[key] = value
             path = tmp_path / "typed.json"
+            path.write_text(json.dumps(obj))
+            code = main(["solve", "--input", str(path)])
+            assert code == 1
+            assert "input error" in capsys.readouterr().err
+
+    def test_non_integral_field_exit_one(self, tmp_path, capsys):
+        for key, value in (("m", 3.7), ("p", True)):
+            obj = problem_to_json(gen_fluid(3, 5)[0])
+            obj[key] = value
+            path = tmp_path / "fraction.json"
             path.write_text(json.dumps(obj))
             code = main(["solve", "--input", str(path)])
             assert code == 1
@@ -178,6 +189,24 @@ class TestBench:
             assert code == code_want
             assert json.loads(out.read_text())["termination"] == termination
             assert [r["iters"] for r in _read_csv(str(csv_path))] == iters
+
+    def test_report_names_the_switch(self, tmp_path):
+        # m + n = 20 < 2^5: the transport solve hands off after k = 4 and
+        # records max(m, n) as its kernel order from then on; the fluid solve
+        # converges at k = 4 first, and under nres it runs to the iteration
+        # cap on triplet-form ADDA
+        out = tmp_path / "rep.json"
+        for argv, code_want, switched, order in (
+            (["bench-transport", "--n", "10", "--seed", "0"], 0, 4, 10),
+            (["bench-fluid", "--m", "2", "--n", "18"], 0, None, None),
+            (["bench-fluid", "--m", "2", "--n", "18", "--criterion", "nres"], 2, 4, 18),
+        ):
+            assert main(argv + ["--out", str(out)]) == code_want
+            report = json.loads(out.read_text())
+            assert report["switched_at"] == switched
+            orders = [r["kernel_order"] for r in report["records"]]
+            assert orders[:5] == [1, 2, 4, 8, 16]
+            assert set(orders[5:]) <= {order}
 
     def test_solver_refusal_exit_one(self, capsys):
         for argv in (

@@ -1,8 +1,5 @@
 """GTH-like factorization, triplet handling, and the SMW fast path."""
 
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -10,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dadda
-from conftest import fraction_solve, random_triplet
+from conftest import _run_optimized, fraction_solve, random_triplet
 from dadda.gth import (
     _PANEL,
     DenseGthSolver,
@@ -29,19 +25,6 @@ from dadda.linalg import StructuredSquare, frobenius_norm, matmul
 
 def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
-
-
-def _run_optimized(code):
-    """Run ``code`` in a fresh ``python -O`` with this dadda importable."""
-    src = os.path.dirname(os.path.dirname(dadda.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
 
 
 def _sign_ok(f):

@@ -248,6 +248,33 @@ class TestJsonRoundTrip:
             with pytest.raises(ValueError, match="object|wrong type"):
                 problem_from_json(obj)
 
+    def test_non_integral_fields_rejected(self):
+        # int() would truncate these silently: 3.7 -> 3, true -> 1, -1.5 -> -1
+        fluid = problem_to_json(gen_fluid(3, 5)[0])  # A banded, D low-rank
+        for key, field, value in (
+            ("m", None, 3.7),
+            ("p", None, True),
+            ("n", None, "5"),
+            ("D", "sign", -1.5),
+            ("A", "lower", 0.5),
+            ("A", "upper", False),
+        ):
+            obj = json.loads(json.dumps(fluid))
+            if field is None:
+                obj[key] = value
+            else:
+                obj[key][field] = value
+            with pytest.raises(ValueError, match="must be an integer"):
+                problem_from_json(obj)
+        obj = json.loads(json.dumps(fluid))
+        obj["A"]["bands"][0][0] = 0.5
+        with pytest.raises(ValueError, match="band offset"):
+            problem_from_json(obj)
+        # an integral float is an integer
+        obj = json.loads(json.dumps(fluid))
+        obj["m"] = 3.0
+        assert problem_from_json(obj).m == 3
+
     def test_declared_rank_mismatch(self):
         obj = problem_to_json(_small_problem())
         obj["p"] = 2

@@ -5,13 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import naive_matmul, random_mare
+from conftest import _run_optimized, naive_matmul, random_mare
 from dadda import oracle
 from dadda.benchgen import gen_fluid, gen_transport
 from dadda.linalg import StructuredSquare
 from dadda.problem import ShiftPair, make_shifts
 from dadda.solver import (
     StopCriteria,
+    _TripletAdda,
     advance,
     dual_kernel_triplet,
     erres,
@@ -331,3 +332,118 @@ class TestSolveLoop:
         assert rep.alpha == 0.0
         assert rep.beta == sh.beta
         assert rep.termination == "converged"
+
+
+NEAR_CRITICAL = dict(alpha_t=1e-8, beta_t=1.0 - 1e-6)
+
+
+class TestTripletAdda:
+    def test_iterates_match_dense_oracle(self):
+        # all four blocks, k <= 5, to 1e-10 entrywise relative on entries
+        # above 1e-30 (acceptance criterion 02's bound)
+        worst = 0.0
+        for seed in range(50):
+            prob = random_mare(seed)
+            sh = make_shifts(prob)
+            it = _TripletAdda(prob, sh)
+            ref = oracle.initial_quadruple(prob, sh)
+            for k in range(6):
+                if k:
+                    it.step()
+                    ref = oracle.step_quadruple(*ref)
+                for got, want in zip(it.quad, ref):
+                    mask = np.abs(want) > 1e-30
+                    if mask.any():
+                        rel = np.abs(got - want)[mask] / np.abs(want)[mask]
+                        worst = max(worst, float(rel.max()))
+        assert worst <= 1e-10
+
+    def test_exactly_nonnegative_with_kernel_identities(self):
+        # u = [[E, G], [H, F]] u + w carries over, so (I - G H) u1 and
+        # (I - H G) u2 equal the kernel images built without subtraction
+        for n in (10, 20):
+            prob = gen_transport(n, 0)
+            it = _TripletAdda(prob, make_shifts(prob))
+            u1, u2 = prob.u1, prob.u2
+            for k in range(8):
+                if k:
+                    it.step()
+                E, F, G, H = it.quad
+                for x in (E, F, G, H, it.w1, it.w2):
+                    assert np.all(x >= 0.0)
+                r1 = it.w1 + E @ u1
+                r2 = it.w2 + F @ u2
+                for K, u, v in (
+                    (np.eye(prob.n) - G @ H, u1, r1 + G @ r2),
+                    (np.eye(prob.m) - H @ G, u2, r2 + H @ r1),
+                ):
+                    assert np.abs(K @ u - v).max() <= 1e-12 * np.abs(v).max()
+
+    def test_near_critical_transport_converges(self):
+        prob = gen_transport(20, 1, **NEAR_CRITICAL)
+        rep = solve(prob, criteria=StopCriteria(tolerance=1e-12, max_iterations=30))
+        assert rep.termination == "converged"
+        assert rep.erres_final <= 1e-12
+        # 2^6 > m + n = 40: the loop hands off after the record of k = 5
+        assert rep.switched_at == 5
+        orders = [r.kernel_order for r in rep.records]
+        assert orders[:6] == [2**k for k in range(6)]
+        assert orders[6:] == [20] * (len(orders) - 6)
+        assert np.all(rep.H >= 0.0)
+
+    def test_no_switch_below_the_order(self):
+        prob, _ = gen_fluid(2, 18)
+        rep = solve(prob)
+        assert rep.termination == "converged" and rep.switched_at is None
+
+    def test_monotone_across_the_switch(self):
+        # dADDA up to the switch, triplet ADDA after it: one nondecreasing
+        # sequence within acceptance criterion 09's -1e-15 slack
+        for prob, switch in (
+            (gen_transport(10, 0), 4),
+            (gen_transport(20, 1, **NEAR_CRITICAL), 5),
+        ):
+            sh = make_shifts(prob)
+            state = initialize(prob, sh)
+            hs = [state.H]
+            for _ in range(switch):
+                advance(state)
+                hs.append(state.H)
+            it = _TripletAdda(prob, sh)
+            for k in range(switch + 4):
+                it.step()
+                if it.k > switch:
+                    hs.append(it.H)
+            drop = min(float(np.min(b - a)) for a, b in zip(hs, hs[1:]))
+            assert drop >= -1e-15
+
+    def test_switched_dual_iterate(self):
+        prob = gen_transport(10, 0)
+        sh = make_shifts(prob)
+        rep = solve(prob, shifts=sh, compute_dual=True,
+                    criteria=StopCriteria(tolerance=1e-12))
+        assert rep.switched_at == 4
+        G = oracle.iterate_oracle(prob, sh, rep.iterations)[2]
+        assert np.abs(rep.G - G).max() <= 1e-10 * G.max()
+
+    def test_sign_violation_raises_under_optimize(self):
+        # a negative entry planted in any operand of a step must stop it
+        # under python -O as well
+        code = """
+from dadda.benchgen import gen_transport
+from dadda.gth import NotMMatrixError
+from dadda.problem import make_shifts
+from dadda.solver import _TripletAdda
+prob = gen_transport(10, 0)
+for name in ("E", "F", "G", "H", "w1", "w2"):
+    it = _TripletAdda(prob, make_shifts(prob))
+    arrays = dict(zip("EFGH", it.quad), w1=it.w1, w2=it.w2)
+    arrays[name].flat[0] = -1.0
+    try:
+        it.step()
+    except NotMMatrixError:
+        continue
+    raise SystemExit(f"stepped despite a negative entry in {name}")
+"""
+        proc = _run_optimized(code)
+        assert proc.returncode == 0, proc.stderr
