@@ -21,10 +21,10 @@ forward pass runs on U^T and the backward pass on L^T with the identical
 sign argument.
 
 None of this depends on the order in which the nonnegative terms are
-summed, so the substitutions run through LAPACK triangular solves and the
-large dense elimination through BLAS-3 panel updates (``trsm``, ``gemm``);
-they change results at rounding level only.  The sign invariants are
-checked explicitly and raise :class:`NotMMatrixError` when broken.
+summed, so the substitutions run as LAPACK triangular solves and every
+dense elimination as BLAS-3 panels (``trsm``, ``gemm``), changing results
+at rounding level only; banded ones keep a pivot loop over their band
+windows.  The sign invariants are explicit checks raising NotMMatrixError.
 
 For diag(d) - P R^T with skinny P, R >= 0 (the canonical low-rank form of
 :mod:`dadda.linalg`) the module provides a Sherman-Morrison-Woodbury path
@@ -181,16 +181,19 @@ def gth_factorize(
 ) -> GthFactorization:
     """GTH-like LU of the M-matrix behind ``t``, pivot-free.
 
-    Optional bandwidths restrict the elimination windows; for a banded M
-    the factors keep the band, so this drops the cost to
-    O(lower * upper * n).  Raises :class:`NotMMatrixError` on a
-    non-positive pivot or a broken sign invariant.
+    Without bandwidths, every order runs the panels of
+    :func:`_factorize_dense_blocked`: each addition combines terms of one
+    sign, in any order, and L11, U11, the running v, L21, U12 and every
+    trailing slab are sign-checked, so the guarantee holds at any order.
+    Bandwidths select the pivot loop below, which cuts each pivot's row
+    and column to its band window; a banded M keeps its band in the
+    factors, for O(lower * upper * n).  Raises :class:`NotMMatrixError`
+    on a non-positive pivot or a broken sign invariant.
     """
     n = t.n
-    if lower_bandwidth is None and upper_bandwidth is None and n >= 192:
-        # BLAS-3 panels; same sign guarantees, differs from the sequential
-        # loop below by rounding only (see its docstring)
+    if lower_bandwidth is None and upper_bandwidth is None:
         return _factorize_dense_blocked(t)
+    # windowed loop; the same factors as the panels up to rounding
     U = -t.N
     L = np.eye(n)
     u = t.u

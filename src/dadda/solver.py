@@ -273,13 +273,16 @@ def _refresh_kernel(state: DaddaState) -> None:
     _check_sign(np.all(state.X >= 0.0), "kernel solution X")
 
 
+def _offdiag_triplet(N, u, v) -> TripletRepresentation:
+    """Triplet (offdiag(N), u, v), such as I - N's; zeroes N's diagonal in place."""
+    np.fill_diagonal(N, 0.0)
+    return TripletRepresentation.from_parts(N, u, v)
+
+
 def _kernel_from(y, z, u_side, image_y, image_z, k) -> TripletRepresentation:
     """Triplet (offdiag(y z), u_side tiled 2^k times, image_y + y image_z) of I - y z."""
-    N = _gram(y, z)
-    np.fill_diagonal(N, 0.0)
-    u = np.tile(u_side, 2**k)
     v = image_y + matmul(y, image_z[:, None])[:, 0]
-    return TripletRepresentation.from_parts(N, u, v)
+    return _offdiag_triplet(_gram(y, z), np.tile(u_side, 2**k), v)
 
 
 def kernel_triplet(state: DaddaState) -> TripletRepresentation:
@@ -475,13 +478,6 @@ class _DenseAdda:
         return self.quad[2]
 
 
-def _kernel_solve(prod, u, v, rhs) -> np.ndarray:
-    """Solve (I - prod) x = [rhs...] by GTH on the triplet (offdiag(prod), u, v)."""
-    np.fill_diagonal(prod, 0.0)
-    lu = gth_factorize(TripletRepresentation.from_parts(prod, u, v))
-    return lu.solve(np.column_stack(rhs))
-
-
 class _TripletAdda(_DenseAdda):
     """ADDA on the quadruple (E, F, G, H) with every solve a GTH solve.
 
@@ -503,10 +499,9 @@ class _TripletAdda(_DenseAdda):
             [-parts.D_alpha.to_dense(), beta * c],
             [alpha * b, -parts.A_beta.to_dense()],
         ])
-        np.fill_diagonal(N, 0.0)
         u = np.concatenate([prob.u1, prob.u2])
         gv = shifts.gamma * np.concatenate([prob.v1, prob.v2])
-        lu = gth_factorize(TripletRepresentation.from_parts(N, u, R @ u + gv))
+        lu = gth_factorize(_offdiag_triplet(N, u, R @ u + gv))
         sol = lu.solve(np.column_stack([R, gv]))
         self.quad = (sol[:n, :n], sol[n:, n:-1], sol[:n, n:-1], sol[n:, :n])
         self.w1, self.w2 = sol[:n, -1], sol[n:, -1]
@@ -523,8 +518,10 @@ class _TripletAdda(_DenseAdda):
         n, m = E.shape[0], F.shape[0]
         r1 = w1 + E @ self.u1
         r2 = w2 + F @ self.u2
-        x1 = _kernel_solve(G @ H, self.u1, r1 + G @ r2, [E, G @ F, w1 + G @ w2])
-        x2 = _kernel_solve(H @ G, self.u2, r2 + H @ r1, [F, H @ E, w2 + H @ w1])
+        k1 = _offdiag_triplet(G @ H, self.u1, r1 + G @ r2)
+        x1 = gth_factorize(k1).solve(np.column_stack([E, G @ F, w1 + G @ w2]))
+        k2 = _offdiag_triplet(H @ G, self.u2, r2 + H @ r1)
+        x2 = gth_factorize(k2).solve(np.column_stack([F, H @ E, w2 + H @ w1]))
         self.quad = (
             E @ x1[:, :n],
             F @ x2[:, :m],

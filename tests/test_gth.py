@@ -156,10 +156,12 @@ class TestFactorization:
             gth_factorize(t, lower_bandwidth=-1, upper_bandwidth=0)
 
     def test_blocked_matches_sequential(self):
-        # above order 192 the dense path runs BLAS-3 panels; forcing full
-        # bandwidths selects the sequential reference loop.  The second
-        # order spans three full panels and a ragged one.
-        for n, seed in ((230, 25), (3 * _PANEL + _PANEL // 2 + 5, 30)):
+        # without bandwidths every order runs BLAS-3 panels; forcing full
+        # bandwidths selects the sequential reference loop.  Order 1 is a
+        # lone pivot, 20 and 100 are the orders of ADDA kernels, and the
+        # largest order spans three full panels and a ragged one.
+        orders = ((1, 26), (20, 27), (100, 28), (230, 25), (3 * _PANEL + _PANEL // 2 + 5, 30))
+        for n, seed in orders:
             rng = _rng(seed)
             N, u, v = random_triplet(rng, n, v_scale=1e-6, density=0.3)
             t = TripletRepresentation.from_parts(N, u, v)
@@ -183,8 +185,9 @@ class TestFactorization:
     def test_sign_violation_raises_under_optimize(self):
         # N changed after validation: U gains a positive entry below the
         # first pivot, so L would too.  The check must survive python -O,
-        # on the sequential (n = 5) and the panelled (n = 300) path.
-        for n in (5, 300):
+        # on one panel (n = 5), several panels (n = 300) and the windowed
+        # loop (n = 5 with full bandwidths).
+        for n, width in ((5, None), (300, None), (5, 4)):
             code = f"""
 import numpy as np
 from dadda.gth import NotMMatrixError, TripletRepresentation, gth_factorize
@@ -196,13 +199,13 @@ t = TripletRepresentation.from_parts(
 )
 t.N[{n} - 1, 0] = -0.5
 try:
-    gth_factorize(t)
+    gth_factorize(t, {width}, {width})
 except NotMMatrixError:
     raise SystemExit(0)
 raise SystemExit("factorization returned despite a positive off-diagonal entry")
 """
             proc = _run_optimized(code)
-            assert proc.returncode == 0, (n, proc.stderr)
+            assert proc.returncode == 0, (n, width, proc.stderr)
 
     def test_solver_sign_violation_raises_under_optimize(self):
         # a negative entry planted in the kernel solution X must stop the
