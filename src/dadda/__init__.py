@@ -30,7 +30,6 @@ from .solver import (
     SolveReport,
     StopCriteria,
     advance,
-    dual_kernel_triplet,
     erres,
     ererr,
     initialize,
@@ -59,7 +58,6 @@ __all__ = [
     "ValidationReport",
     "advance",
     "build_solver",
-    "dual_kernel_triplet",
     "erres",
     "ererr",
     "frobenius_norm",

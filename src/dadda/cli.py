@@ -281,9 +281,8 @@ def _verify_transport(n, seeds, failures):
 
 def _verify_gth(seed, failures):
     rng = np.random.Generator(np.random.Philox(seed))
-    # 20 small orders, each factored in one dense panel and again with full
-    # bandwidths (the windowed pivot loop of banded blocks), then two orders
-    # that run several panels (one of them with a ragged last panel)
+    # 20 small orders, each one panel, then two orders that run several
+    # panels (one of them with a ragged last panel)
     small = (int(rng.integers(2, 9)) for _ in range(20))
     for trial, k in enumerate(itertools.chain(small, (230, 837))):
         N = rng.uniform(size=(k, k))
@@ -293,19 +292,18 @@ def _verify_gth(seed, failures):
         trip = TripletRepresentation.from_parts(N, u, v)
         b = rng.uniform(size=k)
         M = trip.matrix()
-        for width in (None, k - 1) if trial < 20 else (None,):
-            name = f"gth trial {trial}" + ("" if width is None else " windowed")
-            with _invariants(name, failures):
-                fact = gth_factorize(trip, width, width)
-                for transpose in (False, True):
-                    x = fact.solve(b, transpose=transpose)
-                    side = "transposed " if transpose else ""
-                    if np.any(x < 0.0):
-                        failures.append(f"{name}: negative {side}solution for b >= 0")
-                    ref = np.linalg.solve(M.T if transpose else M, b)
-                    rel = float(np.max(np.abs(x - ref) / np.maximum(np.abs(ref), 1e-300)))
-                    if rel > 1e-12:
-                        failures.append(f"{name}: {side}relative error {rel:.3e}")
+        name = f"gth trial {trial}"
+        with _invariants(name, failures):
+            fact = gth_factorize(trip)
+            for transpose in (False, True):
+                x = fact.solve(b, transpose=transpose)
+                side = "transposed " if transpose else ""
+                if np.any(x < 0.0):
+                    failures.append(f"{name}: negative {side}solution for b >= 0")
+                ref = np.linalg.solve(M.T if transpose else M, b)
+                rel = float(np.max(np.abs(x - ref) / np.maximum(np.abs(ref), 1e-300)))
+                if rel > 1e-12:
+                    failures.append(f"{name}: {side}relative error {rel:.3e}")
 
 
 def cmd_verify(args) -> int:

@@ -22,9 +22,10 @@ sign argument.
 
 None of this depends on the order in which the nonnegative terms are
 summed, so the substitutions run as LAPACK triangular solves and every
-dense elimination as BLAS-3 panels (``trsm``, ``gemm``), changing results
-at rounding level only; banded ones keep a pivot loop over their band
-windows.  The sign invariants are explicit checks raising NotMMatrixError.
+elimination, dense or banded, as one BLAS-3 panel code (``trsm``,
+``gemm``) whose panel updates a band clips to its windows, changing
+results at rounding level only.  The sign invariants are explicit checks
+raising NotMMatrixError.
 
 For diag(d) - P R^T with skinny P, R >= 0 (the canonical low-rank form of
 :mod:`dadda.linalg`) the module provides a Sherman-Morrison-Woodbury path
@@ -181,50 +182,20 @@ def gth_factorize(
 ) -> GthFactorization:
     """GTH-like LU of the M-matrix behind ``t``, pivot-free.
 
-    Without bandwidths, every order runs the panels of
-    :func:`_factorize_dense_blocked`: each addition combines terms of one
-    sign, in any order, and L11, U11, the running v, L21, U12 and every
-    trailing slab are sign-checked, so the guarantee holds at any order.
-    Bandwidths select the pivot loop below, which cuts each pivot's row
-    and column to its band window; a banded M keeps its band in the
-    factors, for O(lower * upper * n).  Raises :class:`NotMMatrixError`
-    on a non-positive pivot or a broken sign invariant.
+    Every call runs the panels of :func:`_factorize_dense_blocked`: each
+    addition combines terms of one sign, in any order, and L11, U11, the
+    running v, L21, U12 and every trailing slab are sign-checked, so the
+    guarantee holds at any order.  Bandwidths (unset means n - 1) clip
+    each panel's work to its band windows; a banded M keeps its band in
+    the factors.  Raises :class:`NotMMatrixError` on a non-positive pivot
+    or a broken sign invariant.
     """
     n = t.n
-    if lower_bandwidth is None and upper_bandwidth is None:
-        return _factorize_dense_blocked(t)
-    # windowed loop; the same factors as the panels up to rounding
-    U = -t.N
-    L = np.eye(n)
-    u = t.u
-    v = t.v.copy()
     lw = n - 1 if lower_bandwidth is None else int(lower_bandwidth)
     uw = n - 1 if upper_bandwidth is None else int(upper_bandwidth)
     if lw < 0 or uw < 0:
         raise ValueError("bandwidths must be nonnegative")
-    for k in range(n):
-        hi = min(n, k + 1 + uw)
-        lo = min(n, k + 1 + lw)
-        row = U[k, k + 1 : hi]
-        pivot = (v[k] + ordered_dot(-row, u[k + 1 : hi])) / u[k]
-        if not (pivot > 0.0 and np.isfinite(pivot)):
-            raise NotMMatrixError(
-                f"not a nonsingular M-matrix (pivot {k} non-positive)"
-            )
-        U[k, k] = pivot
-        col = U[k + 1 : lo, k] / pivot
-        _check_sign(np.all(col <= 0.0), f"L column {k}")
-        L[k + 1 : lo, k] = col
-        U[k + 1 : lo, k] = 0.0
-        if row.size and col.size:
-            sub = U[k + 1 : lo, k + 1 : hi]
-            sub -= col[:, None] * row[None, :]
-            _check_sign(np.all(sub <= 0.0), "trailing block")
-            # the trailing diagonal stays implied by the running (u, v)
-            np.fill_diagonal(sub, 0.0)
-        v[k + 1 : lo] = v[k + 1 : lo] + v[k] * (-col)
-        _check_sign(np.all(v[k + 1 : lo] >= 0.0), "running v")
-    return GthFactorization(n=n, L=L, U=U)
+    return _factorize_dense_blocked(t, lw, uw)
 
 
 _PANEL = 128
@@ -233,8 +204,8 @@ _PANEL = 128
 _SLAB = 256
 
 
-def _factorize_dense_blocked(t: TripletRepresentation) -> GthFactorization:
-    """Dense GTH elimination in panels of _PANEL pivots, through BLAS-3.
+def _factorize_dense_blocked(t: TripletRepresentation, lw: int, uw: int) -> GthFactorization:
+    """GTH elimination in panels of _PANEL pivots, through BLAS-3.
 
     Only the panel's diagonal block is eliminated pivot by pivot.  Pivot k
     still comes from the triplet formula; the part of row k beyond the
@@ -249,11 +220,16 @@ def _factorize_dense_blocked(t: TripletRepresentation) -> GthFactorization:
     and A21, A12 <= 0, so each trsm sums nonpositive terms only; the gemm
     subtracts a nonnegative product from a nonpositive block.  Every
     addition thus combines terms of one sign, in whatever order BLAS
-    chooses: the elimination stays cancellation-free, the sign guarantees
-    hold exactly, and the factors differ from the sequential loop in
-    :func:`gth_factorize` (forced by explicit bandwidths) by rounding only.
-    Diagonal entries of the unreduced part are implied by (u, v), so they
-    are never read, only overwritten by their pivots.
+    chooses: the elimination stays cancellation-free and the sign
+    guarantees hold exactly.  Diagonal entries of the unreduced part are
+    implied by (u, v), so they are never read, only overwritten by their
+    pivots.
+
+    With lower and upper bandwidths lw, uw the row mass, L21, U12, the
+    running-v update and the trailing slabs are clipped to the rows
+    [pe, pe + lw) and the columns [pe, pe + uw): outside those windows a
+    banded M and its factors hold exact zeros, so the clipped work drops
+    zero terms only and the argument above is unchanged.
     """
     n = t.n
     U = -t.N
@@ -262,7 +238,8 @@ def _factorize_dense_blocked(t: TripletRepresentation) -> GthFactorization:
     v = t.v.copy()
     for p0 in range(0, n, _PANEL):
         pe = min(n, p0 + _PANEL)
-        s = -(U[p0:pe, pe:] @ u[pe:])
+        re, ce = min(n, pe + lw), min(n, pe + uw)
+        s = -(U[p0:pe, pe:ce] @ u[pe:ce])
         _check_sign(np.all(s >= 0.0), "carried row mass")
         D = U[p0:pe, p0:pe]
         for k in range(pe - p0):
@@ -283,22 +260,34 @@ def _factorize_dense_blocked(t: TripletRepresentation) -> GthFactorization:
         _check_sign(np.all(np.tril(L[p0:pe, p0:pe], -1) <= 0.0), "L11")
         _check_sign(np.all(np.triu(D, 1) <= 0.0), "U11")
         _check_sign(np.all(v[p0:pe] >= 0.0), "running v")
-        if pe == n:
-            break
-        L21 = _trsolve(D, U[pe:, p0:pe].T, lower=False, transpose=True).T
-        _check_sign(np.all(L21 <= 0.0), "L21")
-        U12 = _trsolve(L[p0:pe, p0:pe], U[p0:pe, pe:], lower=True, unit=True)
-        _check_sign(np.all(U12 <= 0.0), "U12")
-        L[pe:, p0:pe] = L21
-        U[pe:, p0:pe] = 0.0
-        U[p0:pe, pe:] = U12
-        v[pe:] -= L21 @ v[p0:pe]
-        _check_sign(np.all(v[pe:] >= 0.0), "running v")
-        for r0 in range(0, n - pe, _SLAB):
-            slab = U[pe + r0 : pe + r0 + _SLAB, pe:]
-            slab -= L21[r0 : r0 + _SLAB] @ U12
-            _check_sign(np.all(slab <= 0.0), "trailing block")
+        if re > pe:
+            L21 = _trsolve(D, U[pe:re, p0:pe].T, lower=False, transpose=True).T
+            _check_sign(np.all(L21 <= 0.0), "L21")
+            L[pe:re, p0:pe] = L21
+            U[pe:re, p0:pe] = 0.0
+            v[pe:re] -= L21 @ v[p0:pe]
+            _check_sign(np.all(v[pe:re] >= 0.0), "running v")
+        if ce > pe:
+            U12 = _trsolve(L[p0:pe, p0:pe], U[p0:pe, pe:ce], lower=True, unit=True)
+            _check_sign(np.all(U12 <= 0.0), "U12")
+            U[p0:pe, pe:ce] = U12
+            # no rows when lw = 0, and then no L21 is read
+            for r0 in range(pe, re, _SLAB):
+                slab = U[r0 : min(re, r0 + _SLAB), pe:ce]
+                slab -= L21[r0 - pe : r0 - pe + _SLAB] @ U12
+                _check_sign(np.all(slab <= 0.0), "trailing block")
     return GthFactorization(n=n, L=L, U=U)
+
+
+def _offdiag_triplet(N, u, v) -> TripletRepresentation:
+    """Triplet (offdiag(N), u, v), such as I - N's; zeroes N's diagonal in place.
+
+    The one builder of every triplet the solver factors: shifted blocks,
+    capacitance systems and the dADDA and ADDA kernels.  A negative
+    off-diagonal entry raises :class:`NotMMatrixError` in the triplet.
+    """
+    np.fill_diagonal(N, 0.0)
+    return TripletRepresentation.from_parts(N, u, v)
 
 
 def triplet_for_capacitance(d, P, R, u, v) -> TripletRepresentation:
@@ -318,12 +307,11 @@ def triplet_for_capacitance(d, P, R, u, v) -> TripletRepresentation:
     if np.any(P < 0.0) or np.any(R < 0.0):
         raise ValueError("capacitance triplet requires nonnegative factors")
     N = matmul(R.T, P / d[:, None])
-    np.fill_diagonal(N, 0.0)
     cap_u = matmul(R.T, u[:, None])[:, 0]
     if np.any(cap_u <= 0.0):
         raise NotMMatrixError("R^T u must be strictly positive")
     cap_v = matmul(R.T, (v / d)[:, None])[:, 0]
-    return TripletRepresentation.from_parts(N, cap_u, cap_v)
+    return _offdiag_triplet(N, cap_u, cap_v)
 
 
 class DiagonalSolver:
@@ -360,18 +348,6 @@ class DenseGthSolver:
 
     def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
         return self.factorization.solve(b, transpose=transpose)
-
-
-def _dense_gth(N, u, v, lower_bandwidth=None, upper_bandwidth=None) -> DenseGthSolver:
-    """:class:`DenseGthSolver` on (N, u, v); N's diagonal is overwritten with 0."""
-    np.fill_diagonal(N, 0.0)
-    if np.any(N < 0.0):
-        raise NotMMatrixError(
-            "not a nonsingular M-matrix (positive off-diagonal entry)"
-        )
-    return DenseGthSolver(
-        TripletRepresentation.from_parts(N, u, v), lower_bandwidth, upper_bandwidth
-    )
 
 
 class DiagLowRankSolver:
@@ -465,7 +441,9 @@ def build_solver(matrix, u, v):
     if matrix.kind == "banded":
         if matrix.lower == 0 and matrix.upper == 0:
             return DiagonalSolver(matrix.bands[0])
-        return _dense_gth(-matrix.to_dense(), u, v, matrix.lower, matrix.upper)
+        return DenseGthSolver(
+            _offdiag_triplet(-matrix.to_dense(), u, v), matrix.lower, matrix.upper
+        )
     if matrix.kind == "diag_plus_lowrank":
         if not matrix.offdiag_nonpositive():
             raise NotMMatrixError(
@@ -475,4 +453,4 @@ def build_solver(matrix, u, v):
             # a Z-pattern with sign +1: every pair sits on the diagonal
             return DiagonalSolver(matrix.diagonal())
         return DiagLowRankSolver(matrix.d, matrix.p, matrix.r, u, v)
-    return _dense_gth(-matrix.to_dense(), u, v)
+    return DenseGthSolver(_offdiag_triplet(-matrix.to_dense(), u, v))

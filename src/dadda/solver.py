@@ -77,7 +77,13 @@ import numpy as np
 import scipy.linalg
 
 from . import oracle
-from .gth import TripletRepresentation, _check_sign, build_solver, gth_factorize
+from .gth import (
+    TripletRepresentation,
+    _check_sign,
+    _offdiag_triplet,
+    build_solver,
+    gth_factorize,
+)
 from .linalg import frobenius_norm, matmul, max_entrywise_ratio
 from .problem import MareProblem, ShiftPair, make_shifts, shifted_parts
 
@@ -87,7 +93,6 @@ __all__ = [
     "SolveReport",
     "StopCriteria",
     "advance",
-    "dual_kernel_triplet",
     "erres",
     "ererr",
     "initialize",
@@ -168,7 +173,6 @@ class DaddaState:
     dinv_v1: np.ndarray
     ainv_v2: np.ndarray
     bru1: np.ndarray
-    cru2: np.ndarray
     X: np.ndarray | None = None
     _H: np.ndarray | None = field(default=None, repr=False)
 
@@ -226,9 +230,20 @@ class DaddaState:
         return rank_of_iterate(self)
 
     def dual(self) -> np.ndarray:
-        """The dual iterate G_k = gamma Wcheck (I - Z_k Y_k)^{-1} Vcheck^T."""
-        xg = gth_factorize(dual_kernel_triplet(self)).solve(self.Vcheck.T)
-        return self.shifts.gamma * matmul(self.Wcheck, xg)
+        """The dual iterate G_k = gamma Wcheck (I - Z_k Y_k)^{-1} Vcheck^T.
+
+        Taken from the primal kernel by the push-through identity
+        (I - Z Y)^{-1} = I + Z (I - Y Z)^{-1} Y:
+
+            G_k = gamma (Wcheck Vcheck^T + (Wcheck Z) (I - Y Z)^{-1} (Y Vcheck^T)),
+
+        every product of nonnegative factors and the one solve a GTH solve
+        with a nonnegative right-hand side.
+        """
+        vt = self.Vcheck.T
+        x = gth_factorize(kernel_triplet(self)).solve(matmul(self.Y, vt))
+        w = self.Wcheck
+        return self.shifts.gamma * (matmul(w, vt) + matmul(matmul(w, self.Z), x))
 
 
 _GRAM_DOT_MIN = 192
@@ -273,28 +288,13 @@ def _refresh_kernel(state: DaddaState) -> None:
     _check_sign(np.all(state.X >= 0.0), "kernel solution X")
 
 
-def _offdiag_triplet(N, u, v) -> TripletRepresentation:
-    """Triplet (offdiag(N), u, v), such as I - N's; zeroes N's diagonal in place."""
-    np.fill_diagonal(N, 0.0)
-    return TripletRepresentation.from_parts(N, u, v)
-
-
-def _kernel_from(y, z, u_side, image_y, image_z, k) -> TripletRepresentation:
-    """Triplet (offdiag(y z), u_side tiled 2^k times, image_y + y image_z) of I - y z."""
-    v = image_y + matmul(y, image_z[:, None])[:, 0]
-    return _offdiag_triplet(_gram(y, z), np.tile(u_side, 2**k), v)
-
-
 def kernel_triplet(state: DaddaState) -> TripletRepresentation:
-    """Triplet of I - Y_k Z_k (assembled additively, never by subtraction)."""
-    return _kernel_from(state.Y, state.Z, state.bru1, state.v1k, state.v2k, state.k)
+    """Triplet (offdiag(Y Z), Br^T u1 tiled 2^k times, v1k + Y v2k) of I - Y_k Z_k.
 
-
-def dual_kernel_triplet(state: DaddaState) -> TripletRepresentation:
-    """Triplet of I - Z_k Y_k, for the dual iterate G_k."""
-    if np.any(state.cru2 <= 0.0):
-        raise ValueError("dual kernel requires Cr^T u2 > 0 strictly")
-    return _kernel_from(state.Z, state.Y, state.cru2, state.v2k, state.v1k, state.k)
+    Assembled additively, never by subtraction.
+    """
+    v = state.v1k + matmul(state.Y, state.v2k[:, None])[:, 0]
+    return _offdiag_triplet(_gram(state.Y, state.Z), np.tile(state.bru1, 2**state.k), v)
 
 
 def initialize(prob: MareProblem, shifts: ShiftPair | None = None) -> DaddaState:
@@ -313,7 +313,6 @@ def initialize(prob: MareProblem, shifts: ShiftPair | None = None) -> DaddaState
         _check_sign(np.all(blk >= 0.0), "k = 0 factor block")
 
     bru1 = matmul(prob.Br.T, prob.u1[:, None])[:, 0]
-    cru2 = matmul(prob.Cr.T, prob.u2[:, None])[:, 0]
     if np.any(bru1 <= 0.0):
         raise ValueError("Br^T u1 must be strictly positive (kernel u-side)")
 
@@ -334,7 +333,6 @@ def initialize(prob: MareProblem, shifts: ShiftPair | None = None) -> DaddaState
         dinv_v1=solver_d.solve(prob.v1),
         ainv_v2=solver_a.solve(prob.v2),
         bru1=bru1,
-        cru2=cru2,
     )
     _refresh_kernel(state)
     return state

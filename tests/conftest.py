@@ -42,6 +42,29 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def sequential_gth(N, u, v):
+    """Textbook GTH elimination, one pivot at a time: (L, U) with M = L U.
+
+    Pivot k is (v_k + sum_{j>k} (-U_kj) u_j) / u_k, the Schur update
+    subtracts a product of two nonpositive numbers, and the running v
+    gains v_k (-L_ik); the unreduced diagonal is implied by (u, v) and
+    never read.  The reference for the panel code of dadda.gth.
+    """
+    order = len(u)
+    U = -np.array(N, dtype=np.float64)
+    L = np.eye(order)
+    v = np.array(v, dtype=np.float64)
+    for k in range(order):
+        row = U[k, k + 1 :]
+        U[k, k] = (v[k] - row @ u[k + 1 :]) / u[k]
+        col = U[k + 1 :, k] / U[k, k]
+        L[k + 1 :, k] = col
+        U[k + 1 :, k] = 0.0
+        U[k + 1 :, k + 1 :] -= np.outer(col, row)
+        v[k + 1 :] -= col * v[k]
+    return L, U
+
+
 def random_triplet(rng, order, v_scale=1.0, density=1.0):
     """Random valid M-matrix triplet (N, u, v) of the given order."""
     N = rng.uniform(size=(order, order))

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
-from conftest import _run_optimized, fraction_solve, random_triplet
+from conftest import _run_optimized, fraction_solve, random_triplet, sequential_gth
 from dadda.gth import (
     _PANEL,
     DenseGthSolver,
     DiagLowRankSolver,
     DiagonalSolver,
+    GthFactorization,
     NotMMatrixError,
     TripletRepresentation,
     build_solver,
@@ -156,48 +158,51 @@ class TestFactorization:
             gth_factorize(t, lower_bandwidth=-1, upper_bandwidth=0)
 
     def test_blocked_matches_sequential(self):
-        # without bandwidths every order runs BLAS-3 panels; forcing full
-        # bandwidths selects the sequential reference loop.  Order 1 is a
+        # the BLAS-3 panels against the textbook pivot loop of conftest,
+        # whose solves are plain triangular substitutions.  Order 1 is a
         # lone pivot, 20 and 100 are the orders of ADDA kernels, and the
         # largest order spans three full panels and a ragged one.
         orders = ((1, 26), (20, 27), (100, 28), (230, 25), (3 * _PANEL + _PANEL // 2 + 5, 30))
         for n, seed in orders:
             rng = _rng(seed)
             N, u, v = random_triplet(rng, n, v_scale=1e-6, density=0.3)
-            t = TripletRepresentation.from_parts(N, u, v)
-            blocked = gth_factorize(t)
-            seq = gth_factorize(t, lower_bandwidth=n - 1, upper_bandwidth=n - 1)
+            blocked = gth_factorize(TripletRepresentation.from_parts(N, u, v))
+            L, U = sequential_gth(N, u, v)
             _sign_ok(blocked)
-            _sign_ok(seq)
-            scale = np.abs(seq.U).max()
-            assert np.abs(blocked.U - seq.U).max() <= 1e-13 * scale
-            assert np.abs(blocked.L - seq.L).max() <= 1e-13
+            _sign_ok(GthFactorization(n=n, L=L, U=U))
+            scale = np.abs(U).max()
+            assert np.abs(blocked.U - U).max() <= 1e-13 * scale
+            assert np.abs(blocked.L - L).max() <= 1e-13
             b = rng.uniform(size=n)
             xb = blocked.solve(b)
-            xs = seq.solve(b)
+            xs = solve_triangular(U, solve_triangular(L, b, lower=True, unit_diagonal=True))
             assert np.abs(xb - xs).max() <= 1e-13 * np.abs(xs).max()
             assert np.all(xb >= 0.0)
             xbt = blocked.solve(b, transpose=True)
-            xst = seq.solve(b, transpose=True)
+            xst = solve_triangular(
+                L, solve_triangular(U, b, trans="T"), trans="T", lower=True, unit_diagonal=True
+            )
             assert np.abs(xbt - xst).max() <= 1e-13 * np.abs(xst).max()
             assert np.all(xbt >= 0.0)
 
     def test_sign_violation_raises_under_optimize(self):
-        # N changed after validation: U gains a positive entry below the
-        # first pivot, so L would too.  The check must survive python -O,
-        # on one panel (n = 5), several panels (n = 300) and the windowed
-        # loop (n = 5 with full bandwidths).
-        for n, width in ((5, None), (300, None), (5, 4)):
+        # N changed after validation: U gains a positive entry below a
+        # pivot, so L would too.  The check must survive python -O, on one
+        # panel (n = 5), several panels (n = 300) and a tridiagonal band
+        # whose planted entry lies in L21, across the first panel boundary.
+        for n, width, (i, j) in ((5, None, (4, 0)), (300, None, (299, 0)), (300, 1, (128, 127))):
             code = f"""
 import numpy as np
 from dadda.gth import NotMMatrixError, TripletRepresentation, gth_factorize
 rng = np.random.Generator(np.random.Philox(31))
 N = rng.uniform(size=({n}, {n}))
+if {width} is not None:
+    N = np.triu(np.tril(N, {width}), -{width})
 np.fill_diagonal(N, 0.0)
 t = TripletRepresentation.from_parts(
     N, rng.uniform(0.5, 1.5, size={n}), rng.uniform(0.1, 1.0, size={n})
 )
-t.N[{n} - 1, 0] = -0.5
+t.N[{i}, {j}] = -0.5
 try:
     gth_factorize(t, {width}, {width})
 except NotMMatrixError:
