@@ -6,10 +6,13 @@ results and nonnegative inputs cannot pick up sign noise from reordered
 partial sums.  numpy applies pairwise summation only when reducing along a
 contiguous innermost axis; a reduction over axis 0 of a C-contiguous array
 whose trailing width is at least 2 is a plain sequential strided loop.
-``_reduce_ascending`` funnels every sum through that code path (width-1
-stacks are zero-padded to width 2) and the behaviour is probed once at
-import time, dropping to an explicit python loop if a numpy build ever
-changes it.
+``_reduce_ascending`` funnels every array of sums through that code path
+(width-1 stacks are zero-padded to width 2) and the behaviour is probed
+once at import time, dropping to an explicit python loop if a numpy build
+ever changes it.  Scalar sums (``ordered_sum``, ``ordered_dot``,
+``frobenius_norm``) stream fixed-size chunks through ``np.add.accumulate``,
+a running sum and so sequential by definition, without copying their
+operands.
 
 Square coefficient matrices come in three structured kinds:
 
@@ -89,10 +92,42 @@ def _reduce_ascending(stack: np.ndarray) -> np.ndarray:
     return out.reshape(tail)
 
 
+# Scalar sums stream their terms through one buffer of this many floats.
+_SUM_CHUNK = 1 << 16
+
+
+def _running_total(x: np.ndarray, y: np.ndarray | None = None) -> float:
+    """sum_i x_i (or sum_i x_i * y_i) of flat arrays, accumulated ascending.
+
+    The terms are formed chunk by chunk in one buffer, each chunk behind
+    the running total, and summed by ``np.add.accumulate``: a running sum,
+    strictly sequential by definition.  So the result is bitwise the
+    left-to-right loop (the first term starts it, as in ``np.add.reduce``)
+    and no copy of the operands is made.
+    """
+    size = x.size
+    if size == 0:
+        return 0.0
+    buf = np.empty(min(size, _SUM_CHUNK) + 1)
+    total = None
+    for c0 in range(0, size, _SUM_CHUNK):
+        c1 = min(size, c0 + _SUM_CHUNK)
+        terms = buf[1 : c1 - c0 + 1]
+        if y is None:
+            terms[...] = x[c0:c1]
+        else:
+            np.multiply(x[c0:c1], y[c0:c1], out=terms)
+        run = terms
+        if total is not None:
+            buf[0] = total
+            run = buf[: c1 - c0 + 1]
+        total = np.add.accumulate(run, out=run)[-1]
+    return float(total)
+
+
 def ordered_sum(x: np.ndarray) -> float:
     """Sum of all entries in C order, accumulated ascending."""
-    flat = np.ascontiguousarray(x, dtype=np.float64).reshape(-1, 1)
-    return float(_reduce_ascending(flat)[0])
+    return _running_total(np.ravel(np.asarray(x, dtype=np.float64)))
 
 
 def ordered_dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -101,7 +136,7 @@ def ordered_dot(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.shape != y.shape:
         raise ValueError(f"length mismatch {x.shape} vs {y.shape}")
-    return ordered_sum(x * y)
+    return _running_total(x, y)
 
 
 # Slab sizing: small results go through chunked stacked reductions, large
@@ -149,11 +184,35 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _panel_tmatmul(f: np.ndarray, x: np.ndarray, rows: int) -> np.ndarray:
+    """f^T x, bitwise equal to ``matmul(f.T, x)``, in O(rows * w * cols) memory.
+
+    Row panels of f (m x w) and x (m x cols) are chained through a carried
+    accumulator the way ``matmul``'s small-result path chains its chunks:
+    each panel's products sit behind the running sums in one stack that is
+    reduced in ascending order, so every entry is the ascending loop over
+    all m rows.
+    """
+    m, w = f.shape
+    acc = np.zeros((w, x.shape[1]))
+    buf = np.empty((min(rows, m) + 1,) + acc.shape)
+    for i0 in range(0, m, rows):
+        i1 = min(m, i0 + rows)
+        stack = buf[: i1 - i0 + 1]
+        stack[0] = acc
+        np.multiply(f[i0:i1, :, None], x[i0:i1, None, :], out=stack[1:])
+        acc = _reduce_ascending(stack)
+    return acc
+
+
 def frobenius_norm(a: np.ndarray) -> float:
-    """Frobenius norm, squares summed ascending in C order."""
-    a = np.asarray(a, dtype=np.float64)
-    flat = a.ravel()
-    return float(np.sqrt(ordered_sum(flat * flat)))
+    """Frobenius norm, squares summed ascending in C order.
+
+    The squares are formed chunk by chunk (see ``_running_total``), so a
+    C-contiguous operand is never copied.
+    """
+    flat = np.ravel(np.asarray(a, dtype=np.float64))
+    return float(np.sqrt(_running_total(flat, flat)))
 
 
 def max_entrywise_ratio(num: np.ndarray, den: np.ndarray) -> float:
@@ -423,9 +482,11 @@ class StructuredSquare:
 
         ``side="left"`` computes N @ x, ``side="right"`` computes x @ N as
         (N^T @ x.T).T: the operand check and the band product run on x.T,
-        while the dense and low-rank products keep x's row form.  Used by
-        the entrywise residual, where the off-diagonal mass enters the
-        nonnegative group.
+        while the dense and low-rank products keep x's row form.  The
+        entrywise residual, where the off-diagonal mass enters the
+        nonnegative group, takes the right side one row panel at a time
+        (each row of x @ N needs that row of x only) and the left side
+        from :meth:`offdiag_abs_row_panels`.
         """
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
@@ -449,3 +510,41 @@ class StructuredSquare:
                 out = (-self.sign * (lr - cols.T * rowdot[None, :])).T
         out = out[:, 0] if squeeze else out
         return out if left else out.T
+
+    def offdiag_abs_row_panels(self, x: np.ndarray, rows: int):
+        """Yield N @ x (N = diag(M) - M) in row panels of height ``rows``.
+
+        Each panel is bitwise equal to the same rows of
+        ``offdiag_abs_apply(x)``, and no (n, cols) array is made: a banded
+        panel is the band product over the window of x that its rows reach,
+        a dense panel multiplies the rows of N, and a low-rank panel
+        multiplies rows of P by R^T x, which :func:`_panel_tmatmul` streams
+        before the first panel.
+        """
+        x, _ = _column_form(x, self.n)
+        n = self.n
+        if self.kind == "banded":
+            neg = {off: -vals for off, vals in self.bands.items() if off != 0}
+        elif self.kind == "diag_plus_lowrank":
+            rtx = _panel_tmatmul(self.r, x, rows)
+        for i0 in range(0, n, rows):
+            i1 = min(n, i0 + rows)
+            if self.kind == "banded":
+                # rows [i0, i1) read x rows [i0 - lower, i1 + upper), and the
+                # window's band o holds the entries of rows [w0, w1 - |o|)
+                w0, w1 = max(0, i0 - self.lower), min(n, i1 + self.upper)
+                window = {
+                    off: vals[w0 : w1 - abs(off)]
+                    for off, vals in neg.items()
+                    if abs(off) < w1 - w0
+                }
+                yield _band_apply(window, x[w0:w1], transpose=False)[i0 - w0 : i1 - w0]
+            elif self.kind == "dense":
+                nrows = np.zeros((i1 - i0, n))
+                idx = np.arange(i0, i1)
+                nrows[idx - i0, idx] = self.a[idx, idx]
+                yield matmul(np.subtract(nrows, self.a[i0:i1], out=nrows), x)
+            else:
+                p = self.p[i0:i1]
+                rowdot = _reduce_ascending((p * self.r[i0:i1]).T)
+                yield -self.sign * (matmul(p, rtx) - rowdot[:, None] * x[i0:i1])

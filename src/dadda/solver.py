@@ -66,6 +66,14 @@ with a nonnegative right-hand side, so each operation adds nonnegative
 terms only.  That holds in any summation order, so the products run
 through BLAS: the quadruple stays exactly nonnegative and its entries
 keep their componentwise accuracy.
+
+The entrywise residual :func:`erres` runs over row panels of H, top to
+bottom, after one streamed pass for the column reductions Cr^T H (and
+R_A^T H).  Both of its groups are sums of nonnegative terms, and each
+entry is formed by the same operations in the same order as over the
+whole matrix (ordered products are the ascending loop for any blocking),
+so the criterion is bitwise equal to the unpanelled one while it holds
+O(panel * n) memory instead of several m x n temporaries.
 """
 
 from __future__ import annotations
@@ -84,7 +92,13 @@ from .gth import (
     build_solver,
     gth_factorize,
 )
-from .linalg import frobenius_norm, matmul, max_entrywise_ratio
+from .linalg import (
+    _SLAB_FLOATS,
+    _panel_tmatmul,
+    frobenius_norm,
+    matmul,
+    max_entrywise_ratio,
+)
 from .problem import MareProblem, ShiftPair, make_shifts, shifted_parts
 
 __all__ = [
@@ -382,15 +396,43 @@ def erres(prob: MareProblem, H: np.ndarray) -> float:
     terms: |(HCH + N_A H + H N_D + B) - (diag(A) H + H diag(D))| over
     diag(A) H + H diag(D), maximized entrywise with 0/0 -> 0 and
     x/0 -> +inf.
+
+    Evaluated in row panels of H, max(8, 2^15 // n) rows high, so no m x n
+    temporary is made.  A first pass streams the column reductions Cr^T H
+    (and R_A^T H for a low-rank A) over the panels with a carried ascending
+    accumulator; the second forms both groups panel by panel, top to
+    bottom.  Every product is the ascending loop for any blocking, the band
+    products add offsets in ascending order and the elementwise steps are
+    those of the whole matrix, so each entry of both groups, and hence the
+    value, is bitwise equal to the unpanelled evaluation.  Any x/0 decides
+    the value (+inf), as over the whole matrix; otherwise the panel maxima
+    combine by ``np.max``, which keeps a NaN.
     """
-    hcl = matmul(H, prob.Cl)
-    crth = matmul(prob.Cr.T, H)
-    group1 = matmul(hcl, crth)
-    group1 += prob.A.offdiag_abs_apply(H, side="left")
-    group1 += prob.D.offdiag_abs_apply(H, side="right")
-    group1 += matmul(prob.Bl, prob.Br.T)
-    group2 = prob.A.diagonal()[:, None] * H + H * prob.D.diagonal()[None, :]
-    return max_entrywise_ratio(np.abs(group1 - group2), group2)
+    A, D = prob.A, prob.D
+    H = np.asarray(H, dtype=np.float64)
+    m, n = A.n, D.n
+    if H.shape != (m, n):
+        raise ValueError(f"iterate must have shape {(m, n)}, got {H.shape}")
+    # panels as high as the output slabs of linalg.matmul
+    rows = max(8, _SLAB_FLOATS // max(n, 1))
+    crth = _panel_tmatmul(prob.Cr, H, rows)
+    diag_a, diag_d = A.diagonal(), D.diagonal()
+    maxima = []
+    for i0, offdiag_a in zip(range(0, m, rows), A.offdiag_abs_row_panels(H, rows)):
+        i1 = min(m, i0 + rows)
+        panel = H[i0:i1]
+        group1 = matmul(matmul(panel, prob.Cl), crth)
+        group1 += offdiag_a
+        group1 += D.offdiag_abs_apply(panel, side="right")
+        group1 += matmul(prob.Bl[i0:i1], prob.Br.T)
+        group2 = diag_a[i0:i1, None] * panel + panel * diag_d[None, :]
+        num = np.abs(np.subtract(group1, group2, out=group1), out=group1)
+        value = max_entrywise_ratio(num, group2)
+        # an x/0 decides at once; a quotient that overflowed to +inf does not
+        if value == np.inf and np.any((group2 == 0.0) & (num != 0.0)):
+            return value
+        maxima.append(value)
+    return float(np.max(maxima)) if maxima else 0.0
 
 
 def normalized_residual(prob: MareProblem, H: np.ndarray) -> float:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 import dadda
-from dadda.linalg import StructuredSquare, matmul
+from dadda.linalg import StructuredSquare, matmul, max_entrywise_ratio
 from dadda.problem import MareProblem
 
 
@@ -40,6 +40,22 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc = acc + a[i, t] * b[t, j]
             out[i, j] = acc
     return out
+
+
+def dense_erres(prob, H):
+    """The entrywise relative residual over the whole m x n matrix at once.
+
+    The unpanelled form of ``solver.erres``, built from public methods
+    only: each group is formed in full, then maximized entrywise.
+    """
+    group1 = (
+        matmul(matmul(H, prob.Cl), matmul(prob.Cr.T, H))
+        + prob.A.offdiag_abs_apply(H, side="left")
+        + prob.D.offdiag_abs_apply(H, side="right")
+        + matmul(prob.Bl, prob.Br.T)
+    )
+    group2 = prob.A.diagonal()[:, None] * H + H * prob.D.diagonal()[None, :]
+    return max_entrywise_ratio(np.abs(group1 - group2), group2)
 
 
 def sequential_gth(N, u, v):

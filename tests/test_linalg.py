@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import naive_matmul
 from dadda.linalg import (
+    _SUM_CHUNK,
     StructuredSquare,
+    _panel_tmatmul,
     _reduce_ascending,
     frobenius_norm,
     matmul,
@@ -56,6 +58,22 @@ class TestReduceAscending:
             )
             assert ordered_sum(xs) >= xs.max()
 
+    def test_chunked_sums_are_the_sequential_loop(self):
+        # the 1e16 staircase of _probe_ascending_reduce: every later term is
+        # rounded into the running total, so any other order, or a chunk
+        # summed apart from the total, gives a different float
+        c = _SUM_CHUNK
+        for size in (0, 1, c - 1, c, c + 1, 3 * c + 5):
+            x = np.linspace(1.0, 3.0, size)
+            x[:1] = 1e16
+            acc = sq = 0.0
+            for v in x.tolist():
+                acc = acc + v
+                sq = sq + v * v
+            assert ordered_sum(x) == acc
+            assert ordered_dot(x, x) == sq
+            assert frobenius_norm(x.reshape(1, -1)) == np.sqrt(sq)
+
     def test_ordered_dot(self):
         x = np.array([1.0, 2.0, 3.0])
         y = np.array([4.0, 5.0, 6.0])
@@ -95,6 +113,15 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             matmul(np.zeros((2, 3)), np.zeros((4, 2)))
+
+    def test_panel_tmatmul_bitwise(self):
+        # the carried accumulator against one matmul, including width 0,
+        # a single column and panels taller than the operand
+        rng = _rng(14)
+        for m, w, n, rows in [(37, 2, 65, 8), (37, 0, 5, 8), (9, 1, 1, 4), (5, 3, 70, 16)]:
+            f = rng.standard_normal((m, w))
+            x = rng.standard_normal((m, n))
+            assert np.array_equal(_panel_tmatmul(f, x, rows), matmul(f.T, x))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -211,6 +238,20 @@ class TestStructuredSquare:
             for side in ("left", "right"):
                 with pytest.raises(ValueError):
                     s.offdiag_abs_apply(np.ones((6, 6, 6)), side=side)
+
+    def test_offdiag_abs_row_panels_bitwise(self):
+        # the row panels stacked are the whole product, bit for bit
+        rng = _rng(15)
+        sign_plus = StructuredSquare.diag_plus_lowrank(
+            np.ones(6), rng.uniform(size=(6, 2)), rng.uniform(size=(6, 2)), sign=1
+        )
+        for s in self._cases(rng) + [sign_plus]:
+            x = rng.standard_normal((6, 5))
+            whole = s.offdiag_abs_apply(x, side="left")
+            for rows in (1, 2, 4, 6, 8):
+                panels = list(s.offdiag_abs_row_panels(x, rows))
+                assert len(panels) == -(-6 // rows)
+                assert np.array_equal(np.concatenate(panels), whole), (s.kind, rows)
 
     def test_sign_safe_apply_exact_nonneg(self):
         # stored diagonal negative, true diagonal nonnegative: the apply

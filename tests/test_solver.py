@@ -1,15 +1,16 @@
 """Decoupled doubling iteration: iterates, kernels, residuals, stopping."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import _run_optimized, naive_matmul, random_mare
+from conftest import _banded_from_dense, _run_optimized, dense_erres, naive_matmul, random_mare
 from dadda import oracle
 from dadda.benchgen import gen_fluid, gen_transport
-from dadda.linalg import StructuredSquare
-from dadda.problem import ShiftPair, make_shifts
+from dadda.linalg import StructuredSquare, frobenius_norm
+from dadda.problem import MareProblem, ShiftPair, make_shifts
 from dadda.solver import (
     StopCriteria,
     _TripletAdda,
@@ -231,6 +232,117 @@ class TestResiduals:
         assert ererr(np.array([[2.0, 0.0]]), x_true) == 1.0
         with pytest.raises(ValueError):
             ererr(np.zeros((2, 2)), x_true)
+
+
+def _blocks(rng, order, lower, upper):
+    """One coefficient block per kind: banded (lower, upper), low-rank of
+    either sign, and dense up to order 1024."""
+    diag = rng.uniform(1.0, 2.0, size=order)
+    p, r = rng.uniform(size=(order, 2)), rng.uniform(size=(order, 2))
+    bands = {o: -rng.uniform(size=order - abs(o)) for o in range(-lower, upper + 1)}
+    bands[0] = diag
+    out = [
+        StructuredSquare.banded(order, lower, upper, bands),
+        StructuredSquare.diag_plus_lowrank(diag, p, r, sign=-1),
+        StructuredSquare.diag_plus_lowrank(diag, p, r, sign=1),
+    ]
+    if order <= 1024:
+        out.append(StructuredSquare.dense(np.diag(diag) - rng.uniform(size=(order, order))))
+    return out
+
+
+def _edge_banded(order, lower, upper, rows):
+    """Banded (lower, upper) block whose off-diagonal entries all couple two
+    rows on either side of a panel edge."""
+    a = np.diag(np.linspace(1.0, 2.0, order))
+    for edge in range(rows, order, rows):
+        for i in range(max(0, edge - upper), min(order, edge + lower)):
+            for j in range(max(0, i - lower), min(order, i + upper + 1)):
+                if (i < edge) != (j < edge):
+                    a[i, j] = -1.0 - 0.1 * i
+    return _banded_from_dense(a, lower, upper)
+
+
+def _problem(rng, A, D, q=2):
+    m, n = A.n, D.n
+    return MareProblem(
+        A=A, D=D,
+        Bl=rng.uniform(size=(m, 1)), Br=rng.uniform(size=(n, 1)),
+        Cl=rng.uniform(size=(n, q)), Cr=rng.uniform(size=(m, q)),
+        u1=np.ones(n), u2=np.ones(m), v1=np.zeros(n), v2=np.zeros(m),
+    )
+
+
+class TestErresPanels:
+    @pytest.mark.parametrize("m, n", [(21, 4096), (300, 256)])
+    def test_bitwise_equal_to_the_whole_matrix(self, m, n):
+        # several panels and a short last one, for every kind of A and D;
+        # scaling one edge row of H down puts the maximum in that row (the
+        # ordered dense products are slow, so dense blocks skip that scan)
+        rng = np.random.Generator(np.random.Philox(m))
+        rows = max(8, 2**15 // n)
+        assert rows < m and m % rows
+        a_blocks = _blocks(rng, m, 2, 1) + [_edge_banded(m, 2, 1, rows)]
+        H = rng.uniform(0.5, 1.5, size=(m, n))
+        edges = sorted({i for i0 in range(0, m, rows) for i in (i0, min(m, i0 + rows) - 1)})
+        for A in a_blocks:
+            for D in _blocks(rng, n, 1, 2):
+                prob = _problem(rng, A, D)
+                assert erres(prob, H) == dense_erres(prob, H)
+                for i in edges if "dense" not in (A.kind, D.kind) else ():
+                    Hi = H.copy()
+                    Hi[i] *= 1e-6
+                    assert erres(prob, Hi) == dense_erres(prob, Hi), (A.kind, D.kind, i)
+
+    def _middle(self):
+        rng = np.random.Generator(np.random.Philox(7))
+        A, D = _blocks(rng, 21, 2, 1)[0], _blocks(rng, 4096, 1, 2)[1]
+        # no C term, so a NaN stays in the panel of its row
+        return _problem(rng, A, D, q=0), rng.uniform(size=(21, 4096)), 10
+
+    def test_zero_denominator_in_a_middle_panel(self):
+        prob, H, i = self._middle()
+        assert np.isfinite(erres(prob, H))
+        H[i, 5] = 0.0
+        assert erres(prob, H) == dense_erres(prob, H) == np.inf
+
+    def test_nan_in_one_panel(self):
+        prob, H, i = self._middle()
+        H[i, 5] = np.nan
+        assert np.isnan(dense_erres(prob, H))
+        assert np.isnan(erres(prob, H))
+        # a panel maximum that overflows to +inf is no x/0: the NaN still wins
+        H[2, 3] = 5e-324
+        with np.errstate(over="ignore"):
+            assert np.isnan(dense_erres(prob, H))
+            assert np.isnan(erres(prob, H))
+            H[i, 5] = 1.0
+            assert erres(prob, H) == dense_erres(prob, H) == np.inf
+
+    def test_zero_over_zero_is_zero(self):
+        prob, H, i = self._middle()
+        prob.Bl[:] = 0.0
+        assert erres(prob, np.zeros_like(H)) == 0.0
+        # a zero row of H and B with no coupling into it: 0/0 there
+        prob.A = StructuredSquare.banded(21, 0, 0, {0: prob.A.diagonal()})
+        prob.Bl[:] = 1.0
+        prob.Bl[i] = 0.0
+        H[i] = 0.0
+        assert np.isfinite(erres(prob, H))
+        assert erres(prob, H) == dense_erres(prob, H)
+
+    def test_memory_stays_within_panels(self):
+        prob, _ = gen_fluid(4096, 1024)
+        H = _run_state(prob, make_shifts(prob), 2).H
+        for call, bound in ((erres, H.nbytes / 4), (frobenius_norm, 1 << 20)):
+            args = (prob, H) if call is erres else (H,)
+            tracemalloc.start()
+            try:
+                call(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (call.__name__, peak)
 
 
 class TestSolveLoop:
