@@ -172,7 +172,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             stack = np.concatenate([out[None, :, :], slab], axis=0)
             out = _reduce_ascending(stack)
         return out
-    rows = max(8, _SLAB_FLOATS // n)
+    rows = _panel_rows(n)
     tmp = np.empty((min(rows, m), n))
     for i0 in range(0, m, rows):
         i1 = min(m, i0 + rows)
@@ -205,6 +205,47 @@ def _panel_tmatmul(f: np.ndarray, x: np.ndarray, rows: int) -> np.ndarray:
     return acc
 
 
+# The transposed pass of _skinny_matmul runs its inner loops over a block's
+# rows; blocks of 32 keep them long and the block's columns cache resident
+# (measured on n = 800 to 7200).
+_SKINNY_ROWS = 32
+
+
+def _skinny_matmul(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """x @ f for a skinny f, each entry the ascending loop from its first term on.
+
+    One transposed pass over row blocks of x writes every product
+    x_ik f_kt of a block with k outermost, and ``_reduce_ascending`` sums
+    over k.  ``matmul`` would start each sum from 0.0, which can change
+    only the sign of a zero result.
+    """
+    m, (k, w) = x.shape[0], f.shape
+    out = np.empty((m, w))
+    stack = np.empty(k * w * min(m, _SKINNY_ROWS))
+    for i0 in range(0, m, _SKINNY_ROWS):
+        block = x[i0 : i0 + _SKINNY_ROWS]
+        terms = stack[: k * w * len(block)].reshape(k, w, len(block))
+        np.multiply(f[:, :, None], block.T[:, None, :], out=terms)
+        out[i0 : i0 + len(block)] = _reduce_ascending(terms).T
+    return out
+
+
+def _outer_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """a @ b written to ``out`` as outer products in ascending inner index.
+
+    Each entry is ``matmul``'s ascending loop from its first term on, so it
+    differs from ``matmul(a, b)`` at most in the sign of a zero.  ``tmp`` is
+    scratch of out's shape.
+    """
+    if a.shape[1] == 0:
+        out.fill(0.0)
+        return out
+    np.multiply(a[:, :1], b[:1], out=out)
+    for t in range(1, a.shape[1]):
+        out += np.multiply(a[:, t : t + 1], b[t : t + 1], out=tmp)
+    return out
+
+
 def frobenius_norm(a: np.ndarray) -> float:
     """Frobenius norm, squares summed ascending in C order.
 
@@ -216,19 +257,53 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 
 def max_entrywise_ratio(num: np.ndarray, den: np.ndarray) -> float:
-    """max over entries of num/den with 0/0 -> 0 and x/0 -> +inf (x > 0)."""
+    """max over entries of num/den with 0/0 -> 0 and x/0 -> +inf (x != 0)."""
     num = np.asarray(num, dtype=np.float64)
     den = np.asarray(den, dtype=np.float64)
     if num.shape != den.shape:
         raise ValueError("shape mismatch")
-    if num.size == 0:
-        return 0.0
-    zero_den = den == 0.0
-    if np.any(zero_den & (num != 0.0)):
-        return float("inf")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(zero_den, 0.0, num / np.where(zero_den, 1.0, den))
-    return float(np.max(ratio))
+    return _panel_ratio_max([(num, den)])
+
+
+def _panel_ratio_max(panels) -> float:
+    """:func:`max_entrywise_ratio` of the arrays that the (num, den) panels stack to.
+
+    The value is bitwise the one over the whole arrays.  A panel whose den
+    has no zero takes one division and one max; otherwise 0/0 entries count
+    0 through ``np.where``.  An x/0 in any panel decides the value (+inf) at
+    once, as over the whole arrays, while a quotient that overflowed to
+    +inf does not: the panel maxima combine by ``np.max``, which keeps a NaN.
+    """
+    maxima = []
+    for num, den in panels:
+        if num.size == 0:
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if den.all():
+                maxima.append(np.max(num / den))
+                continue
+            zero_den = den == 0.0
+            if np.any(zero_den & (num != 0.0)):
+                return float("inf")
+            ratio = np.where(zero_den, 0.0, num / np.where(zero_den, 1.0, den))
+        maxima.append(np.max(ratio))
+    return float(np.max(maxima)) if maxima else 0.0
+
+
+def _panel_rows(width: int) -> int:
+    """Height of the row panels that stream an array with rows of ``width`` floats.
+
+    As high as ``matmul``'s output slabs, so panel-sized temporaries stay
+    cache resident.
+    """
+    return max(8, _SLAB_FLOATS // max(width, 1))
+
+
+def _row_panels(*arrays):
+    """Aligned row panels of arrays of one shape, ``_panel_rows`` high, top to bottom."""
+    rows = _panel_rows(arrays[0][:1].size)
+    for i0 in range(0, len(arrays[0]), rows):
+        yield tuple(a[i0 : i0 + rows] for a in arrays)
 
 
 def _column_form(x, n: int) -> tuple[np.ndarray, bool]:
@@ -247,14 +322,20 @@ def _column_form(x, n: int) -> tuple[np.ndarray, bool]:
     return x, squeeze
 
 
-def _band_apply(bands: Dict[int, np.ndarray], x: np.ndarray, transpose: bool) -> np.ndarray:
+def _band_apply(
+    bands: Dict[int, np.ndarray], x: np.ndarray, transpose: bool, out: np.ndarray | None = None
+) -> np.ndarray:
     """Banded matrix (diagonals by offset) times an (n, cols) array.
 
     Offsets are added in ascending order; ``transpose`` applies the
     transposed matrix, whose offset o diagonal is the stored offset -o.
+    The product overwrites ``out`` when one is given.
     """
     n = x.shape[0]
-    out = np.zeros_like(x)
+    if out is None:
+        out = np.zeros_like(x)
+    else:
+        out.fill(0.0)
     for off in sorted(bands):
         vals = bands[off]
         o = -off if transpose else off
@@ -263,6 +344,11 @@ def _band_apply(bands: Dict[int, np.ndarray], x: np.ndarray, transpose: bool) ->
         else:
             out[-o:] += vals[:, None] * x[: n + o]
     return out
+
+
+def _negated_offdiag(bands: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
+    """The bands of N = diag(M) - M for a banded M (none when M is diagonal)."""
+    return {off: -vals for off, vals in bands.items() if off != 0}
 
 
 def _canonical_lowrank(p: np.ndarray, r: np.ndarray, sign: int):
@@ -482,11 +568,7 @@ class StructuredSquare:
 
         ``side="left"`` computes N @ x, ``side="right"`` computes x @ N as
         (N^T @ x.T).T: the operand check and the band product run on x.T,
-        while the dense and low-rank products keep x's row form.  The
-        entrywise residual, where the off-diagonal mass enters the
-        nonnegative group, takes the right side one row panel at a time
-        (each row of x @ N needs that row of x only) and the left side
-        from :meth:`offdiag_abs_row_panels`.
+        while the dense and low-rank products keep x's row form.
         """
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
@@ -494,8 +576,7 @@ class StructuredSquare:
         x = np.asarray(x, dtype=np.float64)
         cols, squeeze = _column_form(x if left else x.T, self.n)
         if self.kind == "banded":
-            neg = {off: -vals for off, vals in self.bands.items() if off != 0}
-            out = _band_apply(neg, cols, transpose=not left)
+            out = _band_apply(_negated_offdiag(self.bands), cols, transpose=not left)
         elif self.kind == "dense":
             nmat = np.diag(np.diagonal(self.a)) - self.a
             out = matmul(nmat, cols) if left else matmul(cols.T, nmat).T
@@ -510,41 +591,3 @@ class StructuredSquare:
                 out = (-self.sign * (lr - cols.T * rowdot[None, :])).T
         out = out[:, 0] if squeeze else out
         return out if left else out.T
-
-    def offdiag_abs_row_panels(self, x: np.ndarray, rows: int):
-        """Yield N @ x (N = diag(M) - M) in row panels of height ``rows``.
-
-        Each panel is bitwise equal to the same rows of
-        ``offdiag_abs_apply(x)``, and no (n, cols) array is made: a banded
-        panel is the band product over the window of x that its rows reach,
-        a dense panel multiplies the rows of N, and a low-rank panel
-        multiplies rows of P by R^T x, which :func:`_panel_tmatmul` streams
-        before the first panel.
-        """
-        x, _ = _column_form(x, self.n)
-        n = self.n
-        if self.kind == "banded":
-            neg = {off: -vals for off, vals in self.bands.items() if off != 0}
-        elif self.kind == "diag_plus_lowrank":
-            rtx = _panel_tmatmul(self.r, x, rows)
-        for i0 in range(0, n, rows):
-            i1 = min(n, i0 + rows)
-            if self.kind == "banded":
-                # rows [i0, i1) read x rows [i0 - lower, i1 + upper), and the
-                # window's band o holds the entries of rows [w0, w1 - |o|)
-                w0, w1 = max(0, i0 - self.lower), min(n, i1 + self.upper)
-                window = {
-                    off: vals[w0 : w1 - abs(off)]
-                    for off, vals in neg.items()
-                    if abs(off) < w1 - w0
-                }
-                yield _band_apply(window, x[w0:w1], transpose=False)[i0 - w0 : i1 - w0]
-            elif self.kind == "dense":
-                nrows = np.zeros((i1 - i0, n))
-                idx = np.arange(i0, i1)
-                nrows[idx - i0, idx] = self.a[idx, idx]
-                yield matmul(np.subtract(nrows, self.a[i0:i1], out=nrows), x)
-            else:
-                p = self.p[i0:i1]
-                rowdot = _reduce_ascending((p * self.r[i0:i1]).T)
-                yield -self.sign * (matmul(p, rtx) - rowdot[:, None] * x[i0:i1])

@@ -67,13 +67,18 @@ terms only.  That holds in any summation order, so the products run
 through BLAS: the quadruple stays exactly nonnegative and its entries
 keep their componentwise accuracy.
 
-The entrywise residual :func:`erres` runs over row panels of H, top to
-bottom, after one streamed pass for the column reductions Cr^T H (and
-R_A^T H).  Both of its groups are sums of nonnegative terms, and each
-entry is formed by the same operations in the same order as over the
-whole matrix (ordered products are the ascending loop for any blocking),
-so the criterion is bitwise equal to the unpanelled one while it holds
-O(panel * n) memory instead of several m x n temporaries.
+The entrywise residual :func:`erres` is one fused kernel over row panels
+of H, top to bottom, after one streamed pass for the column reductions
+Cr^T H (and R_A^T H).  Both of its groups are sums of nonnegative terms,
+and each entry is formed by the same operations in the same order as over
+the whole matrix (ordered products are the ascending loop for any
+blocking; a sum that starts from its first term rather than from 0.0 can
+differ only in the sign of a zero, which the criterion cannot see), so it
+is bitwise equal to the unpanelled one while each panel does elementwise
+work in O(panel * n) memory.  ``ererr`` and ``relative_change`` stream
+the same way.  Only :func:`rank_of_iterate` leaves the ordered products:
+its core multiplies a mixed-sign QR factor, where no summation order is
+sign-exact, and it is a diagnostic outside the iteration, so BLAS forms it.
 """
 
 from __future__ import annotations
@@ -93,11 +98,16 @@ from .gth import (
     gth_factorize,
 )
 from .linalg import (
-    _SLAB_FLOATS,
+    _band_apply,
+    _negated_offdiag,
+    _outer_sum,
+    _panel_ratio_max,
+    _panel_rows,
     _panel_tmatmul,
+    _row_panels,
+    _skinny_matmul,
     frobenius_norm,
     matmul,
-    max_entrywise_ratio,
 )
 from .problem import MareProblem, ShiftPair, make_shifts, shifted_parts
 
@@ -214,8 +224,10 @@ class DaddaState:
     def H(self) -> np.ndarray:
         """Dense current iterate, materialized lazily."""
         if self._H is None:
-            H = self.shifts.gamma * _gram(self.Ucheck, self.X)
-            _check_sign(np.all(H >= 0.0), "iterate H")
+            # scaled in place and checked by its minimum: one m x n array
+            H = _gram(self.Ucheck, self.X)
+            H *= self.shifts.gamma
+            _check_sign(H.min(initial=0.0) >= 0.0, "iterate H")
             self._H = H
         return self._H
 
@@ -397,42 +409,111 @@ def erres(prob: MareProblem, H: np.ndarray) -> float:
     diag(A) H + H diag(D), maximized entrywise with 0/0 -> 0 and
     x/0 -> +inf.
 
-    Evaluated in row panels of H, max(8, 2^15 // n) rows high, so no m x n
-    temporary is made.  A first pass streams the column reductions Cr^T H
-    (and R_A^T H for a low-rank A) over the panels with a carried ascending
-    accumulator; the second forms both groups panel by panel, top to
-    bottom.  Every product is the ascending loop for any blocking, the band
-    products add offsets in ascending order and the elementwise steps are
-    those of the whole matrix, so each entry of both groups, and hence the
-    value, is bitwise equal to the unpanelled evaluation.  Any x/0 decides
-    the value (+inf), as over the whole matrix; otherwise the panel maxima
-    combine by ``np.max``, which keeps a NaN.
+    One fused kernel evaluates it in row panels of H (see
+    ``linalg._panel_rows``), so no m x n temporary is made.  The per-call
+    invariants come first: Cr^T H (and R_A^T H for a low-rank A), streamed
+    with a carried ascending accumulator; H Cl and H P_D, formed together
+    by one ordered transposed pass; the negated bands, the low-rank row
+    dots and both diagonals.  Each panel then takes elementwise work only,
+    through three reused buffers: every product with a small inner
+    dimension is a sum of outer products written in place, and an empty
+    band product is skipped.  Each entry of both groups is formed by the
+    same operations in the same order as over the whole matrix, except
+    that a sum starts from its first term where ``matmul`` starts from 0.0.
+    That can change only the sign of a zero, which neither
+    |group1 - group2| nor the test group2 == 0 can see, so the value is
+    bitwise equal to the unpanelled evaluation.  The panel ratios combine by ``linalg._panel_ratio_max``:
+    one divide and one max where group 2 has no zero, and any x/0 decides
+    the value (+inf), as over the whole matrix.
     """
     A, D = prob.A, prob.D
     H = np.asarray(H, dtype=np.float64)
     m, n = A.n, D.n
     if H.shape != (m, n):
         raise ValueError(f"iterate must have shape {(m, n)}, got {H.shape}")
-    # panels as high as the output slabs of linalg.matmul
-    rows = max(8, _SLAB_FLOATS // max(n, 1))
+    return _panel_ratio_max(_residual_panels(prob, H))
+
+
+def _add_lowrank_offdiag(acc, block, coef, rt, x, rowdot, term, tmp) -> None:
+    """acc += -sign * (coef @ rt - x * rowdot), a low-rank block's N = diag(M) - M.
+
+    ``coef @ rt`` is P_rows R^T x on the left or (x P) R^T on the right, and
+    rowdot broadcasts over rows or columns to match; -sign is applied by
+    adding or subtracting the bracket, which is the same rounding.
+    """
+    _outer_sum(coef, rt, term, tmp)
+    term -= np.multiply(x, rowdot, out=tmp)
+    if block.sign == -1:
+        acc += term
+    else:
+        acc -= term
+
+
+def _residual_panels(prob: MareProblem, H: np.ndarray):
+    """Yield (|group1 - group2|, group2) of :func:`erres` panel by panel, top to bottom.
+
+    The yielded arrays are the kernel's buffers, overwritten by the next panel.
+    """
+    A, D = prob.A, prob.D
+    m, n = H.shape
+    rows = _panel_rows(n)
+    q = prob.Cl.shape[1]
     crth = _panel_tmatmul(prob.Cr, H, rows)
-    diag_a, diag_d = A.diagonal(), D.diagonal()
-    maxima = []
-    for i0, offdiag_a in zip(range(0, m, rows), A.offdiag_abs_row_panels(H, rows)):
+    # H Cl and H P_D come from one ordered pass
+    f = prob.Cl
+    if D.kind == "diag_plus_lowrank":
+        f = np.concatenate([prob.Cl, D.p], axis=1)
+        d_rowdot, d_rt = D.lowrank_rowdot(), np.ascontiguousarray(D.r.T)
+    elif D.kind == "banded":
+        d_neg = _negated_offdiag(D.bands)
+    else:
+        d_nmat = np.diag(np.diagonal(D.a)) - D.a
+    hf = _skinny_matmul(H, f)
+    pad = 0
+    if A.kind == "diag_plus_lowrank":
+        a_rtx, a_rowdot = _panel_tmatmul(A.r, H, rows), A.lowrank_rowdot()[:, None]
+    elif A.kind == "banded":
+        a_neg = _negated_offdiag(A.bands)
+        pad = A.lower + A.upper
+    else:
+        a_nmat = np.diag(np.diagonal(A.a)) - A.a
+    diag_a, diag_d = A.diagonal()[:, None], D.diagonal()
+    brt = np.ascontiguousarray(prob.Br.T)
+    height = min(rows, m)
+    acc, tmp = np.empty((height, n)), np.empty((height, n))
+    term = np.empty((height + pad, n))  # a banded A's window is taller
+    for i0 in range(0, m, rows):
         i1 = min(m, i0 + rows)
-        panel = H[i0:i1]
-        group1 = matmul(matmul(panel, prob.Cl), crth)
-        group1 += offdiag_a
-        group1 += D.offdiag_abs_apply(panel, side="right")
-        group1 += matmul(prob.Bl[i0:i1], prob.Br.T)
-        group2 = diag_a[i0:i1, None] * panel + panel * diag_d[None, :]
-        num = np.abs(np.subtract(group1, group2, out=group1), out=group1)
-        value = max_entrywise_ratio(num, group2)
-        # an x/0 decides at once; a quotient that overflowed to +inf does not
-        if value == np.inf and np.any((group2 == 0.0) & (num != 0.0)):
-            return value
-        maxima.append(value)
-    return float(np.max(maxima)) if maxima else 0.0
+        h = i1 - i0
+        panel, g1, t1, t2 = H[i0:i1], acc[:h], term[:h], tmp[:h]
+        # group 1 = (H_p Cl)(Cr^T H) + rows of N_A H + H_p N_D + Bl_p Br^T
+        _outer_sum(hf[i0:i1, :q], crth, g1, t2)
+        if A.kind == "diag_plus_lowrank":
+            _add_lowrank_offdiag(g1, A, A.p[i0:i1], a_rtx, panel, a_rowdot[i0:i1], t1, t2)
+        elif A.kind == "dense":
+            g1 += matmul(a_nmat[i0:i1], H)
+        elif a_neg:
+            # rows [i0, i1) read H rows [i0 - lower, i1 + upper), and the
+            # window's band o holds the entries of rows [w0, w1 - |o|)
+            w0, w1 = max(0, i0 - A.lower), min(m, i1 + A.upper)
+            window = {
+                off: vals[w0 : w1 - abs(off)]
+                for off, vals in a_neg.items()
+                if abs(off) < w1 - w0
+            }
+            _band_apply(window, H[w0:w1], False, out=term[: w1 - w0])
+            g1 += term[i0 - w0 : i1 - w0]
+        if D.kind == "diag_plus_lowrank":
+            _add_lowrank_offdiag(g1, D, hf[i0:i1, q:], d_rt, panel, d_rowdot, t1, t2)
+        elif D.kind == "dense":
+            g1 += matmul(panel, d_nmat)
+        elif d_neg:
+            g1 += _band_apply(d_neg, panel.T, True, out=t1.T).T
+        g1 += _outer_sum(prob.Bl[i0:i1], brt, t1, t2)
+        np.multiply(diag_a[i0:i1], panel, out=t1)
+        t1 += np.multiply(panel, diag_d, out=t2)
+        g1 -= t1
+        yield np.abs(g1, out=g1), t1
 
 
 def normalized_residual(prob: MareProblem, H: np.ndarray) -> float:
@@ -454,25 +535,37 @@ def normalized_residual(prob: MareProblem, H: np.ndarray) -> float:
 
 
 def relative_change(h_new: np.ndarray, h_prev: np.ndarray) -> float:
-    """max |H_new - H_prev| / H_new entrywise (0/0 -> 0, x/0 -> +inf)."""
-    return max_entrywise_ratio(np.abs(h_new - h_prev), np.abs(h_new))
+    """max |H_new - H_prev| / |H_new| entrywise (0/0 -> 0, x/0 -> +inf).
+
+    Streamed in row panels, bitwise equal to the ratio over the whole
+    matrices (see ``linalg._panel_ratio_max``).
+    """
+    return _panel_ratio_max(
+        (np.abs(hn - hp), np.abs(hn))
+        for hn, hp in _row_panels(h_new, np.broadcast_to(h_prev, h_new.shape))
+    )
 
 
 def ererr(H: np.ndarray, x_true: np.ndarray) -> float:
     """max entrywise relative error against a known solution.
 
     Entries where x_true = 0 demand |H| <= 1e-300 (anything larger counts
-    as +inf); elsewhere the ratio |H - x_true| / x_true applies.
+    as +inf); elsewhere the ratio |H - x_true| / x_true applies.  Streamed
+    in row panels like :func:`relative_change`: a violated zero entry is
+    an x/0 of its panel, which decides the value as over the whole matrix.
     """
     if H.shape != x_true.shape:
         raise ValueError("shape mismatch against the reference solution")
-    zero = x_true == 0.0
-    num = np.abs(H - x_true)
-    if np.any(zero):
-        if np.any(np.abs(H[zero]) > 1e-300):
-            return float("inf")
-        num = np.where(zero, 0.0, num)
-    return max_entrywise_ratio(num, x_true)
+
+    def panels():
+        for h, x in _row_panels(H, x_true):
+            num = np.abs(h - x)
+            zero = x == 0.0
+            if zero.any():
+                num[zero] = np.abs(h[zero]) > 1e-300
+            yield num, x
+
+    return _panel_ratio_max(panels())
 
 
 def _numerical_rank(a: np.ndarray) -> int:
@@ -484,10 +577,15 @@ def _numerical_rank(a: np.ndarray) -> int:
 
 
 def rank_of_iterate(state: DaddaState) -> int:
-    """Numerical rank of H_k from its skinny factors (threshold 1e-10)."""
+    """Numerical rank of H_k from its skinny factors (threshold 1e-10).
+
+    The core gamma R_U X multiplies the mixed-sign QR factor of Ucheck, so
+    no summation order keeps it sign-exact; it is a diagnostic, not part of
+    the iteration, and the 1e-10 threshold is far above its rounding.  So
+    BLAS forms it.
+    """
     ru = scipy.linalg.qr(state.Ucheck, mode="economic")[1]
-    core = state.shifts.gamma * matmul(ru, state.X)
-    return _numerical_rank(core)
+    return _numerical_rank(state.shifts.gamma * (ru @ state.X))
 
 
 class _DenseAdda:

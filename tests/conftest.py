@@ -58,6 +58,42 @@ def dense_erres(prob, H):
     return max_entrywise_ratio(np.abs(group1 - group2), group2)
 
 
+def where_ratio_max(num, den):
+    """max of num/den over whole arrays, 0/0 -> 0 and x/0 -> +inf, by two
+    ``np.where`` passes: the reference for ``max_entrywise_ratio``."""
+    if num.size == 0:
+        return 0.0
+    zero_den = den == 0.0
+    if np.any(zero_den & (num != 0.0)):
+        return float("inf")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(zero_den, 0.0, num / np.where(zero_den, 1.0, den))
+    return float(np.max(ratio))
+
+
+def dense_ererr(H, x_true):
+    """``solver.ererr`` over the whole matrix at once (the unpanelled form)."""
+    zero = x_true == 0.0
+    num = np.abs(H - x_true)
+    if np.any(zero):
+        if np.any(np.abs(H[zero]) > 1e-300):
+            return float("inf")
+        num = np.where(zero, 0.0, num)
+    return where_ratio_max(num, x_true)
+
+
+def dense_relative_change(h_new, h_prev):
+    """``solver.relative_change`` over the whole matrices at once."""
+    return where_ratio_max(np.abs(h_new - h_prev), np.abs(h_new))
+
+
+def same_float(a, b):
+    """Equal bit for bit, the sign of a zero included; any NaN matches any NaN."""
+    if np.isnan(a) or np.isnan(b):
+        return bool(np.isnan(a) and np.isnan(b))
+    return a == b and np.signbit(a) == np.signbit(b)
+
+
 def sequential_gth(N, u, v):
     """Textbook GTH elimination, one pivot at a time: (L, U) with M = L U.
 

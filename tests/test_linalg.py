@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_matmul
+from conftest import naive_matmul, same_float, where_ratio_max
 from dadda.linalg import (
     _SUM_CHUNK,
     StructuredSquare,
+    _panel_ratio_max,
     _panel_tmatmul,
     _reduce_ascending,
     frobenius_norm,
@@ -21,6 +22,20 @@ from dadda.linalg import (
 
 def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
+
+
+# zeros of both signs, NaN, infinities, subnormals and values whose
+# quotients overflow, next to ordinary floats
+_SPECIAL_FLOATS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-310, 1e-300, 1e308, 1.0, 0.5, -2.0]
+
+
+@st.composite
+def _ratio_operands(draw):
+    size = draw(st.integers(1, 24))
+    entry = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(width=64))
+    num = np.array(draw(st.lists(entry, min_size=size, max_size=size)))
+    den = np.array(draw(st.lists(entry, min_size=size, max_size=size)))
+    return num, den, draw(st.integers(1, size))
 
 
 class TestReduceAscending:
@@ -155,6 +170,32 @@ class TestScalarHelpers:
         with pytest.raises(ValueError):
             max_entrywise_ratio(num, den[:1])
 
+    @given(_ratio_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_max_entrywise_ratio_matches_where_formula(self, operands):
+        # bitwise against the two-np.where formula; split into row panels,
+        # equal to it up to the sign of a zero
+        num, den, rows = operands
+        with np.errstate(over="ignore"):
+            want = where_ratio_max(num, den)
+            assert same_float(max_entrywise_ratio(num, den), want)
+            panels = [(num[i : i + rows], den[i : i + rows]) for i in range(0, len(num), rows)]
+            got = _panel_ratio_max(panels)
+        assert got == want or (np.isnan(got) and np.isnan(want))
+
+    def test_max_entrywise_ratio_overflow_and_nan(self):
+        with np.errstate(over="ignore"):
+            # an overflow to +inf is no x/0: a NaN elsewhere still wins
+            num, den = np.array([1e308, 1.0]), np.array([1e-10, 2.0])
+            assert max_entrywise_ratio(num, den) == np.inf
+            num[1] = np.nan
+            assert np.isnan(max_entrywise_ratio(num, den))
+            assert np.isnan(_panel_ratio_max([(num[:1], den[:1]), (num[1:], den[1:])]))
+            # an x/0 decides over both, in any panel
+            num, den = np.append(num, 1.0), np.append(den, 0.0)
+            assert max_entrywise_ratio(num, den) == np.inf
+            assert _panel_ratio_max([(num[:2], den[:2]), (num[2:], den[2:])]) == np.inf
+
 
 class TestStructuredSquare:
     def _cases(self, rng):
@@ -238,20 +279,6 @@ class TestStructuredSquare:
             for side in ("left", "right"):
                 with pytest.raises(ValueError):
                     s.offdiag_abs_apply(np.ones((6, 6, 6)), side=side)
-
-    def test_offdiag_abs_row_panels_bitwise(self):
-        # the row panels stacked are the whole product, bit for bit
-        rng = _rng(15)
-        sign_plus = StructuredSquare.diag_plus_lowrank(
-            np.ones(6), rng.uniform(size=(6, 2)), rng.uniform(size=(6, 2)), sign=1
-        )
-        for s in self._cases(rng) + [sign_plus]:
-            x = rng.standard_normal((6, 5))
-            whole = s.offdiag_abs_apply(x, side="left")
-            for rows in (1, 2, 4, 6, 8):
-                panels = list(s.offdiag_abs_row_panels(x, rows))
-                assert len(panels) == -(-6 // rows)
-                assert np.array_equal(np.concatenate(panels), whole), (s.kind, rows)
 
     def test_sign_safe_apply_exact_nonneg(self):
         # stored diagonal negative, true diagonal nonnegative: the apply

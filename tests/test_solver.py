@@ -5,14 +5,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import _banded_from_dense, _run_optimized, dense_erres, naive_matmul, random_mare
+from conftest import (
+    _banded_from_dense,
+    _run_optimized,
+    dense_erres,
+    dense_ererr,
+    dense_relative_change,
+    naive_matmul,
+    random_mare,
+)
 from dadda import oracle
 from dadda.benchgen import gen_fluid, gen_transport
 from dadda.linalg import StructuredSquare, frobenius_norm
 from dadda.problem import MareProblem, ShiftPair, make_shifts
 from dadda.solver import (
     StopCriteria,
+    _numerical_rank,
     _TripletAdda,
     advance,
     erres,
@@ -81,6 +91,20 @@ class TestIterates:
             assert np.all(h >= 0.0)
             assert np.min(h - h_prev) >= -1e-15 * h.max()
             h_prev = h
+
+    def test_rank_matches_ordered_core(self):
+        # the BLAS core gamma R_U X gives the rank of the ordered product
+        probs = [gen_fluid(m, n)[0] for m, n in ((2, 18), (18, 2), (90, 10), (180, 20))]
+        probs += [gen_transport(n, seed=1) for n in (10, 40)]
+        probs += [random_mare(seed) for seed in (60, 61, 70)]
+        for prob in probs:
+            state = initialize(prob)
+            for k in range(5):
+                if k:
+                    advance(state)
+                ru = scipy.linalg.qr(state.Ucheck, mode="economic")[1]
+                ordered = _numerical_rank(state.shifts.gamma * naive_matmul(ru, state.X))
+                assert rank_of_iterate(state) == ordered, (prob.m, prob.n, k)
 
     def test_rank_of_fluid_iterate_is_one(self):
         prob, _ = gen_fluid(9, 5)
@@ -263,11 +287,11 @@ def _edge_banded(order, lower, upper, rows):
     return _banded_from_dense(a, lower, upper)
 
 
-def _problem(rng, A, D, q=2):
+def _problem(rng, A, D, q=2, p=1):
     m, n = A.n, D.n
     return MareProblem(
         A=A, D=D,
-        Bl=rng.uniform(size=(m, 1)), Br=rng.uniform(size=(n, 1)),
+        Bl=rng.uniform(size=(m, p)), Br=rng.uniform(size=(n, p)),
         Cl=rng.uniform(size=(n, q)), Cr=rng.uniform(size=(m, q)),
         u1=np.ones(n), u2=np.ones(m), v1=np.zeros(n), v2=np.zeros(m),
     )
@@ -293,6 +317,14 @@ class TestErresPanels:
                     Hi = H.copy()
                     Hi[i] *= 1e-6
                     assert erres(prob, Hi) == dense_erres(prob, Hi), (A.kind, D.kind, i)
+        # diagonal A and D (empty band products), and B of width p = 2 with
+        # C of width 1 next to a rank-2 low-rank D (H [Cl, P_D] has 3 columns)
+        diag_a = StructuredSquare.banded(m, 0, 0, {0: np.linspace(1.0, 2.0, m)})
+        diag_d = StructuredSquare.banded(n, 0, 0, {0: np.linspace(1.0, 2.0, n)})
+        for A in (diag_a, a_blocks[0], a_blocks[1]):
+            for D in (diag_d, _blocks(rng, n, 1, 2)[1]):
+                prob = _problem(rng, A, D, q=1, p=2)
+                assert erres(prob, H) == dense_erres(prob, H), (A.kind, D.kind)
 
     def _middle(self):
         rng = np.random.Generator(np.random.Philox(7))
@@ -343,6 +375,47 @@ class TestErresPanels:
             finally:
                 tracemalloc.stop()
             assert peak < bound, (call.__name__, peak)
+
+
+class TestStreamedRatios:
+    """ererr and relative_change run in row panels like erres."""
+
+    def test_bitwise_equal_to_the_whole_matrix(self):
+        # three panels of 8 rows at n = 4096; each special entry sits in the
+        # middle panel, with the other panels on the fast path
+        rng = np.random.Generator(np.random.Philox(71))
+        x_true = rng.uniform(0.5, 1.5, size=(21, 4096))
+        H = x_true * (1.0 + rng.uniform(-1e-12, 1e-12, size=x_true.shape))
+        cases = [(H, x_true)]
+        for h_val, x_val in ((1e-301, 0.0), (1e-200, 0.0), (np.nan, 1.0), (np.nan, 0.0), (1.0, np.nan)):
+            Hc, xc = H.copy(), x_true.copy()
+            Hc[10, 7], xc[10, 7] = h_val, x_val
+            cases.append((Hc, xc))
+        Hz = H.copy()
+        Hz[10, 7] = 0.0
+        cases.append((Hz, Hz))
+        for Hc, xc in cases:
+            for got, want in (
+                (ererr(Hc, xc), dense_ererr(Hc, xc)),
+                (relative_change(Hc, xc), dense_relative_change(Hc, xc)),
+                (relative_change(xc, Hc), dense_relative_change(xc, Hc)),
+            ):
+                assert got == want or (np.isnan(got) and np.isnan(want)), (got, want)
+        assert ererr(cases[2][0], cases[2][1]) == np.inf
+        assert np.isnan(relative_change(cases[3][0], H))
+
+    def test_memory_stays_within_panels(self):
+        prob, x_true = gen_fluid(4096, 1024)
+        H = _run_state(prob, make_shifts(prob), 2).H
+        h_prev = _run_state(prob, make_shifts(prob), 1).H
+        for call, args in ((ererr, (H, x_true)), (relative_change, (H, h_prev))):
+            tracemalloc.start()
+            try:
+                call(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < H.nbytes / 4, (call.__name__, peak)
 
 
 class TestSolveLoop:
