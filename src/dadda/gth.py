@@ -21,11 +21,18 @@ forward pass runs on U^T and the backward pass on L^T with the identical
 sign argument.
 
 None of this depends on the order in which the nonnegative terms are
-summed, so the substitutions run as LAPACK triangular solves and every
-elimination, dense or banded, as one BLAS-3 panel code (``trsm``,
-``gemm``) whose panel updates a band clips to its windows, changing
-results at rounding level only.  The sign invariants are explicit checks
-raising NotMMatrixError.
+summed, so the substitutions run as LAPACK triangular solves and a dense
+elimination as a BLAS-3 panel code (``trsm``, ``gemm``), changing results
+at rounding level only.  The sign invariants are explicit checks raising
+NotMMatrixError.
+
+GTH without pivoting keeps the band of a banded M: L has M's lower and U
+its upper bandwidth.  A banded triplet (:class:`BandTriplet`) is therefore
+eliminated in band storage, pivot by pivot with each update clipped to
+the lw x uw window behind the pivot, in O(n lw uw) work and O(n (lw + uw))
+memory, and solved by LAPACK ``tbtrs``.  That routine adds the same
+nonnegative terms (-F_ij) x_j as the dense ``trtrs``, only skipping the
+zeros outside the band, so x >= 0 exactly for b >= 0 on this path too.
 
 For diag(d) - P R^T with skinny P, R >= 0 (the canonical low-rank form of
 :mod:`dadda.linalg`) the module provides a Sherman-Morrison-Woodbury path
@@ -41,11 +48,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg.lapack import dtbtrs, dtrtrs
 
-from .linalg import _canonical_lowrank, _column_form, matmul, ordered_dot
+from .linalg import (
+    _band_apply,
+    _canonical_lowrank,
+    _column_form,
+    _negated_offdiag,
+    matmul,
+    ordered_dot,
+)
 
 __all__ = [
+    "BandGthFactorization",
+    "BandTriplet",
     "DiagLowRankSolver",
     "DiagonalSolver",
     "DenseGthSolver",
@@ -118,6 +135,56 @@ def diagonal_from_triplet(t: TripletRepresentation) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class BandTriplet:
+    """(N, u, v) of a banded M-matrix, N held as its bands.
+
+    ``bands`` maps each stored offset o in [-lower, upper], o != 0, to the
+    entries N_{i,i+o}; absent offsets are zero.  The checks are those of
+    :class:`TripletRepresentation`, plus a positive implied diagonal
+    (v + N u) / u, which the band product gives in O(n (lower + upper)).
+    """
+
+    n: int
+    lower: int
+    upper: int
+    bands: dict[int, np.ndarray]
+    u: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        if self.u.shape != (self.n,) or self.v.shape != (self.n,):
+            raise ValueError("u and v must be vectors of the triplet order")
+        for off, vals in self.bands.items():
+            if off == 0 or not -self.lower <= off <= self.upper:
+                raise ValueError(f"band offset {off} outside the off-diagonal band")
+            if vals.shape != (self.n - abs(off),):
+                raise ValueError(f"band {off} must have length {self.n - abs(off)}")
+        values = list(self.bands.values())
+        if not all(np.all(np.isfinite(x)) for x in values + [self.u, self.v]):
+            raise ValueError("triplet data must be finite")
+        if any(np.any(x < 0.0) for x in values):
+            raise NotMMatrixError("not a nonsingular M-matrix (negative entry in N)")
+        if np.any(self.u <= 0.0):
+            raise ValueError("u must be strictly positive")
+        if np.any(self.v < 0.0):
+            raise ValueError("v must be nonnegative")
+        nu = _band_apply(self.bands, self.u[:, None], transpose=False)[:, 0]
+        diag = (self.v + nu) / self.u
+        if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
+            raise NotMMatrixError(
+                "not a nonsingular M-matrix (implied diagonal not positive)"
+            )
+
+    @staticmethod
+    def from_parts(n, lower, upper, bands, u, v) -> "BandTriplet":
+        """Validated band triplet of float64 arrays."""
+        bands = {int(off): np.asarray(x, dtype=np.float64) for off, x in bands.items()}
+        u = np.asarray(u, dtype=np.float64).ravel()
+        v = np.asarray(v, dtype=np.float64).ravel()
+        return BandTriplet(int(n), int(lower), int(upper), bands, u, v)
+
+
+@dataclass(frozen=True, eq=False)
 class GthFactorization:
     """Unit-lower L and upper U with M = L U, elimination cancellation-free.
 
@@ -164,6 +231,53 @@ def _trsolve(T, b, lower, transpose=False, unit=False, overwrite=False):
     return x
 
 
+@dataclass(frozen=True, eq=False)
+class BandGthFactorization:
+    """GTH factors M = L U of a banded M-matrix, in band storage.
+
+    ``L[k, i]`` is L_{k+i,k} (column k of the unit-lower L, its 1 first)
+    and ``U[k, j]`` is U_{k,k+j} (row k of U, its pivot first); entries
+    past the last row or column are zero.  The signs are those of
+    :class:`GthFactorization`.
+    """
+
+    n: int
+    L: np.ndarray
+    U: np.ndarray
+
+    def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Solve M x = b (or M.T x = b) by two LAPACK ``tbtrs`` solves.
+
+        L then U for M, U^T then L^T for M^T, with the sign argument of
+        :meth:`GthFactorization.solve`: x >= 0 exactly for b >= 0.
+        """
+        b, squeeze = _column_form(b, self.n)
+        if not transpose:
+            y = _tbsolve(self.L, b, transpose=False, unit=True)
+            x = _tbsolve(self.U, y, transpose=True, overwrite=True)
+        else:
+            y = _tbsolve(self.U, b, transpose=False)
+            x = _tbsolve(self.L, y, transpose=True, unit=True, overwrite=True)
+        return x[:, 0] if squeeze else x
+
+
+def _tbsolve(F, b, transpose, unit=False, overwrite=False):
+    """LAPACK ``tbtrs`` on T x = b (T^T x = b with ``transpose``).
+
+    ``F`` is a band factor of :class:`BandGthFactorization`, whose row k
+    runs down column k of the lower band of T: T = L, or T = U^T (so the
+    U solves flip ``transpose``).  F^T is then LAPACK's lower band
+    storage, a Fortran array that costs no copy.
+    """
+    x, info = dtbtrs(
+        F.T, b, uplo="L", trans="T" if transpose else "N", diag="U" if unit else "N",
+        overwrite_b=overwrite,
+    )
+    if info != 0:
+        raise NotMMatrixError(f"triangular solve failed (LAPACK info {info})")
+    return x
+
+
 def _check_sign(ok, what: str) -> None:
     """Raise unless a sign invariant of the elimination holds.
 
@@ -179,23 +293,29 @@ def gth_factorize(
     t: TripletRepresentation,
     lower_bandwidth: int | None = None,
     upper_bandwidth: int | None = None,
-) -> GthFactorization:
+) -> GthFactorization | BandGthFactorization:
     """GTH-like LU of the M-matrix behind ``t``, pivot-free.
 
-    Every call runs the panels of :func:`_factorize_dense_blocked`: each
-    addition combines terms of one sign, in any order, and L11, U11, the
-    running v, L21, U12 and every trailing slab are sign-checked, so the
-    guarantee holds at any order.  Bandwidths (unset means n - 1) clip
-    each panel's work to its band windows; a banded M keeps its band in
-    the factors.  Raises :class:`NotMMatrixError` on a non-positive pivot
-    or a broken sign invariant.
+    Without bandwidths this runs the BLAS-3 panels of
+    :func:`_factorize_dense_blocked` and returns a dense
+    :class:`GthFactorization`.  With them (an unset one means n - 1) the
+    band of ``t.N`` is read into a :class:`BandTriplet` and eliminated in
+    band storage by :func:`_factorize_band`; ``t.N`` must be zero outside
+    the band.  Raises :class:`NotMMatrixError` on a non-positive pivot or a
+    broken sign invariant.
     """
+    if lower_bandwidth is None and upper_bandwidth is None:
+        return _factorize_dense_blocked(t)
     n = t.n
     lw = n - 1 if lower_bandwidth is None else int(lower_bandwidth)
     uw = n - 1 if upper_bandwidth is None else int(upper_bandwidth)
     if lw < 0 or uw < 0:
         raise ValueError("bandwidths must be nonnegative")
-    return _factorize_dense_blocked(t, lw, uw)
+    lw, uw = min(lw, max(n - 1, 0)), min(uw, max(n - 1, 0))
+    bands = {off: np.diagonal(t.N, off) for off in range(-lw, uw + 1) if off}
+    if np.count_nonzero(t.N) != sum(np.count_nonzero(b) for b in bands.values()):
+        raise ValueError("N has entries outside the bandwidths")
+    return _factorize_band(BandTriplet(n, lw, uw, bands, t.u, t.v))
 
 
 _PANEL = 128
@@ -204,7 +324,7 @@ _PANEL = 128
 _SLAB = 256
 
 
-def _factorize_dense_blocked(t: TripletRepresentation, lw: int, uw: int) -> GthFactorization:
+def _factorize_dense_blocked(t: TripletRepresentation) -> GthFactorization:
     """GTH elimination in panels of _PANEL pivots, through BLAS-3.
 
     Only the panel's diagonal block is eliminated pivot by pivot.  Pivot k
@@ -224,12 +344,6 @@ def _factorize_dense_blocked(t: TripletRepresentation, lw: int, uw: int) -> GthF
     guarantees hold exactly.  Diagonal entries of the unreduced part are
     implied by (u, v), so they are never read, only overwritten by their
     pivots.
-
-    With lower and upper bandwidths lw, uw the row mass, L21, U12, the
-    running-v update and the trailing slabs are clipped to the rows
-    [pe, pe + lw) and the columns [pe, pe + uw): outside those windows a
-    banded M and its factors hold exact zeros, so the clipped work drops
-    zero terms only and the argument above is unchanged.
     """
     n = t.n
     U = -t.N
@@ -238,8 +352,7 @@ def _factorize_dense_blocked(t: TripletRepresentation, lw: int, uw: int) -> GthF
     v = t.v.copy()
     for p0 in range(0, n, _PANEL):
         pe = min(n, p0 + _PANEL)
-        re, ce = min(n, pe + lw), min(n, pe + uw)
-        s = -(U[p0:pe, pe:ce] @ u[pe:ce])
+        s = -(U[p0:pe, pe:] @ u[pe:])
         _check_sign(np.all(s >= 0.0), "carried row mass")
         D = U[p0:pe, p0:pe]
         for k in range(pe - p0):
@@ -260,23 +373,72 @@ def _factorize_dense_blocked(t: TripletRepresentation, lw: int, uw: int) -> GthF
         _check_sign(np.all(np.tril(L[p0:pe, p0:pe], -1) <= 0.0), "L11")
         _check_sign(np.all(np.triu(D, 1) <= 0.0), "U11")
         _check_sign(np.all(v[p0:pe] >= 0.0), "running v")
-        if re > pe:
-            L21 = _trsolve(D, U[pe:re, p0:pe].T, lower=False, transpose=True).T
-            _check_sign(np.all(L21 <= 0.0), "L21")
-            L[pe:re, p0:pe] = L21
-            U[pe:re, p0:pe] = 0.0
-            v[pe:re] -= L21 @ v[p0:pe]
-            _check_sign(np.all(v[pe:re] >= 0.0), "running v")
-        if ce > pe:
-            U12 = _trsolve(L[p0:pe, p0:pe], U[p0:pe, pe:ce], lower=True, unit=True)
-            _check_sign(np.all(U12 <= 0.0), "U12")
-            U[p0:pe, pe:ce] = U12
-            # no rows when lw = 0, and then no L21 is read
-            for r0 in range(pe, re, _SLAB):
-                slab = U[r0 : min(re, r0 + _SLAB), pe:ce]
-                slab -= L21[r0 - pe : r0 - pe + _SLAB] @ U12
-                _check_sign(np.all(slab <= 0.0), "trailing block")
+        if pe == n:
+            break
+        L21 = _trsolve(D, U[pe:, p0:pe].T, lower=False, transpose=True).T
+        _check_sign(np.all(L21 <= 0.0), "L21")
+        L[pe:, p0:pe] = L21
+        U[pe:, p0:pe] = 0.0
+        v[pe:] -= L21 @ v[p0:pe]
+        _check_sign(np.all(v[pe:] >= 0.0), "running v")
+        U12 = _trsolve(L[p0:pe, p0:pe], U[p0:pe, pe:], lower=True, unit=True)
+        _check_sign(np.all(U12 <= 0.0), "U12")
+        U[p0:pe, pe:] = U12
+        for r0 in range(pe, n, _SLAB):
+            slab = U[r0 : r0 + _SLAB, pe:]
+            slab -= L21[r0 - pe : r0 - pe + _SLAB] @ U12
+            _check_sign(np.all(slab <= 0.0), "trailing block")
     return GthFactorization(n=n, L=L, U=U)
+
+
+def _factorize_band(t: BandTriplet) -> BandGthFactorization:
+    """GTH elimination of a banded triplet in band storage, O(n lw uw).
+
+    The working array W holds row i of the unreduced matrix at columns
+    i - lw ... i + uw in W[i].  Pivot k is the triplet formula over the
+    band of row k, (v_k + sum_j (-U_kj) u_j) / u_k; the column below it
+    divided by the pivot becomes L's column k, and the Schur update and the
+    running-v update touch the lw x uw window behind the pivot only, the
+    band fill of GTH without pivoting.  Each step is the textbook one, so
+    every addition combines terms of one sign as in the module docstring.
+    The window's diagonal entries are implied by (u, v), so they are never
+    read, only overwritten by their pivots.  Zeros pad W, u and v past the
+    end, so every window keeps its shape: they add zero terms only.  The
+    pivots are checked as they come, the signs of L, U and the running v
+    once at the end (each v_k there is the value its pivot used).
+    """
+    n, lw, uw = t.n, t.lower, t.upper
+    W = np.zeros((n + lw, lw + uw + 1))
+    for off, vals in t.bands.items():
+        W[max(0, -off) : n - max(0, off), lw + off] = -vals
+    u = np.zeros(n + uw)
+    u[:n] = t.u
+    v = np.zeros(n + lw)
+    v[:n] = t.v
+    L = np.zeros((n, lw + 1))
+    L[:, 0] = 1.0
+    rs, es = W.strides[0], W.itemsize
+    rows = W[:, lw + 1 :]
+    # col[k, i - 1] = W[k + i, lw - i] = U_{k+i,k}, and
+    # window[k, i - 1, j - 1] = W[k + i, lw + j - i] = U_{k+i,k+j}
+    col = as_strided(W[1:, max(lw - 1, 0) :], (n, lw), (rs, rs - es))
+    window = as_strided(W[1:, lw:], (n, lw, uw), (rs, rs - es, es))
+    u_ahead = as_strided(u[1:], (n, uw), (es, es))
+    v_ahead = as_strided(v[1:], (n, lw), (es, es))
+    for k in range(n):
+        row = rows[k]
+        pivot = (v[k] - row @ u_ahead[k]) / u[k]
+        if not 0.0 < pivot < np.inf:
+            raise NotMMatrixError(f"not a nonsingular M-matrix (pivot {k} non-positive)")
+        W[k, lw] = pivot
+        if lw:
+            lk = np.divide(col[k], pivot, out=L[k, 1:])
+            window[k] -= lk[:, None] * row
+            v_ahead[k] -= lk * v[k]
+    _check_sign(np.all(L[:, 1:] <= 0.0), "L")
+    _check_sign(np.all(W[:n, lw + 1 :] <= 0.0), "U")
+    _check_sign(np.all(v[:n] >= 0.0), "running v")
+    return BandGthFactorization(n=n, L=L, U=W[:n, lw:].copy())
 
 
 def _offdiag_triplet(N, u, v) -> TripletRepresentation:
@@ -333,18 +495,20 @@ class DiagonalSolver:
 
 
 class DenseGthSolver:
-    """GTH LU on an explicit triplet, with optional band windows."""
+    """GTH LU solver on a triplet: dense factors, or band factors for a band.
 
-    def __init__(
-        self,
-        triplet: TripletRepresentation,
-        lower_bandwidth: int | None = None,
-        upper_bandwidth: int | None = None,
-    ):
+    A :class:`TripletRepresentation` is factored by :func:`gth_factorize`,
+    a :class:`BandTriplet` by :func:`_factorize_band`, so a banded block
+    never forms an n x n array.  The band solves are ``tbtrs`` calls with
+    the sign argument of the dense ``trtrs`` ones.
+    """
+
+    def __init__(self, triplet: TripletRepresentation | BandTriplet):
         self.n = triplet.n
-        self.factorization = gth_factorize(
-            triplet, lower_bandwidth=lower_bandwidth, upper_bandwidth=upper_bandwidth
-        )
+        if isinstance(triplet, BandTriplet):
+            self.factorization = _factorize_band(triplet)
+        else:
+            self.factorization = gth_factorize(triplet)
 
     def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
         return self.factorization.solve(b, transpose=transpose)
@@ -434,16 +598,19 @@ def build_solver(matrix, u, v):
     """Pick the cheapest cancellation-free solver for a structured M-matrix.
 
     ``matrix`` is a :class:`~dadda.linalg.StructuredSquare`; (u, v) is a
-    triplet pair for it (M u = v, u > 0, v >= 0).
+    triplet pair for it (M u = v, u > 0, v >= 0).  A banded block of
+    bandwidth above 0 gets a :class:`DenseGthSolver` on the
+    :class:`BandTriplet` of its negated off-diagonal bands: O(n w) memory
+    for the factors, O(n lw uw) work, and no n x n array.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if matrix.kind == "banded":
         if matrix.lower == 0 and matrix.upper == 0:
             return DiagonalSolver(matrix.bands[0])
-        return DenseGthSolver(
-            _offdiag_triplet(-matrix.to_dense(), u, v), matrix.lower, matrix.upper
-        )
+        return DenseGthSolver(BandTriplet.from_parts(
+            matrix.n, matrix.lower, matrix.upper, _negated_offdiag(matrix.bands), u, v
+        ))
     if matrix.kind == "diag_plus_lowrank":
         if not matrix.offdiag_nonpositive():
             raise NotMMatrixError(

@@ -11,6 +11,7 @@ from scipy.linalg import solve_triangular
 from conftest import _run_optimized, fraction_solve, random_triplet, sequential_gth
 from dadda.gth import (
     _PANEL,
+    BandGthFactorization,
     DenseGthSolver,
     DiagLowRankSolver,
     DiagonalSolver,
@@ -38,6 +39,18 @@ def _sign_ok(f):
     off = ~np.eye(n, dtype=bool)
     assert np.all(f.L[off] <= 0.0)
     assert np.all(f.U[off] <= 0.0)
+
+
+def _dense_factors(f):
+    """The dense L and U of a BandGthFactorization."""
+    n = f.n
+    L, U = np.eye(n), np.zeros((n, n))
+    for k in range(n):
+        for i in range(1, min(f.L.shape[1], n - k)):
+            L[k + i, k] = f.L[k, i]
+        for j in range(min(f.U.shape[1], n - k)):
+            U[k, k + j] = f.U[k, j]
+    return GthFactorization(n=n, L=L, U=U)
 
 
 class TestTriplet:
@@ -133,25 +146,6 @@ class TestFactorization:
         with pytest.raises(NotMMatrixError):
             gth_factorize(t)
 
-    def test_banded_windows_match_full(self):
-        rng = _rng(24)
-        n = 14
-        N = np.zeros((n, n))
-        for off in (-2, -1, 1):
-            idx = np.arange(n - abs(off))
-            row = idx if off > 0 else idx - off
-            col = idx + off if off > 0 else idx
-            N[row, col] = rng.uniform(0.1, 1.0, size=n - abs(off))
-        u = rng.uniform(0.5, 1.5, size=n)
-        v = rng.uniform(0.1, 1.0, size=n)
-        t = TripletRepresentation.from_parts(N, u, v)
-        full = gth_factorize(t)
-        windowed = gth_factorize(t, lower_bandwidth=2, upper_bandwidth=1)
-        assert np.array_equal(full.L, windowed.L)
-        assert np.array_equal(full.U, windowed.U)
-        b = rng.uniform(size=n)
-        assert np.array_equal(full.solve(b), windowed.solve(b))
-
     def test_bandwidth_validation(self):
         t = TripletRepresentation.from_parts(np.zeros((2, 2)), [1, 1], [1, 1])
         with pytest.raises(ValueError):
@@ -161,12 +155,24 @@ class TestFactorization:
         # the BLAS-3 panels against the textbook pivot loop of conftest,
         # whose solves are plain triangular substitutions.  Order 1 is a
         # lone pivot, 20 and 100 are the orders of ADDA kernels, and the
-        # largest order spans three full panels and a ragged one.
+        # largest order spans three full panels and a ragged one.  The band
+        # elimination and its tbtrs solves take every bandwidth pair at
+        # orders 1, 2 (where a band is clipped to the order), 130 and
+        # 3 * 128 + 5, on a full band.
         orders = ((1, 26), (20, 27), (100, 28), (230, 25), (3 * _PANEL + _PANEL // 2 + 5, 30))
-        for n, seed in orders:
+        cases = [(n, seed, None) for n, seed in orders]
+        widths = ((0, 1), (1, 0), (1, 1), (2, 1), (1, 3), (3, 3))
+        cases += [
+            (n, 40 + i, w) for i, w in enumerate(widths) for n in (1, 2, 130, 3 * 128 + 5)
+        ]
+        for n, seed, w in cases:
             rng = _rng(seed)
-            N, u, v = random_triplet(rng, n, v_scale=1e-6, density=0.3)
-            blocked = gth_factorize(TripletRepresentation.from_parts(N, u, v))
+            N, u, v = random_triplet(rng, n, v_scale=1e-6, density=0.3 if w is None else 1.0)
+            if w is not None:
+                N = np.triu(np.tril(N, w[1]), -w[0])
+            f = gth_factorize(TripletRepresentation.from_parts(N, u, v), *(w or ()))
+            assert isinstance(f, BandGthFactorization) == (w is not None)
+            blocked = f if w is None else _dense_factors(f)
             L, U = sequential_gth(N, u, v)
             _sign_ok(blocked)
             _sign_ok(GthFactorization(n=n, L=L, U=U))
@@ -174,11 +180,11 @@ class TestFactorization:
             assert np.abs(blocked.U - U).max() <= 1e-13 * scale
             assert np.abs(blocked.L - L).max() <= 1e-13
             b = rng.uniform(size=n)
-            xb = blocked.solve(b)
+            xb = f.solve(b)
             xs = solve_triangular(U, solve_triangular(L, b, lower=True, unit_diagonal=True))
             assert np.abs(xb - xs).max() <= 1e-13 * np.abs(xs).max()
             assert np.all(xb >= 0.0)
-            xbt = blocked.solve(b, transpose=True)
+            xbt = f.solve(b, transpose=True)
             xst = solve_triangular(
                 L, solve_triangular(U, b, trans="T"), trans="T", lower=True, unit_diagonal=True
             )
@@ -211,6 +217,28 @@ raise SystemExit("factorization returned despite a positive off-diagonal entry")
 """
             proc = _run_optimized(code)
             assert proc.returncode == 0, (n, width, proc.stderr)
+
+    def test_band_sign_violation_raises_under_optimize(self):
+        # a band triplet changed after validation: a positive entry of M
+        # below the diagonal (so L gains one) or above it (so U does), too
+        # small to make a pivot non-positive, must stop the band
+        # elimination under python -O as well
+        code = """
+import numpy as np
+from dadda.gth import BandTriplet, DenseGthSolver, NotMMatrixError
+rng = np.random.Generator(np.random.Philox(32))
+for off in (-1, 1):
+    bands = {o: rng.uniform(size=299) for o in (-1, 1)}
+    t = BandTriplet.from_parts(300, 1, 1, bands, np.ones(300), rng.uniform(0.1, 1.0, size=300))
+    t.bands[off][127] = -1e-3
+    try:
+        DenseGthSolver(t)
+    except NotMMatrixError:
+        continue
+    raise SystemExit(f"band factorization returned despite a positive entry at offset {off}")
+"""
+        proc = _run_optimized(code)
+        assert proc.returncode == 0, proc.stderr
 
     def test_solver_sign_violation_raises_under_optimize(self):
         # a negative entry planted in the kernel solution X must stop the
@@ -415,6 +443,57 @@ class TestSolverDispatch:
         assert isinstance(s, DenseGthSolver)
         x = s.solve(v)
         assert np.allclose(x, u, rtol=1e-14)
+
+    def test_build_solver_band_wider_than_its_bands(self):
+        # declared (3, 2), stored offsets -2 ... 1 only, every off-diagonal
+        # entry coupling two rows across an edge every 128 rows: the band
+        # path against the textbook elimination of the dense block
+        n, rows = 2 * 128 + 7, 128
+        rng = _rng(33)
+        N = np.zeros((n, n))
+        for edge in range(rows, n, rows):
+            for i in range(edge - 1, edge + 2):
+                for j in range(max(0, i - 2), min(n, i + 2)):
+                    if (i < edge) != (j < edge):
+                        N[i, j] = 1.0 + 0.1 * i
+        u, v = rng.uniform(0.5, 1.5, size=n), 1e-6 * rng.uniform(0.1, 1.0, size=n)
+        a = np.diag((v + matmul(N, u[:, None])[:, 0]) / u) - N
+        stored = {off: np.diagonal(a, off).copy() for off in range(-2, 2)}
+        s = build_solver(StructuredSquare.banded(n, 3, 2, stored), u, v)
+        assert isinstance(s, DenseGthSolver)
+        assert s.factorization.L.shape == (n, 4) and s.factorization.U.shape == (n, 3)
+        L, U = sequential_gth(N, u, v)
+        b = rng.uniform(size=(n, 2))
+        for transpose in (False, True):
+            x = s.solve(b, transpose=transpose)
+            if transpose:
+                ref = solve_triangular(L, solve_triangular(U, b, trans="T"), trans="T",
+                                       lower=True, unit_diagonal=True)
+            else:
+                ref = solve_triangular(U, solve_triangular(L, b, lower=True, unit_diagonal=True))
+            assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.all(x >= 0.0)
+
+    def test_build_solver_band_memory(self):
+        # a tridiagonal block of order 20 000 in band storage: the factors
+        # take about 1 MB, where an n x n array would take 3.2 GB
+        n = 20000
+        rng = _rng(34)
+        sub, sup = rng.uniform(0.1, 1.0, size=n - 1), rng.uniform(0.1, 1.0, size=n - 1)
+        v = rng.uniform(0.1, 1.0, size=n)
+        diag = v.copy()
+        diag[1:] += sub
+        diag[:-1] += sup
+        m = StructuredSquare.banded(n, 1, 1, {-1: -sub, 0: diag, 1: -sup})
+        u = np.ones(n)
+        tracemalloc.start()
+        try:
+            s = build_solver(m, u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert np.abs(s.solve(v) - 1.0).max() <= 1e-12
 
     def test_build_solver_lowrank(self):
         d = np.array([3.0, 3.0])

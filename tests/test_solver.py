@@ -1,7 +1,9 @@
 """Decoupled doubling iteration: iterates, kernels, residuals, stopping."""
 
 import dataclasses
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -637,3 +639,38 @@ for name in ("E", "F", "G", "H", "w1", "w2"):
 """
         proc = _run_optimized(code)
         assert proc.returncode == 0, proc.stderr
+
+
+def _load_tracer():
+    """perfbench/tracer.py, the benchmark's span table, as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBandedSetup:
+    def test_banded_steps_never_densify(self, monkeypatch):
+        prob = random_mare(40, m=30, n=20, p=1, q=1, kind="banded")
+
+        def refuse(self):
+            raise AssertionError(f"{self.kind} block of order {self.n} densified")
+
+        monkeypatch.setattr(StructuredSquare, "to_dense", refuse)
+        assert not prob.validate().errors
+        state = initialize(prob)
+        for _ in range(2):
+            state = advance(state)
+        assert state.k == 2
+        assert np.all(state.H >= 0.0)
+
+    def test_band_solvers_keep_the_benchmark_kind(self):
+        # the benchmark's per-layer table looks shifted solvers up by class
+        # name; both banded blocks must count as its "dense" kind
+        tracer = _load_tracer()
+        spans = tracer.Spans()
+        with spans.patches():
+            report = solve(random_mare(41, m=30, n=20, kind="banded"))
+        assert report.termination == "converged"
+        assert tracer.span_metrics(spans.rows)["gth.solver_kind.dense"] == 2
