@@ -13,9 +13,11 @@ column excluded from golden-file comparisons.
 
 Report JSON schema (solve): termination, iterations, switched_at,
 criterion, tolerance, alpha, beta, erres_final, frob_h, rank_h, seconds,
-records (list of {k, value, kernel_order, seconds}).  ``switched_at`` is
-the k at which the solve handed off from dADDA to triplet-form ADDA, or
-null.
+records (list of {k, value, kernel_order, seconds, lower_bound}).
+``switched_at`` is the k at which the solve handed off from dADDA to
+triplet-form ADDA, or null.  A record with ``lower_bound`` true holds a
+certified lower bound on erres, above the tolerance, in place of the full
+criterion (see ``solver._stopping_loop``).
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ def _report_to_json(report: SolveReport) -> dict:
                 "value": r.value,
                 "kernel_order": r.kernel_order,
                 "seconds": r.seconds,
+                "lower_bound": r.lower_bound,
             }
             for r in report.records
         ],

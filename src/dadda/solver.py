@@ -79,6 +79,78 @@ work in O(panel * n) memory.  ``ererr`` and ``relative_change`` stream
 the same way.  Only :func:`rank_of_iterate` leaves the ordered products:
 its core multiplies a mixed-sign QR factor, where no summation order is
 sign-exact, and it is a diagnostic outside the iteration, so BLAS forms it.
+
+Gating ``erres`` by a factored lower bound.  Above one slab of entries
+(m n > ``linalg._SLAB_FLOATS``) the stopping loop first bounds ``erres``
+from below by one skinny product with H, and skips both the m x n iterate
+and the full criterion at a step where the bound already exceeds the
+tolerance.  Write erres's groups G1 = HCH + N_A H + H N_D + B and
+G2 = diag(A) H + H diag(D) >= 0, both over the diagonals, row dots and
+negated parts that :func:`erres` itself computes, and take u = u1 > 0.
+Then for every row i
+
+    |((G1 - G2) u)_i| <= sum_j |G1 - G2|_ij u_j <= erres (G2 u)_i,
+
+so L_i = |((G1 - G2) u)_i| / (G2 u)_i <= erres (rows with (G2 u)_i = 0
+are left out, which only weakens the bound).  The row images need one
+product that touches H, Y = H [u1, N_D u1 as two sums, diag(D) u1, Cl]:
+
+    G1 u = (H Cl)(Cr^T (H u)) + N_A (H u) + H (N_D u1) + Bl (Br^T u1),
+    G2 u = diag(A) (H u) + H (diag(D) u1),
+
+where :func:`_offdiag_parts` splits N_M x into the two nonnegative sums
+that its evaluation subtracts (a low-rank N cancels M's row dots out of
+P R^T x; the other kinds cancel nothing).  Every operand is nonnegative,
+so each product adds nonnegative terms.  ``apply_h`` forms Y: a DaddaState
+as gamma Ucheck (X rhs) from its factors in O((m + n) r (q + 4)), without
+materializing H, and the ADDA iterates as H @ rhs.
+
+The raw L_i can exceed the computed erres e (fluid 33 x 1000 at k = 0:
+3.19712567796e-6 against 3.19712565619e-6; 7200 x 800 at k = 4: 2.1e-14
+against 3.5e-15), so the gate takes v = max_i (L_i - s_i) with a rounding
+slack s_i.  Sort the terms of both computations into five parts (HCH,
+N_A H, H N_D, B, G2), and let mu_i be a part's u-weighted row sum of term
+magnitudes (a low-rank N counts both sides of its subtraction).  A term of
+a part passes through at most K_part roundings, counted on the erres path
+plus the bound's path, so by Higham (Accuracy and Stability of Numerical
+Algorithms, 2nd ed., Sec. 3.1 and 4.2 with Lemma 3.3) the two computations
+together err over row i by at most eps_i = sum_part gamma_{K_part} mu_i,
+gamma_K = K u / (1 - K u), barring underflow.  On the erres path every
+entry has |G1 - G2|_ij <= e (1 + gamma_3) G2_ij plus its rounding error (a
+G2_ij = 0 under a nonzero G1_ij would make e = +inf: positive diagonals
+make G2_ij = 0 only where H_ij = 0, where nothing cancels).  Weighting row
+i by u, and adding the bound path's rounding of the numerator, of
+(G2 u)_i and of the division,
+
+    L_i <= (e (1 + gamma_3) + eps_i / (G2 u)_i) (1 + u) / (1 - gamma_{K_H + 2}),
+    so  e >= L_i (1 - gamma_{K_G}) - eps_i / (G2 u)_i.
+
+The slack doubles that deficit, taken over the computed masses,
+
+    s_i = c (gamma_{K_G} L_i + eps_i / (G2 u)_i),   c = 2:
+
+the factor 2 covers the (1 + O(gamma)) between computed and exact masses
+and the roundings of s_i and of L_i - s_i while every gamma <= 1/100.  So
+v <= e: a gate that fires (v > tol) implies e > tol, the loop takes the
+branch it took before, and the step records v, flagged ``lower_bound``.
+With K_H the roundings a term of H rhs takes beyond those of the
+materialized H (n + 2r + 2 from the factors of kernel order r: gamma
+Ucheck X takes r + 1, gamma Ucheck (X rhs) n + r + 1, and Lemma 3.3 adds
+them; n for a dense H @ rhs) and w_M the terms of one entry of N_M x
+(order, band count, or order plus rank), the counts are
+
+    K_HCH = 2m + n + 2q + 2 K_H + 10,   K_A = 2 w_A + K_H + 10,
+    K_D = 2 w_D + K_H + 10,   K_B = n + 2p + 10,   K_G = K_H + 14,
+
+the 10 bounding the additions that combine the parts on both paths.  All
+three iterates gate; the gate needs Z-pattern A and D with positive
+diagonals, u1 > 0 and nonnegative factors, checked once per solve.  At
+m n <= ``_SLAB_FLOATS`` the whole criterion is one cache-resident panel,
+so every step runs it.  A skipped step changes nothing observable but its
+record: the iterates, and every full evaluation, are bitwise those of an
+ungated loop, and the report's ``erres_final`` is always a full one.  Nor
+does it drop a sign check: gamma Ucheck X >= 0 follows from the checked
+blocks and X, so the check on the formed H is redundant there.
 """
 
 from __future__ import annotations
@@ -98,6 +170,7 @@ from .gth import (
     gth_factorize,
 )
 from .linalg import (
+    _SLAB_FLOATS,
     _band_apply,
     _negated_offdiag,
     _outer_sum,
@@ -153,10 +226,14 @@ class StopCriteria:
 
 @dataclass
 class IterationRecord:
+    """One step of the stopping loop.  ``lower_bound``: ``value`` is the
+    factored lower bound on ``erres`` that skipped the full criterion."""
+
     k: int
     value: float
     kernel_order: int | None
     seconds: float
+    lower_bound: bool = False
 
 
 @dataclass
@@ -254,6 +331,13 @@ class DaddaState:
 
     def rank(self) -> int:
         return rank_of_iterate(self)
+
+    def apply_h(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+        """H_k rhs as gamma Ucheck (X rhs), with the roundings K_H = n + 2r + 2
+        a term of it may take beyond those of :attr:`H` (see the module
+        docstring).  Nothing m x n is formed."""
+        r = self.X.shape[0]
+        return self.shifts.gamma * (self.Ucheck @ (self.X @ rhs)), self.prob.n + 2 * r + 2
 
     def dual(self) -> np.ndarray:
         """The dual iterate G_k = gamma Wcheck (I - Z_k Y_k)^{-1} Vcheck^T.
@@ -612,6 +696,10 @@ class _DenseAdda:
     def rank(self) -> int:
         return _numerical_rank(self.H)
 
+    def apply_h(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+        """H_k rhs, and the n roundings a term of it may take."""
+        return self.H @ rhs, self.H.shape[1]
+
     def dual(self) -> np.ndarray:
         return self.quad[2]
 
@@ -671,6 +759,76 @@ class _TripletAdda(_DenseAdda):
         self.k += 1
 
 
+def _offdiag_parts(M, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, neg), both >= 0, with N x = pos - neg for N = diag(M) - M.
+
+    A low-rank N cancels the row dots out of P R^T x (which sum goes
+    first depends on the sign); the other kinds cancel nothing.
+    """
+    if M.kind == "diag_plus_lowrank":
+        lr, rd = M.p @ (M.r.T @ x), M.lowrank_rowdot() * x
+        return (lr, rd) if M.sign == -1 else (rd, lr)
+    return M.offdiag_abs_apply(x), np.zeros_like(x)
+
+
+def _row_terms(M) -> int:
+    """w_M: the most terms one entry of N x sums (see the module docstring)."""
+    if M.kind == "banded":
+        return len(M.bands)
+    if M.kind == "diag_plus_lowrank":
+        return M.n + M.p.shape[1]
+    return M.n
+
+
+def _gate_applies(prob: MareProblem, criteria: StopCriteria) -> bool:
+    """Whether the loop gates erres by :func:`_erres_lower_bound` (module docstring)."""
+    if criteria.criterion != "erres" or prob.m * prob.n <= _SLAB_FLOATS:
+        return False
+    A, D = prob.A, prob.D
+    return bool(
+        A.offdiag_nonpositive() and D.offdiag_nonpositive()
+        and A.diagonal().min() > 0.0 and D.diagonal().min() > 0.0
+        and prob.u1.min() > 0.0
+        and all(f.min(initial=0.0) >= 0.0 for f in (prob.Bl, prob.Br, prob.Cl, prob.Cr))
+    )
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    ku = k * np.finfo(np.float64).eps / 2
+    return ku / (1.0 - ku)
+
+
+def _erres_lower_bound(prob: MareProblem, it) -> tuple[np.ndarray, np.ndarray]:
+    """Per row i, the raw bound L_i <= erres and its rounding slack s_i.
+
+    ``max(L - s)`` is at most the computed ``erres(prob, it.H)`` (see the
+    module docstring); a row whose G2 u is 0 has L_i = s_i = nan.  Only
+    ``it.apply_h`` touches the iterate.
+    """
+    m, n, p, q = prob.m, prob.n, prob.p, prob.q
+    u = prob.u1
+    rhs = np.column_stack([u, *_offdiag_parts(prob.D, u), prob.D.diagonal() * u, prob.Cl])
+    y, k_h = it.apply_h(rhs)
+    hu, d_pos, d_neg = y[:, 0], y[:, 1], y[:, 2]
+    hch = y[:, 4:] @ (prob.Cr.T @ hu)
+    a_pos, a_neg = _offdiag_parts(prob.A, hu)
+    bu = prob.Bl @ (prob.Br.T @ u)
+    g2u = prob.A.diagonal() * hu + y[:, 3]
+    num = np.abs(((hch + a_pos) + (d_pos + bu)) - ((a_neg + d_neg) + g2u))
+    err = (
+        _gamma(2 * m + n + 2 * q + 2 * k_h + 10) * hch
+        + _gamma(2 * _row_terms(prob.A) + k_h + 10) * (a_pos + a_neg)
+        + _gamma(2 * _row_terms(prob.D) + k_h + 10) * (d_pos + d_neg)
+        + _gamma(n + 2 * p + 10) * bu
+        + _gamma(k_h + 14) * g2u
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = np.where(g2u > 0.0, g2u, np.nan)
+        raw = num / den
+        return raw, 2.0 * (_gamma(k_h + 14) * raw + err / den)
+
+
 def _criterion_value(
     prob: MareProblem,
     H: np.ndarray,
@@ -704,13 +862,27 @@ def _stopping_loop(
     kernel row cap, and handed off to a :class:`_TripletAdda` once its next
     kernel would outgrow m + n; the loop drops it there, so its factor
     blocks are freed.  The report's seconds count from ``t0``.
+
+    Under ``erres`` above one slab of entries, each step first takes the
+    factored lower bound of :func:`_erres_lower_bound`.  Where that bound
+    exceeds the tolerance, the computed erres would too, so the step
+    records the bound (``lower_bound=True``) and steps on without forming
+    H or running the criterion; everywhere else erres decides as before.
+    ``erres_final`` is always a full evaluation on the returned H.
     """
     records: list[IterationRecord] = []
     h_prev: np.ndarray | None = None
     switched_at: int | None = None
+    gate = _gate_applies(prob, criteria)
     t_mark = t0
     while True:
-        value = _criterion_value(prob, it.H, criteria.criterion, h_prev, x_true)
+        value = -np.inf
+        if gate:
+            raw, slack = _erres_lower_bound(prob, it)
+            value = float(np.nanmax(raw - slack, initial=-np.inf))
+        gated = value > criteria.tolerance
+        if not gated:
+            value = _criterion_value(prob, it.H, criteria.criterion, h_prev, x_true)
         now = time.perf_counter()
         records.append(
             IterationRecord(
@@ -718,6 +890,7 @@ def _stopping_loop(
                 value=value,
                 kernel_order=it.kernel_order,
                 seconds=now - t_mark,
+                lower_bound=gated,
             )
         )
         t_mark = now
@@ -742,7 +915,7 @@ def _stopping_loop(
         it.step()
 
     h_final = it.H
-    if criteria.criterion == "erres":
+    if criteria.criterion == "erres" and not records[-1].lower_bound:
         erres_final = records[-1].value
     else:
         erres_final = erres(prob, h_final)

@@ -40,10 +40,25 @@ class TestSolve:
         assert report["criterion"] == "erres"
         assert report["erres_final"] <= report["tolerance"]
         assert report["records"][0]["k"] == 0
+        assert all("lower_bound" in r for r in report["records"])
+        assert report["records"][-1]["lower_bound"] is False
+        assert report["records"][-1]["value"] == report["erres_final"]
         h = np.loadtxt(csv_path, delimiter=",")
         prob = random_mare(80)
         assert h.shape == (prob.m, prob.n)
         assert np.all(h >= 0.0)
+
+    def test_lower_bound_records_above_one_slab(self, tmp_path):
+        # 400 x 100 entries exceed one slab, so early steps record the bound
+        path = _write_problem(tmp_path, gen_fluid(400, 100)[0])
+        out = tmp_path / "report.json"
+        assert main(["solve", "--input", path, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        records = report["records"]
+        assert records[0]["lower_bound"] is True
+        assert all(r["value"] > report["tolerance"] for r in records if r["lower_bound"])
+        assert records[-1]["lower_bound"] is False
+        assert records[-1]["value"] == report["erres_final"]
 
     def test_report_to_stdout(self, tmp_path, capsys):
         path = _write_problem(tmp_path, random_mare(81))
