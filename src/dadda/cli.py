@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import itertools
 import json
 import sys
@@ -79,16 +80,7 @@ def _report_to_json(report: SolveReport) -> dict:
         "frob_h": report.frob_h,
         "rank_h": report.rank_h,
         "seconds": report.seconds,
-        "records": [
-            {
-                "k": r.k,
-                "value": r.value,
-                "kernel_order": r.kernel_order,
-                "seconds": r.seconds,
-                "lower_bound": r.lower_bound,
-            }
-            for r in report.records
-        ],
+        "records": [dataclasses.asdict(r) for r in report.records],
     }
 
 

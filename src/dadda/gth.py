@@ -26,13 +26,16 @@ elimination as a BLAS-3 panel code (``trsm``, ``gemm``), changing results
 at rounding level only.  The sign invariants are explicit checks raising
 NotMMatrixError.
 
-GTH without pivoting keeps the band of a banded M: L has M's lower and U
-its upper bandwidth.  A banded triplet (:class:`BandTriplet`) is therefore
-eliminated in band storage, pivot by pivot with each update clipped to
-the lw x uw window behind the pivot, in O(n lw uw) work and O(n (lw + uw))
-memory, and solved by LAPACK ``tbtrs``.  That routine adds the same
-nonnegative terms (-F_ij) x_j as the dense ``trtrs``, only skipping the
-zeros outside the band, so x >= 0 exactly for b >= 0 on this path too.
+There is one elimination entry per storage: :func:`gth_factorize` for a
+dense :class:`TripletRepresentation`, and :class:`DenseGthSolver` on a
+:class:`BandTriplet` for a band.  GTH without pivoting keeps the band of a
+banded M: L has M's lower and U its upper bandwidth.  A banded triplet is
+therefore eliminated in band storage, pivot by pivot with each update
+clipped to the lw x uw window behind the pivot, in O(n lw uw) work and
+O(n (lw + uw)) memory, and solved by LAPACK ``tbtrs``.  That routine adds
+the same nonnegative terms (-F_ij) x_j as the dense ``trtrs``, only
+skipping the zeros outside the band, so x >= 0 exactly for b >= 0 on this
+path too.
 
 For diag(d) - P R^T with skinny P, R >= 0 (the canonical low-rank form of
 :mod:`dadda.linalg`) the module provides a Sherman-Morrison-Woodbury path
@@ -94,19 +97,9 @@ class TripletRepresentation:
             raise ValueError(f"N must be ({self.n}, {self.n}), got {self.N.shape}")
         if self.u.shape != (self.n,) or self.v.shape != (self.n,):
             raise ValueError("u and v must be vectors of the triplet order")
-        if not (np.all(np.isfinite(self.N)) and np.all(np.isfinite(self.u))
-                and np.all(np.isfinite(self.v))):
-            raise ValueError("triplet data must be finite")
-        if np.any(self.N < 0.0):
-            raise NotMMatrixError(
-                "not a nonsingular M-matrix (negative entry in N)"
-            )
         if np.any(np.diagonal(self.N) != 0.0):
             raise ValueError("N must have an exactly zero diagonal")
-        if np.any(self.u <= 0.0):
-            raise ValueError("u must be strictly positive")
-        if np.any(self.v < 0.0):
-            raise ValueError("v must be nonnegative")
+        _check_triplet_data([self.N], self.u, self.v)
 
     @staticmethod
     def from_parts(N, u, v) -> "TripletRepresentation":
@@ -123,15 +116,34 @@ class TripletRepresentation:
         return out
 
 
-def diagonal_from_triplet(t: TripletRepresentation) -> np.ndarray:
-    """Implied diagonal (v + N u) / u; errors if any entry is <= 0."""
-    nu = matmul(t.N, t.u[:, None])[:, 0]
-    diag = (t.v + nu) / t.u
+def _check_triplet_data(n_parts, u, v) -> None:
+    """The checks every triplet takes: finite data, N >= 0, u > 0, v >= 0.
+
+    ``n_parts`` holds N, whole or as its bands.
+    """
+    if not all(np.all(np.isfinite(x)) for x in [*n_parts, u, v]):
+        raise ValueError("triplet data must be finite")
+    if any(np.any(x < 0.0) for x in n_parts):
+        raise NotMMatrixError("not a nonsingular M-matrix (negative entry in N)")
+    if np.any(u <= 0.0):
+        raise ValueError("u must be strictly positive")
+    if np.any(v < 0.0):
+        raise ValueError("v must be nonnegative")
+
+
+def _implied_diagonal(nu, u, v) -> np.ndarray:
+    """(v + N u) / u from N u; errors if any entry is <= 0."""
+    diag = (v + nu) / u
     if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
         raise NotMMatrixError(
             "not a nonsingular M-matrix (implied diagonal not positive)"
         )
     return diag
+
+
+def diagonal_from_triplet(t: TripletRepresentation) -> np.ndarray:
+    """Implied diagonal (v + N u) / u; errors if any entry is <= 0."""
+    return _implied_diagonal(matmul(t.N, t.u[:, None])[:, 0], t.u, t.v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,6 +164,8 @@ class BandTriplet:
     v: np.ndarray
 
     def __post_init__(self):
+        if self.lower < 0 or self.upper < 0:
+            raise ValueError("bandwidths must be nonnegative")
         if self.u.shape != (self.n,) or self.v.shape != (self.n,):
             raise ValueError("u and v must be vectors of the triplet order")
         for off, vals in self.bands.items():
@@ -159,21 +173,9 @@ class BandTriplet:
                 raise ValueError(f"band offset {off} outside the off-diagonal band")
             if vals.shape != (self.n - abs(off),):
                 raise ValueError(f"band {off} must have length {self.n - abs(off)}")
-        values = list(self.bands.values())
-        if not all(np.all(np.isfinite(x)) for x in values + [self.u, self.v]):
-            raise ValueError("triplet data must be finite")
-        if any(np.any(x < 0.0) for x in values):
-            raise NotMMatrixError("not a nonsingular M-matrix (negative entry in N)")
-        if np.any(self.u <= 0.0):
-            raise ValueError("u must be strictly positive")
-        if np.any(self.v < 0.0):
-            raise ValueError("v must be nonnegative")
+        _check_triplet_data(list(self.bands.values()), self.u, self.v)
         nu = _band_apply(self.bands, self.u[:, None], transpose=False)[:, 0]
-        diag = (self.v + nu) / self.u
-        if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
-            raise NotMMatrixError(
-                "not a nonsingular M-matrix (implied diagonal not positive)"
-            )
+        _implied_diagonal(nu, self.u, self.v)
 
     @staticmethod
     def from_parts(n, lower, upper, bands, u, v) -> "BandTriplet":
@@ -289,49 +291,25 @@ def _check_sign(ok, what: str) -> None:
         raise NotMMatrixError(f"not a nonsingular M-matrix ({what} has the wrong sign)")
 
 
-def gth_factorize(
-    t: TripletRepresentation,
-    lower_bandwidth: int | None = None,
-    upper_bandwidth: int | None = None,
-) -> GthFactorization | BandGthFactorization:
-    """GTH-like LU of the M-matrix behind ``t``, pivot-free.
-
-    Without bandwidths this runs the BLAS-3 panels of
-    :func:`_factorize_dense_blocked` and returns a dense
-    :class:`GthFactorization`.  With them (an unset one means n - 1) the
-    band of ``t.N`` is read into a :class:`BandTriplet` and eliminated in
-    band storage by :func:`_factorize_band`; ``t.N`` must be zero outside
-    the band.  Raises :class:`NotMMatrixError` on a non-positive pivot or a
-    broken sign invariant.
-    """
-    if lower_bandwidth is None and upper_bandwidth is None:
-        return _factorize_dense_blocked(t)
-    n = t.n
-    lw = n - 1 if lower_bandwidth is None else int(lower_bandwidth)
-    uw = n - 1 if upper_bandwidth is None else int(upper_bandwidth)
-    if lw < 0 or uw < 0:
-        raise ValueError("bandwidths must be nonnegative")
-    lw, uw = min(lw, max(n - 1, 0)), min(uw, max(n - 1, 0))
-    bands = {off: np.diagonal(t.N, off) for off in range(-lw, uw + 1) if off}
-    if np.count_nonzero(t.N) != sum(np.count_nonzero(b) for b in bands.values()):
-        raise ValueError("N has entries outside the bandwidths")
-    return _factorize_band(BandTriplet(n, lw, uw, bands, t.u, t.v))
-
-
 _PANEL = 128
 # rows of the trailing block per gemm, so the product never needs an
 # order^2 temporary
 _SLAB = 256
 
 
-def _factorize_dense_blocked(t: TripletRepresentation) -> GthFactorization:
-    """GTH elimination in panels of _PANEL pivots, through BLAS-3.
+def gth_factorize(t: TripletRepresentation) -> GthFactorization:
+    """GTH-like LU of the dense triplet ``t``, pivot-free, in BLAS-3 panels.
 
-    Only the panel's diagonal block is eliminated pivot by pivot.  Pivot k
-    still comes from the triplet formula; the part of row k beyond the
-    panel enters it as the carried row mass s_k = (-U[k, pe:]) u[pe:],
-    which eliminating an earlier panel pivot j updates by
-    s_k += (-L_kj) s_j rather than by rewriting the row.  At panel end
+    The dense elimination entry; a :class:`BandTriplet` is eliminated by
+    :func:`_factorize_band` instead.  Raises :class:`NotMMatrixError` on a
+    non-positive pivot or a broken sign invariant.
+
+    Pivots come in panels of _PANEL, and only the panel's diagonal block is
+    eliminated pivot by pivot.  Pivot k still comes from the triplet
+    formula; the part of row k beyond the panel enters it as the carried
+    row mass s_k = (-U[k, pe:]) u[pe:], which eliminating an earlier panel
+    pivot j updates by s_k += (-L_kj) s_j rather than by rewriting the
+    row.  At panel end
 
         L21 = A21 U11^{-1},  U12 = L11^{-1} A12      (two trsm)
         v[pe:] += (-L21) v[panel],  A22 -= L21 U12   (gemv, gemm)
@@ -546,14 +524,15 @@ class DiagLowRankSolver:
         self.P = P
         self.R = R
         self.r = P.shape[1]
+        self._dinv_P = P / d[:, None]
+        self._dinv_R = R / d[:, None]
         if self.r == 0:
             self._mode = "diag"
         elif self.r == 1:
-            a = P[:, 0]
             bb = R[:, 0]
-            # capacitance 1 - bb^T diag(d)^{-1} a equals (bb^T diag(d)^{-1} v)
-            # / (bb^T u); the same scalar serves the transposed solve because
-            # bb^T diag(d)^{-1} a = a^T diag(d)^{-1} bb.
+            # with a = P[:, 0], capacitance 1 - bb^T diag(d)^{-1} a equals
+            # (bb^T diag(d)^{-1} v) / (bb^T u); the same scalar serves the
+            # transposed solve because bb^T diag(d)^{-1} a = a^T diag(d)^{-1} bb.
             num = ordered_dot(bb, u)
             den = ordered_dot(bb, v / d)
             if not (den > 0.0 and np.isfinite(num / den)):
@@ -562,35 +541,22 @@ class DiagLowRankSolver:
                 )
             self._mode = "rank1"
             self._factor = num / den
-            self._dinv_a = a / d
-            self._dinv_b = bb / d
         else:
             self._cap = gth_factorize(triplet_for_capacitance(d, P, R, u, v))
             self._mode = "capacitance"
-            self._dinv_P = P / d[:, None]
-            self._dinv_R = R / d[:, None]
 
     def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """x = d^{-1} b + (d^{-1} P) C^{-1} R^T d^{-1} b, with P and R
+        swapped for the transposed solve (C^T is the capacitance of M^T)."""
         b, squeeze = _column_form(b, self.n)
-        dinv_b = b / self.d[:, None]
-        if self._mode == "diag":
-            x = dinv_b
-        elif self._mode == "rank1":
-            if not transpose:
-                w = matmul(self.R.T, dinv_b)
-                x = dinv_b + self._factor * self._dinv_a[:, None] * w
+        x = b / self.d[:, None]
+        if self._mode != "diag":
+            test, image = (self.P, self._dinv_R) if transpose else (self.R, self._dinv_P)
+            w = matmul(test.T, x)
+            if self._mode == "rank1":
+                x = x + self._factor * image * w
             else:
-                w = matmul(self.P.T, dinv_b)
-                x = dinv_b + self._factor * self._dinv_b[:, None] * w
-        else:
-            if not transpose:
-                z = matmul(self.R.T, dinv_b)
-                y = self._cap.solve(z)
-                x = dinv_b + matmul(self._dinv_P, y)
-            else:
-                z = matmul(self.P.T, dinv_b)
-                y = self._cap.solve(z, transpose=True)
-                x = dinv_b + matmul(self._dinv_R, y)
+                x = x + matmul(image, self._cap.solve(w, transpose=transpose))
         return x[:, 0] if squeeze else x
 
 

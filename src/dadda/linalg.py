@@ -7,12 +7,11 @@ partial sums.  numpy applies pairwise summation only when reducing along a
 contiguous innermost axis; a reduction over axis 0 of a C-contiguous array
 whose trailing width is at least 2 is a plain sequential strided loop.
 ``_reduce_ascending`` funnels every array of sums through that code path
-(width-1 stacks are zero-padded to width 2) and the behaviour is probed
-once at import time, dropping to an explicit python loop if a numpy build
-ever changes it.  Scalar sums (``ordered_sum``, ``ordered_dot``,
-``frobenius_norm``) stream fixed-size chunks through ``np.add.accumulate``,
-a running sum and so sequential by definition, without copying their
-operands.
+and the behaviour is probed once at import time, dropping to an explicit
+python loop if a numpy build ever changes it.  Scalar sums
+(``ordered_sum``, ``ordered_dot``, ``frobenius_norm``, and a width-1
+stack) stream fixed-size chunks through ``np.add.accumulate``, a running
+sum and so sequential by definition, without copying their operands.
 
 Square coefficient matrices come in three structured kinds:
 
@@ -80,15 +79,13 @@ def _reduce_ascending(stack: np.ndarray) -> np.ndarray:
         return np.zeros(tail)
     flat = np.ascontiguousarray(stack.reshape(k, w))
     if w == 1:
-        flat = np.concatenate([flat, np.zeros((k, 1))], axis=1)
+        return np.full(tail, _running_total(flat[:, 0]))
     if _FAST_REDUCE:
         out = np.add.reduce(flat, axis=0)
     else:  # pragma: no cover - exercised only on numpy builds that reorder
         out = np.zeros(flat.shape[1])
         for i in range(k):
             out = out + flat[i]
-    if w == 1:
-        out = out[:1]
     return out.reshape(tail)
 
 
@@ -141,9 +138,11 @@ def ordered_dot(x: np.ndarray, y: np.ndarray) -> float:
 
 # Slab sizing: small results go through chunked stacked reductions, large
 # results through a rank-1 update loop blocked on rows so the active output
-# slab stays cache resident.
+# slab stays cache resident.  A small result's product stack holds at most
+# _CHUNK_FLOATS floats (512 KB), so it stays cache resident too, and a long
+# inner dimension streams through it chunk by chunk.
 _SMALL_RESULT = 4096
-_CHUNK_FLOATS = 1 << 21
+_CHUNK_FLOATS = 1 << 16
 _SLAB_FLOATS = 1 << 15
 
 
@@ -161,17 +160,11 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     k2, n = b.shape
     if k != k2:
         raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    out = np.zeros((m, n))
     if k == 0 or m == 0 or n == 0:
-        return out
+        return np.zeros((m, n))
     if m * n <= _SMALL_RESULT:
-        step = max(1, _CHUNK_FLOATS // (m * n))
-        for k0 in range(0, k, step):
-            k1 = min(k, k0 + step)
-            slab = a[:, k0:k1].T[:, :, None] * b[k0:k1, None, :]
-            stack = np.concatenate([out[None, :, :], slab], axis=0)
-            out = _reduce_ascending(stack)
-        return out
+        return _panel_tmatmul(a.T, b, max(1, _CHUNK_FLOATS // (m * n)))
+    out = np.zeros((m, n))
     rows = _panel_rows(n)
     tmp = np.empty((min(rows, m), n))
     for i0 in range(0, m, rows):
@@ -188,10 +181,10 @@ def _panel_tmatmul(f: np.ndarray, x: np.ndarray, rows: int) -> np.ndarray:
     """f^T x, bitwise equal to ``matmul(f.T, x)``, in O(rows * w * cols) memory.
 
     Row panels of f (m x w) and x (m x cols) are chained through a carried
-    accumulator the way ``matmul``'s small-result path chains its chunks:
-    each panel's products sit behind the running sums in one stack that is
-    reduced in ascending order, so every entry is the ascending loop over
-    all m rows.
+    accumulator: each panel's products sit behind the running sums in one
+    stack that is reduced in ascending order, so every entry is the
+    ascending loop over all m rows.  ``matmul``'s small-result path is this
+    chain over chunks of the inner index.
     """
     m, w = f.shape
     acc = np.zeros((w, x.shape[1]))
@@ -561,33 +554,54 @@ class StructuredSquare:
             np.array_equal(support, self.r != 0.0) and np.all(support.sum(axis=0) == 1)
         )
 
+    def offdiag_parts(
+        self, x: np.ndarray, transpose: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(pos, neg) with N x = pos - neg for N = diag(M) - M (N^T x with
+        ``transpose``); both are >= 0 for x >= 0 and a Z-matrix M.
+
+        The one definition of the split.  A low-rank N = -sign (P R^T -
+        diag(rowdots)) cancels the row dots out of P (R^T x), and ``sign``
+        orders the two sums (P and R swap under ``transpose``); the dense
+        and banded kinds cancel nothing, so their neg is zero.  ``x`` may
+        be a vector or an (n, cols) matrix.
+        """
+        cols, squeeze = _column_form(x, self.n)
+        neg = np.zeros_like(cols)
+        if self.kind == "banded":
+            pos = _band_apply(_negated_offdiag(self.bands), cols, transpose)
+        elif self.kind == "dense":
+            nmat = np.diag(np.diagonal(self.a)) - self.a
+            pos = matmul(nmat.T if transpose else nmat, cols)
+        else:
+            left, right = (self.r, self.p) if transpose else (self.p, self.r)
+            pos = matmul(left, matmul(right.T, cols))
+            neg = self.lowrank_rowdot()[:, None] * cols
+            if self.sign == 1:
+                pos, neg = neg, pos
+        return (pos[:, 0], neg[:, 0]) if squeeze else (pos, neg)
+
+    def offdiag_row_terms(self) -> int:
+        """The most terms one entry of N x sums: order, band count, or order
+        plus rank."""
+        if self.kind == "banded":
+            return len(self.bands)
+        if self.kind == "diag_plus_lowrank":
+            return self.n + self.p.shape[1]
+        return self.n
+
     def offdiag_abs_apply(
         self, x: np.ndarray, side: str = "left"
     ) -> np.ndarray:
         """Apply N = diag(M) - M (entrywise |off-diagonal| for a Z-matrix).
 
         ``side="left"`` computes N @ x, ``side="right"`` computes x @ N as
-        (N^T @ x.T).T: the operand check and the band product run on x.T,
-        while the dense and low-rank products keep x's row form.
+        (N^T @ x.T).T, both as pos - neg of :meth:`offdiag_parts`.
         """
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         left = side == "left"
         x = np.asarray(x, dtype=np.float64)
-        cols, squeeze = _column_form(x if left else x.T, self.n)
-        if self.kind == "banded":
-            out = _band_apply(_negated_offdiag(self.bands), cols, transpose=not left)
-        elif self.kind == "dense":
-            nmat = np.diag(np.diagonal(self.a)) - self.a
-            out = matmul(nmat, cols) if left else matmul(cols.T, nmat).T
-        else:
-            # N = diag(M) - M = -sign * (P R^T - diag(rowdots))
-            rowdot = self.lowrank_rowdot()
-            if left:
-                lr = matmul(self.p, matmul(self.r.T, cols))
-                out = -self.sign * (lr - rowdot[:, None] * cols)
-            else:
-                lr = matmul(matmul(cols.T, self.p), self.r.T)
-                out = (-self.sign * (lr - cols.T * rowdot[None, :])).T
-        out = out[:, 0] if squeeze else out
+        pos, neg = self.offdiag_parts(x if left else x.T, transpose=not left)
+        out = pos - neg
         return out if left else out.T

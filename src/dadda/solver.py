@@ -76,9 +76,14 @@ blocking; a sum that starts from its first term rather than from 0.0 can
 differ only in the sign of a zero, which the criterion cannot see), so it
 is bitwise equal to the unpanelled one while each panel does elementwise
 work in O(panel * n) memory.  ``ererr`` and ``relative_change`` stream
-the same way.  Only :func:`rank_of_iterate` leaves the ordered products:
-its core multiplies a mixed-sign QR factor, where no summation order is
-sign-exact, and it is a diagnostic outside the iteration, so BLAS forms it.
+the same way.  Ordered products are the rule; BLAS forms a product only
+where every operand is nonnegative, so any summation order adds
+nonnegative terms and moves results at rounding level alone: the ADDA
+steps, :func:`_gram` from order ``_GRAM_DOT_MIN``, ``apply_h`` and the
+gate's factored products below.  The one exception is
+:func:`rank_of_iterate`: its core multiplies a mixed-sign QR factor, where
+no summation order is sign-exact, and it is a diagnostic outside the
+iteration, so BLAS forms it too.
 
 Gating ``erres`` by a factored lower bound.  Above one slab of entries
 (m n > ``linalg._SLAB_FLOATS``) the stopping loop first bounds ``erres``
@@ -98,12 +103,13 @@ product that touches H, Y = H [u1, N_D u1 as two sums, diag(D) u1, Cl]:
     G1 u = (H Cl)(Cr^T (H u)) + N_A (H u) + H (N_D u1) + Bl (Br^T u1),
     G2 u = diag(A) (H u) + H (diag(D) u1),
 
-where :func:`_offdiag_parts` splits N_M x into the two nonnegative sums
-that its evaluation subtracts (a low-rank N cancels M's row dots out of
-P R^T x; the other kinds cancel nothing).  Every operand is nonnegative,
-so each product adds nonnegative terms.  ``apply_h`` forms Y: a DaddaState
-as gamma Ucheck (X rhs) from its factors in O((m + n) r (q + 4)), without
-materializing H, and the ADDA iterates as H @ rhs.
+where :meth:`~dadda.linalg.StructuredSquare.offdiag_parts` splits N_M x
+into the two nonnegative sums that its evaluation subtracts (a low-rank N
+cancels M's row dots out of P R^T x; the other kinds cancel nothing).
+Every operand is nonnegative, so each product adds nonnegative terms.
+``apply_h`` forms Y: a DaddaState as gamma Ucheck (X rhs) from its
+factors in O((m + n) r (q + 4)), without materializing H, and the ADDA
+iterates as H @ rhs.
 
 The raw L_i can exceed the computed erres e (fluid 33 x 1000 at k = 0:
 3.19712567796e-6 against 3.19712565619e-6; 7200 x 800 at k = 4: 2.1e-14
@@ -137,7 +143,8 @@ With K_H the roundings a term of H rhs takes beyond those of the
 materialized H (n + 2r + 2 from the factors of kernel order r: gamma
 Ucheck X takes r + 1, gamma Ucheck (X rhs) n + r + 1, and Lemma 3.3 adds
 them; n for a dense H @ rhs) and w_M the terms of one entry of N_M x
-(order, band count, or order plus rank), the counts are
+(``offdiag_row_terms``: order, band count, or order plus rank), the
+counts are
 
     K_HCH = 2m + n + 2q + 2 K_H + 10,   K_A = 2 w_A + K_H + 10,
     K_D = 2 w_D + K_H + 10,   K_B = n + 2p + 10,   K_G = K_H + 14,
@@ -759,27 +766,6 @@ class _TripletAdda(_DenseAdda):
         self.k += 1
 
 
-def _offdiag_parts(M, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pos, neg), both >= 0, with N x = pos - neg for N = diag(M) - M.
-
-    A low-rank N cancels the row dots out of P R^T x (which sum goes
-    first depends on the sign); the other kinds cancel nothing.
-    """
-    if M.kind == "diag_plus_lowrank":
-        lr, rd = M.p @ (M.r.T @ x), M.lowrank_rowdot() * x
-        return (lr, rd) if M.sign == -1 else (rd, lr)
-    return M.offdiag_abs_apply(x), np.zeros_like(x)
-
-
-def _row_terms(M) -> int:
-    """w_M: the most terms one entry of N x sums (see the module docstring)."""
-    if M.kind == "banded":
-        return len(M.bands)
-    if M.kind == "diag_plus_lowrank":
-        return M.n + M.p.shape[1]
-    return M.n
-
-
 def _gate_applies(prob: MareProblem, criteria: StopCriteria) -> bool:
     """Whether the loop gates erres by :func:`_erres_lower_bound` (module docstring)."""
     if criteria.criterion != "erres" or prob.m * prob.n <= _SLAB_FLOATS:
@@ -808,18 +794,18 @@ def _erres_lower_bound(prob: MareProblem, it) -> tuple[np.ndarray, np.ndarray]:
     """
     m, n, p, q = prob.m, prob.n, prob.p, prob.q
     u = prob.u1
-    rhs = np.column_stack([u, *_offdiag_parts(prob.D, u), prob.D.diagonal() * u, prob.Cl])
+    rhs = np.column_stack([u, *prob.D.offdiag_parts(u), prob.D.diagonal() * u, prob.Cl])
     y, k_h = it.apply_h(rhs)
     hu, d_pos, d_neg = y[:, 0], y[:, 1], y[:, 2]
     hch = y[:, 4:] @ (prob.Cr.T @ hu)
-    a_pos, a_neg = _offdiag_parts(prob.A, hu)
+    a_pos, a_neg = prob.A.offdiag_parts(hu)
     bu = prob.Bl @ (prob.Br.T @ u)
     g2u = prob.A.diagonal() * hu + y[:, 3]
     num = np.abs(((hch + a_pos) + (d_pos + bu)) - ((a_neg + d_neg) + g2u))
     err = (
         _gamma(2 * m + n + 2 * q + 2 * k_h + 10) * hch
-        + _gamma(2 * _row_terms(prob.A) + k_h + 10) * (a_pos + a_neg)
-        + _gamma(2 * _row_terms(prob.D) + k_h + 10) * (d_pos + d_neg)
+        + _gamma(2 * prob.A.offdiag_row_terms() + k_h + 10) * (a_pos + a_neg)
+        + _gamma(2 * prob.D.offdiag_row_terms() + k_h + 10) * (d_pos + d_neg)
         + _gamma(n + 2 * p + 10) * bu
         + _gamma(k_h + 14) * g2u
     )

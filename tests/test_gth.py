@@ -12,6 +12,7 @@ from conftest import _run_optimized, fraction_solve, random_triplet, sequential_
 from dadda.gth import (
     _PANEL,
     BandGthFactorization,
+    BandTriplet,
     DenseGthSolver,
     DiagLowRankSolver,
     DiagonalSolver,
@@ -51,6 +52,13 @@ def _dense_factors(f):
         for j in range(min(f.U.shape[1], n - k)):
             U[k, k + j] = f.U[k, j]
     return GthFactorization(n=n, L=L, U=U)
+
+
+def _band_triplet(t, lw, uw):
+    """The bands of ``t.N`` within widths (lw, uw), each clipped to n - 1."""
+    lw, uw = min(lw, max(t.n - 1, 0)), min(uw, max(t.n - 1, 0))
+    bands = {off: np.diagonal(t.N, off) for off in range(-lw, uw + 1) if off}
+    return BandTriplet.from_parts(t.n, lw, uw, bands, t.u, t.v)
 
 
 class TestTriplet:
@@ -147,9 +155,9 @@ class TestFactorization:
             gth_factorize(t)
 
     def test_bandwidth_validation(self):
-        t = TripletRepresentation.from_parts(np.zeros((2, 2)), [1, 1], [1, 1])
-        with pytest.raises(ValueError):
-            gth_factorize(t, lower_bandwidth=-1, upper_bandwidth=0)
+        for lw, uw in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="bandwidths must be nonnegative"):
+                BandTriplet.from_parts(2, lw, uw, {}, [1, 1], [1, 1])
 
     def test_blocked_matches_sequential(self):
         # the BLAS-3 panels against the textbook pivot loop of conftest,
@@ -170,7 +178,11 @@ class TestFactorization:
             N, u, v = random_triplet(rng, n, v_scale=1e-6, density=0.3 if w is None else 1.0)
             if w is not None:
                 N = np.triu(np.tril(N, w[1]), -w[0])
-            f = gth_factorize(TripletRepresentation.from_parts(N, u, v), *(w or ()))
+            t = TripletRepresentation.from_parts(N, u, v)
+            if w is None:
+                f = gth_factorize(t)
+            else:
+                f = DenseGthSolver(_band_triplet(t, *w)).factorization
             assert isinstance(f, BandGthFactorization) == (w is not None)
             blocked = f if w is None else _dense_factors(f)
             L, U = sequential_gth(N, u, v)
@@ -195,11 +207,15 @@ class TestFactorization:
         # N changed after validation: U gains a positive entry below a
         # pivot, so L would too.  The check must survive python -O, on one
         # panel (n = 5), several panels (n = 300) and a tridiagonal band
-        # whose planted entry lies in L21, across the first panel boundary.
+        # whose planted entry lies across the first panel boundary.  The
+        # band triplet is read from the validated N before the entry is
+        # planted, so the elimination, not the constructor, must catch it.
         for n, width, (i, j) in ((5, None, (4, 0)), (300, None, (299, 0)), (300, 1, (128, 127))):
             code = f"""
 import numpy as np
-from dadda.gth import NotMMatrixError, TripletRepresentation, gth_factorize
+from dadda.gth import (
+    BandTriplet, DenseGthSolver, NotMMatrixError, TripletRepresentation, gth_factorize
+)
 rng = np.random.Generator(np.random.Philox(31))
 N = rng.uniform(size=({n}, {n}))
 if {width} is not None:
@@ -208,9 +224,16 @@ np.fill_diagonal(N, 0.0)
 t = TripletRepresentation.from_parts(
     N, rng.uniform(0.5, 1.5, size={n}), rng.uniform(0.1, 1.0, size={n})
 )
-t.N[{i}, {j}] = -0.5
 try:
-    gth_factorize(t, {width}, {width})
+    if {width} is None:
+        t.N[{i}, {j}] = -0.5
+        gth_factorize(t)
+    else:
+        w = {width}
+        bands = {{o: np.diagonal(t.N, o).copy() for o in range(-w, w + 1) if o}}
+        b = BandTriplet.from_parts({n}, w, w, bands, t.u, t.v)
+        b.bands[{j - i}][{min(i, j)}] = -0.5
+        DenseGthSolver(b)
 except NotMMatrixError:
     raise SystemExit(0)
 raise SystemExit("factorization returned despite a positive off-diagonal entry")

@@ -280,6 +280,36 @@ class TestStructuredSquare:
                 with pytest.raises(ValueError):
                     s.offdiag_abs_apply(np.ones((6, 6, 6)), side=side)
 
+    def test_offdiag_parts(self):
+        # N x = pos - neg (N^T x with transpose), both parts >= 0 exactly on
+        # a Z-matrix; dense and banded blocks cancel nothing.  The extra
+        # cases are a dense Z-matrix and a sign +1 low-rank Z-matrix, whose
+        # pairs each sit on one diagonal index (so N = 0 = rowdots - P R^T).
+        rng = _rng(14)
+        n = 6
+        p, r = np.zeros((n, 2)), np.zeros((n, 2))
+        p[[1, 4], [0, 1]] = rng.uniform(0.5, 1.0, size=2)
+        r[[1, 4], [0, 1]] = rng.uniform(0.5, 1.0, size=2)
+        cases = self._cases(rng) + [
+            StructuredSquare.dense(np.diag(rng.uniform(2.0, 3.0, size=n))
+                                   - rng.uniform(size=(n, n))),
+            StructuredSquare.diag_plus_lowrank(rng.uniform(1.0, 2.0, size=n), p, r, sign=1),
+        ]
+        assert cases[-1].sign == 1
+        for s in cases:
+            dense = s.to_dense()
+            noff = np.diag(np.diagonal(dense)) - dense
+            for x in (rng.uniform(size=(n, 3)), rng.uniform(size=n)):
+                for transpose in (False, True):
+                    pos, neg = s.offdiag_parts(x, transpose=transpose)
+                    assert pos.shape == neg.shape == x.shape
+                    if s.offdiag_nonpositive():
+                        assert np.all(pos >= 0.0) and np.all(neg >= 0.0)
+                    if s.kind != "diag_plus_lowrank":
+                        assert not neg.any()
+                    ref = (noff.T if transpose else noff) @ x
+                    assert np.allclose(pos - neg, ref, rtol=1e-13, atol=1e-13)
+
     def test_sign_safe_apply_exact_nonneg(self):
         # stored diagonal negative, true diagonal nonnegative: the apply
         # must not let rounding produce negative outputs
