@@ -1,7 +1,10 @@
 """Command-line front end: solve, benchmark, sweep, verify.
 
 Exit codes: 0 converged, 1 input error, 2 iteration cap reached,
-3 kernel row cap exceeded, 4 verify found a violation.
+3 kernel row cap exceeded, 4 verify found a violation.  Exit 1 covers bad
+input, an unreadable input file and an unwritable output path alike; one
+handler in ``main`` turns each such ``OSError`` or ``ValueError`` into one
+``input error: ...`` line.
 
 Benchmark CSV columns are exactly
 ``method,m,n,erres,ererr,rank_h,frob_h,iters,seconds`` with ``ererr``
@@ -38,6 +41,7 @@ from .linalg import matmul
 from .oracle import _ORACLE_CAP
 from .problem import MareProblem, load_problem, make_shifts
 from .solver import (
+    CRITERIA,
     SolveReport,
     StopCriteria,
     advance,
@@ -84,34 +88,36 @@ def _report_to_json(report: SolveReport) -> dict:
     }
 
 
-def _write_report(report: SolveReport, path: str | None) -> None:
-    payload = json.dumps(_report_to_json(report), indent=2)
+def _write_json(payload: dict, path: str | None) -> None:
+    """``payload`` as indented JSON to ``path``, or to standard output."""
+    text = json.dumps(payload, indent=2)
     if path:
         with open(path, "w") as fh:
-            fh.write(payload + "\n")
+            fh.write(text + "\n")
     else:
-        print(payload)
+        print(text)
+
+
+def _write_csv(header, rows, path: str | None) -> None:
+    """A header line and ``rows`` to ``path``, or to standard output."""
+    sink = open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+    with sink as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_solve(args) -> int:
-    try:
-        prob = load_problem(args.input)
-        rep = prob.validate()
-        if not rep.ok:
-            for msg in rep.errors:
-                print(f"invalid problem: {msg}", file=sys.stderr)
-            return 1
-        criteria = _criteria_from_args(args, default_tol=1e-14, default_max_iter=20)
-        shifts = make_shifts(prob, alpha=args.alpha, beta=args.beta)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    prob = load_problem(args.input)
+    rep = prob.validate()
+    if not rep.ok:
+        for msg in rep.errors:
+            print(f"invalid problem: {msg}", file=sys.stderr)
         return 1
-    try:
-        report = solve(prob, shifts=shifts, criteria=criteria)
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    _write_report(report, args.out)
+    criteria = _criteria_from_args(args, default_tol=1e-14, default_max_iter=20)
+    shifts = make_shifts(prob, alpha=args.alpha, beta=args.beta)
+    report = solve(prob, shifts=shifts, criteria=criteria)
+    _write_json(_report_to_json(report), args.out)
     if args.csv:
         np.savetxt(args.csv, report.H, delimiter=",")
     return _EXIT_BY_TERMINATION[report.termination]
@@ -129,86 +135,56 @@ _BENCH = {
 }
 
 
-def _csv_row(method: str, prob: MareProblem, report: SolveReport, x_true) -> dict:
-    return {
-        "method": method,
-        "m": prob.m,
-        "n": prob.n,
-        "erres": f"{report.erres_final:.16e}",
-        "ererr": f"{ererr(report.H, x_true):.16e}" if x_true is not None else "",
-        "rank_h": report.rank_h,
-        "frob_h": f"{report.frob_h:.16e}",
-        "iters": report.iterations,
-        "seconds": f"{report.seconds:.6e}",
-    }
+_BENCH_HEADER = ("method", "m", "n", "erres", "ererr", "rank_h", "frob_h",
+                 "iters", "seconds")
 
 
-def _write_csv(rows, path: str | None) -> None:
-    fields = ["method", "m", "n", "erres", "ererr", "rank_h", "frob_h",
-              "iters", "seconds"]
-    fh = open(path, "w", newline="") if path else sys.stdout
-    try:
-        writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if path:
-            fh.close()
+def _csv_row(method: str, prob: MareProblem, report: SolveReport, x_true) -> tuple:
+    return (
+        method,
+        prob.m,
+        prob.n,
+        f"{report.erres_final:.16e}",
+        f"{ererr(report.H, x_true):.16e}" if x_true is not None else "",
+        report.rank_h,
+        f"{report.frob_h:.16e}",
+        report.iterations,
+        f"{report.seconds:.6e}",
+    )
 
 
 def cmd_bench(args) -> int:
     """dadda and, when small enough, the dense oracle under one stopping rule."""
     instance, default_tol, default_max_iter = _BENCH[args.command]
-    try:
-        prob, x_true = instance(args)
-        criteria = _criteria_from_args(args, default_tol, default_max_iter)
-        shifts = make_shifts(prob, alpha=args.alpha, beta=args.beta)
-        report = solve(prob, shifts=shifts, criteria=criteria, x_true=x_true)
-        rows = [_csv_row("dadda", prob, report, x_true)]
-        if prob.m + prob.n <= _ORACLE_CAP:
-            dense = solve_dense(prob, shifts=shifts, criteria=criteria, x_true=x_true)
-            rows.append(_csv_row("adda_oracle", prob, dense, x_true))
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    _write_csv(rows, args.csv)
+    prob, x_true = instance(args)
+    criteria = _criteria_from_args(args, default_tol, default_max_iter)
+    shifts = make_shifts(prob, alpha=args.alpha, beta=args.beta)
+    report = solve(prob, shifts=shifts, criteria=criteria, x_true=x_true)
+    rows = [_csv_row("dadda", prob, report, x_true)]
+    if prob.m + prob.n <= _ORACLE_CAP:
+        dense = solve_dense(prob, shifts=shifts, criteria=criteria, x_true=x_true)
+        rows.append(_csv_row("adda_oracle", prob, dense, x_true))
+    _write_csv(_BENCH_HEADER, rows, args.csv)
     if args.out:
-        _write_report(report, args.out)
+        _write_json(_report_to_json(report), args.out)
     return _EXIT_BY_TERMINATION[report.termination]
 
 
 def cmd_sweep(args) -> int:
-    try:
-        prob = benchgen.gen_transport(args.n, args.seed)
-        criteria = _criteria_from_args(args, default_tol=1e-13, default_max_iter=100)
-        grids = {
-            name: np.linspace(0.0, 1.0 / float(np.max(coef.diagonal())), args.points)
-            for name, coef in (("alpha", prob.A), ("beta", prob.D))
-        }
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    defaults = make_shifts(prob)
+    """Each shift over [0, its admissible bound], the other at its default."""
+    prob = benchgen.gen_transport(args.n, args.seed)
+    criteria = _criteria_from_args(args, default_tol=1e-13, default_max_iter=100)
+    bounds = make_shifts(prob)
     prefix = args.csv if args.csv else "sweep"
-    for name, fixed in (("alpha", defaults.beta), ("beta", defaults.alpha)):
+    for name in ("alpha", "beta"):
         rows = []
-        for val in grids[name]:
-            if name == "alpha":
-                shifts = make_shifts(prob, alpha=float(val), beta=fixed)
-            else:
-                shifts = make_shifts(prob, alpha=fixed, beta=float(val))
-            try:
-                report = solve(prob, shifts=shifts, criteria=criteria)
-            except ValueError as exc:
-                print(f"input error: {exc}", file=sys.stderr)
-                return 1
+        for val in np.linspace(0.0, getattr(bounds, name), args.points):
+            shifts = make_shifts(prob, **{name: float(val)})
+            report = solve(prob, shifts=shifts, criteria=criteria)
             rows.append((f"{val:.16e}", report.iterations,
                          f"{report.erres_final:.16e}"))
         path = f"{prefix}_{name}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([name, "iters", "erres"])
-            writer.writerows(rows)
+        _write_csv((name, "iters", "erres"), rows, path)
         print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
@@ -229,11 +205,9 @@ def _verify_fluid(sizes, failures):
     for m, n in sizes:
         prob, x_true = benchgen.gen_fluid(m, n)
         label = f"fluid {m}x{n}"
+        cu2, bu1 = prob.coupling_products()
         w_ones = np.concatenate(
-            [
-                prob.D.apply(prob.u1) - matmul(prob.Cl, prob.Cr.T @ prob.u2[:, None])[:, 0],
-                prob.A.apply(prob.u2) - matmul(prob.Bl, prob.Br.T @ prob.u1[:, None])[:, 0],
-            ]
+            [prob.D.apply(prob.u1) - cu2, prob.A.apply(prob.u2) - bu1]
         )
         if np.max(np.abs(w_ones)) > 1e-12:
             failures.append(f"{label}: W 1 != 0")
@@ -301,36 +275,33 @@ def _verify_gth(seed, failures):
                     failures.append(f"{name}: {side}relative error {rel:.3e}")
 
 
-def cmd_verify(args) -> int:
-    failures: list[str] = []
-    sizes = [(2, 18), (18, 2), (90, 10)]
-    if args.sizes:
-        try:
-            sizes = []
-            for chunk in args.sizes.split(","):
-                m, n = (int(t) for t in chunk.split("x"))
-                sizes.append((m, n))
-        except ValueError:
-            print(f"input error: bad --sizes {args.sizes!r}", file=sys.stderr)
-            return 1
-    family = args.family
+def _parse_sizes(text: str) -> list[tuple[int, int]]:
+    """``MxN`` pairs separated by commas."""
+    sizes = []
     try:
-        if family in ("fluid", "all"):
-            _verify_fluid(sizes, failures)
-        if family in ("transport", "all"):
-            _verify_transport(args.n, [args.seed, args.seed + 1], failures)
-        if family in ("gth", "all"):
-            _verify_gth(args.seed, failures)
-    except ValueError as exc:
-        # a NotMMatrixError of a walk is a failure, recorded by _invariants
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    payload = {"ok": not failures, "failures": failures}
-    text = json.dumps(payload, indent=2)
+        for chunk in text.split(","):
+            m, n = (int(t) for t in chunk.split("x"))
+            sizes.append((m, n))
+    except ValueError:
+        raise ValueError(f"bad --sizes {text!r}") from None
+    return sizes
+
+
+def cmd_verify(args) -> int:
+    # a NotMMatrixError of a walk is a failure, recorded by _invariants; any
+    # other ValueError is an input error
+    failures: list[str] = []
+    sizes = _parse_sizes(args.sizes) if args.sizes else [(2, 18), (18, 2), (90, 10)]
+    family = args.family
+    if family in ("fluid", "all"):
+        _verify_fluid(sizes, failures)
+    if family in ("transport", "all"):
+        _verify_transport(args.n, [args.seed, args.seed + 1], failures)
+    if family in ("gth", "all"):
+        _verify_gth(args.seed, failures)
+    _write_json({"ok": not failures, "failures": failures}, args.out)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text if not args.out else f"verify: {len(failures)} failure(s)")
+        print(f"verify: {len(failures)} failure(s)")
     return 4 if failures else 0
 
 
@@ -340,9 +311,10 @@ def cmd_verify(args) -> int:
 def _add_stopping(parser):
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--max-iter", type=int, default=None)
-    parser.add_argument("--criterion", default="erres",
-                        choices=["nres", "rchange", "erres", "ererr"])
-    parser.add_argument("--kernel-cap", type=int, default=4096)
+    parser.add_argument("--criterion", default=StopCriteria.criterion,
+                        choices=CRITERIA)
+    parser.add_argument("--kernel-cap", type=int,
+                        default=StopCriteria.kernel_row_cap)
 
 
 def _add_common(parser):
@@ -403,7 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        # ValueError covers NotMMatrixError and json.JSONDecodeError
+        print(f"input error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -139,6 +139,12 @@ class MareProblem:
     def C_dense(self) -> np.ndarray:
         return matmul(self.Cl, self.Cr.T)
 
+    def coupling_products(self) -> tuple[np.ndarray, np.ndarray]:
+        """C u2 and B u1 through the factors, as sums of nonnegative terms."""
+        cu2 = matmul(self.Cl, matmul(self.Cr.T, self.u2[:, None]))[:, 0]
+        bu1 = matmul(self.Bl, matmul(self.Br.T, self.u1[:, None]))[:, 0]
+        return cu2, bu1
+
     def validate(self) -> ValidationReport:
         """Collect diagnostics; never raises on bad numerics."""
         rep = ValidationReport()
@@ -171,8 +177,7 @@ class MareProblem:
         if rep.errors:
             return rep
         # triplet residual: W [u1; u2] = [v1; v2] within relative tolerance
-        cu2 = matmul(self.Cl, matmul(self.Cr.T, self.u2[:, None]))[:, 0]
-        bu1 = matmul(self.Bl, matmul(self.Br.T, self.u1[:, None]))[:, 0]
+        cu2, bu1 = self.coupling_products()
         res1 = self.D.apply(self.u1) - cu2 - self.v1
         res2 = self.A.apply(self.u2) - bu1 - self.v2
         scale = max(
@@ -277,8 +282,7 @@ def _clamp_diagonal(s: StructuredSquare) -> StructuredSquare:
 
 def shifted_parts(prob: MareProblem, shifts: ShiftPair) -> ShiftedParts:
     alpha, beta = shifts.alpha, shifts.beta
-    cu2 = matmul(prob.Cl, matmul(prob.Cr.T, prob.u2[:, None]))[:, 0]
-    bu1 = matmul(prob.Bl, matmul(prob.Br.T, prob.u1[:, None]))[:, 0]
+    cu2, bu1 = prob.coupling_products()
     image_d_alpha = prob.u1 + alpha * prob.v1 + alpha * cu2
     image_a_beta = prob.u2 + beta * prob.v2 + beta * bu1
     return ShiftedParts(

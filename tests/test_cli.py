@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, CSV schema, report files."""
 
+import argparse
 import csv
 import json
 
@@ -8,9 +9,9 @@ import pytest
 
 from conftest import random_mare
 from dadda import cli, solver
-from dadda.benchgen import gen_fluid
+from dadda.benchgen import gen_fluid, gen_transport
 from dadda.cli import main
-from dadda.problem import problem_to_json, save_problem
+from dadda.problem import make_shifts, problem_to_json, save_problem
 
 CSV_FIELDS = ["method", "m", "n", "erres", "ererr", "rank_h", "frob_h", "iters", "seconds"]
 
@@ -245,6 +246,9 @@ class TestSweep:
                 rows = list(csv.reader(fh))
             assert rows[0] == [name, "iters", "erres"]
             assert len(rows) == 6
+            # the grid ends on the admissible bound that make_shifts defaults to
+            bound = getattr(make_shifts(gen_transport(6, 0)), name)
+            assert rows[-1][0] == f"{bound:.16e}"
             for value, iters, res in rows[1:]:
                 assert np.isfinite(float(value))
                 assert int(iters) >= 0
@@ -335,3 +339,31 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestMain:
+    def test_unwritable_output_exit_one(self, tmp_path, capsys):
+        path = _write_problem(tmp_path, random_mare(80))
+        missing = tmp_path / "missing"
+        for argv in (
+            ["solve", "--input", path, "--out", str(missing / "r.json")],
+            ["solve", "--input", path, "--csv", str(missing / "h.csv")],
+            ["bench-fluid", "--m", "2", "--n", "18", "--csv", str(missing / "b.csv")],
+            ["bench-fluid", "--m", "2", "--n", "18", "--out", str(missing / "b.json")],
+            ["sweep", "--n", "6", "--points", "2", "--csv", str(missing / "sw")],
+            ["verify", "--family", "fluid", "--sizes", "2x18",
+             "--out", str(missing / "v.json")],
+        ):
+            assert main(argv) == 1
+            assert "input error" in capsys.readouterr().err
+
+    def test_stopping_defaults_from_stop_criteria(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        want = solver.StopCriteria()
+        for command in ("solve", "bench-fluid", "bench-transport", "sweep"):
+            actions = {a.dest: a for a in sub.choices[command]._actions}
+            assert actions["criterion"].default == want.criterion
+            assert tuple(actions["criterion"].choices) == solver.CRITERIA
+            assert actions["kernel_cap"].default == want.kernel_row_cap
