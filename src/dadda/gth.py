@@ -191,28 +191,39 @@ class GthFactorization:
     """Unit-lower L and upper U with M = L U, elimination cancellation-free.
 
     Sign pattern: L is unit lower triangular with off-diagonal entries
-    <= 0; U has positive diagonal and off-diagonal entries <= 0.
+    <= 0; U has positive diagonal and off-diagonal entries <= 0.  Both
+    live in the one n x n array ``LU``, U on and above the diagonal and
+    L's strictly lower part below it (LAPACK's ``getrf`` layout), so a
+    held factorization costs one array.
     """
 
     n: int
-    L: np.ndarray
-    U: np.ndarray
+    LU: np.ndarray
+
+    @property
+    def L(self) -> np.ndarray:
+        return np.tril(self.LU, -1) + np.eye(self.n)
+
+    @property
+    def U(self) -> np.ndarray:
+        return np.triu(self.LU)
 
     def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
         """Solve M x = b (or M.T x = b) by two LAPACK triangular solves.
 
-        L then U for M, U^T then L^T for M^T.  Every off-diagonal factor
-        entry is <= 0, so for b >= 0 each update b_i - F_ij x_j adds the
-        nonnegative term (-F_ij) x_j, and each division is by a positive
-        pivot: x >= 0 exactly, whatever order LAPACK sums in.
+        L then U for M, U^T then L^T for M^T, each reading its triangle of
+        ``LU``.  Every off-diagonal factor entry is <= 0, so for b >= 0
+        each update b_i - F_ij x_j adds the nonnegative term (-F_ij) x_j,
+        and each division is by a positive pivot: x >= 0 exactly, whatever
+        order LAPACK sums in.
         """
         b, squeeze = _column_form(b, self.n)
         if not transpose:
-            y = _trsolve(self.L, b, lower=True, unit=True)
-            x = _trsolve(self.U, y, lower=False, overwrite=True)
+            y = _trsolve(self.LU, b, lower=True, unit=True)
+            x = _trsolve(self.LU, y, lower=False, overwrite=True)
         else:
-            y = _trsolve(self.U, b, lower=False, transpose=True)
-            x = _trsolve(self.L, y, lower=True, transpose=True, unit=True, overwrite=True)
+            y = _trsolve(self.LU, b, lower=False, transpose=True)
+            x = _trsolve(self.LU, y, lower=True, transpose=True, unit=True, overwrite=True)
         return x[:, 0] if squeeze else x
 
 
@@ -321,18 +332,18 @@ def gth_factorize(t: TripletRepresentation) -> GthFactorization:
     chooses: the elimination stays cancellation-free and the sign
     guarantees hold exactly.  Diagonal entries of the unreduced part are
     implied by (u, v), so they are never read, only overwritten by their
-    pivots.
+    pivots.  L's columns overwrite the eliminated entries below the
+    diagonal, so both factors take the one array F.
     """
     n = t.n
-    U = -t.N
-    L = np.eye(n)
+    F = -t.N
     u = t.u
     v = t.v.copy()
     for p0 in range(0, n, _PANEL):
         pe = min(n, p0 + _PANEL)
-        s = -(U[p0:pe, pe:] @ u[pe:])
+        s = -(F[p0:pe, pe:] @ u[pe:])
         _check_sign(np.all(s >= 0.0), "carried row mass")
-        D = U[p0:pe, p0:pe]
+        D = F[p0:pe, p0:pe]
         for k in range(pe - p0):
             g = p0 + k
             row = D[k, k + 1 :]
@@ -342,31 +353,28 @@ def gth_factorize(t: TripletRepresentation) -> GthFactorization:
                     f"not a nonsingular M-matrix (pivot {g} non-positive)"
                 )
             D[k, k] = pivot
-            col = D[k + 1 :, k] / pivot
-            L[g + 1 : pe, g] = col
-            D[k + 1 :, k] = 0.0
+            col = np.divide(D[k + 1 :, k], pivot, out=D[k + 1 :, k])
             D[k + 1 :, k + 1 :] -= col[:, None] * row
             s[k + 1 :] -= col * s[k]
             v[g + 1 : pe] -= col * v[g]
-        _check_sign(np.all(np.tril(L[p0:pe, p0:pe], -1) <= 0.0), "L11")
+        _check_sign(np.all(np.tril(D, -1) <= 0.0), "L11")
         _check_sign(np.all(np.triu(D, 1) <= 0.0), "U11")
         _check_sign(np.all(v[p0:pe] >= 0.0), "running v")
         if pe == n:
             break
-        L21 = _trsolve(D, U[pe:, p0:pe].T, lower=False, transpose=True).T
+        L21 = _trsolve(D, F[pe:, p0:pe].T, lower=False, transpose=True).T
         _check_sign(np.all(L21 <= 0.0), "L21")
-        L[pe:, p0:pe] = L21
-        U[pe:, p0:pe] = 0.0
+        F[pe:, p0:pe] = L21
         v[pe:] -= L21 @ v[p0:pe]
         _check_sign(np.all(v[pe:] >= 0.0), "running v")
-        U12 = _trsolve(L[p0:pe, p0:pe], U[p0:pe, pe:], lower=True, unit=True)
+        U12 = _trsolve(D, F[p0:pe, pe:], lower=True, unit=True)
         _check_sign(np.all(U12 <= 0.0), "U12")
-        U[p0:pe, pe:] = U12
+        F[p0:pe, pe:] = U12
         for r0 in range(pe, n, _SLAB):
-            slab = U[r0 : r0 + _SLAB, pe:]
+            slab = F[r0 : r0 + _SLAB, pe:]
             slab -= L21[r0 - pe : r0 - pe + _SLAB] @ U12
             _check_sign(np.all(slab <= 0.0), "trailing block")
-    return GthFactorization(n=n, L=L, U=U)
+    return GthFactorization(n=n, LU=F)
 
 
 def _factorize_band(t: BandTriplet) -> BandGthFactorization:

@@ -133,12 +133,6 @@ class MareProblem:
 
     # -- derived applications ---------------------------------------------
 
-    def B_dense(self) -> np.ndarray:
-        return matmul(self.Bl, self.Br.T)
-
-    def C_dense(self) -> np.ndarray:
-        return matmul(self.Cl, self.Cr.T)
-
     def coupling_products(self) -> tuple[np.ndarray, np.ndarray]:
         """C u2 and B u1 through the factors, as sums of nonnegative terms."""
         cu2 = matmul(self.Cl, matmul(self.Cr.T, self.u2[:, None]))[:, 0]

@@ -37,29 +37,72 @@ the image stays exactly nonnegative even in the critical case.
 Hand-off to triplet-form ADDA.  The kernel order 2^k max(p, q) doubles
 each step whatever m and n are.  At the first step where the next order
 would exceed m + n, the stopping loop switches to :class:`_TripletAdda`,
-the coupled ADDA iteration on the dense quadruple of order m + n.  It
-restarts from k = 0 and steps back to the current k before it takes the
-step.  Its H_k is the same iterate as dADDA's, up to rounding.  The kernel
-row cap is checked first, so m + n stays below it, and the quadruple
-holds no more than the kernel it replaces would have.
+the coupled ADDA iteration on the dense quadruple of order m + n.  The
+kernel row cap is checked first, so m + n stays below it, and the
+quadruple holds no more than the kernel it replaces would have.
 
-The quadruple [[E, G], [H, F]] = L^{-1} R comes from one GTH factorization
-of L = [[alpha D + I, -beta C], [-alpha B, beta A + I]].  With
-R = [[I - beta D, alpha C], [beta B, I - alpha A]] >= 0 (the diagonal
-blocks from :func:`shifted_parts`, clamped as for dADDA) and
-L - R = gamma W, the triplet of L is (offdiag part, u, R u + gamma v),
-with u = [u1; u2] and v = [v1; v2].  The carried vector w = gamma L^{-1} v
-keeps u = [[E, G], [H, F]] u + w at every step, which gives each step's
-kernels a triplet without a subtraction:
+The decoupled form gives ADDA's quadruple at any k in closed form, so the
+hand-off builds it from the DaddaState at its k and replays no step.
+Write N = 2^k, T_D = D_alpha^{-1} D_neg and T_A = A_beta^{-1} A_neg (each
+one shifted GTH solve with a nonnegative right-hand side),
+S = sum_{j<N} T^j, K = I - Y Z (the state's factored kernel),
+X = K^{-1} Qcheck^T, and a, b the kernel images of the V and Q blocks
+without their V_i^T u2 and Q_i^T u1 terms, so v2k = a + Vcheck^T u2 and
+v1k = b + Qcheck^T u1.  Then
 
-    K1 = I - G H:  (offdiag(G H), u1, w1 + E u1 + G (w2 + F u2)),
-    K2 = I - H G:  (offdiag(H G), u2, w2 + F u2 + H (w1 + E u1)).
+    E_k = T_D^N + gamma (Wcheck Z) X,
+    F_k = T_A^N + gamma Ucheck K^{-1} (Y Vcheck^T),
+    G_k = gamma (Wcheck Vcheck^T + (Wcheck Z) K^{-1} (Y Vcheck^T)),
+    H_k = gamma Ucheck X,
+    w1 = gamma (S_D D_alpha^{-1} v1 + Wcheck (a + Z K^{-1} (Y a + b))),
+    w2 = gamma (S_A A_beta^{-1} v2 + Ucheck K^{-1} (Y a + b)),
 
-One step is then
+with G_k the dual iterate of :meth:`DaddaState.dual`.  T^N and S x come
+from k squarings: x <- x + T^{2^j} x, then T <- T T.
+
+The carried vector w keeps u = [[E, G], [H, F]] u + w, u = [u1; u2].  Its
+form above is w1 = u1 - E u1 - G u2 with the subtraction cancelled
+exactly, never in floating point.  D_alpha - D_neg = gamma D and
+D u1 = v1 + C u2 give u1 - T_D^N u1 = S_D (I - T_D) u1
+= gamma S_D D_alpha^{-1} (v1 + C u2), and S_D D_alpha^{-1} C u2 =
+Wcheck (1 (x) Cr^T u2), since W_j = T_D^j D_alpha^{-1} Cl.  By push-through,
+E u1 + G u2 = T_D^N u1 + gamma Wcheck (I - Z Y)^{-1} (Vcheck^T u2 +
+Z Qcheck^T u1).  The dual kernel's triplet identity, the mirror of
+:func:`kernel_triplet`'s,
+
+    (I - Z Y)(1 (x) Cr^T u2) = a + Z b + Vcheck^T u2 + Z Qcheck^T u1,
+
+turns the difference of the two into
+
+    w1 = gamma S_D D_alpha^{-1} v1 + gamma Wcheck (I - Z Y)^{-1} (a + Z b),
+
+and (I - Z Y)^{-1} (a + Z b) = a + Z K^{-1} (Y a + b).  w2 is the mirror,
+through K (1 (x) Br^T u1) = b + Y a + Qcheck^T u1 + Y Vcheck^T u2.  Every
+factor is nonnegative (T and S as products of nonnegative factors, a and
+b as sums of nonnegative terms, the K^{-1} columns as GTH solves of
+nonnegative right-hand sides), so each entry of the quadruple and of w
+is a sum of nonnegative products: no subtraction occurs, and every array
+is exactly nonnegative.
+
+Each step factors one kernel.  The identity u = [[E, G], [H, F]] u + w
+gives it a triplet without a subtraction; with n <= m it is
+
+    K1 = I - G H:  (offdiag(G H), u1, w1 + E u1 + G (w2 + F u2)).
+
+The other kernel K2 = I - H G enters by push-through, K2^{-1} H = H K1^{-1}
+and K2^{-1} = I + H K1^{-1} G.  With [X_E, X_GF, x_w] =
+K1^{-1} [E, G F, w1 + G w2], ADDA's step
 
     E <- E K1^{-1} E,    G <- G + E K1^{-1} G F,
     F <- F K2^{-1} F,    H <- H + F K2^{-1} H E,
-    w1 <- w1 + E K1^{-1} (w1 + G w2),   w2 <- w2 + F K2^{-1} (w2 + H w1).
+    w1 <- w1 + E K1^{-1} (w1 + G w2),   w2 <- w2 + F K2^{-1} (w2 + H w1)
+
+becomes
+
+    E <- E X_E,   G <- G + E X_GF,   w1 <- w1 + E x_w,
+    F <- F (F + H X_GF),   H <- H + F (H X_E),   w2 <- w2 + F (w2 + H x_w).
+
+With m < n the mirror image factors K2, of order m.
 
 Every product has nonnegative operands and every solve is a GTH solve
 with a nonnegative right-hand side, so each operation adds nonnegative
@@ -79,11 +122,11 @@ work in O(panel * n) memory.  ``ererr`` and ``relative_change`` stream
 the same way.  Ordered products are the rule; BLAS forms a product only
 where every operand is nonnegative, so any summation order adds
 nonnegative terms and moves results at rounding level alone: the ADDA
-steps, :func:`_gram` from order ``_GRAM_DOT_MIN``, ``apply_h`` and the
-gate's factored products below.  The one exception is
-:func:`rank_of_iterate`: its core multiplies a mixed-sign QR factor, where
-no summation order is sign-exact, and it is a diagnostic outside the
-iteration, so BLAS forms it too.
+steps and the hand-off, the dual iterate, :func:`_gram` from order
+``_GRAM_DOT_MIN``, ``apply_h`` and the gate's factored products below.
+The one exception is :func:`rank_of_iterate`: its core multiplies a
+mixed-sign QR factor, where no summation order is sign-exact, and it is a
+diagnostic outside the iteration, so BLAS forms it too.
 
 Gating ``erres`` by a factored lower bound.  Above one slab of entries
 (m n > ``linalg._SLAB_FLOATS``) the stopping loop first bounds ``erres``
@@ -170,6 +213,7 @@ import scipy.linalg
 
 from . import oracle
 from .gth import (
+    GthFactorization,
     TripletRepresentation,
     _check_sign,
     _offdiag_triplet,
@@ -263,7 +307,11 @@ class SolveReport:
 
 @dataclass(eq=False)
 class DaddaState:
-    """Mutable iteration state; index k counts doubling steps taken."""
+    """Mutable iteration state; index k counts doubling steps taken.
+
+    ``kernel`` holds the GTH factors of I - Y_k Z_k, factored once per
+    step, and ``X`` its solution K^{-1} Qcheck^T.
+    """
 
     prob: MareProblem
     shifts: ShiftPair
@@ -282,6 +330,7 @@ class DaddaState:
     ainv_v2: np.ndarray
     bru1: np.ndarray
     X: np.ndarray | None = None
+    kernel: GthFactorization | None = None
     _H: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -354,13 +403,19 @@ class DaddaState:
 
             G_k = gamma (Wcheck Vcheck^T + (Wcheck Z) (I - Y Z)^{-1} (Y Vcheck^T)),
 
-        every product of nonnegative factors and the one solve a GTH solve
-        with a nonnegative right-hand side.
+        every product of nonnegative factors, so BLAS forms it, and the one
+        solve a GTH solve with :attr:`kernel` of a nonnegative right-hand side.
         """
+        return self._dual_parts()[0]
+
+    def _dual_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """G_k with the two factors it is formed from, Wcheck Z and K^{-1} (Y Vcheck^T)."""
         vt = self.Vcheck.T
-        x = gth_factorize(kernel_triplet(self)).solve(matmul(self.Y, vt))
+        kyv = self.kernel.solve(self.Y @ vt)
+        _check_sign(np.all(kyv >= 0.0), "kernel solution")
         w = self.Wcheck
-        return self.shifts.gamma * (matmul(w, vt) + matmul(matmul(w, self.Z), x))
+        wz = w @ self.Z
+        return self.shifts.gamma * (w @ vt + wz @ kyv), wz, kyv
 
 
 _GRAM_DOT_MIN = 192
@@ -386,22 +441,27 @@ def _kernel_image(blocks, u, inv_v, v, shift, gamma) -> np.ndarray:
 
     One ordered product gives every B_i^T u and B_i^T inv_v; the prefix
     sums accumulate the latter in ascending block order (block 0 adds
-    gamma * 0.0), so each entry is a sum of nonnegative terms.
+    gamma * 0.0), so each entry is a sum of nonnegative terms.  With ``u``
+    None the B_i^T u term is left out (the hand-off's a and b).
     """
     width = blocks[0].shape[1]
-    cols = matmul(np.concatenate(blocks, axis=1).T, np.column_stack([u, inv_v]))
+    rhs = inv_v[:, None] if u is None else np.column_stack([u, inv_v])
+    cols = matmul(np.concatenate(blocks, axis=1).T, rhs)
     prefix = np.zeros((len(blocks), width))
-    np.cumsum(cols[:-width, 1].reshape(-1, width), axis=0, out=prefix[1:])
-    head = shift * matmul(blocks[0].T, v[:, None])[:, 0]
-    image = np.tile(head, len(blocks)) + cols[:, 0] + gamma * prefix.ravel()
+    np.cumsum(cols[:-width, -1].reshape(-1, width), axis=0, out=prefix[1:])
+    image = np.tile(shift * matmul(blocks[0].T, v[:, None])[:, 0], len(blocks))
+    if u is not None:
+        image += cols[:, 0]
+    image += gamma * prefix.ravel()
     _check_sign(np.all(image >= 0.0), "kernel image")
     return image
 
 
 def _refresh_kernel(state: DaddaState) -> None:
-    # drop the previous order's solution before the new factors
-    state.X = state._H = None
-    state.X = gth_factorize(kernel_triplet(state)).solve(state.Qcheck.T)
+    # drop the previous order's factors and solution before the new ones
+    state.X = state._H = state.kernel = None
+    state.kernel = gth_factorize(kernel_triplet(state))
+    state.X = state.kernel.solve(state.Qcheck.T)
     _check_sign(np.all(state.X >= 0.0), "kernel solution X")
 
 
@@ -711,36 +771,60 @@ class _DenseAdda:
         return self.quad[2]
 
 
+def _power_sum(shifted, neg, x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T^{2^k}, sum_{j<2^k} T^j x) for T = shifted^{-1} neg, by k squarings.
+
+    T is one shifted GTH solve with the nonnegative right-hand side ``neg``;
+    each squaring takes x <- x + T^{2^j} x, then T <- T T, so every product
+    has nonnegative operands.
+    """
+    t = shifted.solve(neg.to_dense())
+    _check_sign(np.all(t >= 0.0), "shifted power T")
+    for _ in range(k):
+        x = x + t @ x
+        t = t @ t
+    _check_sign(np.all(t >= 0.0) and np.all(x >= 0.0), "power T^(2^k) and its sum")
+    return t, x
+
+
 class _TripletAdda(_DenseAdda):
     """ADDA on the quadruple (E, F, G, H) with every solve a GTH solve.
 
-    The iterate that dADDA hands off to (see the module docstring).  Its
-    ``kernel_order`` is max(m, n), the order of its larger kernel.
+    The iterate that dADDA hands off to, built in closed form from the
+    DaddaState at its k (see the module docstring).  Each step factors one
+    kernel, of order min(m, n), which is its ``kernel_order``.
     """
 
-    def __init__(self, prob: MareProblem, shifts: ShiftPair):
-        parts = shifted_parts(prob, shifts)
-        alpha, beta = shifts.alpha, shifts.beta
-        n = prob.n
-        b, c = prob.B_dense(), prob.C_dense()
-        R = np.block([
-            [parts.D_neg_beta.to_dense(), alpha * c],
-            [beta * b, parts.A_neg_alpha.to_dense()],
-        ])
-        _check_sign(np.all(R >= 0.0), "ADDA right-hand block")
-        N = np.block([
-            [-parts.D_alpha.to_dense(), beta * c],
-            [alpha * b, -parts.A_beta.to_dense()],
-        ])
-        u = np.concatenate([prob.u1, prob.u2])
-        gv = shifts.gamma * np.concatenate([prob.v1, prob.v2])
-        lu = gth_factorize(_offdiag_triplet(N, u, R @ u + gv))
-        sol = lu.solve(np.column_stack([R, gv]))
-        self.quad = (sol[:n, :n], sol[n:, n:-1], sol[:n, n:-1], sol[n:, :n])
-        self.w1, self.w2 = sol[:n, -1], sol[n:, -1]
+    def __init__(self, state: DaddaState):
+        prob, sh = state.prob, state.shifts
+        gamma = sh.gamma
+        u, w = state.Ucheck, state.Wcheck
+        _check_sign(
+            all(np.all(x >= 0.0) for x in (
+                u, state.Vcheck, w, state.Qcheck, state.Y, state.Z, state.X)),
+            "dADDA factor block",
+        )
+        t_d, s_d = _power_sum(state.solver_d, state.d_neg, state.dinv_v1, state.k)
+        t_a, s_a = _power_sum(state.solver_a, state.a_neg, state.ainv_v2, state.k)
+        a = _kernel_image(state.v_blocks, None, state.ainv_v2, prob.v2, sh.beta, gamma)
+        b = _kernel_image(state.q_blocks, None, state.dinv_v1, prob.v1, sh.alpha, gamma)
+        c = state.kernel.solve(state.Y @ a + b)
+        _check_sign(np.all(c >= 0.0), "kernel solution")
+        G, wz, kyv = state._dual_parts()
+        self.quad = (
+            t_d + gamma * (wz @ state.X),
+            t_a + gamma * (u @ kyv),
+            G,
+            state.H,
+        )
+        self.w1 = gamma * (s_d + w @ (a + state.Z @ c))
+        self.w2 = gamma * (s_a + u @ c)
+        _check_sign(
+            all(np.all(x >= 0.0) for x in (*self.quad, self.w1, self.w2)), "ADDA quadruple"
+        )
         self.u1, self.u2 = prob.u1, prob.u2
-        self.kernel_order = max(prob.m, n)
-        self.k = 0
+        self.kernel_order = min(prob.m, prob.n)
+        self.k = state.k
 
     def step(self) -> None:
         E, F, G, H = self.quad
@@ -748,22 +832,31 @@ class _TripletAdda(_DenseAdda):
         _check_sign(
             all(np.all(x >= 0.0) for x in (E, F, G, H, w1, w2)), "ADDA quadruple"
         )
-        n, m = E.shape[0], F.shape[0]
-        r1 = w1 + E @ self.u1
-        r2 = w2 + F @ self.u2
-        k1 = _offdiag_triplet(G @ H, self.u1, r1 + G @ r2)
-        x1 = gth_factorize(k1).solve(np.column_stack([E, G @ F, w1 + G @ w2]))
-        k2 = _offdiag_triplet(H @ G, self.u2, r2 + H @ r1)
-        x2 = gth_factorize(k2).solve(np.column_stack([F, H @ E, w2 + H @ w1]))
-        self.quad = (
-            E @ x1[:, :n],
-            F @ x2[:, :m],
-            G + E @ x1[:, n:-1],
-            H + F @ x2[:, m:-1],
-        )
-        self.w1 = w1 + E @ x1[:, -1]
-        self.w2 = w2 + F @ x2[:, -1]
+        if E.shape[0] <= F.shape[0]:
+            self.quad, self.w1, self.w2 = _adda_step(E, F, G, H, w1, w2, self.u1, self.u2)
+        else:
+            # the mirror image: swap the sides, factor I - H G of order m
+            (F, E, H, G), self.w2, self.w1 = _adda_step(F, E, H, G, w2, w1, self.u2, self.u1)
+            self.quad = (E, F, G, H)
         self.k += 1
+
+
+def _adda_step(E, F, G, H, w1, w2, u1, u2):
+    """One ADDA step that factors K1 = I - G H only (module docstring).
+
+    The other kernel K2 = I - H G enters by push-through, K2^{-1} H = H K1^{-1}
+    and K2^{-1} = I + H K1^{-1} G, so its three solves are sums of
+    nonnegative products of the K1 solution.
+    """
+    n = E.shape[0]
+    r1 = w1 + E @ u1
+    r2 = w2 + F @ u2
+    k1 = _offdiag_triplet(G @ H, u1, r1 + G @ r2)
+    x = gth_factorize(k1).solve(np.column_stack([E, G @ F, w1 + G @ w2]))
+    _check_sign(np.all(x >= 0.0), "kernel solution")
+    xe, xgf, xw = x[:, :n], x[:, n:-1], x[:, -1]
+    quad = (E @ xe, F @ (F + H @ xgf), G + E @ xgf, H + F @ (H @ xe))
+    return quad, w1 + E @ xw, w2 + F @ (w2 + H @ xw)
 
 
 def _gate_applies(prob: MareProblem, criteria: StopCriteria) -> bool:
@@ -895,9 +988,7 @@ def _stopping_loop(
             h_prev = it.H
         if on_dadda and next_rows > prob.m + prob.n:
             switched_at = it.k
-            it = _TripletAdda(prob, shifts)
-            while it.k < switched_at:
-                it.step()
+            it = _TripletAdda(it)
         it.step()
 
     h_final = it.H

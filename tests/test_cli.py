@@ -208,14 +208,14 @@ class TestBench:
 
     def test_report_names_the_switch(self, tmp_path):
         # m + n = 20 < 2^5: the transport solve hands off after k = 4 and
-        # records max(m, n) as its kernel order from then on; the fluid solve
-        # converges at k = 4 first, and under nres it runs to the iteration
-        # cap on triplet-form ADDA
+        # records min(m, n), the order of the one kernel each ADDA step
+        # factors, from then on; the fluid solve converges at k = 4 first,
+        # and under nres it runs to the iteration cap on triplet-form ADDA
         out = tmp_path / "rep.json"
         for argv, code_want, switched, order in (
             (["bench-transport", "--n", "10", "--seed", "0"], 0, 4, 10),
             (["bench-fluid", "--m", "2", "--n", "18"], 0, None, None),
-            (["bench-fluid", "--m", "2", "--n", "18", "--criterion", "nres"], 2, 4, 18),
+            (["bench-fluid", "--m", "2", "--n", "18", "--criterion", "nres"], 2, 4, 2),
         ):
             assert main(argv + ["--out", str(out)]) == code_want
             report = json.loads(out.read_text())

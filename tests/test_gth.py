@@ -1,6 +1,7 @@
 """GTH-like factorization, triplet handling, and the SMW fast path."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from dadda.gth import (
     DenseGthSolver,
     DiagLowRankSolver,
     DiagonalSolver,
-    GthFactorization,
     NotMMatrixError,
     TripletRepresentation,
     build_solver,
@@ -51,7 +51,7 @@ def _dense_factors(f):
             L[k + i, k] = f.L[k, i]
         for j in range(min(f.U.shape[1], n - k)):
             U[k, k + j] = f.U[k, j]
-    return GthFactorization(n=n, L=L, U=U)
+    return SimpleNamespace(n=n, L=L, U=U)
 
 
 def _band_triplet(t, lw, uw):
@@ -187,7 +187,7 @@ class TestFactorization:
             blocked = f if w is None else _dense_factors(f)
             L, U = sequential_gth(N, u, v)
             _sign_ok(blocked)
-            _sign_ok(GthFactorization(n=n, L=L, U=U))
+            _sign_ok(SimpleNamespace(n=n, L=L, U=U))
             scale = np.abs(U).max()
             assert np.abs(blocked.U - U).max() <= 1e-13 * scale
             assert np.abs(blocked.L - L).max() <= 1e-13

@@ -16,7 +16,7 @@ class TestInitialQuadruple:
             m, n = prob.m, prob.n
             alpha, beta = sh.alpha, sh.beta
             A, D = prob.A.to_dense(), prob.D.to_dense()
-            B, C = prob.B_dense(), prob.C_dense()
+            B, C = prob.Bl @ prob.Br.T, prob.Cl @ prob.Cr.T
             E0, F0, G0, H0 = oracle.initial_quadruple(prob, sh)
             left = np.block(
                 [

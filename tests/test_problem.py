@@ -41,7 +41,7 @@ class TestConstruction:
     def test_shapes_and_counts(self):
         prob = _small_problem()
         assert (prob.m, prob.n, prob.p, prob.q) == (2, 2, 1, 1)
-        assert prob.B_dense() == pytest.approx(0.25 * np.ones((2, 2)))
+        assert prob.Bl @ prob.Br.T == pytest.approx(0.25 * np.ones((2, 2)))
 
     def test_factor_shape_errors(self):
         with pytest.raises(ValueError):

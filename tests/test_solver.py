@@ -21,6 +21,7 @@ from conftest import (
 )
 from dadda import oracle
 from dadda.benchgen import gen_fluid, gen_transport
+from dadda.gth import gth_factorize
 from dadda.linalg import StructuredSquare, frobenius_norm
 from dadda.problem import MareProblem, ShiftPair, make_shifts
 from dadda.solver import (
@@ -224,10 +225,10 @@ class TestResiduals:
             na = np.diag(np.diagonal(a)) - a
             nd = np.diag(np.diagonal(d)) - d
             g1 = (
-                naive_matmul(naive_matmul(H, prob.C_dense()), H)
+                naive_matmul(naive_matmul(H, naive_matmul(prob.Cl, prob.Cr.T)), H)
                 + naive_matmul(na, H)
                 + naive_matmul(H, nd)
-                + prob.B_dense()
+                + naive_matmul(prob.Bl, prob.Br.T)
             )
             g2 = np.diagonal(a)[:, None] * H + H * np.diagonal(d)[None, :]
             ref = np.max(np.abs(g1 - g2) / g2)
@@ -581,9 +582,7 @@ def _hand_stepped(prob, criteria):
             return it, "max_iterations", values, switched_at
         if switched_at is None and 2 ** (it.k + 1) * max(prob.p, prob.q) > prob.m + prob.n:
             switched_at = it.k
-            it = _TripletAdda(prob, it.shifts)
-            while it.k < switched_at:
-                it.step()
+            it = _TripletAdda(it)
         it.step()
 
 
@@ -661,7 +660,7 @@ class TestTripletAdda:
         for seed in range(50):
             prob = random_mare(seed)
             sh = make_shifts(prob)
-            it = _TripletAdda(prob, sh)
+            it = _TripletAdda(initialize(prob, sh))
             ref = oracle.initial_quadruple(prob, sh)
             for k in range(6):
                 if k:
@@ -674,12 +673,73 @@ class TestTripletAdda:
                         worst = max(worst, float(rel.max()))
         assert worst <= 1e-10
 
+    def test_closed_form_hand_off(self):
+        # the quadruple built from the dADDA factors at every k up to the
+        # switch: criterion 02's bound against the oracle on entries above
+        # 1e-30, u = [[E, G], [H, F]] u + w to 1e-12 entrywise relative,
+        # and every array exactly nonnegative
+        probs = [
+            random_mare(200 + 9 * i + 3 * p + q, m=m, n=n, p=p, q=q, kind=kind)
+            for i, kind in enumerate(("dense", "lowrank", "banded"))
+            for p in (1, 2, 3)
+            for q in (1, 2, 3)
+            for m, n in [((13, 6), (6, 13), (9, 9))[(i + p + q) % 3]]
+        ]
+        probs += [gen_transport(10, 1), gen_transport(20, 1, **NEAR_CRITICAL)]
+        worst = 0.0
+        for prob in probs:
+            sh = make_shifts(prob)
+            state = initialize(prob, sh)
+            ref = oracle.initial_quadruple(prob, sh)
+            u = np.concatenate([prob.u1, prob.u2])
+            while True:
+                it = _TripletAdda(state)
+                assert it.k == state.k
+                for got, want in zip(it.quad, ref):
+                    mask = np.abs(want) > 1e-30
+                    rel = np.abs(got - want)[mask] / np.abs(want)[mask]
+                    worst = max(worst, float(rel.max(initial=0.0)))
+                for x in (*it.quad, it.w1, it.w2):
+                    assert np.all(x >= 0.0)
+                E, F, G, H = it.quad
+                image = np.block([[E, G], [H, F]]) @ u + np.concatenate([it.w1, it.w2])
+                assert np.all(np.abs(image - u) <= 1e-12 * u), state.k
+                if 2 ** (state.k + 1) * max(prob.p, prob.q) > prob.m + prob.n:
+                    break
+                advance(state)
+                ref = oracle.step_quadruple(*ref)
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("m, n", [(30, 8), (8, 30)])
+    def test_one_kernel_per_step(self, monkeypatch, m, n):
+        # each step factors the kernel of order min(m, n) once; the other
+        # side's solves come from it by push-through
+        prob = random_mare(90, m=m, n=n)
+        sh = make_shifts(prob)
+        it = _TripletAdda(initialize(prob, sh))
+        assert it.kernel_order == min(m, n)
+        orders = []
+
+        def counted(t):
+            orders.append(t.n)
+            return gth_factorize(t)
+
+        monkeypatch.setattr("dadda.solver.gth_factorize", counted)
+        ref = oracle.initial_quadruple(prob, sh)
+        for k in range(1, 6):
+            it.step()
+            ref = oracle.step_quadruple(*ref)
+            assert orders == [min(m, n)] * k
+            for got, want in zip(it.quad, ref):
+                mask = np.abs(want) > 1e-30
+                assert np.all(np.abs(got - want)[mask] <= 1e-10 * np.abs(want)[mask])
+
     def test_exactly_nonnegative_with_kernel_identities(self):
         # u = [[E, G], [H, F]] u + w carries over, so (I - G H) u1 and
         # (I - H G) u2 equal the kernel images built without subtraction
         for n in (10, 20):
             prob = gen_transport(n, 0)
-            it = _TripletAdda(prob, make_shifts(prob))
+            it = _TripletAdda(initialize(prob))
             u1, u2 = prob.u1, prob.u2
             for k in range(8):
                 if k:
@@ -725,11 +785,10 @@ class TestTripletAdda:
             for _ in range(switch):
                 advance(state)
                 hs.append(state.H)
-            it = _TripletAdda(prob, sh)
-            for k in range(switch + 4):
+            it = _TripletAdda(state)
+            for _ in range(4):
                 it.step()
-                if it.k > switch:
-                    hs.append(it.H)
+                hs.append(it.H)
             drop = min(float(np.min(b - a)) for a, b in zip(hs, hs[1:]))
             assert drop >= -1e-15
 
@@ -743,16 +802,16 @@ class TestTripletAdda:
         assert np.abs(rep.G - G).max() <= 1e-10 * G.max()
 
     def test_sign_violation_raises_under_optimize(self):
-        # a negative entry planted in any operand of a step must stop it
-        # under python -O as well
+        # a negative entry planted in any operand of a step, or in a dADDA
+        # factor block before the hand-off, must stop it under python -O
+        # as well
         code = """
 from dadda.benchgen import gen_transport
 from dadda.gth import NotMMatrixError
-from dadda.problem import make_shifts
-from dadda.solver import _TripletAdda
+from dadda.solver import _TripletAdda, advance, initialize
 prob = gen_transport(10, 0)
 for name in ("E", "F", "G", "H", "w1", "w2"):
-    it = _TripletAdda(prob, make_shifts(prob))
+    it = _TripletAdda(initialize(prob))
     arrays = dict(zip("EFGH", it.quad), w1=it.w1, w2=it.w2)
     arrays[name].flat[0] = -1.0
     try:
@@ -760,6 +819,15 @@ for name in ("E", "F", "G", "H", "w1", "w2"):
     except NotMMatrixError:
         continue
     raise SystemExit(f"stepped despite a negative entry in {name}")
+for name in ("u_blocks", "v_blocks", "w_blocks", "q_blocks", "Y", "Z"):
+    state = advance(advance(initialize(prob)))
+    target = getattr(state, name)
+    (target[-1] if isinstance(target, list) else target).flat[0] = -1.0
+    try:
+        _TripletAdda(state)
+    except NotMMatrixError:
+        continue
+    raise SystemExit(f"handed off despite a negative entry in {name}")
 """
         proc = _run_optimized(code)
         assert proc.returncode == 0, proc.stderr
