@@ -58,6 +58,7 @@ from .linalg import (
     _band_apply,
     _canonical_lowrank,
     _column_form,
+    _matmul,
     _negated_offdiag,
     matmul,
     ordered_dot,
@@ -218,13 +219,20 @@ class GthFactorization:
         order LAPACK sums in.
         """
         b, squeeze = _column_form(b, self.n)
-        if not transpose:
-            y = _trsolve(self.LU, b, lower=True, unit=True)
-            x = _trsolve(self.LU, y, lower=False, overwrite=True)
-        else:
-            y = _trsolve(self.LU, b, lower=False, transpose=True)
-            x = _trsolve(self.LU, y, lower=True, transpose=True, unit=True, overwrite=True)
+        x = self._column_solve(transpose)(b)
         return x[:, 0] if squeeze else x
+
+    def _column_solve(self, transpose: bool):
+        """The solve b -> x of :meth:`solve` on (n, cols) float arrays; b is not written."""
+        LU = self.LU
+        if not transpose:
+            return lambda b: _trsolve(
+                LU, _trsolve(LU, b, lower=True, unit=True), lower=False, overwrite=True
+            )
+        return lambda b: _trsolve(
+            LU, _trsolve(LU, b, lower=False, transpose=True),
+            lower=True, transpose=True, unit=True, overwrite=True,
+        )
 
 
 def _trsolve(T, b, lower, transpose=False, unit=False, overwrite=False):
@@ -265,13 +273,19 @@ class BandGthFactorization:
         :meth:`GthFactorization.solve`: x >= 0 exactly for b >= 0.
         """
         b, squeeze = _column_form(b, self.n)
-        if not transpose:
-            y = _tbsolve(self.L, b, transpose=False, unit=True)
-            x = _tbsolve(self.U, y, transpose=True, overwrite=True)
-        else:
-            y = _tbsolve(self.U, b, transpose=False)
-            x = _tbsolve(self.L, y, transpose=True, unit=True, overwrite=True)
+        x = self._column_solve(transpose)(b)
         return x[:, 0] if squeeze else x
+
+    def _column_solve(self, transpose: bool):
+        """The solve b -> x of :meth:`solve` on (n, cols) float arrays; b is not written."""
+        L, U = self.L, self.U
+        if not transpose:
+            return lambda b: _tbsolve(
+                U, _tbsolve(L, b, transpose=False, unit=True), transpose=True, overwrite=True
+            )
+        return lambda b: _tbsolve(
+            L, _tbsolve(U, b, transpose=False), transpose=True, unit=True, overwrite=True
+        )
 
 
 def _tbsolve(F, b, transpose, unit=False, overwrite=False):
@@ -476,8 +490,13 @@ class DiagonalSolver:
 
     def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
         b, squeeze = _column_form(b, self.n)
-        x = b / self.d[:, None]
+        x = self._column_solve(transpose)(b)
         return x[:, 0] if squeeze else x
+
+    def _column_solve(self, transpose: bool):
+        """The solve b -> x of :meth:`solve` on (n, cols) float arrays."""
+        d = self.d[:, None]
+        return lambda b: b / d
 
 
 class DenseGthSolver:
@@ -498,6 +517,9 @@ class DenseGthSolver:
 
     def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
         return self.factorization.solve(b, transpose=transpose)
+
+    def _column_solve(self, transpose: bool):
+        return self.factorization._column_solve(transpose)
 
 
 class DiagLowRankSolver:
@@ -557,15 +579,37 @@ class DiagLowRankSolver:
         """x = d^{-1} b + (d^{-1} P) C^{-1} R^T d^{-1} b, with P and R
         swapped for the transposed solve (C^T is the capacitance of M^T)."""
         b, squeeze = _column_form(b, self.n)
-        x = b / self.d[:, None]
-        if self._mode != "diag":
-            test, image = (self.P, self._dinv_R) if transpose else (self.R, self._dinv_P)
-            w = matmul(test.T, x)
-            if self._mode == "rank1":
-                x = x + self._factor * image * w
-            else:
-                x = x + matmul(image, self._cap.solve(w, transpose=transpose))
+        x = self._column_solve(transpose)(b)
         return x[:, 0] if squeeze else x
+
+    def _column_solve(self, transpose: bool):
+        """The solve b -> x of :meth:`solve` on (n, cols) float arrays.
+
+        The operand views, the rank-one image scaled by its capacitance
+        factor, and the capacitance solve are set up here, once; the dADDA
+        step operator keeps the returned function for all of its blocks.
+        """
+        d = self.d[:, None]
+        if self._mode == "diag":
+            return lambda b: b / d
+        test, image = (self.P, self._dinv_R) if transpose else (self.R, self._dinv_P)
+        test_t = test.T
+        if self._mode == "rank1":
+            # x + factor * image * w evaluates factor * image first
+            scaled = self._factor * image
+
+            def rank1(b):
+                x = b / d
+                return x + scaled * _matmul(test_t, x)
+
+            return rank1
+        cap = self._cap._column_solve(transpose)
+
+        def capacitance(b):
+            x = b / d
+            return x + _matmul(image, cap(_matmul(test_t, x)))
+
+        return capacitance
 
 
 def build_solver(matrix, u, v):

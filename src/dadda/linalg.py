@@ -26,11 +26,15 @@ shifts and the Z-pattern check at O(n * bandwidth) or O(n * r), so large
 instances never densify.
 Every product, and every shifted solve in :mod:`dadda.gth`, checks its
 operand through ``_column_form``; all band products run one loop,
-``_band_apply``.
+``_band_apply``.  Behind each check is one function of the checked
+operand (``_column_apply``, ``_column_solve``) with the matrix's
+invariants computed once; the dADDA step operator keeps these for a
+whole chain of blocks and checks the chain's first operand.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -74,7 +78,7 @@ def _reduce_ascending(stack: np.ndarray) -> np.ndarray:
     """
     k = stack.shape[0]
     tail = stack.shape[1:]
-    w = int(np.prod(tail)) if tail else 1
+    w = math.prod(tail)
     if k == 0:
         return np.zeros(tail)
     flat = np.ascontiguousarray(stack.reshape(k, w))
@@ -143,6 +147,9 @@ def ordered_dot(x: np.ndarray, y: np.ndarray) -> float:
 # inner dimension streams through it chunk by chunk.
 _SMALL_RESULT = 4096
 _CHUNK_FLOATS = 1 << 16
+# results up to this many entries take _tiny_matmul, whose running sums
+# beat the stacked reduction only while the result is a few entries wide
+_TINY_RESULT = 4
 _SLAB_FLOATS = 1 << 15
 
 
@@ -156,15 +163,28 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("matmul expects 2-D operands")
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2:
+    if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    if k == 0 or m == 0 or n == 0:
-        return np.zeros((m, n))
+    return _matmul(a, b)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
+    """:func:`matmul` of checked float operands; with ``acc``, acc + a @ b.
+
+    Each entry of acc + a @ b is the ascending loop that starts from
+    ``acc`` instead of 0.0, so a product whose first inner indices were
+    summed into ``acc`` earlier continues bitwise where they stopped.  A
+    result of at most ``_SMALL_RESULT`` entries takes the chained ordered
+    reduction of :func:`_panel_tmatmul`, one of at most ``_TINY_RESULT``
+    entries from 0.0 the route of :func:`_tiny_matmul`.
+    """
+    m, k = a.shape
+    n = b.shape[1]
+    if acc is None and m * n <= _TINY_RESULT and 0 < k * m * n <= _CHUNK_FLOATS:
+        return _tiny_matmul(a, b)
     if m * n <= _SMALL_RESULT:
-        return _panel_tmatmul(a.T, b, max(1, _CHUNK_FLOATS // (m * n)))
-    out = np.zeros((m, n))
+        return _panel_tmatmul(a.T, b, max(1, _CHUNK_FLOATS // max(m * n, 1)), acc)
+    out = np.zeros((m, n)) if acc is None else acc.copy()
     rows = _panel_rows(n)
     tmp = np.empty((min(rows, m), n))
     for i0 in range(0, m, rows):
@@ -177,17 +197,36 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _panel_tmatmul(f: np.ndarray, x: np.ndarray, rows: int) -> np.ndarray:
+def _tiny_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a result of a few entries, such as a 1 x p dot of a dADDA block.
+
+    The low-overhead route: one stack of products, summed over the inner
+    index by ``np.add.accumulate``, a running sum and so ascending by
+    definition.  The sums start from their first term rather than from
+    0.0.  The two differ only while every term so far is -0.0, and then
+    only in the sign of a zero: 0.0 + x = x for every x but -0.0, and a sum
+    from 0.0 is never -0.0.  Adding 0.0 to the result maps -0.0 to 0.0 and
+    leaves every other value alone, so it is bitwise the loop from 0.0.
+    """
+    return np.add.accumulate(a.T[:, :, None] * b[:, None, :], axis=0)[-1] + 0.0
+
+
+def _panel_tmatmul(
+    f: np.ndarray, x: np.ndarray, rows: int, acc: np.ndarray | None = None
+) -> np.ndarray:
     """f^T x, bitwise equal to ``matmul(f.T, x)``, in O(rows * w * cols) memory.
 
     Row panels of f (m x w) and x (m x cols) are chained through a carried
     accumulator: each panel's products sit behind the running sums in one
     stack that is reduced in ascending order, so every entry is the
     ascending loop over all m rows.  ``matmul``'s small-result path is this
-    chain over chunks of the inner index.
+    chain over chunks of the inner index.  Given ``acc``, the chain starts
+    from it instead of from zeros and returns acc + f^T x, each entry the
+    loop continued from acc; ``acc`` itself is not written.
     """
     m, w = f.shape
-    acc = np.zeros((w, x.shape[1]))
+    if acc is None:
+        acc = np.zeros((w, x.shape[1]))
     buf = np.empty((min(rows, m) + 1,) + acc.shape)
     for i0 in range(0, m, rows):
         i1 = min(m, i0 + rows)
@@ -484,35 +523,53 @@ class StructuredSquare:
         ``x`` may be a vector or an (n, cols) matrix.
         """
         x, squeeze = _column_form(x, self.n)
-        if self.kind == "dense":
-            out = matmul(self.a.T if transpose else self.a, x)
-        elif self.kind == "banded":
-            out = _band_apply(self.bands, x, transpose)
-        else:
-            out = self._apply_lowrank(x, transpose)
+        out = self._column_apply(transpose)(x)
         return out[:, 0] if squeeze else out
 
-    def _apply_lowrank(self, x: np.ndarray, transpose: bool) -> np.ndarray:
-        if self.sign == 1 and np.any(self.d < 0.0) and np.all(x >= 0.0):
-            tdiag = self.d + self.lowrank_rowdot()
-            if np.all(tdiag >= 0.0):
-                # Nonnegative matrix whose stored diagonal is negative
-                # because the low-rank part carries it (the I - beta*D
-                # case).  d*x + P (R^T x) would cancel through the negative
-                # d, so split off the true diagonal instead: each entry of
-                # core dominates every product it accumulated, making
-                # core - R*x exactly nonnegative and the whole result a sum
-                # of nonnegatives.
-                left = self.r if transpose else self.p
-                right = self.p if transpose else self.r
-                core = matmul(right.T, x)
-                resid = core[None, :, :] - right[:, :, None] * x[:, None, :]
-                return tdiag[:, None] * x + _reduce_ascending(
-                    (left[:, :, None] * resid).transpose(1, 0, 2)
-                )
-        core = matmul(self.p.T if transpose else self.r.T, x)
-        lr = matmul(self.r if transpose else self.p, core)
-        return self.d[:, None] * x + self.sign * lr
+    def _column_apply(self, transpose: bool, nonneg: bool = False):
+        """The product x -> M x (M^T x with ``transpose``) on (n, cols) float arrays.
+
+        Everything that depends on M alone (the operand views, the low-rank
+        row dots and which low-rank form applies) is computed here, once;
+        the returned function does the per-operand arithmetic only.
+        :meth:`apply` builds one per call, and the dADDA step operator one
+        per block family, so both run the same arithmetic.  ``nonneg`` is
+        the caller's promise that every x is >= 0 (the step operator checks
+        its operands' signs itself); it skips the per-operand sign test
+        that picks the low-rank form.
+        """
+        if self.kind == "dense":
+            a = self.a.T if transpose else self.a
+            return lambda x: _matmul(a, x)
+        if self.kind == "banded":
+            bands = self.bands
+            return lambda x: _band_apply(bands, x, transpose)
+        left, right = (self.r, self.p) if transpose else (self.p, self.r)
+        right_t, d, sign = right.T, self.d[:, None], self.sign
+
+        def plain(x):
+            return d * x + sign * _matmul(left, _matmul(right_t, x))
+
+        if sign == -1 or not np.any(self.d < 0.0):
+            return plain
+        tdiag = self.d + self.lowrank_rowdot()
+        if not np.all(tdiag >= 0.0):
+            return plain
+        # Nonnegative matrix whose stored diagonal is negative because the
+        # low-rank part carries it (the I - beta*D case).  d*x + P (R^T x)
+        # would cancel through the negative d, so for x >= 0 split off the
+        # true diagonal instead: each entry of core dominates every product
+        # it accumulated, making core - R*x exactly nonnegative and the
+        # whole result a sum of nonnegatives.
+        tdiag, left3, right3 = tdiag[:, None], left[:, :, None], right[:, :, None]
+
+        def split(x):
+            resid = _matmul(right_t, x)[None, :, :] - right3 * x[:, None, :]
+            return tdiag * x + _reduce_ascending((left3 * resid).transpose(1, 0, 2))
+
+        if nonneg:
+            return split
+        return lambda x: split(x) if np.all(x >= 0.0) else plain(x)
 
     def affine(self, scale: float, shift: float) -> "StructuredSquare":
         """Return scale * M + shift * I in the same structured kind."""

@@ -21,6 +21,42 @@ Everything on the right-hand side above is entrywise nonnegative, so the
 whole iteration is free of subtractive cancellation; the m x n iterate is
 only materialized when a stopping criterion or the caller asks for it.
 
+One step operator per family.  The first :func:`advance` builds a
+:class:`_BlockStep` for each of U, V, W and Q from the family's shifted
+solver and negated part.  It holds the very functions that the public
+``solve`` and ``apply`` run (``_column_solve``, ``_column_apply``), with
+every per-matrix invariant computed once: operand views, the rank-one
+image scaled by its capacitance factor, the low-rank row dots and which
+low-rank form applies.  There is no second implementation of any solve
+or product, so each block is bitwise ``neg.apply(shifted.solve(x, t), t)``
+of the one before.  A family's 2^k new blocks take one operand check and
+one sign check, over a running minimum of every shifted solution and
+block of the chain.  The split low-rank form, which needs x >= 0, is
+taken without testing each x: the chain checks every x, and raises if
+one is negative.  A dot with at most four entries, such as the 1 x p dot
+of a block's rank-one solve, takes ``matmul``'s tiny-result route, which
+is bitwise the ascending loop from 0.0 too.
+
+The couplings reuse the previous step.  With T = Qcheck_k^T Wcheck_k and
+S = Vcheck_k^T Ucheck_k, the kernel's product is
+
+    Y_{k+1} Z_{k+1} = [[Y Z, Y (gamma S)], [(gamma T) Z, Y Z + (gamma T)(gamma S)]],
+
+and T and S hold the previous step's T and S as their top-left blocks,
+since Qcheck_{k+1} = [Qcheck_k, Qcheck_new].  On the ordered path every
+entry of a product is its own ascending loop from 0.0.  In the full
+product Y_{k+1} Z_{k+1}, the first half of each loop multiplies the zero
+blocks of Y_{k+1} or Z_{k+1} (+0.0 products, which leave the sum at +0.0)
+in the top row and left column of blocks, and is the loop of Y Z in the
+bottom-right block.  So the stored Y Z is the top-left block, the two
+off-diagonal blocks are the ordered products, and the bottom-right block
+continues the loops of Y Z through (gamma T)(gamma S), by a carried
+accumulator.  Each entry of T is one ascending dot over the rows, whatever
+else is formed with it.  Every reused entry is thus bitwise that of the
+full product, and so are the kernel, H and every record.  The BLAS or
+ordered choice of :func:`_gram` is made on the full product's shape, so
+reuse never moves it; on BLAS nothing is reused or kept.
+
 The kernels I - Y_k Z_k are themselves nonsingular M-matrices.  Their GTH
 triplet is assembled additively: with u-side B_r^T u1 tiled 2^k times,
 
@@ -194,7 +230,10 @@ counts are
 
 the 10 bounding the additions that combine the parts on both paths.  All
 three iterates gate; the gate needs Z-pattern A and D with positive
-diagonals, u1 > 0 and nonnegative factors, checked once per solve.  At
+diagonals, u1 > 0 and nonnegative factors, checked once per solve.  What
+the bound needs of the problem alone (the right-hand side, Bl (Br^T u1),
+diag(A), the counts less their K_H terms and gamma_{K_B}) is built once per
+solve too, as ``_GateParts``, with the same operations as at each step.  At
 m n <= ``_SLAB_FLOATS`` the whole criterion is one cache-resident panel,
 so every step runs it.  A skipped step changes nothing observable but its
 record: the iterates, and every full evaluation, are bitwise those of an
@@ -223,6 +262,8 @@ from .gth import (
 from .linalg import (
     _SLAB_FLOATS,
     _band_apply,
+    _column_form,
+    _matmul,
     _negated_offdiag,
     _outer_sum,
     _panel_ratio_max,
@@ -310,7 +351,11 @@ class DaddaState:
     """Mutable iteration state; index k counts doubling steps taken.
 
     ``kernel`` holds the GTH factors of I - Y_k Z_k, factored once per
-    step, and ``X`` its solution K^{-1} Qcheck^T.
+    step, and ``X`` its solution K^{-1} Qcheck^T.  While the products stay
+    ordered (kernel order below ``_GRAM_DOT_MIN``), ``gram`` keeps Y_k Z_k
+    and ``corners`` the products Qcheck^T Wcheck and Vcheck^T Ucheck of the
+    last step, which the next step's products reuse.  ``block_steps`` holds
+    the four families' step operators, built by the first :func:`advance`.
     """
 
     prob: MareProblem
@@ -331,6 +376,9 @@ class DaddaState:
     bru1: np.ndarray
     X: np.ndarray | None = None
     kernel: GthFactorization | None = None
+    gram: np.ndarray | None = field(default=None, repr=False)
+    corners: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    block_steps: tuple[_BlockStep, ...] | None = field(default=None, repr=False)
     _H: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -357,10 +405,13 @@ class DaddaState:
     def H(self) -> np.ndarray:
         """Dense current iterate, materialized lazily."""
         if self._H is None:
-            # scaled in place and checked by its minimum: one m x n array
+            # scaled in place and checked by its minimum, one row panel at a
+            # time while the panel is cache resident: one m x n array, read
+            # once after the product
             H = _gram(self.Ucheck, self.X)
-            H *= self.shifts.gamma
-            _check_sign(H.min(initial=0.0) >= 0.0, "iterate H")
+            for (panel,) in _row_panels(H):
+                panel *= self.shifts.gamma
+                _check_sign(panel.min(initial=0.0) >= 0.0, "iterate H")
             self._H = H
         return self._H
 
@@ -421,6 +472,11 @@ class DaddaState:
 _GRAM_DOT_MIN = 192
 
 
+def _on_blas(rows: int, cols: int) -> bool:
+    """Whether :func:`_gram` forms a product with this result shape on BLAS."""
+    return min(rows, cols) >= _GRAM_DOT_MIN
+
+
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of two nonnegative kernel-order matrices.
 
@@ -431,9 +487,54 @@ def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     differ from the fixed-order product by rounding only.
     """
     _check_sign(np.all(a >= 0.0) and np.all(b >= 0.0), "kernel-order factor")
-    if min(a.shape[0], b.shape[1]) >= _GRAM_DOT_MIN:
+    if _on_blas(a.shape[0], b.shape[1]):
         return np.dot(a, b)
     return matmul(a, b)
+
+
+def _block_gram(prev, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_gram(a.T, b)``, with ``prev``, when given, as its top-left block.
+
+    ``prev`` is the previous step's product of the leading columns of a
+    and b.  On the ordered path every entry is its own ascending dot over
+    the rows, so the entries of ``prev`` are bitwise those of the full
+    product and only the new rows and columns are formed.  The BLAS/ordered
+    split is decided on the full product's shape.
+    """
+    if prev is None or _on_blas(a.shape[1], b.shape[1]):
+        return _gram(a.T, b)
+    ra, rb = prev.shape
+    _check_sign(np.all(a[:, ra:] >= 0.0) and np.all(b[:, rb:] >= 0.0), "kernel-order factor")
+    out = np.empty((a.shape[1], b.shape[1]))
+    out[:ra, :rb] = prev
+    out[:ra, rb:] = matmul(a[:, :ra].T, b[:, rb:])
+    out[ra:] = matmul(a[:, ra:].T, b)
+    return out
+
+
+def _doubled_gram(yz, Y, Z, ct, cs) -> np.ndarray:
+    """Y' Z' for Y' = [[0, Y], [Y, ct]] and Z' = [[0, Z], [Z, cs]], from yz = Y Z.
+
+        Y' Z' = [[Y Z, Y cs], [ct Z, Y Z + ct cs]].
+
+    Bitwise ``_gram(Y', Z')`` on the ordered path: each entry there is the
+    ascending loop over Y''s 2r columns from 0.0, and its first r terms
+    are products with an exact zero block (+0.0, which leaves the sum at
+    +0.0) in the top row of blocks and the left column of blocks, and the
+    terms of Y Z in the bottom-right block.  So the top-left block is Y Z,
+    the two off-diagonal blocks are the ordered products Y cs and ct Z, and
+    the bottom-right block continues the sums of Y Z through ct cs.
+    """
+    _check_sign(
+        all(np.all(x >= 0.0) for x in (Y, Z, ct, cs)), "kernel-order factor"
+    )
+    r = yz.shape[0]
+    out = np.empty((2 * r, 2 * r))
+    out[:r, :r] = yz
+    out[:r, r:] = matmul(Y, cs)
+    out[r:, :r] = matmul(ct, Z)
+    out[r:, r:] = _matmul(ct, cs, yz)
+    return out
 
 
 def _kernel_image(blocks, u, inv_v, v, shift, gamma) -> np.ndarray:
@@ -457,10 +558,15 @@ def _kernel_image(blocks, u, inv_v, v, shift, gamma) -> np.ndarray:
     return image
 
 
-def _refresh_kernel(state: DaddaState) -> None:
+def _refresh_kernel(state: DaddaState, gram: np.ndarray | None = None) -> None:
+    """Factor I - Y_k Z_k, from ``gram`` = Y_k Z_k when the step formed it."""
     # drop the previous order's factors and solution before the new ones
-    state.X = state._H = state.kernel = None
-    state.kernel = gth_factorize(kernel_triplet(state))
+    state.X = state._H = state.kernel = state.gram = None
+    if gram is None:
+        gram = _gram(state.Y, state.Z)
+    if not _on_blas(2 * state.kernel_order, 2 * state.kernel_order):
+        state.gram = gram.copy()  # the triplet zeroes the diagonal in place
+    state.kernel = gth_factorize(_kernel_triplet(state, gram))
     state.X = state.kernel.solve(state.Qcheck.T)
     _check_sign(np.all(state.X >= 0.0), "kernel solution X")
 
@@ -470,8 +576,13 @@ def kernel_triplet(state: DaddaState) -> TripletRepresentation:
 
     Assembled additively, never by subtraction.
     """
+    return _kernel_triplet(state, _gram(state.Y, state.Z))
+
+
+def _kernel_triplet(state: DaddaState, gram: np.ndarray) -> TripletRepresentation:
+    """:func:`kernel_triplet` with Y_k Z_k given; its diagonal is zeroed in place."""
     v = state.v1k + matmul(state.Y, state.v2k[:, None])[:, 0]
-    return _offdiag_triplet(_gram(state.Y, state.Z), np.tile(state.bru1, 2**state.k), v)
+    return _offdiag_triplet(gram, np.tile(state.bru1, 2**state.k), v)
 
 
 def initialize(prob: MareProblem, shifts: ShiftPair | None = None) -> DaddaState:
@@ -525,27 +636,91 @@ def _doubled(old: np.ndarray, corner: np.ndarray) -> np.ndarray:
     return out
 
 
+class _BlockStep:
+    """The step x -> N (M^{-1} x) of one block family, built once per solve.
+
+    M is the family's shifted matrix, N its negated part, both transposed
+    for the V and Q families.  ``solve`` and ``apply`` are the functions
+    that the public ``solve`` and ``apply`` of the solver and the
+    structured matrix run, with every per-matrix invariant computed once,
+    so each block is bitwise ``neg.apply(shifted.solve(x, t), t)``.
+    """
+
+    def __init__(self, shifted, neg, transpose: bool):
+        self.n = neg.n
+        self.solve = shifted._column_solve(transpose)
+        # the split low-rank form needs x >= 0; chain() checks every x
+        self.apply = neg._column_apply(transpose, nonneg=True)
+
+    def chain(self, x: np.ndarray, count: int) -> list[np.ndarray]:
+        """The next ``count`` blocks after ``x``, each the step of the one before.
+
+        One operand check on ``x``, and one sign check over all the shifted
+        solutions and blocks together: a negative entry anywhere in the
+        chain raises :class:`~dadda.gth.NotMMatrixError` before any block
+        is returned.  The check reads a running entrywise minimum, which
+        keeps a NaN, so the chain holds no solution beyond the one in use.
+        """
+        x = _column_form(x, self.n)[0]
+        low = np.full(x.shape, np.inf)
+        blocks = []
+        for _ in range(count):
+            s = self.solve(x)
+            x = self.apply(s)
+            np.minimum(low, s, out=low)
+            np.minimum(low, x, out=low)
+            blocks.append(x)
+        _check_sign(low.min() >= 0.0, "factor block")
+        return blocks
+
+
+def _double_couplings(state: DaddaState) -> np.ndarray | None:
+    """Y_k, Z_k -> Y_{k+1}, Z_{k+1}, and Y_{k+1} Z_{k+1} on the ordered path.
+
+    On the ordered path the corner products and the kernel gram reuse the
+    previous step's (:func:`_block_gram`, :func:`_doubled_gram`), and the
+    new corners are kept for the next step.  On BLAS nothing is reused:
+    each corner is freed once it is scaled in, and the gram is left to
+    :func:`_refresh_kernel` (None).
+    """
+    gamma = state.shifts.gamma
+    qw_prev, vu_prev = state.corners or (None, None)
+    state.corners = None
+    qw = _block_gram(qw_prev, state.Qcheck, state.Wcheck)
+    if _on_blas(*qw.shape):
+        state.Y = _doubled(state.Y, gamma * qw)
+        del qw
+        state.Z = _doubled(state.Z, gamma * _block_gram(None, state.Vcheck, state.Ucheck))
+        return None
+    vu = _block_gram(vu_prev, state.Vcheck, state.Ucheck)
+    state.corners = (qw, vu)
+    ct, cs = gamma * qw, gamma * vu
+    gram = None
+    if state.gram is not None:
+        gram = _doubled_gram(state.gram, state.Y, state.Z, ct, cs)
+    state.Y = _doubled(state.Y, ct)
+    state.Z = _doubled(state.Z, cs)
+    return gram
+
+
 def advance(state: DaddaState) -> DaddaState:
     """One doubling step: k -> k + 1."""
-    gamma = state.shifts.gamma
-    state.Y = _doubled(state.Y, gamma * _gram(state.Qcheck.T, state.Wcheck))
-    state.Z = _doubled(state.Z, gamma * _gram(state.Vcheck.T, state.Ucheck))
-
-    # (blocks, shifted solver, negated part, transposed) of U, V, W and Q
-    families = (
-        (state.u_blocks, state.solver_a, state.a_neg, False),
-        (state.v_blocks, state.solver_a, state.a_neg, True),
-        (state.w_blocks, state.solver_d, state.d_neg, False),
-        (state.q_blocks, state.solver_d, state.d_neg, True),
-    )
-    for _ in range(len(state.u_blocks)):
-        for blocks, shifted, neg, transpose in families:
-            blk = neg.apply(shifted.solve(blocks[-1], transpose=transpose), transpose=transpose)
-            _check_sign(np.all(blk >= 0.0), "factor block")
-            blocks.append(blk)
+    gram = _double_couplings(state)
+    if state.block_steps is None:
+        state.block_steps = (
+            _BlockStep(state.solver_a, state.a_neg, False),
+            _BlockStep(state.solver_a, state.a_neg, True),
+            _BlockStep(state.solver_d, state.d_neg, False),
+            _BlockStep(state.solver_d, state.d_neg, True),
+        )
+    count = len(state.u_blocks)
+    for blocks, step in zip(
+        (state.u_blocks, state.v_blocks, state.w_blocks, state.q_blocks), state.block_steps
+    ):
+        blocks.extend(step.chain(blocks[-1], count))
 
     state.k += 1
-    _refresh_kernel(state)
+    _refresh_kernel(state, gram)
     return state
 
 
@@ -728,13 +903,20 @@ def _numerical_rank(a: np.ndarray) -> int:
 
 
 def rank_of_iterate(state: DaddaState) -> int:
-    """Numerical rank of H_k from its skinny factors (threshold 1e-10).
+    """Numerical rank of H_k (threshold 1e-10), from its skinny factors while
+    they are skinny.
 
-    The core gamma R_U X multiplies the mixed-sign QR factor of Ucheck, so
-    no summation order keeps it sign-exact; it is a diagnostic, not part of
-    the iteration, and the 1e-10 threshold is far above its rounding.  So
-    BLAS forms it.
+    With kernel order r < min(m, n) it is the rank of the r x n core
+    gamma R_U X, R_U the QR factor of Ucheck.  The core multiplies that
+    mixed-sign factor, so no summation order keeps it sign-exact; it is a
+    diagnostic, not part of the iteration, and the 1e-10 threshold is far
+    above its rounding.  So BLAS forms it.  From r >= min(m, n) on the
+    factors are no smaller than H itself, and the QR of the m x r Ucheck
+    costs more time and memory than H's singular values: the rank is then
+    that of H, the one rule of every iterate.
     """
+    if state.kernel_order >= min(state.prob.m, state.prob.n):
+        return _numerical_rank(state.H)
     ru = scipy.linalg.qr(state.Ucheck, mode="economic")[1]
     return _numerical_rank(state.shifts.gamma * (ru @ state.X))
 
@@ -878,28 +1060,62 @@ def _gamma(k: int) -> float:
     return ku / (1.0 - ku)
 
 
-def _erres_lower_bound(prob: MareProblem, it) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class _GateParts:
+    """What :func:`_erres_lower_bound` needs of the problem alone, built once per solve.
+
+    ``rhs`` = [u1, N_D u1 as its two sums, diag(D) u1, Cl] and ``bu`` =
+    Bl (Br^T u1); ``k_hch``, ``k_a`` and ``k_d`` are the rounding counts
+    K_HCH, K_A and K_D less their K_H terms, and ``gamma_b`` is gamma_{K_B}.
+    """
+
+    rhs: np.ndarray
+    bu: np.ndarray
+    diag_a: np.ndarray
+    k_hch: int
+    k_a: int
+    k_d: int
+    gamma_b: float
+
+    @staticmethod
+    def of(prob: MareProblem) -> "_GateParts":
+        m, n, p, q = prob.m, prob.n, prob.p, prob.q
+        u = prob.u1
+        return _GateParts(
+            rhs=np.column_stack([u, *prob.D.offdiag_parts(u), prob.D.diagonal() * u, prob.Cl]),
+            bu=prob.Bl @ (prob.Br.T @ u),
+            diag_a=prob.A.diagonal(),
+            k_hch=2 * m + n + 2 * q + 10,
+            k_a=2 * prob.A.offdiag_row_terms() + 10,
+            k_d=2 * prob.D.offdiag_row_terms() + 10,
+            gamma_b=_gamma(n + 2 * p + 10),
+        )
+
+
+def _erres_lower_bound(
+    prob: MareProblem, it, parts: _GateParts | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Per row i, the raw bound L_i <= erres and its rounding slack s_i.
 
     ``max(L - s)`` is at most the computed ``erres(prob, it.H)`` (see the
     module docstring); a row whose G2 u is 0 has L_i = s_i = nan.  Only
-    ``it.apply_h`` touches the iterate.
+    ``it.apply_h`` touches the iterate.  ``parts`` are the problem's
+    invariants, built here when not given.
     """
-    m, n, p, q = prob.m, prob.n, prob.p, prob.q
-    u = prob.u1
-    rhs = np.column_stack([u, *prob.D.offdiag_parts(u), prob.D.diagonal() * u, prob.Cl])
-    y, k_h = it.apply_h(rhs)
+    if parts is None:
+        parts = _GateParts.of(prob)
+    y, k_h = it.apply_h(parts.rhs)
     hu, d_pos, d_neg = y[:, 0], y[:, 1], y[:, 2]
     hch = y[:, 4:] @ (prob.Cr.T @ hu)
     a_pos, a_neg = prob.A.offdiag_parts(hu)
-    bu = prob.Bl @ (prob.Br.T @ u)
-    g2u = prob.A.diagonal() * hu + y[:, 3]
+    bu = parts.bu
+    g2u = parts.diag_a * hu + y[:, 3]
     num = np.abs(((hch + a_pos) + (d_pos + bu)) - ((a_neg + d_neg) + g2u))
     err = (
-        _gamma(2 * m + n + 2 * q + 2 * k_h + 10) * hch
-        + _gamma(2 * prob.A.offdiag_row_terms() + k_h + 10) * (a_pos + a_neg)
-        + _gamma(2 * prob.D.offdiag_row_terms() + k_h + 10) * (d_pos + d_neg)
-        + _gamma(n + 2 * p + 10) * bu
+        _gamma(parts.k_hch + 2 * k_h) * hch
+        + _gamma(parts.k_a + k_h) * (a_pos + a_neg)
+        + _gamma(parts.k_d + k_h) * (d_pos + d_neg)
+        + parts.gamma_b * bu
         + _gamma(k_h + 14) * g2u
     )
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -952,12 +1168,12 @@ def _stopping_loop(
     records: list[IterationRecord] = []
     h_prev: np.ndarray | None = None
     switched_at: int | None = None
-    gate = _gate_applies(prob, criteria)
+    gate = _GateParts.of(prob) if _gate_applies(prob, criteria) else None
     t_mark = t0
     while True:
         value = -np.inf
-        if gate:
-            raw, slack = _erres_lower_bound(prob, it)
+        if gate is not None:
+            raw, slack = _erres_lower_bound(prob, it, gate)
             value = float(np.nanmax(raw - slack, initial=-np.inf))
         gated = value > criteria.tolerance
         if not gated:

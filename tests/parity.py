@@ -1,0 +1,133 @@
+"""Bitwise parity dumps of the solver over a fixed set of solves.
+
+    PYTHONPATH=src python tests/parity.py dump OUT.json
+    python tests/parity.py compare BEFORE.json AFTER.json
+
+``dump`` solves the parity set with the ``dadda`` on the import path and
+writes, per solve: termination, iterations, ``switched_at``, a sha256 of H
+and of the dual iterate G, ``erres_final``, ``frob_h`` and ``rank_h``, and
+every record's k, kernel order, ``lower_bound`` flag and value.  Floats are
+written in hex, so two dumps are equal exactly when the solves are bitwise
+equal.  Record seconds are left out.
+
+``compare`` prints every field that differs between two dumps and exits 1
+if any does, 0 if the whole set is bitwise equal.
+
+The parity set: every ``perfbench`` instance at seeds 1 and 3, each under
+its own stopping rule, and ``random_mare`` (``tests/conftest.py``) of each
+kind under ``erres``, ``nres`` and ``rchange``, small enough to run every
+step ungated, plus one order-200 instance per kind that the ``erres`` gate
+applies to.  BLAS runs on one thread, as in the benchmark: the ADDA steps
+after a hand-off use BLAS products, whose rounding depends on the thread
+count.
+
+Named ``parity.py`` so that pytest does not collect it.
+"""
+
+import os
+
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "perfbench")]
+
+SEEDS = (1, 3)
+KINDS = ("dense", "lowrank", "banded")
+CRITERIA = ("erres", "nres", "rchange")
+RANDOM_SEEDS = (2, 5, 11)
+
+
+def _cases():
+    """(label, problem, StopCriteria) of every solve in the parity set."""
+    import instances
+    from conftest import random_mare
+
+    from dadda.solver import StopCriteria
+
+    for workload in instances.WORKLOADS:
+        for seed in SEEDS:
+            for inst in instances.build(workload, seed):
+                yield f"{inst.label} seed={seed}", inst.problem, inst.criteria
+    for kind in KINDS:
+        for seed in RANDOM_SEEDS:
+            prob = random_mare(seed, kind=kind)
+            for criterion in CRITERIA:
+                yield (
+                    f"random_mare({seed}, kind={kind}) {criterion}",
+                    prob,
+                    StopCriteria(criterion=criterion, tolerance=1e-13, max_iterations=12),
+                )
+        yield (
+            f"random_mare(7, m=200, n=190, kind={kind}) erres",
+            random_mare(7, m=200, n=190, kind=kind),
+            StopCriteria(tolerance=1e-13, max_iterations=12),
+        )
+
+
+def _sha(a) -> str | None:
+    if a is None:
+        return None
+    import numpy as np
+
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    return hashlib.sha256(str(a.shape).encode() + a.tobytes()).hexdigest()
+
+
+def dump(path: str) -> None:
+    from dadda.solver import solve
+
+    out = {}
+    for label, prob, criteria in _cases():
+        rep = solve(prob, criteria=criteria, compute_dual=True)
+        out[label] = {
+            "termination": rep.termination,
+            "iterations": rep.iterations,
+            "switched_at": rep.switched_at,
+            "H": _sha(rep.H),
+            "G": _sha(rep.G),
+            "erres_final": float(rep.erres_final).hex(),
+            "frob_h": float(rep.frob_h).hex(),
+            "rank_h": rep.rank_h,
+            "records": [
+                [r.k, r.kernel_order, r.lower_bound, float(r.value).hex()]
+                for r in rep.records
+            ],
+        }
+        print(f"{label}: {rep.termination} at k = {rep.iterations}", flush=True)
+    Path(path).write_text(json.dumps(out, indent=1) + "\n")
+
+
+def compare(before: str, after: str) -> int:
+    a = json.loads(Path(before).read_text())
+    b = json.loads(Path(after).read_text())
+    diffs = [f"only in {before}: {label}" for label in a.keys() - b.keys()]
+    diffs += [f"only in {after}: {label}" for label in b.keys() - a.keys()]
+    for label in a.keys() & b.keys():
+        for key in a[label]:
+            if a[label][key] != b[label].get(key):
+                diffs.append(f"{label}: {key} differs")
+    for line in sorted(diffs):
+        print(line)
+    print(f"{len(a.keys() & b.keys())} solves compared, {len(diffs)} differences")
+    return 1 if diffs else 0
+
+
+def main(argv) -> int:
+    if len(argv) == 2 and argv[0] == "dump":
+        dump(argv[1])
+        return 0
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(argv[1], argv[2])
+    print(__doc__.split("\n\n")[0], file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from conftest import _run_optimized, fraction_solve, random_triplet, sequential_gth
+from conftest import (
+    _run_optimized,
+    fraction_solve,
+    naive_matmul,
+    random_triplet,
+    sequential_gth,
+)
 from dadda.gth import (
     _PANEL,
     BandGthFactorization,
@@ -308,6 +314,29 @@ class TestDiagLowRank:
         v = np.array([1.5, 1.5])  # (diag(d) - P R^T) u
         x = DiagLowRankSolver(d, P, R, u, v).solve(np.array([1.0, 1.0]))
         assert x == pytest.approx([2.0 / 3.0, 2.0 / 3.0], rel=1e-15)
+
+    def test_smw_solve_is_its_formula_bitwise(self):
+        # x = x0 + (factor * image) (R^T x0) for rank one and
+        # x = x0 + image C^-1 (R^T x0) for rank r, x0 = b / d, every dot a
+        # literal ascending loop; P and R swap when transposed
+        rng = np.random.Generator(np.random.Philox(77))
+        n = 9
+        for r in (1, 3):
+            P, R = rng.uniform(size=(n, r)), rng.uniform(size=(n, r))
+            u, v = np.ones(n), rng.uniform(0.1, 1.0, size=n)
+            d = naive_matmul(P, naive_matmul(R.T, u[:, None]))[:, 0] + v
+            solver = DiagLowRankSolver(d, P, R, u, v)
+            b = rng.uniform(size=(n, 2))
+            for transpose in (False, True):
+                test, image = (P, solver._dinv_R) if transpose else (R, solver._dinv_P)
+                x0 = b / d[:, None]
+                w = naive_matmul(test.T, x0)
+                if r == 1:
+                    expect = x0 + solver._factor * image * w
+                else:
+                    expect = x0 + naive_matmul(image, solver._cap.solve(w, transpose=transpose))
+                got = solver.solve(b, transpose=transpose)
+                assert got.tobytes() == expect.tobytes()
 
     def test_zero_lowrank_reduces_to_diagonal(self):
         d = np.array([2.0, 4.0])

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from conftest import naive_matmul, same_float, where_ratio_max
 from dadda.linalg import (
     _SUM_CHUNK,
+    _TINY_RESULT,
     StructuredSquare,
+    _matmul,
     _panel_ratio_max,
     _panel_tmatmul,
     _reduce_ascending,
+    _tiny_matmul,
     frobenius_norm,
     matmul,
     max_entrywise_ratio,
@@ -146,6 +149,56 @@ class TestMatmul:
         a = rng.standard_normal((m, k))
         b = rng.standard_normal((k, n))
         assert np.array_equal(matmul(a, b), naive_matmul(a, b))
+
+
+# finite floats of both signs whose products cannot overflow: zeros of
+# both signs, subnormals and products that underflow to a signed zero
+_TINY_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0]),
+    st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False, width=64),
+)
+
+
+@st.composite
+def _tiny_operands(draw):
+    m, n = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 4), (4, 1)]))
+    k = draw(st.integers(1, 40))
+    a = np.array(draw(st.lists(_TINY_ENTRIES, min_size=m * k, max_size=m * k))).reshape(m, k)
+    b = np.array(draw(st.lists(_TINY_ENTRIES, min_size=k * n, max_size=k * n))).reshape(k, n)
+    return a, b
+
+
+class TestTinyMatmul:
+    @given(_tiny_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_tiny_route_is_the_triple_loop(self, operands):
+        # bit for bit, the sign of a zero included: the route sums from the
+        # first term and adds 0.0, the loop sums from 0.0
+        a, b = operands
+        assert a.shape[0] * b.shape[1] <= _TINY_RESULT
+        expect = naive_matmul(a, b).tobytes()
+        assert _tiny_matmul(a, b).tobytes() == expect
+        assert matmul(a, b).tobytes() == expect
+
+    def test_all_negative_zero_terms_give_positive_zero(self):
+        a = np.array([[-0.0, 1.0, 5e-324]])
+        b = np.array([[1.0], [-0.0], [-1e-300]])
+        out = matmul(a, b)
+        assert out[0, 0] == 0.0 and not np.signbit(out[0, 0])
+
+    def test_carried_accumulator_continues_the_loop(self):
+        # acc = the product over the first j inner indices; _matmul and
+        # _panel_tmatmul continue it bitwise to the full product, on the
+        # small and the large result path
+        rng = _rng(16)
+        for m, k, n, j in [(3, 9, 4, 4), (6, 30, 6, 13), (70, 11, 80, 5), (1, 5, 1, 2)]:
+            a = rng.standard_normal((m, k))
+            b = rng.standard_normal((k, n))
+            acc = naive_matmul(a[:, :j], b[:j])
+            expect = naive_matmul(a, b)
+            assert np.array_equal(_matmul(a[:, j:], b[j:], acc), expect)
+            assert np.array_equal(_panel_tmatmul(a[:, j:].T, b[j:], 3, acc), expect)
+            assert np.array_equal(acc, naive_matmul(a[:, :j], b[:j]))
 
 
 class TestScalarHelpers:
@@ -329,6 +382,39 @@ class TestStructuredSquare:
             assert np.all(yt >= 0.0)
             ref = s.to_dense() @ x
             assert np.allclose(y, ref, rtol=1e-12, atol=1e-12)
+
+    def test_lowrank_apply_is_its_formula_bitwise(self):
+        # the two low-rank forms, entry by entry as literal loops: the plain
+        # d x + sign P (R^T x), and the split tdiag x + sum_t P (R^T x - R x)
+        # with the sum over t from 0.0; a split matrix takes the plain form
+        # for an operand with a negative entry
+        rng = _rng(17)
+        n, r = 7, 2
+        p, q = rng.uniform(size=(n, r)), rng.uniform(size=(n, r))
+        rowdot = np.array([ordered_dot(p[i], q[i]) for i in range(n)])
+        cases = [
+            (StructuredSquare.diag_plus_lowrank(-0.5 * rowdot, p, q, sign=1), True),
+            (StructuredSquare.diag_plus_lowrank(rng.uniform(size=n), p, q, sign=1), False),
+            (StructuredSquare.diag_plus_lowrank(rng.uniform(2, 3, size=n), p, q, sign=-1), False),
+        ]
+        for s, split in cases:
+            for transpose in (False, True):
+                left, right = (s.r, s.p) if transpose else (s.p, s.r)
+                for x in (rng.uniform(size=(n, 2)), rng.standard_normal((n, 2))):
+                    core = naive_matmul(right.T, x)
+                    expect = np.empty_like(x)
+                    for i in range(n):
+                        for j in range(2):
+                            if split and np.all(x >= 0.0):
+                                acc = 0.0
+                                for t in range(r):
+                                    acc = acc + left[i, t] * (core[t, j] - right[i, t] * x[i, j])
+                                tdiag = s.d[i] + rowdot[i]
+                                expect[i, j] = tdiag * x[i, j] + acc
+                            else:
+                                lr = naive_matmul(left[i : i + 1], core[:, j : j + 1])[0, 0]
+                                expect[i, j] = s.d[i] * x[i, j] + s.sign * lr
+                    assert s.apply(x, transpose=transpose).tobytes() == expect.tobytes()
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

@@ -21,13 +21,16 @@ from conftest import (
 )
 from dadda import oracle
 from dadda.benchgen import gen_fluid, gen_transport
-from dadda.gth import gth_factorize
+from dadda.gth import NotMMatrixError, build_solver, gth_factorize
 from dadda.linalg import StructuredSquare, frobenius_norm
 from dadda.problem import MareProblem, ShiftPair, make_shifts
 from dadda.solver import (
+    _GRAM_DOT_MIN,
     DaddaState,
     StopCriteria,
+    _BlockStep,
     _erres_lower_bound,
+    _gram,
     _numerical_rank,
     _TripletAdda,
     advance,
@@ -194,6 +197,46 @@ class TestKernels:
                         prefix = part if prefix is None else prefix + part
                     assert np.array_equal(image, np.concatenate(expect))
 
+    @pytest.mark.parametrize(
+        "label",
+        ["transport 10", "fluid 90x10", "random dense", "random lowrank", "random banded"],
+    )
+    def test_incremental_gram_is_the_full_product(self, label):
+        # every reused and every continued product bitwise equals the full
+        # _gram of the step, at every k, across the BLAS/ordered split
+        prob = {
+            "transport 10": lambda: gen_transport(10, seed=1),
+            "fluid 90x10": lambda: gen_fluid(90, 10)[0],
+            "random dense": lambda: random_mare(62, p=3, q=2),
+            "random lowrank": lambda: random_mare(63, p=1, q=3, kind="lowrank"),
+            "random banded": lambda: random_mare(64, p=2, q=2, kind="banded"),
+        }[label]()
+        state = initialize(prob)
+        gamma = state.shifts.gamma
+        reused = 0
+        for k in range(8):
+            if k:
+                pq, qq = state.q_blocks[0].shape[1], state.w_blocks[0].shape[1]
+                half = len(state.q_blocks) // 2
+                qw = _gram(state.Qcheck[:, : half * pq].T, state.Wcheck[:, : half * qq])
+                rows, cols = qw.shape
+                assert np.array_equal(state.Y[rows:, cols:], gamma * qw)
+                if state.corners is not None:
+                    assert np.array_equal(state.corners[0], qw)
+                    vu = _gram(state.Vcheck[:, : half * qq].T, state.Ucheck[:, : half * pq])
+                    assert np.array_equal(state.corners[1], vu)
+                    assert np.array_equal(state.Z[cols:, rows:], gamma * vu)
+            full = _gram(state.Y, state.Z)
+            if state.gram is not None:
+                reused += 1
+                assert np.array_equal(state.gram, full)
+            assert (state.gram is None) is (2 * state.kernel_order >= _GRAM_DOT_MIN)
+            expect = gth_factorize(kernel_triplet(state))
+            assert np.array_equal(state.kernel.LU, expect.LU)
+            assert np.array_equal(state.X, expect.solve(state.Qcheck.T))
+            advance(state)
+        assert reused >= 4
+
     def test_kernel_inverse_nonnegative(self):
         prob = random_mare(58)
         state = initialize(prob, make_shifts(prob))
@@ -213,6 +256,97 @@ class TestKernels:
         assert state.kernel_order == 4
         assert state.Y.shape == (4, 2)
         assert state.Z.shape == (2, 4)
+
+
+def _shifted_solvers(rng, n):
+    """One shifted solver of each kind for order n, as ``build_solver`` picks them.
+
+    Each matrix is M = diag((N u + v) / u) - N for a nonnegative N of its
+    kind, so (u, M u) is a triplet for it.
+    """
+    u = rng.uniform(0.5, 1.5, size=n)
+    v = rng.uniform(0.1, 1.0, size=n)
+
+    def lowrank(r):
+        P, R = rng.uniform(size=(n, r)), rng.uniform(size=(n, r))
+        return StructuredSquare.diag_plus_lowrank(P @ (R.T @ u) / u + v / u, P, R, sign=-1)
+
+    N = rng.uniform(size=(n, n))
+    np.fill_diagonal(N, 0.0)
+    band = np.triu(np.tril(N, 2), -1)
+    matrices = {
+        "diagonal": StructuredSquare.banded(n, 0, 0, {0: v / u + 1.0}),
+        "rank1": lowrank(1),
+        "capacitance": lowrank(3),
+        "dense": StructuredSquare.dense(np.diag((N @ u + v) / u) - N),
+        "band": _banded_from_dense(np.diag((band @ u + v) / u) - band, 1, 2),
+    }
+    return {kind: build_solver(m, u, m.apply(u)) for kind, m in matrices.items()}
+
+
+def _negated_parts(rng, n):
+    """One nonnegative negated part of each kind and low-rank form, order n."""
+    P, R = rng.uniform(size=(n, 2)), rng.uniform(size=(n, 2))
+    rowdot = np.sum(P * R, axis=1)
+    d_neg = rowdot * np.where(np.arange(n) % 3 == 0, -0.5, 0.25)
+    on_diag = np.zeros((n, 2))
+    on_diag[[0, 1], [0, 1]] = 1.0
+    band = rng.uniform(size=(n, n))
+    band = np.triu(np.tril(band, 1), -2)
+    return {
+        "dense": StructuredSquare.dense(rng.uniform(size=(n, n))),
+        "banded": _banded_from_dense(band, 2, 1),
+        # sign -1 with every pair on one diagonal entry: nonnegative
+        "lowrank -1": StructuredSquare.diag_plus_lowrank(
+            rng.uniform(1.0, 2.0, size=n), 0.5 * on_diag, on_diag, sign=-1
+        ),
+        # sign +1 whose stored diagonal is partly negative: the split form
+        "lowrank +1, negative d": StructuredSquare.diag_plus_lowrank(d_neg, P, R, sign=1),
+        "lowrank +1": StructuredSquare.diag_plus_lowrank(rng.uniform(size=n), P, R, sign=1),
+    }
+
+
+class TestBlockStep:
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_blocks_are_the_public_solve_and_apply(self, transpose):
+        # every block of a chain is bitwise neg.apply(shifted.solve(x, t), t)
+        # of the block before, for every solver kind and negated form
+        rng = np.random.Generator(np.random.Philox(90))
+        n = 14
+        solvers = _shifted_solvers(rng, n)
+        assert [type(s).__name__ for s in solvers.values()] == [
+            "DiagonalSolver", "DiagLowRankSolver", "DiagLowRankSolver",
+            "DenseGthSolver", "DenseGthSolver",
+        ]
+        assert [solvers[k]._mode for k in ("rank1", "capacitance")] == ["rank1", "capacitance"]
+        negs = _negated_parts(rng, n)
+        assert np.any(negs["lowrank +1, negative d"].d < 0.0)
+        assert not np.any(negs["lowrank +1"].d < 0.0)
+        for shifted in solvers.values():
+            for neg in negs.values():
+                assert neg.to_dense().min() >= 0.0
+                for cols in (1, 3):
+                    x = rng.uniform(size=(n, cols))
+                    blocks = _BlockStep(shifted, neg, transpose).chain(x, 5)
+                    assert len(blocks) == 5
+                    for blk in blocks:
+                        expect = neg.apply(shifted.solve(x, transpose), transpose)
+                        assert blk.shape == expect.shape
+                        assert blk.tobytes() == expect.tobytes()
+                        x = blk
+
+    def test_vector_operand_and_sign_check(self):
+        rng = np.random.Generator(np.random.Philox(91))
+        shifted = _shifted_solvers(rng, 8)["rank1"]
+        neg = _negated_parts(rng, 8)["lowrank +1, negative d"]
+        step = _BlockStep(shifted, neg, False)
+        x = rng.uniform(size=8)
+        assert step.chain(x, 2)[0].shape == (8, 1)
+        with pytest.raises(ValueError):
+            step.chain(np.ones(7), 1)
+        x[3] = -1.0
+        with pytest.raises(NotMMatrixError):
+            step.chain(x, 3)
 
 
 class TestResiduals:
@@ -828,6 +962,29 @@ for name in ("u_blocks", "v_blocks", "w_blocks", "q_blocks", "Y", "Z"):
     except NotMMatrixError:
         continue
     raise SystemExit(f"handed off despite a negative entry in {name}")
+# a negative entry in a mid-chain block or in a shifted solution of any
+# family's step operator (the 2nd of the 4 blocks that k = 2 -> 3 makes),
+# small enough that the blocks after it stay nonnegative
+for family in range(4):
+    for part in ("solve", "apply"):
+        state = advance(advance(initialize(prob)))
+        step = state.block_steps[family]
+        outputs = []
+
+        def planted(x, inner=getattr(step, part), outputs=outputs):
+            out = inner(x)
+            outputs.append(out)
+            if len(outputs) == 2:
+                out.flat[0] = -1e-300
+            return out
+
+        setattr(step, part, planted)
+        try:
+            advance(state)
+        except NotMMatrixError:
+            if len(outputs) == 4:
+                continue
+        raise SystemExit(f"stepped despite a negative {part} output in family {family}")
 """
         proc = _run_optimized(code)
         assert proc.returncode == 0, proc.stderr
