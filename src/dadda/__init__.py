@@ -1,20 +1,8 @@
 """Doubling solver for M-matrix algebraic Riccati equations with low-rank
 coupling terms, built on cancellation-free GTH-like linear algebra."""
 
-from .gth import (
-    BandGthFactorization,
-    BandTriplet,
-    DenseGthSolver,
-    DiagLowRankSolver,
-    DiagonalSolver,
-    GthFactorization,
-    NotMMatrixError,
-    TripletRepresentation,
-    build_solver,
-    gth_factorize,
-    triplet_for_capacitance,
-)
-from .linalg import StructuredSquare, frobenius_norm, matmul, max_entrywise_ratio
+from .gth import NotMMatrixError
+from .linalg import StructuredSquare, frobenius_norm, matmul
 from .problem import (
     MareProblem,
     ShiftPair,
@@ -27,15 +15,12 @@ from .problem import (
     shifted_parts,
 )
 from .solver import (
-    DaddaState,
     IterationRecord,
     SolveReport,
     StopCriteria,
-    advance,
     erres,
     ererr,
     initialize,
-    kernel_triplet,
     normalized_residual,
     relative_change,
     solve,
@@ -44,13 +29,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandGthFactorization",
-    "BandTriplet",
-    "DaddaState",
-    "DenseGthSolver",
-    "DiagLowRankSolver",
-    "DiagonalSolver",
-    "GthFactorization",
     "IterationRecord",
     "MareProblem",
     "NotMMatrixError",
@@ -58,20 +36,14 @@ __all__ = [
     "SolveReport",
     "StopCriteria",
     "StructuredSquare",
-    "TripletRepresentation",
     "ValidationReport",
-    "advance",
-    "build_solver",
     "erres",
     "ererr",
     "frobenius_norm",
-    "gth_factorize",
     "initialize",
-    "kernel_triplet",
     "load_problem",
     "make_shifts",
     "matmul",
-    "max_entrywise_ratio",
     "normalized_residual",
     "problem_from_json",
     "problem_to_json",
@@ -79,5 +51,4 @@ __all__ = [
     "save_problem",
     "shifted_parts",
     "solve",
-    "triplet_for_capacitance",
 ]

@@ -44,7 +44,6 @@ __all__ = [
     "StructuredSquare",
     "frobenius_norm",
     "matmul",
-    "max_entrywise_ratio",
     "ordered_dot",
     "ordered_sum",
 ]
@@ -288,17 +287,9 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.sqrt(_running_total(flat, flat)))
 
 
-def max_entrywise_ratio(num: np.ndarray, den: np.ndarray) -> float:
-    """max over entries of num/den with 0/0 -> 0 and x/0 -> +inf (x != 0)."""
-    num = np.asarray(num, dtype=np.float64)
-    den = np.asarray(den, dtype=np.float64)
-    if num.shape != den.shape:
-        raise ValueError("shape mismatch")
-    return _panel_ratio_max([(num, den)])
-
-
 def _panel_ratio_max(panels) -> float:
-    """:func:`max_entrywise_ratio` of the arrays that the (num, den) panels stack to.
+    """max over entries of num/den, with 0/0 -> 0 and x/0 -> +inf (x != 0), of
+    the arrays that the (num, den) panels stack to.
 
     The value is bitwise the one over the whole arrays.  A panel whose den
     has no zero takes one division and one max; otherwise 0/0 entries count

@@ -28,11 +28,8 @@ import numpy as np
 from .problem import MareProblem, ShiftPair, make_shifts
 
 __all__ = [
-    "closed_form_g0",
-    "closed_form_h0",
     "initial_quadruple",
     "iterate_oracle",
-    "oracle_residual",
     "step_quadruple",
 ]
 
@@ -99,37 +96,3 @@ def iterate_oracle(
     for _ in range(steps):
         quad = step_quadruple(*quad)
     return quad
-
-
-def closed_form_h0(prob: MareProblem, shifts: ShiftPair | None = None):
-    """H0 = gamma (Ab - alpha beta B Da^{-1} C)^{-1} B Da^{-1}."""
-    if shifts is None:
-        shifts = make_shifts(prob)
-    A, D, B, C = _dense_blocks(prob)
-    m, n = prob.m, prob.n
-    alpha, beta = shifts.alpha, shifts.beta
-    Da = alpha * D + np.eye(n)
-    Ab = beta * A + np.eye(m)
-    b_da = B @ np.linalg.solve(Da, np.eye(n))
-    core = Ab - alpha * beta * b_da @ C
-    return shifts.gamma * np.linalg.solve(core, b_da)
-
-
-def closed_form_g0(prob: MareProblem, shifts: ShiftPair | None = None):
-    """G0 = gamma (Da - alpha beta C Ab^{-1} B)^{-1} C Ab^{-1}."""
-    if shifts is None:
-        shifts = make_shifts(prob)
-    A, D, B, C = _dense_blocks(prob)
-    m, n = prob.m, prob.n
-    alpha, beta = shifts.alpha, shifts.beta
-    Da = alpha * D + np.eye(n)
-    Ab = beta * A + np.eye(m)
-    c_ab = C @ np.linalg.solve(Ab, np.eye(m))
-    core = Da - alpha * beta * c_ab @ B
-    return shifts.gamma * np.linalg.solve(core, c_ab)
-
-
-def oracle_residual(prob: MareProblem, H: np.ndarray) -> np.ndarray:
-    """Dense residual H C H - H D - A H + B."""
-    A, D, B, C = _dense_blocks(prob)
-    return H @ C @ H - H @ D - A @ H + B

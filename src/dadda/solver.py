@@ -70,12 +70,15 @@ Qcheck^T [u1, D_alpha^{-1} v1] and an ascending cumulative sum over the
 blocks.  Every term is nonnegative and nothing is ever differenced, so
 the image stays exactly nonnegative even in the critical case.
 
-Hand-off to triplet-form ADDA.  The kernel order 2^k max(p, q) doubles
-each step whatever m and n are.  At the first step where the next order
-would exceed m + n, the stopping loop switches to :class:`_TripletAdda`,
-the coupled ADDA iteration on the dense quadruple of order m + n.  The
-kernel row cap is checked first, so m + n stays below it, and the
-quadruple holds no more than the kernel it replaces would have.
+Hand-off to triplet-form ADDA.  The larger side of Y_k, 2^k max(p, q),
+doubles each step whatever m and n are.  At the first step where the
+next one would exceed m + n, the iteration switches to
+:class:`_TripletAdda`, the coupled ADDA iteration on the dense quadruple
+of order m + n.  The stopping loop runs every iterate through one
+protocol, and the iterate decides its successor: the kernel row cap and
+the switch live in :meth:`DaddaState.successor` alone.  The cap is
+checked first, so m + n stays below it, and the quadruple holds no more
+than the kernel it replaces would have.
 
 The decoupled form gives ADDA's quadruple at any k in closed form, so the
 hand-off builds it from the DaddaState at its k and replays no step.
@@ -431,10 +434,21 @@ class DaddaState:
             self.shifts.beta, self.shifts.gamma,
         )
 
-    # the iterate interface of _stopping_loop, which _DenseAdda shares
+    # the iterate protocol of _stopping_loop; no hand-off builds a DaddaState
+
+    switched_at = None
 
     def step(self) -> None:
         advance(self)
+
+    def successor(self, cap: int) -> DaddaState | _TripletAdda | None:
+        """The iterate for the next step, by the larger side of Y_{k+1},
+        2^(k+1) max(p, q): None past the kernel row cap ``cap``, else a
+        :class:`_TripletAdda` built from this state past m + n, else this state."""
+        rows = 2 ** (self.k + 1) * max(self.prob.p, self.prob.q)
+        if rows > cap:
+            return None
+        return _TripletAdda(self) if rows > self.prob.m + self.prob.n else self
 
     def rank(self) -> int:
         return rank_of_iterate(self)
@@ -921,26 +935,20 @@ def rank_of_iterate(state: DaddaState) -> int:
     return _numerical_rank(state.shifts.gamma * (ru @ state.X))
 
 
-class _DenseAdda:
-    """The dense ADDA reference (:mod:`dadda.oracle`) as an iterate.
+class _Quadruple:
+    """An ADDA iterate on ``quad`` = (E, F, G, H), less construction and ``step``.
 
-    It has no kernel (``kernel_order`` is None).  The stopping loop applies
-    the kernel row cap and the hand-off to a DaddaState only.
+    ADDA has no cap or hand-off of its own, so its successor is itself.
     """
 
-    kernel_order = None
-
-    def __init__(self, prob: MareProblem, shifts: ShiftPair):
-        self.quad = oracle.initial_quadruple(prob, shifts)
-        self.k = 0
+    switched_at: int | None = None
 
     @property
     def H(self) -> np.ndarray:
         return self.quad[3]
 
-    def step(self) -> None:
-        self.quad = oracle.step_quadruple(*self.quad)
-        self.k += 1
+    def successor(self, cap: int) -> _Quadruple:
+        return self
 
     def rank(self) -> int:
         return _numerical_rank(self.H)
@@ -951,6 +959,20 @@ class _DenseAdda:
 
     def dual(self) -> np.ndarray:
         return self.quad[2]
+
+
+class _DenseAdda(_Quadruple):
+    """The dense ADDA reference (:mod:`dadda.oracle`) as an iterate, with no kernel."""
+
+    kernel_order = None
+
+    def __init__(self, prob: MareProblem, shifts: ShiftPair):
+        self.quad = oracle.initial_quadruple(prob, shifts)
+        self.k = 0
+
+    def step(self) -> None:
+        self.quad = oracle.step_quadruple(*self.quad)
+        self.k += 1
 
 
 def _power_sum(shifted, neg, x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -969,12 +991,13 @@ def _power_sum(shifted, neg, x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndar
     return t, x
 
 
-class _TripletAdda(_DenseAdda):
+class _TripletAdda(_Quadruple):
     """ADDA on the quadruple (E, F, G, H) with every solve a GTH solve.
 
     The iterate that dADDA hands off to, built in closed form from the
-    DaddaState at its k (see the module docstring).  Each step factors one
-    kernel, of order min(m, n), which is its ``kernel_order``.
+    DaddaState at its k, which is its ``switched_at`` (see the module
+    docstring).  Each step factors one kernel, of order min(m, n), which
+    is its ``kernel_order``.
     """
 
     def __init__(self, state: DaddaState):
@@ -1006,7 +1029,7 @@ class _TripletAdda(_DenseAdda):
         )
         self.u1, self.u2 = prob.u1, prob.u2
         self.kernel_order = min(prob.m, prob.n)
-        self.k = state.k
+        self.k = self.switched_at = state.k
 
     def step(self) -> None:
         E, F, G, H = self.quad
@@ -1093,17 +1116,15 @@ class _GateParts:
 
 
 def _erres_lower_bound(
-    prob: MareProblem, it, parts: _GateParts | None = None
+    prob: MareProblem, it, parts: _GateParts
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row i, the raw bound L_i <= erres and its rounding slack s_i.
 
     ``max(L - s)`` is at most the computed ``erres(prob, it.H)`` (see the
     module docstring); a row whose G2 u is 0 has L_i = s_i = nan.  Only
     ``it.apply_h`` touches the iterate.  ``parts`` are the problem's
-    invariants, built here when not given.
+    invariants, ``_GateParts.of(prob)``.
     """
-    if parts is None:
-        parts = _GateParts.of(prob)
     y, k_h = it.apply_h(parts.rhs)
     hu, d_pos, d_neg = y[:, 0], y[:, 1], y[:, 2]
     hch = y[:, 4:] @ (prob.Cr.T @ hu)
@@ -1144,7 +1165,7 @@ def _criterion_value(
 
 def _stopping_loop(
     prob: MareProblem,
-    it: DaddaState | _DenseAdda,
+    it: DaddaState | _Quadruple,
     shifts: ShiftPair,
     criteria: StopCriteria,
     x_true: np.ndarray | None,
@@ -1153,10 +1174,13 @@ def _stopping_loop(
 ) -> SolveReport:
     """Evaluate the criterion on ``it`` and step it until the rule stops.
 
-    ``it`` is a DaddaState or a _DenseAdda.  A DaddaState is stopped by the
-    kernel row cap, and handed off to a :class:`_TripletAdda` once its next
-    kernel would outgrow m + n; the loop drops it there, so its factor
-    blocks are freed.  The report's seconds count from ``t0``.
+    ``it`` is any iterate of one protocol: ``k``, ``kernel_order``, ``H``,
+    ``step()``, ``apply_h(rhs)``, ``rank()``, ``dual()``, ``switched_at``
+    and ``successor(cap)``.  The iterate decides its successor: None ends
+    the solve at the kernel row cap, and a DaddaState hands off to a
+    :class:`_TripletAdda` once its next kernel would outgrow m + n.  The
+    loop then drops the DaddaState, so its factor blocks are freed.  The
+    report's seconds count from ``t0``.
 
     Under ``erres`` above one slab of entries, each step first takes the
     factored lower bound of :func:`_erres_lower_bound`.  Where that bound
@@ -1167,7 +1191,6 @@ def _stopping_loop(
     """
     records: list[IterationRecord] = []
     h_prev: np.ndarray | None = None
-    switched_at: int | None = None
     gate = _GateParts.of(prob) if _gate_applies(prob, criteria) else None
     t_mark = t0
     while True:
@@ -1195,16 +1218,13 @@ def _stopping_loop(
         if it.k >= criteria.max_iterations:
             termination = "max_iterations"
             break
-        next_rows = 2 ** (it.k + 1) * max(prob.p, prob.q)
-        on_dadda = isinstance(it, DaddaState)
-        if on_dadda and next_rows > criteria.kernel_row_cap:
+        successor = it.successor(criteria.kernel_row_cap)
+        if successor is None:
             termination = "kernel_cap_exceeded"
             break
         if criteria.criterion == "rchange":
-            h_prev = it.H
-        if on_dadda and next_rows > prob.m + prob.n:
-            switched_at = it.k
-            it = _TripletAdda(it)
+            h_prev = it.H  # a hand-off's H is this very array
+        it = successor
         it.step()
 
     h_final = it.H
@@ -1225,7 +1245,7 @@ def _stopping_loop(
         frob_h=frobenius_norm(h_final),
         rank_h=it.rank(),
         G=it.dual() if compute_dual else None,
-        switched_at=switched_at,
+        switched_at=it.switched_at,
         seconds=time.perf_counter() - t0,
     )
 

@@ -10,8 +10,9 @@ from fractions import Fraction
 import numpy as np
 
 import dadda
-from dadda.linalg import StructuredSquare, matmul, max_entrywise_ratio
-from dadda.problem import MareProblem
+from dadda.linalg import StructuredSquare, _panel_ratio_max, matmul
+from dadda.oracle import _dense_blocks
+from dadda.problem import MareProblem, ShiftPair
 
 
 def _run_optimized(code):
@@ -55,12 +56,12 @@ def dense_erres(prob, H):
         + matmul(prob.Bl, prob.Br.T)
     )
     group2 = prob.A.diagonal()[:, None] * H + H * prob.D.diagonal()[None, :]
-    return max_entrywise_ratio(np.abs(group1 - group2), group2)
+    return _panel_ratio_max([(np.abs(group1 - group2), group2)])
 
 
 def where_ratio_max(num, den):
     """max of num/den over whole arrays, 0/0 -> 0 and x/0 -> +inf, by two
-    ``np.where`` passes: the reference for ``max_entrywise_ratio``."""
+    ``np.where`` passes: the reference for ``linalg._panel_ratio_max``."""
     if num.size == 0:
         return 0.0
     zero_den = den == 0.0
@@ -69,6 +70,39 @@ def where_ratio_max(num, den):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(zero_den, 0.0, num / np.where(zero_den, 1.0, den))
     return float(np.max(ratio))
+
+
+# the closed forms of H0 and G0 and the dense residual, over the oracle's dense blocks
+
+
+def closed_form_h0(prob: MareProblem, shifts: ShiftPair):
+    """H0 = gamma (Ab - alpha beta B Da^{-1} C)^{-1} B Da^{-1}."""
+    A, D, B, C = _dense_blocks(prob)
+    m, n = prob.m, prob.n
+    alpha, beta = shifts.alpha, shifts.beta
+    Da = alpha * D + np.eye(n)
+    Ab = beta * A + np.eye(m)
+    b_da = B @ np.linalg.solve(Da, np.eye(n))
+    core = Ab - alpha * beta * b_da @ C
+    return shifts.gamma * np.linalg.solve(core, b_da)
+
+
+def closed_form_g0(prob: MareProblem, shifts: ShiftPair):
+    """G0 = gamma (Da - alpha beta C Ab^{-1} B)^{-1} C Ab^{-1}."""
+    A, D, B, C = _dense_blocks(prob)
+    m, n = prob.m, prob.n
+    alpha, beta = shifts.alpha, shifts.beta
+    Da = alpha * D + np.eye(n)
+    Ab = beta * A + np.eye(m)
+    c_ab = C @ np.linalg.solve(Ab, np.eye(m))
+    core = Da - alpha * beta * c_ab @ B
+    return shifts.gamma * np.linalg.solve(core, c_ab)
+
+
+def oracle_residual(prob: MareProblem, H: np.ndarray) -> np.ndarray:
+    """Dense residual H C H - H D - A H + B."""
+    A, D, B, C = _dense_blocks(prob)
+    return H @ C @ H - H @ D - A @ H + B
 
 
 def dense_ererr(H, x_true):

@@ -16,10 +16,13 @@ if any does, 0 if the whole set is bitwise equal.
 The parity set: every ``perfbench`` instance at seeds 1 and 3, each under
 its own stopping rule, and ``random_mare`` (``tests/conftest.py``) of each
 kind under ``erres``, ``nres`` and ``rchange``, small enough to run every
-step ungated, plus one order-200 instance per kind that the ``erres`` gate
-applies to.  BLAS runs on one thread, as in the benchmark: the ADDA steps
-after a hand-off use BLAS products, whose rounding depends on the thread
-count.
+step ungated, each solved by ``solve`` and by the dense reference
+``solve_dense``, plus one order-200 instance per kind that the ``erres``
+gate applies to, and one solve that the kernel row cap stops.  So the
+set runs all three iterates (dADDA, triplet ADDA after a hand-off, dense
+ADDA) and every termination.  BLAS runs on one thread, as in the
+benchmark: the ADDA steps after a hand-off use BLAS products, whose
+rounding depends on the thread count.
 
 Named ``parity.py`` so that pytest does not collect it.
 """
@@ -33,6 +36,7 @@ if __name__ == "__main__":
 import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -45,30 +49,37 @@ RANDOM_SEEDS = (2, 5, 11)
 
 
 def _cases():
-    """(label, problem, StopCriteria) of every solve in the parity set."""
+    """(label, solve) of every solve in the parity set; ``solve()`` returns its report."""
     import instances
     from conftest import random_mare
 
-    from dadda.solver import StopCriteria
+    from dadda.benchgen import gen_transport
+    from dadda.solver import StopCriteria, solve, solve_dense
+
+    def dadda(prob, criteria):
+        return partial(solve, prob, criteria=criteria, compute_dual=True)
 
     for workload in instances.WORKLOADS:
         for seed in SEEDS:
             for inst in instances.build(workload, seed):
-                yield f"{inst.label} seed={seed}", inst.problem, inst.criteria
+                yield f"{inst.label} seed={seed}", dadda(inst.problem, inst.criteria)
     for kind in KINDS:
         for seed in RANDOM_SEEDS:
             prob = random_mare(seed, kind=kind)
             for criterion in CRITERIA:
-                yield (
-                    f"random_mare({seed}, kind={kind}) {criterion}",
-                    prob,
-                    StopCriteria(criterion=criterion, tolerance=1e-13, max_iterations=12),
-                )
+                label = f"random_mare({seed}, kind={kind}) {criterion}"
+                criteria = StopCriteria(criterion=criterion, tolerance=1e-13, max_iterations=12)
+                yield label, dadda(prob, criteria)
+                yield f"{label} dense", partial(solve_dense, prob, criteria=criteria)
         yield (
             f"random_mare(7, m=200, n=190, kind={kind}) erres",
-            random_mare(7, m=200, n=190, kind=kind),
-            StopCriteria(tolerance=1e-13, max_iterations=12),
+            dadda(random_mare(7, m=200, n=190, kind=kind),
+                  StopCriteria(tolerance=1e-13, max_iterations=12)),
         )
+    yield (
+        "gen_transport(100, 1) kernel_row_cap=64",
+        dadda(gen_transport(100, 1), StopCriteria(tolerance=1e-12, kernel_row_cap=64)),
+    )
 
 
 def _sha(a) -> str | None:
@@ -81,11 +92,9 @@ def _sha(a) -> str | None:
 
 
 def dump(path: str) -> None:
-    from dadda.solver import solve
-
     out = {}
-    for label, prob, criteria in _cases():
-        rep = solve(prob, criteria=criteria, compute_dual=True)
+    for label, run in _cases():
+        rep = run()
         out[label] = {
             "termination": rep.termination,
             "iterations": rep.iterations,

@@ -17,7 +17,6 @@ from dadda.linalg import (
     _tiny_matmul,
     frobenius_norm,
     matmul,
-    max_entrywise_ratio,
     ordered_dot,
     ordered_sum,
 )
@@ -217,11 +216,9 @@ class TestScalarHelpers:
     def test_max_entrywise_ratio_conventions(self):
         num = np.array([[0.0, 3.0], [1.0, 0.5]])
         den = np.array([[0.0, 6.0], [2.0, 1.0]])
-        assert max_entrywise_ratio(num, den) == 0.5
+        assert _panel_ratio_max([(num, den)]) == 0.5
         den0 = np.array([[0.0, 6.0], [0.0, 1.0]])
-        assert max_entrywise_ratio(num, den0) == np.inf
-        with pytest.raises(ValueError):
-            max_entrywise_ratio(num, den[:1])
+        assert _panel_ratio_max([(num, den0)]) == np.inf
 
     @given(_ratio_operands())
     @settings(max_examples=300, deadline=None)
@@ -231,7 +228,7 @@ class TestScalarHelpers:
         num, den, rows = operands
         with np.errstate(over="ignore"):
             want = where_ratio_max(num, den)
-            assert same_float(max_entrywise_ratio(num, den), want)
+            assert same_float(_panel_ratio_max([(num, den)]), want)
             panels = [(num[i : i + rows], den[i : i + rows]) for i in range(0, len(num), rows)]
             got = _panel_ratio_max(panels)
         assert got == want or (np.isnan(got) and np.isnan(want))
@@ -240,13 +237,13 @@ class TestScalarHelpers:
         with np.errstate(over="ignore"):
             # an overflow to +inf is no x/0: a NaN elsewhere still wins
             num, den = np.array([1e308, 1.0]), np.array([1e-10, 2.0])
-            assert max_entrywise_ratio(num, den) == np.inf
+            assert _panel_ratio_max([(num, den)]) == np.inf
             num[1] = np.nan
-            assert np.isnan(max_entrywise_ratio(num, den))
+            assert np.isnan(_panel_ratio_max([(num, den)]))
             assert np.isnan(_panel_ratio_max([(num[:1], den[:1]), (num[1:], den[1:])]))
             # an x/0 decides over both, in any panel
             num, den = np.append(num, 1.0), np.append(den, 0.0)
-            assert max_entrywise_ratio(num, den) == np.inf
+            assert _panel_ratio_max([(num, den)]) == np.inf
             assert _panel_ratio_max([(num[:2], den[:2]), (num[2:], den[2:])]) == np.inf
 
 

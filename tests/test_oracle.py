@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_mare
+from conftest import closed_form_g0, closed_form_h0, oracle_residual, random_mare
 from dadda import oracle
 from dadda.benchgen import gen_fluid, gen_transport
 from dadda.problem import make_shifts
@@ -38,8 +38,8 @@ class TestInitialQuadruple:
             prob = random_mare(seed)
             sh = make_shifts(prob)
             _, _, G0, H0 = oracle.initial_quadruple(prob, sh)
-            h0 = oracle.closed_form_h0(prob, sh)
-            g0 = oracle.closed_form_g0(prob, sh)
+            h0 = closed_form_h0(prob, sh)
+            g0 = closed_form_g0(prob, sh)
             assert np.allclose(h0, H0, rtol=1e-12, atol=1e-14)
             assert np.allclose(g0, G0, rtol=1e-12, atol=1e-14)
 
@@ -70,7 +70,7 @@ class TestIteration:
         r_prev = None
         for steps in (0, 2, 4, 7):
             _, _, _, H = oracle.iterate_oracle(prob, sh, steps)
-            r = np.abs(oracle.oracle_residual(prob, H)).max()
+            r = np.abs(oracle_residual(prob, H)).max()
             if r_prev is not None:
                 assert r < r_prev
             r_prev = r
@@ -92,9 +92,9 @@ class TestGuards:
         with pytest.raises(ValueError, match="capped"):
             oracle.initial_quadruple(prob)
         with pytest.raises(ValueError, match="capped"):
-            oracle.oracle_residual(prob, np.zeros((150, 60)))
+            oracle_residual(prob, np.zeros((150, 60)))
 
     def test_residual_at_exact_solution(self):
         prob, x_true = gen_fluid(2, 18)
-        res = oracle.oracle_residual(prob, x_true)
+        res = oracle_residual(prob, x_true)
         assert np.abs(res).max() <= 1e-9

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import importlib.util
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,12 @@ import scipy.linalg
 from conftest import (
     _banded_from_dense,
     _run_optimized,
+    closed_form_h0,
     dense_erres,
     dense_ererr,
     dense_relative_change,
     naive_matmul,
+    oracle_residual,
     random_mare,
 )
 from dadda import oracle
@@ -29,6 +32,8 @@ from dadda.solver import (
     DaddaState,
     StopCriteria,
     _BlockStep,
+    _DenseAdda,
+    _GateParts,
     _erres_lower_bound,
     _gram,
     _numerical_rank,
@@ -58,7 +63,7 @@ class TestIterates:
             prob = random_mare(seed)
             sh = make_shifts(prob)
             state = initialize(prob, sh)
-            h0 = oracle.closed_form_h0(prob, sh)
+            h0 = closed_form_h0(prob, sh)
             assert np.abs(state.H - h0).max() <= 1e-12 * np.abs(h0).max()
 
     def test_matches_dense_oracle(self):
@@ -380,7 +385,7 @@ class TestResiduals:
             prob, criteria=StopCriteria(criterion="nres", tolerance=1e-13)
         )
         assert rep.termination == "converged"
-        res = oracle.oracle_residual(prob, rep.H)
+        res = oracle_residual(prob, rep.H)
         assert np.abs(res).max() <= 1e-10
 
     def test_relative_change(self):
@@ -707,16 +712,14 @@ def _hand_stepped(prob, criteria):
     Returns the final iterate, the termination, every erres and the
     switch step.  The inputs stay far below the kernel row cap.
     """
-    it, values, switched_at = initialize(prob), [], None
+    it, values = initialize(prob), []
     while True:
         values.append(erres(prob, it.H))
         if values[-1] <= criteria.tolerance:
-            return it, "converged", values, switched_at
+            return it, "converged", values, it.switched_at
         if it.k >= criteria.max_iterations:
-            return it, "max_iterations", values, switched_at
-        if switched_at is None and 2 ** (it.k + 1) * max(prob.p, prob.q) > prob.m + prob.n:
-            switched_at = it.k
-            it = _TripletAdda(it)
+            return it, "max_iterations", values, it.switched_at
+        it = it.successor(criteria.kernel_row_cap)
         it.step()
 
 
@@ -757,7 +760,7 @@ class TestErresGate:
         # 3.19712567796e-6 exceeds the computed erres 3.19712565619e-6
         prob = gen_fluid(33, 1000)[0]
         state = initialize(prob)
-        raw, slack = _erres_lower_bound(prob, state)
+        raw, slack = _erres_lower_bound(prob, state, _GateParts.of(prob))
         value = erres(prob, state.H)
         assert np.nanmax(raw) > value
         assert 1e-14 < np.nanmax(raw - slack) <= value
@@ -781,6 +784,69 @@ class TestErresGate:
         monkeypatch.setattr(DaddaState, "H", property(counted))
         rep = solve(gen_fluid(400, 100)[0])
         assert sum(formed) == sum(not r.lower_bound for r in rep.records) >= 1
+
+
+class TestIterateProtocol:
+    # p = 1, q = 3 and m + n = 70: the next kernel's larger side, 3 * 2^(k+1)
+    # rows, first outgrows m + n at k = 4 (96 rows), while the records give
+    # the factored kernel's order 2^k p
+    @staticmethod
+    def _prob():
+        return random_mare(7, m=40, n=30, p=1, q=3)
+
+    def test_adda_iterates_are_their_own_successors(self):
+        prob = self._prob()
+        sh = make_shifts(prob)
+        dense, triplet = _DenseAdda(prob, sh), _TripletAdda(initialize(prob, sh))
+        assert (dense.switched_at, triplet.switched_at) == (None, 0)
+        for it in (dense, triplet):
+            for cap in (1, 96, StopCriteria().kernel_row_cap):
+                assert it.successor(cap) is it
+
+    def test_dadda_state_is_its_own_successor_below_m_plus_n(self):
+        state = initialize(self._prob())
+        for k in range(4):
+            assert (state.k, state.switched_at) == (k, None)
+            assert state.successor(StopCriteria().kernel_row_cap) is state
+            advance(state)
+
+    def test_hand_off_at_m_plus_n(self):
+        state = _run_state(self._prob(), None, 4)
+        it = state.successor(StopCriteria().kernel_row_cap)
+        assert isinstance(it, _TripletAdda)
+        assert it.switched_at == it.k == 4
+        assert it.H is state.H
+        rep = solve(self._prob(), criteria=StopCriteria(tolerance=1e-13))
+        assert rep.switched_at == 4
+        assert [r.kernel_order for r in rep.records[:6]] == [1, 2, 4, 8, 16, 30]
+
+    def test_loop_drops_the_state_at_the_hand_off(self, monkeypatch):
+        # under rchange the loop keeps the previous H, which the hand-off
+        # shares; the DaddaState itself must be gone by the first ADDA step
+        states, alive = [], []
+        build, step = _TripletAdda.__init__, _TripletAdda.step
+
+        def traced_build(it, state):
+            states.append(weakref.ref(state))
+            build(it, state)
+
+        def traced_step(it):
+            alive.append(states[0]() is not None)
+            step(it)
+
+        monkeypatch.setattr(_TripletAdda, "__init__", traced_build)
+        monkeypatch.setattr(_TripletAdda, "step", traced_step)
+        rep = solve(self._prob(), criteria=StopCriteria(criterion="rchange", tolerance=1e-13))
+        assert rep.switched_at == 4
+        assert alive and not any(alive)
+
+    def test_cap_stops_and_wins_over_the_hand_off(self):
+        state = initialize(self._prob())
+        assert state.successor(6) is state
+        assert state.successor(5) is None
+        state = _run_state(self._prob(), None, 4)
+        assert isinstance(state.successor(96), _TripletAdda)
+        assert state.successor(95) is None
 
 
 NEAR_CRITICAL = dict(alpha_t=1e-8, beta_t=1.0 - 1e-6)
@@ -838,7 +904,7 @@ class TestTripletAdda:
                 E, F, G, H = it.quad
                 image = np.block([[E, G], [H, F]]) @ u + np.concatenate([it.w1, it.w2])
                 assert np.all(np.abs(image - u) <= 1e-12 * u), state.k
-                if 2 ** (state.k + 1) * max(prob.p, prob.q) > prob.m + prob.n:
+                if state.successor(StopCriteria().kernel_row_cap) is not state:
                     break
                 advance(state)
                 ref = oracle.step_quadruple(*ref)
