@@ -167,23 +167,20 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _matmul(a, b)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
-    """:func:`matmul` of checked float operands; with ``acc``, acc + a @ b.
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`matmul` of checked float operands.
 
-    Each entry of acc + a @ b is the ascending loop that starts from
-    ``acc`` instead of 0.0, so a product whose first inner indices were
-    summed into ``acc`` earlier continues bitwise where they stopped.  A
-    result of at most ``_SMALL_RESULT`` entries takes the chained ordered
+    A result of at most ``_SMALL_RESULT`` entries takes the chained ordered
     reduction of :func:`_panel_tmatmul`, one of at most ``_TINY_RESULT``
-    entries from 0.0 the route of :func:`_tiny_matmul`.
+    entries the route of :func:`_tiny_matmul`.
     """
     m, k = a.shape
     n = b.shape[1]
-    if acc is None and m * n <= _TINY_RESULT and 0 < k * m * n <= _CHUNK_FLOATS:
+    if m * n <= _TINY_RESULT and 0 < k * m * n <= _CHUNK_FLOATS:
         return _tiny_matmul(a, b)
     if m * n <= _SMALL_RESULT:
-        return _panel_tmatmul(a.T, b, max(1, _CHUNK_FLOATS // max(m * n, 1)), acc)
-    out = np.zeros((m, n)) if acc is None else acc.copy()
+        return _panel_tmatmul(a.T, b, max(1, _CHUNK_FLOATS // max(m * n, 1)))
+    out = np.zeros((m, n))
     rows = _panel_rows(n)
     tmp = np.empty((min(rows, m), n))
     for i0 in range(0, m, rows):
@@ -210,22 +207,17 @@ def _tiny_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.accumulate(a.T[:, :, None] * b[:, None, :], axis=0)[-1] + 0.0
 
 
-def _panel_tmatmul(
-    f: np.ndarray, x: np.ndarray, rows: int, acc: np.ndarray | None = None
-) -> np.ndarray:
+def _panel_tmatmul(f: np.ndarray, x: np.ndarray, rows: int) -> np.ndarray:
     """f^T x, bitwise equal to ``matmul(f.T, x)``, in O(rows * w * cols) memory.
 
     Row panels of f (m x w) and x (m x cols) are chained through a carried
     accumulator: each panel's products sit behind the running sums in one
     stack that is reduced in ascending order, so every entry is the
     ascending loop over all m rows.  ``matmul``'s small-result path is this
-    chain over chunks of the inner index.  Given ``acc``, the chain starts
-    from it instead of from zeros and returns acc + f^T x, each entry the
-    loop continued from acc; ``acc`` itself is not written.
+    chain over chunks of the inner index.
     """
     m, w = f.shape
-    if acc is None:
-        acc = np.zeros((w, x.shape[1]))
+    acc = np.zeros((w, x.shape[1]))
     buf = np.empty((min(rows, m) + 1,) + acc.shape)
     for i0 in range(0, m, rows):
         i1 = min(m, i0 + rows)

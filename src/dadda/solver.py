@@ -20,6 +20,8 @@ coupling matrices double by
 Everything on the right-hand side above is entrywise nonnegative, so the
 whole iteration is free of subtractive cancellation; the m x n iterate is
 only materialized when a stopping criterion or the caller asks for it.
+Each step forms the two new corners and the kernel's product
+Y_{k+1} Z_{k+1} whole, each by one :func:`_gram`.
 
 One step operator per family.  The first :func:`advance` builds a
 :class:`_BlockStep` for each of U, V, W and Q from the family's shifted
@@ -36,26 +38,6 @@ taken without testing each x: the chain checks every x, and raises if
 one is negative.  A dot with at most four entries, such as the 1 x p dot
 of a block's rank-one solve, takes ``matmul``'s tiny-result route, which
 is bitwise the ascending loop from 0.0 too.
-
-The couplings reuse the previous step.  With T = Qcheck_k^T Wcheck_k and
-S = Vcheck_k^T Ucheck_k, the kernel's product is
-
-    Y_{k+1} Z_{k+1} = [[Y Z, Y (gamma S)], [(gamma T) Z, Y Z + (gamma T)(gamma S)]],
-
-and T and S hold the previous step's T and S as their top-left blocks,
-since Qcheck_{k+1} = [Qcheck_k, Qcheck_new].  On the ordered path every
-entry of a product is its own ascending loop from 0.0.  In the full
-product Y_{k+1} Z_{k+1}, the first half of each loop multiplies the zero
-blocks of Y_{k+1} or Z_{k+1} (+0.0 products, which leave the sum at +0.0)
-in the top row and left column of blocks, and is the loop of Y Z in the
-bottom-right block.  So the stored Y Z is the top-left block, the two
-off-diagonal blocks are the ordered products, and the bottom-right block
-continues the loops of Y Z through (gamma T)(gamma S), by a carried
-accumulator.  Each entry of T is one ascending dot over the rows, whatever
-else is formed with it.  Every reused entry is thus bitwise that of the
-full product, and so are the kernel, H and every record.  The BLAS or
-ordered choice of :func:`_gram` is made on the full product's shape, so
-reuse never moves it; on BLAS nothing is reused or kept.
 
 The kernels I - Y_k Z_k are themselves nonsingular M-matrices.  Their GTH
 triplet is assembled additively: with u-side B_r^T u1 tiled 2^k times,
@@ -266,7 +248,6 @@ from .linalg import (
     _SLAB_FLOATS,
     _band_apply,
     _column_form,
-    _matmul,
     _negated_offdiag,
     _outer_sum,
     _panel_ratio_max,
@@ -354,10 +335,7 @@ class DaddaState:
     """Mutable iteration state; index k counts doubling steps taken.
 
     ``kernel`` holds the GTH factors of I - Y_k Z_k, factored once per
-    step, and ``X`` its solution K^{-1} Qcheck^T.  While the products stay
-    ordered (kernel order below ``_GRAM_DOT_MIN``), ``gram`` keeps Y_k Z_k
-    and ``corners`` the products Qcheck^T Wcheck and Vcheck^T Ucheck of the
-    last step, which the next step's products reuse.  ``block_steps`` holds
+    step, and ``X`` its solution K^{-1} Qcheck^T.  ``block_steps`` holds
     the four families' step operators, built by the first :func:`advance`.
     """
 
@@ -379,8 +357,6 @@ class DaddaState:
     bru1: np.ndarray
     X: np.ndarray | None = None
     kernel: GthFactorization | None = None
-    gram: np.ndarray | None = field(default=None, repr=False)
-    corners: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     block_steps: tuple[_BlockStep, ...] | None = field(default=None, repr=False)
     _H: np.ndarray | None = field(default=None, repr=False)
 
@@ -483,72 +459,26 @@ class DaddaState:
         return self.shifts.gamma * (w @ vt + wz @ kyv), wz, kyv
 
 
-_GRAM_DOT_MIN = 192
-
-
-def _on_blas(rows: int, cols: int) -> bool:
-    """Whether :func:`_gram` forms a product with this result shape on BLAS."""
-    return min(rows, cols) >= _GRAM_DOT_MIN
+_GRAM_DOT_MIN = 128
 
 
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of two nonnegative kernel-order matrices.
 
     All three dimensions double with k, so this is the solve's only cubic
-    cost.  Once they are large the platform product takes over: with every
-    operand entry nonnegative, any summation order adds nonnegative terms,
-    so the result stays exactly nonnegative and cancellation-free; it can
-    differ from the fixed-order product by rounding only.
+    cost.  A result with both sides at least ``_GRAM_DOT_MIN`` is formed by
+    the platform product: with every operand entry nonnegative, any
+    summation order adds nonnegative terms, so the result stays exactly
+    nonnegative and cancellation-free; it can differ from the fixed-order
+    product by rounding only.  Smaller results stay ordered, which keeps
+    the benchmark's fluid and banded solves (kernel order <= 64) bitwise
+    reproducible: the fluid criterion sits at its rounding floor, where a
+    rounding-level move of the iterate can cost a step.
     """
     _check_sign(np.all(a >= 0.0) and np.all(b >= 0.0), "kernel-order factor")
-    if _on_blas(a.shape[0], b.shape[1]):
+    if min(a.shape[0], b.shape[1]) >= _GRAM_DOT_MIN:
         return np.dot(a, b)
     return matmul(a, b)
-
-
-def _block_gram(prev, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_gram(a.T, b)``, with ``prev``, when given, as its top-left block.
-
-    ``prev`` is the previous step's product of the leading columns of a
-    and b.  On the ordered path every entry is its own ascending dot over
-    the rows, so the entries of ``prev`` are bitwise those of the full
-    product and only the new rows and columns are formed.  The BLAS/ordered
-    split is decided on the full product's shape.
-    """
-    if prev is None or _on_blas(a.shape[1], b.shape[1]):
-        return _gram(a.T, b)
-    ra, rb = prev.shape
-    _check_sign(np.all(a[:, ra:] >= 0.0) and np.all(b[:, rb:] >= 0.0), "kernel-order factor")
-    out = np.empty((a.shape[1], b.shape[1]))
-    out[:ra, :rb] = prev
-    out[:ra, rb:] = matmul(a[:, :ra].T, b[:, rb:])
-    out[ra:] = matmul(a[:, ra:].T, b)
-    return out
-
-
-def _doubled_gram(yz, Y, Z, ct, cs) -> np.ndarray:
-    """Y' Z' for Y' = [[0, Y], [Y, ct]] and Z' = [[0, Z], [Z, cs]], from yz = Y Z.
-
-        Y' Z' = [[Y Z, Y cs], [ct Z, Y Z + ct cs]].
-
-    Bitwise ``_gram(Y', Z')`` on the ordered path: each entry there is the
-    ascending loop over Y''s 2r columns from 0.0, and its first r terms
-    are products with an exact zero block (+0.0, which leaves the sum at
-    +0.0) in the top row of blocks and the left column of blocks, and the
-    terms of Y Z in the bottom-right block.  So the top-left block is Y Z,
-    the two off-diagonal blocks are the ordered products Y cs and ct Z, and
-    the bottom-right block continues the sums of Y Z through ct cs.
-    """
-    _check_sign(
-        all(np.all(x >= 0.0) for x in (Y, Z, ct, cs)), "kernel-order factor"
-    )
-    r = yz.shape[0]
-    out = np.empty((2 * r, 2 * r))
-    out[:r, :r] = yz
-    out[:r, r:] = matmul(Y, cs)
-    out[r:, :r] = matmul(ct, Z)
-    out[r:, r:] = _matmul(ct, cs, yz)
-    return out
 
 
 def _kernel_image(blocks, u, inv_v, v, shift, gamma) -> np.ndarray:
@@ -572,15 +502,11 @@ def _kernel_image(blocks, u, inv_v, v, shift, gamma) -> np.ndarray:
     return image
 
 
-def _refresh_kernel(state: DaddaState, gram: np.ndarray | None = None) -> None:
-    """Factor I - Y_k Z_k, from ``gram`` = Y_k Z_k when the step formed it."""
+def _refresh_kernel(state: DaddaState) -> None:
+    """Factor I - Y_k Z_k and solve it for X."""
     # drop the previous order's factors and solution before the new ones
-    state.X = state._H = state.kernel = state.gram = None
-    if gram is None:
-        gram = _gram(state.Y, state.Z)
-    if not _on_blas(2 * state.kernel_order, 2 * state.kernel_order):
-        state.gram = gram.copy()  # the triplet zeroes the diagonal in place
-    state.kernel = gth_factorize(_kernel_triplet(state, gram))
+    state.X = state._H = state.kernel = None
+    state.kernel = gth_factorize(kernel_triplet(state))
     state.X = state.kernel.solve(state.Qcheck.T)
     _check_sign(np.all(state.X >= 0.0), "kernel solution X")
 
@@ -590,13 +516,8 @@ def kernel_triplet(state: DaddaState) -> TripletRepresentation:
 
     Assembled additively, never by subtraction.
     """
-    return _kernel_triplet(state, _gram(state.Y, state.Z))
-
-
-def _kernel_triplet(state: DaddaState, gram: np.ndarray) -> TripletRepresentation:
-    """:func:`kernel_triplet` with Y_k Z_k given; its diagonal is zeroed in place."""
     v = state.v1k + matmul(state.Y, state.v2k[:, None])[:, 0]
-    return _offdiag_triplet(gram, np.tile(state.bru1, 2**state.k), v)
+    return _offdiag_triplet(_gram(state.Y, state.Z), np.tile(state.bru1, 2**state.k), v)
 
 
 def initialize(prob: MareProblem, shifts: ShiftPair | None = None) -> DaddaState:
@@ -688,38 +609,12 @@ class _BlockStep:
         return blocks
 
 
-def _double_couplings(state: DaddaState) -> np.ndarray | None:
-    """Y_k, Z_k -> Y_{k+1}, Z_{k+1}, and Y_{k+1} Z_{k+1} on the ordered path.
-
-    On the ordered path the corner products and the kernel gram reuse the
-    previous step's (:func:`_block_gram`, :func:`_doubled_gram`), and the
-    new corners are kept for the next step.  On BLAS nothing is reused:
-    each corner is freed once it is scaled in, and the gram is left to
-    :func:`_refresh_kernel` (None).
-    """
-    gamma = state.shifts.gamma
-    qw_prev, vu_prev = state.corners or (None, None)
-    state.corners = None
-    qw = _block_gram(qw_prev, state.Qcheck, state.Wcheck)
-    if _on_blas(*qw.shape):
-        state.Y = _doubled(state.Y, gamma * qw)
-        del qw
-        state.Z = _doubled(state.Z, gamma * _block_gram(None, state.Vcheck, state.Ucheck))
-        return None
-    vu = _block_gram(vu_prev, state.Vcheck, state.Ucheck)
-    state.corners = (qw, vu)
-    ct, cs = gamma * qw, gamma * vu
-    gram = None
-    if state.gram is not None:
-        gram = _doubled_gram(state.gram, state.Y, state.Z, ct, cs)
-    state.Y = _doubled(state.Y, ct)
-    state.Z = _doubled(state.Z, cs)
-    return gram
-
-
 def advance(state: DaddaState) -> DaddaState:
     """One doubling step: k -> k + 1."""
-    gram = _double_couplings(state)
+    gamma = state.shifts.gamma
+    # each corner is freed once it is scaled in
+    state.Y = _doubled(state.Y, gamma * _gram(state.Qcheck.T, state.Wcheck))
+    state.Z = _doubled(state.Z, gamma * _gram(state.Vcheck.T, state.Ucheck))
     if state.block_steps is None:
         state.block_steps = (
             _BlockStep(state.solver_a, state.a_neg, False),
@@ -734,7 +629,7 @@ def advance(state: DaddaState) -> DaddaState:
         blocks.extend(step.chain(blocks[-1], count))
 
     state.k += 1
-    _refresh_kernel(state, gram)
+    _refresh_kernel(state)
     return state
 
 
@@ -1274,8 +1169,8 @@ def solve(
     With ``compute_dual`` the report carries the final iterate's G.
     """
     shifts, criteria = _defaults(prob, shifts, criteria, x_true)
-    if criteria.kernel_row_cap < prob.p + prob.q:
-        raise ValueError("kernel_row_cap must be at least p + q")
+    if criteria.kernel_row_cap < max(prob.p, prob.q):
+        raise ValueError("kernel_row_cap must be at least max(p, q)")
     t0 = time.perf_counter()
     # no reference kept here: the loop frees the DaddaState at a hand-off
     return _stopping_loop(

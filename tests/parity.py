@@ -21,7 +21,8 @@ step ungated, each solved by ``solve`` and by the dense reference
 gate applies to, and one solve that the kernel row cap stops.  So the
 set runs all three iterates (dADDA, triplet ADDA after a hand-off, dense
 ADDA) and every termination.  BLAS runs on one thread, as in the
-benchmark: the ADDA steps after a hand-off use BLAS products, whose
+benchmark: the ADDA steps after a hand-off and dADDA's kernel-order
+products with both result sides at least 128 use BLAS products, whose
 rounding depends on the thread count.
 
 Named ``parity.py`` so that pytest does not collect it.

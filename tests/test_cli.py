@@ -124,7 +124,7 @@ class TestSolve:
 
     def test_cap_below_rank_exit_one(self, tmp_path, capsys):
         path = _write_problem(tmp_path, random_mare(86, p=2, q=2))
-        code = main(["solve", "--input", path, "--kernel-cap", "3"])
+        code = main(["solve", "--input", path, "--kernel-cap", "1"])
         assert code == 1
         assert "input error" in capsys.readouterr().err
 
@@ -227,7 +227,7 @@ class TestBench:
     def test_solver_refusal_exit_one(self, capsys):
         for argv in (
             ["bench-transport", "--n", "6", "--criterion", "ererr"],
-            ["bench-fluid", "--m", "2", "--n", "18", "--kernel-cap", "1"],
+            ["bench-fluid", "--m", "2", "--n", "18", "--kernel-cap", "0"],
         ):
             assert main(argv) == 1
             assert "input error" in capsys.readouterr().err

@@ -10,7 +10,6 @@ from dadda.linalg import (
     _SUM_CHUNK,
     _TINY_RESULT,
     StructuredSquare,
-    _matmul,
     _panel_ratio_max,
     _panel_tmatmul,
     _reduce_ascending,
@@ -184,20 +183,6 @@ class TestTinyMatmul:
         b = np.array([[1.0], [-0.0], [-1e-300]])
         out = matmul(a, b)
         assert out[0, 0] == 0.0 and not np.signbit(out[0, 0])
-
-    def test_carried_accumulator_continues_the_loop(self):
-        # acc = the product over the first j inner indices; _matmul and
-        # _panel_tmatmul continue it bitwise to the full product, on the
-        # small and the large result path
-        rng = _rng(16)
-        for m, k, n, j in [(3, 9, 4, 4), (6, 30, 6, 13), (70, 11, 80, 5), (1, 5, 1, 2)]:
-            a = rng.standard_normal((m, k))
-            b = rng.standard_normal((k, n))
-            acc = naive_matmul(a[:, :j], b[:j])
-            expect = naive_matmul(a, b)
-            assert np.array_equal(_matmul(a[:, j:], b[j:], acc), expect)
-            assert np.array_equal(_panel_tmatmul(a[:, j:].T, b[j:], 3, acc), expect)
-            assert np.array_equal(acc, naive_matmul(a[:, :j], b[:j]))
 
 
 class TestScalarHelpers:

@@ -206,9 +206,12 @@ class TestKernels:
         "label",
         ["transport 10", "fluid 90x10", "random dense", "random lowrank", "random banded"],
     )
-    def test_incremental_gram_is_the_full_product(self, label):
-        # every reused and every continued product bitwise equals the full
-        # _gram of the step, at every k, across the BLAS/ordered split
+    def test_couplings_and_kernel_are_whole_grams(self, label):
+        # each new corner of Y and Z is gamma * _gram of the previous
+        # factors, and the kernel is a fresh factorization of
+        # kernel_triplet, at every k; Y Z crosses the split at order 128
+        # (fluid 90x10 at k = 7): bitwise the ascending loop below it and
+        # np.dot from it on, exactly nonnegative on both sides
         prob = {
             "transport 10": lambda: gen_transport(10, seed=1),
             "fluid 90x10": lambda: gen_fluid(90, 10)[0],
@@ -218,29 +221,25 @@ class TestKernels:
         }[label]()
         state = initialize(prob)
         gamma = state.shifts.gamma
-        reused = 0
         for k in range(8):
             if k:
                 pq, qq = state.q_blocks[0].shape[1], state.w_blocks[0].shape[1]
                 half = len(state.q_blocks) // 2
                 qw = _gram(state.Qcheck[:, : half * pq].T, state.Wcheck[:, : half * qq])
+                vu = _gram(state.Vcheck[:, : half * qq].T, state.Ucheck[:, : half * pq])
                 rows, cols = qw.shape
                 assert np.array_equal(state.Y[rows:, cols:], gamma * qw)
-                if state.corners is not None:
-                    assert np.array_equal(state.corners[0], qw)
-                    vu = _gram(state.Vcheck[:, : half * qq].T, state.Ucheck[:, : half * pq])
-                    assert np.array_equal(state.corners[1], vu)
-                    assert np.array_equal(state.Z[cols:, rows:], gamma * vu)
-            full = _gram(state.Y, state.Z)
-            if state.gram is not None:
-                reused += 1
-                assert np.array_equal(state.gram, full)
-            assert (state.gram is None) is (2 * state.kernel_order >= _GRAM_DOT_MIN)
+                assert np.array_equal(state.Z[cols:, rows:], gamma * vu)
+            yz = _gram(state.Y, state.Z)
+            if state.kernel_order < _GRAM_DOT_MIN:
+                assert np.array_equal(yz, naive_matmul(state.Y, state.Z))
+            else:
+                assert np.array_equal(yz, np.dot(state.Y, state.Z))
+            assert yz.min() >= 0.0
             expect = gth_factorize(kernel_triplet(state))
             assert np.array_equal(state.kernel.LU, expect.LU)
             assert np.array_equal(state.X, expect.solve(state.Qcheck.T))
             advance(state)
-        assert reused >= 4
 
     def test_kernel_inverse_nonnegative(self):
         prob = random_mare(58)
@@ -630,8 +629,8 @@ class TestSolveLoop:
 
     def test_kernel_cap_too_small_rejected(self):
         prob = random_mare(68, p=2, q=2)
-        with pytest.raises(ValueError, match="p \\+ q"):
-            solve(prob, criteria=StopCriteria(kernel_row_cap=3))
+        with pytest.raises(ValueError, match="max\\(p, q\\)"):
+            solve(prob, criteria=StopCriteria(kernel_row_cap=1))
 
     def test_ererr_requires_reference(self):
         prob = random_mare(69)
@@ -847,6 +846,19 @@ class TestIterateProtocol:
         state = _run_state(self._prob(), None, 4)
         assert isinstance(state.successor(96), _TripletAdda)
         assert state.successor(95) is None
+
+    def test_smallest_cap_is_the_first_kernels_side(self):
+        # the k = 0 iterate's larger side is max(p, q) = 3 rows, so cap 3
+        # ends the solve at k = 0 exactly as caps 4 and 5 do; cap 2 cannot
+        # hold even that iterate and is rejected
+        records = []
+        for cap in (3, 4, 5):
+            rep = solve(self._prob(), criteria=StopCriteria(tolerance=1e-13, kernel_row_cap=cap))
+            assert (rep.termination, rep.iterations) == ("kernel_cap_exceeded", 0)
+            records.append([dataclasses.replace(r, seconds=0.0) for r in rep.records])
+        assert records[0] == records[1] == records[2]
+        with pytest.raises(ValueError, match="max\\(p, q\\)"):
+            solve(self._prob(), criteria=StopCriteria(kernel_row_cap=2))
 
 
 NEAR_CRITICAL = dict(alpha_t=1e-8, beta_t=1.0 - 1e-6)
