@@ -12,6 +12,10 @@ python loop if a numpy build ever changes it.  Scalar sums
 (``ordered_sum``, ``ordered_dot``, ``frobenius_norm``, and a width-1
 stack) stream fixed-size chunks through ``np.add.accumulate``, a running
 sum and so sequential by definition, without copying their operands.
+Ascending order buys reproducibility, not accuracy: its error bound grows
+with the term count, a blocked sum's far less (Higham, Sec. 4.2).  So
+``solver.erres`` takes its reductions over a long side of the iterate from
+BLAS, and from here only its in-panel products.
 
 Square coefficient matrices come in three structured kinds:
 
@@ -226,31 +230,6 @@ def _panel_tmatmul(f: np.ndarray, x: np.ndarray, rows: int) -> np.ndarray:
         np.multiply(f[i0:i1, :, None], x[i0:i1, None, :], out=stack[1:])
         acc = _reduce_ascending(stack)
     return acc
-
-
-# The transposed pass of _skinny_matmul runs its inner loops over a block's
-# rows; blocks of 32 keep them long and the block's columns cache resident
-# (measured on n = 800 to 7200).
-_SKINNY_ROWS = 32
-
-
-def _skinny_matmul(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """x @ f for a skinny f, each entry the ascending loop from its first term on.
-
-    One transposed pass over row blocks of x writes every product
-    x_ik f_kt of a block with k outermost, and ``_reduce_ascending`` sums
-    over k.  ``matmul`` would start each sum from 0.0, which can change
-    only the sign of a zero result.
-    """
-    m, (k, w) = x.shape[0], f.shape
-    out = np.empty((m, w))
-    stack = np.empty(k * w * min(m, _SKINNY_ROWS))
-    for i0 in range(0, m, _SKINNY_ROWS):
-        block = x[i0 : i0 + _SKINNY_ROWS]
-        terms = stack[: k * w * len(block)].reshape(k, w, len(block))
-        np.multiply(f[:, :, None], block.T[:, None, :], out=terms)
-        out[i0 : i0 + len(block)] = _reduce_ascending(terms).T
-    return out
 
 
 def _outer_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:

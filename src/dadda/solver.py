@@ -132,22 +132,31 @@ through BLAS: the quadruple stays exactly nonnegative and its entries
 keep their componentwise accuracy.
 
 The entrywise residual :func:`erres` is one fused kernel over row panels
-of H, top to bottom, after one streamed pass for the column reductions
-Cr^T H (and R_A^T H).  Both of its groups are sums of nonnegative terms,
-and each entry is formed by the same operations in the same order as over
-the whole matrix (ordered products are the ascending loop for any
-blocking; a sum that starts from its first term rather than from 0.0 can
-differ only in the sign of a zero, which the criterion cannot see), so it
-is bitwise equal to the unpanelled one while each panel does elementwise
-work in O(panel * n) memory.  ``ererr`` and ``relative_change`` stream
-the same way.  Ordered products are the rule; BLAS forms a product only
-where every operand is nonnegative, so any summation order adds
-nonnegative terms and moves results at rounding level alone: the ADDA
-steps and the hand-off, the dual iterate, :func:`_gram` from order
-``_GRAM_DOT_MIN``, ``apply_h`` and the gate's factored products below.
-The one exception is :func:`rank_of_iterate`: its core multiplies a
-mixed-sign QR factor, where no summation order is sign-exact, and it is a
-diagnostic outside the iteration, so BLAS forms it too.
+of H, top to bottom.  Its three reductions over a long side of H, Cr^T H,
+R_A^T H for a low-rank A and H [Cl, P_D], are formed once per call by
+BLAS.  H >= 0 is checked where it is formed and the factors are validated
+>= 0, so both groups stay sums of nonnegative terms, the only subtraction
+is the final |G1 - G2|, and a blocked sum errs far less than an ascending
+one, whose error grows with the term count (Higham, Sec. 4.2): over the
+7200 columns of fluid 800 x 7200, ascending sums hold erres at 4.2e-14,
+above its 1e-14 tolerance, where BLAS reads 4.0e-15.  Every step inside a
+panel is formed by the same operations in the same order as over the whole
+matrix (ordered products are the ascending loop for any blocking; a sum
+that starts from its first term rather than from 0.0 can differ only in
+the sign of a zero, which the criterion cannot see) and slices the
+whole-matrix reductions, so the value is bitwise the unpanelled one from
+the same three products while each panel does elementwise work in
+O(panel * n) memory.  A BLAS product per panel would not keep that, so the
+in-panel products stay ordered.  ``ererr`` and ``relative_change`` stream
+the same way.  Ordered products are the rule inside the iteration; BLAS
+forms a product only where every operand is nonnegative, so any summation
+order adds nonnegative terms and moves results at rounding level alone:
+the ADDA steps and the hand-off, the dual iterate, :func:`_gram` from
+order ``_GRAM_DOT_MIN``, ``apply_h``, the gate's factored products below
+and erres's reductions, whose values therefore depend on the BLAS build
+and thread count.  The one exception is :func:`rank_of_iterate`: its core
+multiplies a mixed-sign QR factor, where no summation order is sign-exact,
+and it is a diagnostic outside the iteration, so BLAS forms it too.
 
 Gating ``erres`` by a factored lower bound.  Above one slab of entries
 (m n > ``linalg._SLAB_FLOATS``) the stopping loop first bounds ``erres``
@@ -185,10 +194,13 @@ a part passes through at most K_part roundings, counted on the erres path
 plus the bound's path, so by Higham (Accuracy and Stability of Numerical
 Algorithms, 2nd ed., Sec. 3.1 and 4.2 with Lemma 3.3) the two computations
 together err over row i by at most eps_i = sum_part gamma_{K_part} mu_i,
-gamma_K = K u / (1 - K u), barring underflow.  On the erres path every
-entry has |G1 - G2|_ij <= e (1 + gamma_3) G2_ij plus its rounding error (a
-G2_ij = 0 under a nonzero G1_ij would make e = +inf: positive diagonals
-make G2_ij = 0 only where H_ij = 0, where nothing cancels).  Weighting row
+gamma_K = K u / (1 - K u), barring underflow.  That bound holds in any
+summation order, and a fused multiply-add only removes roundings, so the
+counts below and the slack hold for erres's BLAS reductions too.  On the
+erres path every entry has |G1 - G2|_ij <= e (1 + gamma_3) G2_ij plus its
+rounding error (a G2_ij = 0 under a nonzero G1_ij would make e = +inf:
+positive diagonals make G2_ij = 0 only where H_ij = 0, where nothing
+cancels).  Weighting row
 i by u, and adding the bound path's rounding of the numerator, of
 (G2 u)_i and of the division,
 
@@ -252,9 +264,7 @@ from .linalg import (
     _outer_sum,
     _panel_ratio_max,
     _panel_rows,
-    _panel_tmatmul,
     _row_panels,
-    _skinny_matmul,
     frobenius_norm,
     matmul,
 )
@@ -471,9 +481,8 @@ def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     summation order adds nonnegative terms, so the result stays exactly
     nonnegative and cancellation-free; it can differ from the fixed-order
     product by rounding only.  Smaller results stay ordered, which keeps
-    the benchmark's fluid and banded solves (kernel order <= 64) bitwise
-    reproducible: the fluid criterion sits at its rounding floor, where a
-    rounding-level move of the iterate can cost a step.
+    the benchmark's fluid and banded iterates (kernel order <= 64)
+    bitwise reproducible.
     """
     _check_sign(np.all(a >= 0.0) and np.all(b >= 0.0), "kernel-order factor")
     if min(a.shape[0], b.shape[1]) >= _GRAM_DOT_MIN:
@@ -646,20 +655,21 @@ def erres(prob: MareProblem, H: np.ndarray) -> float:
 
     One fused kernel evaluates it in row panels of H (see
     ``linalg._panel_rows``), so no m x n temporary is made.  The per-call
-    invariants come first: Cr^T H (and R_A^T H for a low-rank A), streamed
-    with a carried ascending accumulator; H Cl and H P_D, formed together
-    by one ordered transposed pass; the negated bands, the low-rank row
-    dots and both diagonals.  Each panel then takes elementwise work only,
-    through three reused buffers: every product with a small inner
-    dimension is a sum of outer products written in place, and an empty
-    band product is skipped.  Each entry of both groups is formed by the
-    same operations in the same order as over the whole matrix, except
-    that a sum starts from its first term where ``matmul`` starts from 0.0.
-    That can change only the sign of a zero, which neither
-    |group1 - group2| nor the test group2 == 0 can see, so the value is
-    bitwise equal to the unpanelled evaluation.  The panel ratios combine by ``linalg._panel_ratio_max``:
-    one divide and one max where group 2 has no zero, and any x/0 decides
-    the value (+inf), as over the whole matrix.
+    invariants come first: the BLAS products Cr^T H, R_A^T H for a
+    low-rank A and H [Cl, P_D] (see the module docstring), the negated
+    bands, the low-rank row dots and both diagonals.  Each panel then
+    slices those products and takes elementwise work only, through three
+    reused buffers: every product with a small inner dimension is a sum
+    of outer products written in place, and an empty band product is
+    skipped.  Each entry of both groups is formed by the same operations
+    in the same order as over the whole matrix, except that a sum starts
+    from its first term where ``matmul`` starts from 0.0.  That can change
+    only the sign of a zero, which neither |group1 - group2| nor the test
+    group2 == 0 can see, so the value is bitwise equal to the unpanelled
+    evaluation from the same three products.  The panel ratios combine by
+    ``linalg._panel_ratio_max``: one divide and one max where group 2 has
+    no zero, and any x/0 decides the value (+inf), as over the whole
+    matrix.
     """
     A, D = prob.A, prob.D
     H = np.asarray(H, dtype=np.float64)
@@ -693,8 +703,8 @@ def _residual_panels(prob: MareProblem, H: np.ndarray):
     m, n = H.shape
     rows = _panel_rows(n)
     q = prob.Cl.shape[1]
-    crth = _panel_tmatmul(prob.Cr, H, rows)
-    # H Cl and H P_D come from one ordered pass
+    # the reductions over a long side of H: BLAS products, formed once
+    crth = prob.Cr.T @ H
     f = prob.Cl
     if D.kind == "diag_plus_lowrank":
         f = np.concatenate([prob.Cl, D.p], axis=1)
@@ -703,10 +713,10 @@ def _residual_panels(prob: MareProblem, H: np.ndarray):
         d_neg = _negated_offdiag(D.bands)
     else:
         d_nmat = np.diag(np.diagonal(D.a)) - D.a
-    hf = _skinny_matmul(H, f)
+    hf = H @ f
     pad = 0
     if A.kind == "diag_plus_lowrank":
-        a_rtx, a_rowdot = _panel_tmatmul(A.r, H, rows), A.lowrank_rowdot()[:, None]
+        a_rtx, a_rowdot = A.r.T @ H, A.lowrank_rowdot()[:, None]
     elif A.kind == "banded":
         a_neg = _negated_offdiag(A.bands)
         pad = A.lower + A.upper

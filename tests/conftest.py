@@ -47,16 +47,37 @@ def dense_erres(prob, H):
     """The entrywise relative residual over the whole m x n matrix at once.
 
     The unpanelled form of ``solver.erres``, built from public methods
-    only: each group is formed in full, then maximized entrywise.
+    and the same three platform products that it forms once per call:
+    H [Cl, P_D], Cr^T H and R_A^T H.  Their summation order is the BLAS
+    build's, so a bitwise reference must take them from the very same
+    products; every other product is the ordered ``matmul``.  N_A H and
+    H N_D follow :meth:`~dadda.linalg.StructuredSquare.offdiag_parts`,
+    with a low-rank block's P R^T product taken from these reductions.
     """
-    group1 = (
-        matmul(matmul(H, prob.Cl), matmul(prob.Cr.T, H))
-        + prob.A.offdiag_abs_apply(H, side="left")
-        + prob.D.offdiag_abs_apply(H, side="right")
-        + matmul(prob.Bl, prob.Br.T)
-    )
-    group2 = prob.A.diagonal()[:, None] * H + H * prob.D.diagonal()[None, :]
+    A, D = prob.A, prob.D
+    q = prob.Cl.shape[1]
+    f = prob.Cl
+    if D.kind == "diag_plus_lowrank":
+        f = np.concatenate([prob.Cl, D.p], axis=1)
+    hf = H @ f
+    group1 = matmul(hf[:, :q], prob.Cr.T @ H)
+    if A.kind == "diag_plus_lowrank":
+        group1 += _lowrank_offdiag(A, matmul(A.p, A.r.T @ H), H * A.lowrank_rowdot()[:, None])
+    else:
+        group1 += A.offdiag_abs_apply(H, side="left")
+    if D.kind == "diag_plus_lowrank":
+        group1 += _lowrank_offdiag(D, matmul(hf[:, q:], D.r.T), H * D.lowrank_rowdot())
+    else:
+        group1 += D.offdiag_abs_apply(H, side="right")
+    group1 += matmul(prob.Bl, prob.Br.T)
+    group2 = A.diagonal()[:, None] * H + H * D.diagonal()[None, :]
     return _panel_ratio_max([(np.abs(group1 - group2), group2)])
+
+
+def _lowrank_offdiag(block, prt, dots):
+    """N = diag(M) - M of a low-rank block applied as -sign (P R^T x - rowdots x),
+    from the two sums ``prt`` and ``dots`` that ``offdiag_parts`` subtracts."""
+    return prt - dots if block.sign == -1 else dots - prt
 
 
 def where_ratio_max(num, den):

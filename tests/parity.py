@@ -6,12 +6,16 @@
 ``dump`` solves the parity set with the ``dadda`` on the import path and
 writes, per solve: termination, iterations, ``switched_at``, a sha256 of H
 and of the dual iterate G, ``erres_final``, ``frob_h`` and ``rank_h``, and
-every record's k, kernel order, ``lower_bound`` flag and value.  Floats are
-written in hex, so two dumps are equal exactly when the solves are bitwise
-equal.  Record seconds are left out.
+every record's k, kernel order, ``lower_bound`` flag and value.  The fluid
+instances, whose exact solution is known, also get ``ererr`` against it, so
+a stopping step that moved shows what it costs in accuracy (``null``
+elsewhere).  Floats are written in hex, so two dumps are equal exactly when
+the solves are bitwise equal.  Record seconds are left out.
 
-``compare`` prints every field that differs between two dumps and exits 1
-if any does, 0 if the whole set is bitwise equal.
+``compare`` prints every field that differs between two dumps, with both
+values for the scalar fields that a moved stopping step changes
+(termination, iterations, ``erres_final``, ``ererr``), and exits 1 if any
+field differs, 0 if the whole set is bitwise equal.
 
 The parity set: every ``perfbench`` instance at seeds 1 and 3, each under
 its own stopping rule, and ``random_mare`` (``tests/conftest.py``) of each
@@ -21,9 +25,11 @@ step ungated, each solved by ``solve`` and by the dense reference
 gate applies to, and one solve that the kernel row cap stops.  So the
 set runs all three iterates (dADDA, triplet ADDA after a hand-off, dense
 ADDA) and every termination.  BLAS runs on one thread, as in the
-benchmark: the ADDA steps after a hand-off and dADDA's kernel-order
-products with both result sides at least 128 use BLAS products, whose
-rounding depends on the thread count.
+benchmark: the ADDA steps after a hand-off, dADDA's kernel-order
+products with both result sides at least 128 and ``erres``'s three
+reductions over a long side of H (so every ``erres`` value, and with it
+a stopping step) use BLAS products, whose rounding depends on the thread
+count.
 
 Named ``parity.py`` so that pytest does not collect it.
 """
@@ -50,7 +56,11 @@ RANDOM_SEEDS = (2, 5, 11)
 
 
 def _cases():
-    """(label, solve) of every solve in the parity set; ``solve()`` returns its report."""
+    """(label, solve, exact) of every solve in the parity set.
+
+    ``solve()`` returns its report; ``exact`` is the entry of a fluid
+    instance's exact solution ``exact * ones``, None elsewhere.
+    """
     import instances
     from conftest import random_mare
 
@@ -63,23 +73,26 @@ def _cases():
     for workload in instances.WORKLOADS:
         for seed in SEEDS:
             for inst in instances.build(workload, seed):
-                yield f"{inst.label} seed={seed}", dadda(inst.problem, inst.criteria)
+                run = dadda(inst.problem, inst.criteria)
+                yield f"{inst.label} seed={seed}", run, inst.exact
     for kind in KINDS:
         for seed in RANDOM_SEEDS:
             prob = random_mare(seed, kind=kind)
             for criterion in CRITERIA:
                 label = f"random_mare({seed}, kind={kind}) {criterion}"
                 criteria = StopCriteria(criterion=criterion, tolerance=1e-13, max_iterations=12)
-                yield label, dadda(prob, criteria)
-                yield f"{label} dense", partial(solve_dense, prob, criteria=criteria)
+                yield label, dadda(prob, criteria), None
+                yield f"{label} dense", partial(solve_dense, prob, criteria=criteria), None
         yield (
             f"random_mare(7, m=200, n=190, kind={kind}) erres",
             dadda(random_mare(7, m=200, n=190, kind=kind),
                   StopCriteria(tolerance=1e-13, max_iterations=12)),
+            None,
         )
     yield (
         "gen_transport(100, 1) kernel_row_cap=64",
         dadda(gen_transport(100, 1), StopCriteria(tolerance=1e-12, kernel_row_cap=64)),
+        None,
     )
 
 
@@ -93,9 +106,14 @@ def _sha(a) -> str | None:
 
 
 def dump(path: str) -> None:
+    import numpy as np
+
+    from dadda.solver import ererr
+
     out = {}
-    for label, run in _cases():
+    for label, run, exact in _cases():
         rep = run()
+        err = None if exact is None else float(ererr(rep.H, np.full(rep.H.shape, exact))).hex()
         out[label] = {
             "termination": rep.termination,
             "iterations": rep.iterations,
@@ -105,6 +123,7 @@ def dump(path: str) -> None:
             "erres_final": float(rep.erres_final).hex(),
             "frob_h": float(rep.frob_h).hex(),
             "rank_h": rep.rank_h,
+            "ererr": err,
             "records": [
                 [r.k, r.kernel_order, r.lower_bound, float(r.value).hex()]
                 for r in rep.records
@@ -114,14 +133,29 @@ def dump(path: str) -> None:
     Path(path).write_text(json.dumps(out, indent=1) + "\n")
 
 
+_SHOWN = ("termination", "iterations", "erres_final", "ererr")
+
+
+def _show(key: str, value) -> str:
+    """A dumped scalar for reading, its hex floats in decimal."""
+    if key in ("erres_final", "ererr") and value is not None:
+        return f"{float.fromhex(value):.3g}"
+    return str(value)
+
+
 def compare(before: str, after: str) -> int:
     a = json.loads(Path(before).read_text())
     b = json.loads(Path(after).read_text())
     diffs = [f"only in {before}: {label}" for label in a.keys() - b.keys()]
     diffs += [f"only in {after}: {label}" for label in b.keys() - a.keys()]
     for label in a.keys() & b.keys():
-        for key in a[label]:
-            if a[label][key] != b[label].get(key):
+        for key in a[label].keys() | b[label].keys():
+            old, new = a[label].get(key), b[label].get(key)
+            if old == new:
+                continue
+            if key in _SHOWN:
+                diffs.append(f"{label}: {key} {_show(key, old)} -> {_show(key, new)}")
+            else:
                 diffs.append(f"{label}: {key} differs")
     for line in sorted(diffs):
         print(line)

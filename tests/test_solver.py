@@ -575,6 +575,17 @@ class TestSolveLoop:
         assert rep.erres_final <= 1e-14
         assert ererr(rep.H, x_true) <= 1e-10
 
+    def test_wide_fluid_converges_in_four(self):
+        # the benchmark's 800 x 7200 instance: its iterate is accurate at
+        # k = 4, and erres must show it there, so its reductions over the
+        # 7200 columns must not be ascending sums (those read 4.2e-14 from
+        # k = 4 to 6)
+        prob, x_true = gen_fluid(800, 7200)
+        rep = solve(prob, criteria=StopCriteria(tolerance=1e-14, max_iterations=6))
+        assert (rep.termination, rep.iterations) == ("converged", 4)
+        assert rep.erres_final <= 1e-14
+        assert ererr(rep.H, x_true) <= 1e-12
+
     def test_sign_plus_one_diagonal_block(self):
         # diag(1, 2, 2) + e0 e0^T is fluid 3x2's A = 2 I in low-rank form:
         # a sign +1 Z-pattern, so it validates and solves as a diagonal
@@ -695,6 +706,9 @@ def _tridiagonal_mare(order, seed):
 GATE_CASES = {
     "fluid 400x100": lambda: (gen_fluid(400, 100)[0], StopCriteria()),
     "fluid 100x400": lambda: (gen_fluid(100, 400)[0], StopCriteria()),
+    # stops at k = 3 at computed erres 9.1e-16, where ascending reductions
+    # over its 1000 columns read 1.55e-14
+    "fluid 33x1000": lambda: (gen_fluid(33, 1000)[0], StopCriteria()),
     "tridiagonal 200": lambda: (_tridiagonal_mare(200, 1), StopCriteria(tolerance=1e-13)),
     "lowrank 300x200": lambda: (
         random_mare(2, m=300, n=200, kind="lowrank"), StopCriteria(tolerance=1e-12)),
