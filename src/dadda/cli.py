@@ -37,7 +37,6 @@ import numpy as np
 
 from . import benchgen
 from .gth import NotMMatrixError, TripletRepresentation, gth_factorize
-from .linalg import matmul
 from .oracle import _ORACLE_CAP
 from .problem import MareProblem, load_problem, make_shifts
 from .solver import (
@@ -243,7 +242,7 @@ def _verify_transport(n, seeds, failures):
             scale = max(float(np.max(np.abs(target))), 1e-300)
             if float(np.max(np.abs(image - target))) > 1e-12 * scale:
                 failures.append(f"{label}: kernel triplet identity")
-            inv = np.linalg.inv(np.eye(trip.n) - matmul(state.Y, state.Z))
+            inv = np.linalg.inv(np.eye(trip.n) - state.Y @ state.Z)
             if float(np.min(inv)) < -1e-12:
                 failures.append(f"{label}: kernel inverse negative")
 

@@ -21,10 +21,11 @@ forward pass runs on U^T and the backward pass on L^T with the identical
 sign argument.
 
 None of this depends on the order in which the nonnegative terms are
-summed, so the substitutions run as LAPACK triangular solves and a dense
-elimination as a BLAS-3 panel code (``trsm``, ``gemm``), changing results
-at rounding level only.  The sign invariants are explicit checks raising
-NotMMatrixError.
+summed, so the substitutions run as LAPACK triangular solves, a dense
+elimination as a BLAS-3 panel code (``trsm``, ``gemm``) and the products
+of the Sherman-Morrison-Woodbury path below as BLAS products, changing
+results at rounding level only.  The sign invariants are explicit checks
+raising NotMMatrixError.
 
 There is one elimination entry per storage: :func:`gth_factorize` for a
 dense :class:`TripletRepresentation`, and :class:`DenseGthSolver` on a
@@ -58,10 +59,8 @@ from .linalg import (
     _band_apply,
     _canonical_lowrank,
     _column_form,
-    _matmul,
     _negated_offdiag,
     matmul,
-    ordered_dot,
 )
 
 __all__ = [
@@ -143,7 +142,11 @@ def _implied_diagonal(nu, u, v) -> np.ndarray:
 
 
 def diagonal_from_triplet(t: TripletRepresentation) -> np.ndarray:
-    """Implied diagonal (v + N u) / u; errors if any entry is <= 0."""
+    """Implied diagonal (v + N u) / u; errors if any entry is <= 0.
+
+    N u is the ascending :func:`~dadda.linalg.matmul`, so the dense
+    reference :meth:`TripletRepresentation.matrix` is bitwise reproducible.
+    """
     return _implied_diagonal(matmul(t.N, t.u[:, None])[:, 0], t.u, t.v)
 
 
@@ -468,11 +471,11 @@ def triplet_for_capacitance(d, P, R, u, v) -> TripletRepresentation:
         raise NotMMatrixError("diagonal part must be strictly positive")
     if np.any(P < 0.0) or np.any(R < 0.0):
         raise ValueError("capacitance triplet requires nonnegative factors")
-    N = matmul(R.T, P / d[:, None])
-    cap_u = matmul(R.T, u[:, None])[:, 0]
+    N = R.T @ (P / d[:, None])
+    cap_u = R.T @ u
     if np.any(cap_u <= 0.0):
         raise NotMMatrixError("R^T u must be strictly positive")
-    cap_v = matmul(R.T, (v / d)[:, None])[:, 0]
+    cap_v = R.T @ (v / d)
     return _offdiag_triplet(N, cap_u, cap_v)
 
 
@@ -563,8 +566,8 @@ class DiagLowRankSolver:
             # with a = P[:, 0], capacitance 1 - bb^T diag(d)^{-1} a equals
             # (bb^T diag(d)^{-1} v) / (bb^T u); the same scalar serves the
             # transposed solve because bb^T diag(d)^{-1} a = a^T diag(d)^{-1} bb.
-            num = ordered_dot(bb, u)
-            den = ordered_dot(bb, v / d)
+            num = bb @ u
+            den = bb @ (v / d)
             if not (den > 0.0 and np.isfinite(num / den)):
                 raise NotMMatrixError(
                     "not a nonsingular M-matrix (rank-one capacitance is zero)"
@@ -600,14 +603,14 @@ class DiagLowRankSolver:
 
             def rank1(b):
                 x = b / d
-                return x + scaled * _matmul(test_t, x)
+                return x + scaled * (test_t @ x)
 
             return rank1
         cap = self._cap._column_solve(transpose)
 
         def capacitance(b):
             x = b / d
-            return x + _matmul(image, cap(_matmul(test_t, x)))
+            return x + image @ cap(test_t @ x)
 
         return capacitance
 

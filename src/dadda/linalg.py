@@ -1,21 +1,25 @@
-"""Deterministic dense and structured linear algebra primitives.
+"""Dense and structured linear algebra primitives.
 
-Every reduction in this module runs in ascending index order, independent
-of BLAS backend or thread count, so repeated runs give bit-identical
-results and nonnegative inputs cannot pick up sign noise from reordered
-partial sums.  numpy applies pairwise summation only when reducing along a
-contiguous innermost axis; a reduction over axis 0 of a C-contiguous array
-whose trailing width is at least 2 is a plain sequential strided loop.
-``_reduce_ascending`` funnels every array of sums through that code path
-and the behaviour is probed once at import time, dropping to an explicit
-python loop if a numpy build ever changes it.  Scalar sums
-(``ordered_sum``, ``ordered_dot``, ``frobenius_norm``, and a width-1
-stack) stream fixed-size chunks through ``np.add.accumulate``, a running
-sum and so sequential by definition, without copying their operands.
-Ascending order buys reproducibility, not accuracy: its error bound grows
-with the term count, a blocked sum's far less (Higham, Sec. 4.2).  So
-``solver.erres`` takes its reductions over a long side of the iterate from
-BLAS, and from here only its in-panel products.
+One summation rule: every product of the iteration is the platform product
+``@``.  Its operands are nonnegative, and a sum of nonnegative terms keeps
+its sign exactly and its componentwise accuracy in any summation order,
+with or without fused multiply-adds (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., Sec. 3.1 and 4.2): round-to-nearest is
+monotone, so no computed partial sum of nonnegative terms is negative, or
+smaller than any of its rounded terms.  BLAS may round a result
+differently by build and thread count, never by sign.
+
+What stays in a fixed ascending order does so to be bitwise reproducible,
+not accurate: an ascending sum's error bound grows with the term count, a
+blocked sum's far less (Higham, Sec. 4.2).  The scalar sums
+``ordered_sum``, ``ordered_dot`` and ``frobenius_norm`` stream fixed-size
+chunks through ``np.add.accumulate``, a running sum and so sequential by
+definition, without copying their operands; the instance generators build
+their data with the first two, and the report's ``frob_h`` is the third.
+:func:`matmul` is bitwise the ascending triple loop for any row
+blocking, which the criterion's in-panel dense products need (a panel
+must equal the whole matrix), as does the dense reference
+``TripletRepresentation.matrix()``.
 
 Square coefficient matrices come in three structured kinds:
 
@@ -38,7 +42,6 @@ whole chain of blocks and checks the chain's first operand.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -51,49 +54,6 @@ __all__ = [
     "ordered_dot",
     "ordered_sum",
 ]
-
-
-def _probe_ascending_reduce() -> bool:
-    """Check that axis-0 reduction with width >= 2 is sequential ascending.
-
-    The staircase below evaluates differently under pairwise summation
-    (1e16 absorbs the trailing ones in a different pattern), so bitwise
-    agreement with the explicit loop pins the accumulation order.
-    """
-    k = 1537
-    stack = np.ones((k, 2))
-    stack[0, 0] = 1e16
-    stack[:, 1] = np.linspace(1.0, 3.0, k) * 1e-3
-    acc = np.zeros(2)
-    for i in range(k):
-        acc = acc + stack[i]
-    return bool(np.array_equal(np.add.reduce(stack, axis=0), acc))
-
-
-_FAST_REDUCE = _probe_ascending_reduce()
-
-
-def _reduce_ascending(stack: np.ndarray) -> np.ndarray:
-    """Sum ``stack`` over axis 0 in strictly ascending index order.
-
-    ``stack`` may have any trailing shape; it is flattened to (k, w) for
-    the reduction.  Returns an array with the trailing shape.
-    """
-    k = stack.shape[0]
-    tail = stack.shape[1:]
-    w = math.prod(tail)
-    if k == 0:
-        return np.zeros(tail)
-    flat = np.ascontiguousarray(stack.reshape(k, w))
-    if w == 1:
-        return np.full(tail, _running_total(flat[:, 0]))
-    if _FAST_REDUCE:
-        out = np.add.reduce(flat, axis=0)
-    else:  # pragma: no cover - exercised only on numpy builds that reorder
-        out = np.zeros(flat.shape[1])
-        for i in range(k):
-            out = out + flat[i]
-    return out.reshape(tail)
 
 
 # Scalar sums stream their terms through one buffer of this many floats.
@@ -143,16 +103,8 @@ def ordered_dot(x: np.ndarray, y: np.ndarray) -> float:
     return _running_total(x, y)
 
 
-# Slab sizing: small results go through chunked stacked reductions, large
-# results through a rank-1 update loop blocked on rows so the active output
-# slab stays cache resident.  A small result's product stack holds at most
-# _CHUNK_FLOATS floats (512 KB), so it stays cache resident too, and a long
-# inner dimension streams through it chunk by chunk.
-_SMALL_RESULT = 4096
-_CHUNK_FLOATS = 1 << 16
-# results up to this many entries take _tiny_matmul, whose running sums
-# beat the stacked reduction only while the result is a few entries wide
-_TINY_RESULT = 4
+# matmul and the row panels of the criterion keep their active output slab
+# of at most this many floats (256 KB) cache resident.
 _SLAB_FLOATS = 1 << 15
 
 
@@ -160,7 +112,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with reductions in ascending inner-index order.
 
     Bitwise equal to the naive triple loop ``acc += a[i, k] * b[k, j]``
-    with k ascending, for any blocking the implementation chooses.
+    with k ascending from 0.0: a rank-1 update loop over row slabs of the
+    result, so the active output slab stays cache resident.  Every slab is
+    the loop over its own rows, so a row panel of ``a`` gives the same
+    rows as the whole product.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -168,22 +123,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("matmul expects 2-D operands")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return _matmul(a, b)
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`matmul` of checked float operands.
-
-    A result of at most ``_SMALL_RESULT`` entries takes the chained ordered
-    reduction of :func:`_panel_tmatmul`, one of at most ``_TINY_RESULT``
-    entries the route of :func:`_tiny_matmul`.
-    """
     m, k = a.shape
     n = b.shape[1]
-    if m * n <= _TINY_RESULT and 0 < k * m * n <= _CHUNK_FLOATS:
-        return _tiny_matmul(a, b)
-    if m * n <= _SMALL_RESULT:
-        return _panel_tmatmul(a.T, b, max(1, _CHUNK_FLOATS // max(m * n, 1)))
     out = np.zeros((m, n))
     rows = _panel_rows(n)
     tmp = np.empty((min(rows, m), n))
@@ -195,41 +136,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.multiply(a[i0:i1, j, None], b[j], out=tslab)
             np.add(oslab, tslab, out=oslab)
     return out
-
-
-def _tiny_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a result of a few entries, such as a 1 x p dot of a dADDA block.
-
-    The low-overhead route: one stack of products, summed over the inner
-    index by ``np.add.accumulate``, a running sum and so ascending by
-    definition.  The sums start from their first term rather than from
-    0.0.  The two differ only while every term so far is -0.0, and then
-    only in the sign of a zero: 0.0 + x = x for every x but -0.0, and a sum
-    from 0.0 is never -0.0.  Adding 0.0 to the result maps -0.0 to 0.0 and
-    leaves every other value alone, so it is bitwise the loop from 0.0.
-    """
-    return np.add.accumulate(a.T[:, :, None] * b[:, None, :], axis=0)[-1] + 0.0
-
-
-def _panel_tmatmul(f: np.ndarray, x: np.ndarray, rows: int) -> np.ndarray:
-    """f^T x, bitwise equal to ``matmul(f.T, x)``, in O(rows * w * cols) memory.
-
-    Row panels of f (m x w) and x (m x cols) are chained through a carried
-    accumulator: each panel's products sit behind the running sums in one
-    stack that is reduced in ascending order, so every entry is the
-    ascending loop over all m rows.  ``matmul``'s small-result path is this
-    chain over chunks of the inner index.
-    """
-    m, w = f.shape
-    acc = np.zeros((w, x.shape[1]))
-    buf = np.empty((min(rows, m) + 1,) + acc.shape)
-    for i0 in range(0, m, rows):
-        i1 = min(m, i0 + rows)
-        stack = buf[: i1 - i0 + 1]
-        stack[0] = acc
-        np.multiply(f[i0:i1, :, None], x[i0:i1, None, :], out=stack[1:])
-        acc = _reduce_ascending(stack)
-    return acc
 
 
 def _outer_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -453,7 +359,7 @@ class StructuredSquare:
         """Row dots sum_t P_it R_it (diag_plus_lowrank only)."""
         if self.kind != "diag_plus_lowrank":
             raise ValueError("rowdot applies to diag_plus_lowrank only")
-        return _reduce_ascending((self.p * self.r).T)
+        return np.einsum("it,it->i", self.p, self.r)
 
     def diagonal(self) -> np.ndarray:
         """True matrix diagonal (low-rank contribution included)."""
@@ -476,8 +382,11 @@ class StructuredSquare:
                 else:
                     out[idx - off, idx] = vals
             return out
-        lr = matmul(self.p, self.r.T)
-        return np.diag(self.d) + self.sign * lr
+        out = np.diag(self.d) + self.sign * (self.p @ self.r.T)
+        # the diagonal is :meth:`diagonal`'s: the product's own may round
+        # apart from the row dots
+        np.fill_diagonal(out, self.diagonal())
+        return out
 
     def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
         """M @ x (or M.T @ x), exploiting the structure.
@@ -502,7 +411,7 @@ class StructuredSquare:
         """
         if self.kind == "dense":
             a = self.a.T if transpose else self.a
-            return lambda x: _matmul(a, x)
+            return lambda x: a @ x
         if self.kind == "banded":
             bands = self.bands
             return lambda x: _band_apply(bands, x, transpose)
@@ -510,7 +419,7 @@ class StructuredSquare:
         right_t, d, sign = right.T, self.d[:, None], self.sign
 
         def plain(x):
-            return d * x + sign * _matmul(left, _matmul(right_t, x))
+            return d * x + sign * (left @ (right_t @ x))
 
         if sign == -1 or not np.any(self.d < 0.0):
             return plain
@@ -520,14 +429,16 @@ class StructuredSquare:
         # Nonnegative matrix whose stored diagonal is negative because the
         # low-rank part carries it (the I - beta*D case).  d*x + P (R^T x)
         # would cancel through the negative d, so for x >= 0 split off the
-        # true diagonal instead: each entry of core dominates every product
-        # it accumulated, making core - R*x exactly nonnegative and the
-        # whole result a sum of nonnegatives.
-        tdiag, left3, right3 = tdiag[:, None], left[:, :, None], right[:, :, None]
+        # true diagonal instead.  Each entry of core = R^T x is a computed
+        # sum of nonnegative terms, and round-to-nearest is monotone, so in
+        # any summation order, with or without fused multiply-adds, it is
+        # >= each of its rounded terms R_it x_ij: core - R*x is exactly
+        # nonnegative and the whole result a sum of nonnegatives.
+        tdiag, right3 = tdiag[:, None], right[:, :, None]
 
         def split(x):
-            resid = _matmul(right_t, x)[None, :, :] - right3 * x[:, None, :]
-            return tdiag * x + _reduce_ascending((left3 * resid).transpose(1, 0, 2))
+            resid = (right_t @ x)[None, :, :] - right3 * x[:, None, :]
+            return tdiag * x + np.einsum("it,itj->ij", left, resid)
 
         if nonneg:
             return split
@@ -591,10 +502,10 @@ class StructuredSquare:
             pos = _band_apply(_negated_offdiag(self.bands), cols, transpose)
         elif self.kind == "dense":
             nmat = np.diag(np.diagonal(self.a)) - self.a
-            pos = matmul(nmat.T if transpose else nmat, cols)
+            pos = (nmat.T if transpose else nmat) @ cols
         else:
             left, right = (self.r, self.p) if transpose else (self.p, self.r)
-            pos = matmul(left, matmul(right.T, cols))
+            pos = left @ (right.T @ cols)
             neg = self.lowrank_rowdot()[:, None] * cols
             if self.sign == 1:
                 pos, neg = neg, pos

@@ -23,6 +23,19 @@ only materialized when a stopping criterion or the caller asks for it.
 Each step forms the two new corners and the kernel's product
 Y_{k+1} Z_{k+1} whole, each by one :func:`_gram`.
 
+One summation rule: every product of the iteration is the platform
+product ``@``, from the set-up through the steps, kernels, images, the
+hand-off, the ADDA steps and H.  Every operand is nonnegative, so each
+entry is a sum of nonnegative terms, and round-to-nearest is monotone:
+in any summation order, with or without fused multiply-adds, no computed
+partial sum is negative or below any of its rounded terms.  So signs stay
+exact and entries keep their componentwise accuracy (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., Sec. 3.1 and 4.2); only the
+rounding, and with it a criterion value, depends on the BLAS build and
+thread count.  What stays in ascending order: erres's in-panel products
+with a dense-kind A or D (see below) and the report's ``frob_h``, a
+running sum of squares (:func:`~dadda.linalg.frobenius_norm`).
+
 One step operator per family.  The first :func:`advance` builds a
 :class:`_BlockStep` for each of U, V, W and Q from the family's shifted
 solver and negated part.  It holds the very functions that the public
@@ -35,9 +48,7 @@ of the one before.  A family's 2^k new blocks take one operand check and
 one sign check, over a running minimum of every shifted solution and
 block of the chain.  The split low-rank form, which needs x >= 0, is
 taken without testing each x: the chain checks every x, and raises if
-one is negative.  A dot with at most four entries, such as the 1 x p dot
-of a block's rank-one solve, takes ``matmul``'s tiny-result route, which
-is bitwise the ascending loop from 0.0 too.
+one is negative.
 
 The kernels I - Y_k Z_k are themselves nonsingular M-matrices.  Their GTH
 triplet is assembled additively: with u-side B_r^T u1 tiled 2^k times,
@@ -47,7 +58,7 @@ triplet is assembled additively: with u-side B_r^T u1 tiled 2^k times,
 
 (v2k symmetrically with beta, the V blocks, u2 and A_beta^{-1} v2), and
 the kernel image is v1k + Y_k v2k.  The image is no running state: it is
-derived from the stacked factor blocks on demand, by one ordered product
+derived from the stacked factor blocks on demand, by one product
 Qcheck^T [u1, D_alpha^{-1} v1] and an ascending cumulative sum over the
 blocks.  Every term is nonnegative and nothing is ever differenced, so
 the image stays exactly nonnegative even in the critical case.
@@ -147,16 +158,12 @@ the sign of a zero, which the criterion cannot see) and slices the
 whole-matrix reductions, so the value is bitwise the unpanelled one from
 the same three products while each panel does elementwise work in
 O(panel * n) memory.  A BLAS product per panel would not keep that, so the
-in-panel products stay ordered.  ``ererr`` and ``relative_change`` stream
-the same way.  Ordered products are the rule inside the iteration; BLAS
-forms a product only where every operand is nonnegative, so any summation
-order adds nonnegative terms and moves results at rounding level alone:
-the ADDA steps and the hand-off, the dual iterate, :func:`_gram` from
-order ``_GRAM_DOT_MIN``, ``apply_h``, the gate's factored products below
-and erres's reductions, whose values therefore depend on the BLAS build
-and thread count.  The one exception is :func:`rank_of_iterate`: its core
-multiplies a mixed-sign QR factor, where no summation order is sign-exact,
-and it is a diagnostic outside the iteration, so BLAS forms it too.
+in-panel products with a dense-kind A or D stay the ascending
+:func:`~dadda.linalg.matmul`.  ``ererr`` and ``relative_change`` stream
+the same way.  The one product with a mixed-sign operand is
+:func:`rank_of_iterate`'s core, a QR factor times X, where no summation
+order is sign-exact; it is a diagnostic outside the iteration, so BLAS
+forms it too.
 
 Gating ``erres`` by a factored lower bound.  Above one slab of entries
 (m n > ``linalg._SLAB_FLOATS``) the stopping loop first bounds ``erres``
@@ -216,8 +223,8 @@ and the roundings of s_i and of L_i - s_i while every gamma <= 1/100.  So
 v <= e: a gate that fires (v > tol) implies e > tol, the loop takes the
 branch it took before, and the step records v, flagged ``lower_bound``.
 With K_H the roundings a term of H rhs takes beyond those of the
-materialized H (n + 2r + 2 from the factors of kernel order r: gamma
-Ucheck X takes r + 1, gamma Ucheck (X rhs) n + r + 1, and Lemma 3.3 adds
+materialized H (n + 2r + 2 from the factors of kernel order r: Ucheck
+(gamma X) takes r + 1, gamma Ucheck (X rhs) n + r + 1, and Lemma 3.3 adds
 them; n for a dense H @ rhs) and w_M the terms of one entry of N_M x
 (``offdiag_row_terms``: order, band count, or order plus rank), the
 counts are
@@ -392,15 +399,18 @@ class DaddaState:
 
     @property
     def H(self) -> np.ndarray:
-        """Dense current iterate, materialized lazily."""
+        """Dense current iterate Ucheck (gamma X), materialized lazily.
+
+        gamma scales X before the product, so the m x n array is formed by
+        one product and read once, by its sign check.  A term
+        Ucheck_il (gamma X_lj) still takes one rounding for gamma, one for
+        the product and at most r - 1 in the sum over the kernel order r,
+        the r + 1 that K_H = n + 2r + 2 of :meth:`apply_h` counts for the
+        formed H.  The check catches the NaN of an inf * 0 too.
+        """
         if self._H is None:
-            # scaled in place and checked by its minimum, one row panel at a
-            # time while the panel is cache resident: one m x n array, read
-            # once after the product
-            H = _gram(self.Ucheck, self.X)
-            for (panel,) in _row_panels(H):
-                panel *= self.shifts.gamma
-                _check_sign(panel.min(initial=0.0) >= 0.0, "iterate H")
+            H = _gram(self.Ucheck, self.shifts.gamma * self.X)
+            _check_sign(H.min(initial=0.0) >= 0.0, "iterate H")
             self._H = H
         return self._H
 
@@ -469,41 +479,32 @@ class DaddaState:
         return self.shifts.gamma * (w @ vt + wz @ kyv), wz, kyv
 
 
-_GRAM_DOT_MIN = 128
-
-
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two nonnegative kernel-order matrices.
+    """Product of two nonnegative factors: a coupling corner, Y Z or H.
 
-    All three dimensions double with k, so this is the solve's only cubic
-    cost.  A result with both sides at least ``_GRAM_DOT_MIN`` is formed by
-    the platform product: with every operand entry nonnegative, any
-    summation order adds nonnegative terms, so the result stays exactly
-    nonnegative and cancellation-free; it can differ from the fixed-order
-    product by rounding only.  Smaller results stay ordered, which keeps
-    the benchmark's fluid and banded iterates (kernel order <= 64)
-    bitwise reproducible.
+    Both operands are checked >= 0, so any summation order adds
+    nonnegative terms and the result is exactly nonnegative and
+    cancellation-free.  The couplings and Y Z double in all three
+    dimensions with k, the solve's only cubic cost.
     """
     _check_sign(np.all(a >= 0.0) and np.all(b >= 0.0), "kernel-order factor")
-    if min(a.shape[0], b.shape[1]) >= _GRAM_DOT_MIN:
-        return np.dot(a, b)
-    return matmul(a, b)
+    return a @ b
 
 
 def _kernel_image(blocks, u, inv_v, v, shift, gamma) -> np.ndarray:
     """Block i: shift * B_0^T v + B_i^T u + gamma * (sum_{j<i} B_j)^T inv_v.
 
-    One ordered product gives every B_i^T u and B_i^T inv_v; the prefix
-    sums accumulate the latter in ascending block order (block 0 adds
+    One product gives every B_i^T u and B_i^T inv_v; the prefix sums
+    accumulate the latter in ascending block order (block 0 adds
     gamma * 0.0), so each entry is a sum of nonnegative terms.  With ``u``
     None the B_i^T u term is left out (the hand-off's a and b).
     """
     width = blocks[0].shape[1]
     rhs = inv_v[:, None] if u is None else np.column_stack([u, inv_v])
-    cols = matmul(np.concatenate(blocks, axis=1).T, rhs)
+    cols = np.concatenate(blocks, axis=1).T @ rhs
     prefix = np.zeros((len(blocks), width))
     np.cumsum(cols[:-width, -1].reshape(-1, width), axis=0, out=prefix[1:])
-    image = np.tile(shift * matmul(blocks[0].T, v[:, None])[:, 0], len(blocks))
+    image = np.tile(shift * (blocks[0].T @ v), len(blocks))
     if u is not None:
         image += cols[:, 0]
     image += gamma * prefix.ravel()
@@ -525,7 +526,7 @@ def kernel_triplet(state: DaddaState) -> TripletRepresentation:
 
     Assembled additively, never by subtraction.
     """
-    v = state.v1k + matmul(state.Y, state.v2k[:, None])[:, 0]
+    v = state.v1k + state.Y @ state.v2k
     return _offdiag_triplet(_gram(state.Y, state.Z), np.tile(state.bru1, 2**state.k), v)
 
 
@@ -544,7 +545,7 @@ def initialize(prob: MareProblem, shifts: ShiftPair | None = None) -> DaddaState
     for blk in (u0, v0, w0, q0):
         _check_sign(np.all(blk >= 0.0), "k = 0 factor block")
 
-    bru1 = matmul(prob.Br.T, prob.u1[:, None])[:, 0]
+    bru1 = prob.Br.T @ prob.u1
     if np.any(bru1 <= 0.0):
         raise ValueError("Br^T u1 must be strictly positive (kernel u-side)")
 
@@ -560,8 +561,8 @@ def initialize(prob: MareProblem, shifts: ShiftPair | None = None) -> DaddaState
         v_blocks=[v0],
         w_blocks=[w0],
         q_blocks=[q0],
-        Y=shifts.alpha * matmul(q0.T, prob.Cl),
-        Z=shifts.beta * matmul(prob.Cr.T, u0),
+        Y=shifts.alpha * (q0.T @ prob.Cl),
+        Z=shifts.beta * (prob.Cr.T @ u0),
         dinv_v1=solver_d.solve(prob.v1),
         ainv_v2=solver_a.solve(prob.v2),
         bru1=bru1,
@@ -763,10 +764,10 @@ def _residual_panels(prob: MareProblem, H: np.ndarray):
 
 def normalized_residual(prob: MareProblem, H: np.ndarray) -> float:
     """Frobenius residual of H C H - H D - A H + B over the term norms."""
-    hch = matmul(matmul(H, prob.Cl), matmul(prob.Cr.T, H))
+    hch = (H @ prob.Cl) @ (prob.Cr.T @ H)
     hd = prob.D.apply(H.T, transpose=True).T
     ah = prob.A.apply(H)
-    b = matmul(prob.Bl, prob.Br.T)
+    b = prob.Bl @ prob.Br.T
     denom = (
         frobenius_norm(hch)
         + frobenius_norm(hd)
@@ -1011,7 +1012,7 @@ class _GateParts:
         u = prob.u1
         return _GateParts(
             rhs=np.column_stack([u, *prob.D.offdiag_parts(u), prob.D.diagonal() * u, prob.Cl]),
-            bu=prob.Bl @ (prob.Br.T @ u),
+            bu=prob.coupling_products()[1],
             diag_a=prob.A.diagonal(),
             k_hch=2 * m + n + 2 * q + 10,
             k_a=2 * prob.A.offdiag_row_terms() + 10,

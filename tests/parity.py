@@ -14,8 +14,11 @@ the solves are bitwise equal.  Record seconds are left out.
 
 ``compare`` prints every field that differs between two dumps, with both
 values for the scalar fields that a moved stopping step changes
-(termination, iterations, ``erres_final``, ``ererr``), and exits 1 if any
-field differs, 0 if the whole set is bitwise equal.
+(termination, iterations, ``switched_at``, ``erres_final``, ``ererr``),
+and exits 1 if any field differs, 0 if the whole set is bitwise equal.
+Its last line counts the solves whose termination, iterations or
+``switched_at`` moved: a change at rounding level alters every hash, and
+that count is what separates it from one that alters the iteration.
 
 The parity set: every ``perfbench`` instance at seeds 1 and 3, each under
 its own stopping rule, and ``random_mare`` (``tests/conftest.py``) of each
@@ -25,11 +28,10 @@ step ungated, each solved by ``solve`` and by the dense reference
 gate applies to, and one solve that the kernel row cap stops.  So the
 set runs all three iterates (dADDA, triplet ADDA after a hand-off, dense
 ADDA) and every termination.  BLAS runs on one thread, as in the
-benchmark: the ADDA steps after a hand-off, dADDA's kernel-order
-products with both result sides at least 128 and ``erres``'s three
-reductions over a long side of H (so every ``erres`` value, and with it
-a stopping step) use BLAS products, whose rounding depends on the thread
-count.
+benchmark: every product of the iteration and ``erres``'s three
+reductions over a long side of H use BLAS, whose rounding depends on the
+thread count, so every iterate and ``erres`` value, and with them a
+stopping step, do too.
 
 Named ``parity.py`` so that pytest does not collect it.
 """
@@ -133,7 +135,8 @@ def dump(path: str) -> None:
     Path(path).write_text(json.dumps(out, indent=1) + "\n")
 
 
-_SHOWN = ("termination", "iterations", "erres_final", "ererr")
+_SHOWN = ("termination", "iterations", "switched_at", "erres_final", "ererr")
+_STEPS = ("termination", "iterations", "switched_at")
 
 
 def _show(key: str, value) -> str:
@@ -157,9 +160,14 @@ def compare(before: str, after: str) -> int:
                 diffs.append(f"{label}: {key} {_show(key, old)} -> {_show(key, new)}")
             else:
                 diffs.append(f"{label}: {key} differs")
+    moved = sum(
+        any(a[label].get(key) != b[label].get(key) for key in _STEPS)
+        for label in a.keys() & b.keys()
+    )
     for line in sorted(diffs):
         print(line)
     print(f"{len(a.keys() & b.keys())} solves compared, {len(diffs)} differences")
+    print(f"{moved} solves moved their termination, iterations or switched_at")
     return 1 if diffs else 0
 
 

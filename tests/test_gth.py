@@ -317,8 +317,8 @@ class TestDiagLowRank:
 
     def test_smw_solve_is_its_formula_bitwise(self):
         # x = x0 + (factor * image) (R^T x0) for rank one and
-        # x = x0 + image C^-1 (R^T x0) for rank r, x0 = b / d, every dot a
-        # literal ascending loop; P and R swap when transposed
+        # x = x0 + image C^-1 (R^T x0) for rank r, x0 = b / d, every
+        # product written with @; P and R swap when transposed
         rng = np.random.Generator(np.random.Philox(77))
         n = 9
         for r in (1, 3):
@@ -330,11 +330,11 @@ class TestDiagLowRank:
             for transpose in (False, True):
                 test, image = (P, solver._dinv_R) if transpose else (R, solver._dinv_P)
                 x0 = b / d[:, None]
-                w = naive_matmul(test.T, x0)
+                w = test.T @ x0
                 if r == 1:
                     expect = x0 + solver._factor * image * w
                 else:
-                    expect = x0 + naive_matmul(image, solver._cap.solve(w, transpose=transpose))
+                    expect = x0 + image @ solver._cap.solve(w, transpose=transpose)
                 got = solver.solve(b, transpose=transpose)
                 assert got.tobytes() == expect.tobytes()
 
@@ -394,7 +394,7 @@ class TestDiagLowRank:
         n, r = 12, 3
         d, P, R, u, v = self._random_instance(rng, n, r)
         cap = triplet_for_capacitance(d, P, R, u, v)
-        core = matmul(R.T, P / d[:, None])
+        core = R.T @ (P / d[:, None])
         dense_cap = np.eye(r) - core
         # off-diagonal entries agree exactly, the diagonal is implied
         off = ~np.eye(r, dtype=bool)

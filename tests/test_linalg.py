@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 from conftest import naive_matmul, same_float, where_ratio_max
 from dadda.linalg import (
     _SUM_CHUNK,
-    _TINY_RESULT,
     StructuredSquare,
     _panel_ratio_max,
-    _panel_tmatmul,
-    _reduce_ascending,
-    _tiny_matmul,
     frobenius_norm,
     matmul,
     ordered_dot,
@@ -40,17 +36,6 @@ def _ratio_operands(draw):
 
 
 class TestReduceAscending:
-    def test_matches_sequential_loop(self):
-        rng = _rng(0)
-        for _ in range(40):
-            k = int(rng.integers(1, 9))
-            w = int(rng.integers(1, 7))
-            stack = rng.standard_normal((k, w)) * 10.0 ** rng.integers(-4, 5)
-            acc = stack[0].copy()
-            for t in range(1, k):
-                acc = acc + stack[t]
-            assert np.array_equal(_reduce_ascending(stack), acc)
-
     @given(
         st.lists(
             st.floats(-1e12, 1e12, allow_nan=False, width=64),
@@ -75,9 +60,9 @@ class TestReduceAscending:
             assert ordered_sum(xs) >= xs.max()
 
     def test_chunked_sums_are_the_sequential_loop(self):
-        # the 1e16 staircase of _probe_ascending_reduce: every later term is
-        # rounded into the running total, so any other order, or a chunk
-        # summed apart from the total, gives a different float
+        # a 1e16 staircase: every later term is rounded into the running
+        # total, so any other order, or a chunk summed apart from the
+        # total, gives a different float
         c = _SUM_CHUNK
         for size in (0, 1, c - 1, c, c + 1, 3 * c + 5):
             x = np.linspace(1.0, 3.0, size)
@@ -107,8 +92,11 @@ class TestMatmul:
             assert np.array_equal(matmul(a, b), naive_matmul(a, b))
 
     def test_large_path_bitwise(self):
-        # m*n above the small-result cutoff exercises the slab loop
+        # more result rows than one slab holds
         rng = _rng(3)
+        a = rng.standard_normal((5000, 3))
+        b = rng.standard_normal((3, 8))
+        assert np.array_equal(matmul(a, b), naive_matmul(a, b))
         a = rng.standard_normal((80, 7))
         b = rng.standard_normal((7, 65))
         assert np.array_equal(matmul(a, b), naive_matmul(a, b))
@@ -130,15 +118,6 @@ class TestMatmul:
         with pytest.raises(ValueError):
             matmul(np.zeros((2, 3)), np.zeros((4, 2)))
 
-    def test_panel_tmatmul_bitwise(self):
-        # the carried accumulator against one matmul, including width 0,
-        # a single column and panels taller than the operand
-        rng = _rng(14)
-        for m, w, n, rows in [(37, 2, 65, 8), (37, 0, 5, 8), (9, 1, 1, 4), (5, 3, 70, 16)]:
-            f = rng.standard_normal((m, w))
-            x = rng.standard_normal((m, n))
-            assert np.array_equal(_panel_tmatmul(f, x, rows), matmul(f.T, x))
-
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_small_path_bitwise_property(self, seed):
@@ -148,37 +127,8 @@ class TestMatmul:
         b = rng.standard_normal((k, n))
         assert np.array_equal(matmul(a, b), naive_matmul(a, b))
 
-
-# finite floats of both signs whose products cannot overflow: zeros of
-# both signs, subnormals and products that underflow to a signed zero
-_TINY_ENTRIES = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0]),
-    st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False, width=64),
-)
-
-
-@st.composite
-def _tiny_operands(draw):
-    m, n = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 4), (4, 1)]))
-    k = draw(st.integers(1, 40))
-    a = np.array(draw(st.lists(_TINY_ENTRIES, min_size=m * k, max_size=m * k))).reshape(m, k)
-    b = np.array(draw(st.lists(_TINY_ENTRIES, min_size=k * n, max_size=k * n))).reshape(k, n)
-    return a, b
-
-
-class TestTinyMatmul:
-    @given(_tiny_operands())
-    @settings(max_examples=300, deadline=None)
-    def test_tiny_route_is_the_triple_loop(self, operands):
-        # bit for bit, the sign of a zero included: the route sums from the
-        # first term and adds 0.0, the loop sums from 0.0
-        a, b = operands
-        assert a.shape[0] * b.shape[1] <= _TINY_RESULT
-        expect = naive_matmul(a, b).tobytes()
-        assert _tiny_matmul(a, b).tobytes() == expect
-        assert matmul(a, b).tobytes() == expect
-
     def test_all_negative_zero_terms_give_positive_zero(self):
+        # the loop sums from 0.0, so a sum of -0.0 terms is +0.0
         a = np.array([[-0.0, 1.0, 5e-324]])
         b = np.array([[1.0], [-0.0], [-1e-300]])
         out = matmul(a, b)
@@ -268,7 +218,7 @@ class TestStructuredSquare:
         a = rng.standard_normal((5, 5))
         s = StructuredSquare.dense(a)
         x = rng.standard_normal((5, 3))
-        assert np.array_equal(s.apply(x), matmul(a, x))
+        assert np.array_equal(s.apply(x), a @ x)
 
     def test_affine(self):
         rng = _rng(9)
@@ -288,8 +238,7 @@ class TestStructuredSquare:
         p = rng.uniform(size=(5, 3))
         r = rng.uniform(size=(5, 3))
         s = StructuredSquare.diag_plus_lowrank(np.ones(5), p, r, sign=1)
-        expect = np.array([ordered_dot(p[i], r[i]) for i in range(5)])
-        assert np.array_equal(s.lowrank_rowdot(), expect)
+        assert np.array_equal(s.lowrank_rowdot(), np.einsum("it,it->i", p, r))
         with pytest.raises(ValueError):
             StructuredSquare.dense(np.eye(2)).lowrank_rowdot()
 
@@ -366,9 +315,9 @@ class TestStructuredSquare:
             assert np.allclose(y, ref, rtol=1e-12, atol=1e-12)
 
     def test_lowrank_apply_is_its_formula_bitwise(self):
-        # the two low-rank forms, entry by entry as literal loops: the plain
+        # the two low-rank forms as their formulas: the plain
         # d x + sign P (R^T x), and the split tdiag x + sum_t P (R^T x - R x)
-        # with the sum over t from 0.0; a split matrix takes the plain form
+        # with the sum over t an einsum; a split matrix takes the plain form
         # for an operand with a negative entry
         rng = _rng(17)
         n, r = 7, 2
@@ -380,22 +329,16 @@ class TestStructuredSquare:
             (StructuredSquare.diag_plus_lowrank(rng.uniform(2, 3, size=n), p, q, sign=-1), False),
         ]
         for s, split in cases:
+            tdiag = s.d + np.einsum("it,it->i", s.p, s.r)
             for transpose in (False, True):
                 left, right = (s.r, s.p) if transpose else (s.p, s.r)
                 for x in (rng.uniform(size=(n, 2)), rng.standard_normal((n, 2))):
-                    core = naive_matmul(right.T, x)
-                    expect = np.empty_like(x)
-                    for i in range(n):
-                        for j in range(2):
-                            if split and np.all(x >= 0.0):
-                                acc = 0.0
-                                for t in range(r):
-                                    acc = acc + left[i, t] * (core[t, j] - right[i, t] * x[i, j])
-                                tdiag = s.d[i] + rowdot[i]
-                                expect[i, j] = tdiag * x[i, j] + acc
-                            else:
-                                lr = naive_matmul(left[i : i + 1], core[:, j : j + 1])[0, 0]
-                                expect[i, j] = s.d[i] * x[i, j] + s.sign * lr
+                    core = right.T @ x
+                    if split and np.all(x >= 0.0):
+                        resid = core[None, :, :] - right[:, :, None] * x[:, None, :]
+                        expect = tdiag[:, None] * x + np.einsum("it,itj->ij", left, resid)
+                    else:
+                        expect = s.d[:, None] * x + s.sign * (left @ core)
                     assert s.apply(x, transpose=transpose).tobytes() == expect.tobytes()
 
     def test_constructor_validation(self):

@@ -22,13 +22,12 @@ from conftest import (
     oracle_residual,
     random_mare,
 )
-from dadda import oracle
+from dadda import gth, linalg, oracle, problem, solver
 from dadda.benchgen import gen_fluid, gen_transport
 from dadda.gth import NotMMatrixError, build_solver, gth_factorize
 from dadda.linalg import StructuredSquare, frobenius_norm
 from dadda.problem import MareProblem, ShiftPair, make_shifts
 from dadda.solver import (
-    _GRAM_DOT_MIN,
     DaddaState,
     StopCriteria,
     _BlockStep,
@@ -176,8 +175,9 @@ class TestKernels:
             assert np.all(trip.v >= 0.0)
 
     def test_kernel_image_matches_definition(self):
-        # v1k / v2k are bitwise the block sums of the module docstring, every
-        # product a literal ascending loop and every sum left to right
+        # v1k / v2k are bitwise the block sums of the module docstring: the
+        # products B_0^T v and Bcheck^T [u, inv_v] written with @, and every
+        # sum left to right
         lowrank = random_mare(54, kind="lowrank")
         assert (lowrank.p, lowrank.q) == (3, 2)
         for prob in (gen_transport(10, 0), lowrank):
@@ -190,15 +190,17 @@ class TestKernels:
                     (state.q_blocks, prob.u1, state.dinv_v1, prob.v1, sh.alpha, state.v1k),
                     (state.v_blocks, prob.u2, state.ainv_v2, prob.v2, sh.beta, state.v2k),
                 ):
-                    head = shift * naive_matmul(blocks[0].T, v[:, None])[:, 0]
+                    head = shift * (blocks[0].T @ v)
+                    cols = np.concatenate(blocks, axis=1).T @ np.column_stack([u, inv_v])
+                    width = blocks[0].shape[1]
                     prefix = None
                     expect = []
-                    for blk in blocks:
-                        term = head + naive_matmul(blk.T, u[:, None])[:, 0]
+                    for i in range(len(blocks)):
+                        own, part = cols[i * width : (i + 1) * width].T
+                        term = head + own
                         if prefix is not None:
                             term = term + sh.gamma * prefix
                         expect.append(term)
-                        part = naive_matmul(blk.T, inv_v[:, None])[:, 0]
                         prefix = part if prefix is None else prefix + part
                     assert np.array_equal(image, np.concatenate(expect))
 
@@ -209,9 +211,8 @@ class TestKernels:
     def test_couplings_and_kernel_are_whole_grams(self, label):
         # each new corner of Y and Z is gamma * _gram of the previous
         # factors, and the kernel is a fresh factorization of
-        # kernel_triplet, at every k; Y Z crosses the split at order 128
-        # (fluid 90x10 at k = 7): bitwise the ascending loop below it and
-        # np.dot from it on, exactly nonnegative on both sides
+        # kernel_triplet, at every k; Y Z is the product Y @ Z, exactly
+        # nonnegative, at every order (fluid 90x10 reaches 128 at k = 7)
         prob = {
             "transport 10": lambda: gen_transport(10, seed=1),
             "fluid 90x10": lambda: gen_fluid(90, 10)[0],
@@ -223,18 +224,17 @@ class TestKernels:
         gamma = state.shifts.gamma
         for k in range(8):
             if k:
-                pq, qq = state.q_blocks[0].shape[1], state.w_blocks[0].shape[1]
-                half = len(state.q_blocks) // 2
-                qw = _gram(state.Qcheck[:, : half * pq].T, state.Wcheck[:, : half * qq])
-                vu = _gram(state.Vcheck[:, : half * qq].T, state.Ucheck[:, : half * pq])
+                # the previous step's Qcheck, Wcheck, Vcheck and Ucheck
+                q, w, v, u = (
+                    np.concatenate(blocks[: len(blocks) // 2], axis=1)
+                    for blocks in (state.q_blocks, state.w_blocks, state.v_blocks, state.u_blocks)
+                )
+                qw, vu = _gram(q.T, w), _gram(v.T, u)
                 rows, cols = qw.shape
                 assert np.array_equal(state.Y[rows:, cols:], gamma * qw)
                 assert np.array_equal(state.Z[cols:, rows:], gamma * vu)
             yz = _gram(state.Y, state.Z)
-            if state.kernel_order < _GRAM_DOT_MIN:
-                assert np.array_equal(yz, naive_matmul(state.Y, state.Z))
-            else:
-                assert np.array_equal(yz, np.dot(state.Y, state.Z))
+            assert np.array_equal(yz, state.Y @ state.Z)
             assert yz.min() >= 0.0
             expect = gth_factorize(kernel_triplet(state))
             assert np.array_equal(state.kernel.LU, expect.LU)
@@ -586,6 +586,22 @@ class TestSolveLoop:
         assert rep.erres_final <= 1e-14
         assert ererr(rep.H, x_true) <= 1e-12
 
+    def test_iteration_takes_no_ordered_product(self, monkeypatch):
+        # one summation rule: a solve under erres forms every product with
+        # @, through the split low-rank form and the hand-off; the problems
+        # are built first, because random_mare builds its data with matmul
+        probs = [random_mare(5, kind="lowrank"), random_mare(5, kind="banded"), gen_transport(10, 1)]
+
+        def ordered(a, b):
+            raise AssertionError("an ordered product inside the iteration")
+
+        for mod in (linalg, gth, problem, solver):
+            monkeypatch.setattr(mod, "matmul", ordered)
+        for prob in probs:
+            rep = solve(prob)
+            assert rep.termination == "converged"
+            assert rep.switched_at is not None
+
     def test_sign_plus_one_diagonal_block(self):
         # diag(1, 2, 2) + e0 e0^T is fluid 3x2's A = 2 I in low-rank form:
         # a sign +1 Z-pattern, so it validates and solves as a diagonal
@@ -769,10 +785,11 @@ class TestErresGate:
                 assert criteria.tolerance < r.value <= e
 
     def test_slack_covers_a_raw_bound_above_erres(self):
-        # 33 x 1000 is just above one slab; at k = 0 the raw bound
-        # 3.19712567796e-6 exceeds the computed erres 3.19712565619e-6
+        # 33 x 1000 is just above one slab; at k = 2 the raw bound
+        # 1.1098e-10 exceeds the computed erres 1.1095e-10 by far more than
+        # the rounding of either (at k = 0 the two agree to 1e-9 relative)
         prob = gen_fluid(33, 1000)[0]
-        state = initialize(prob)
+        state = _run_state(prob, make_shifts(prob), 2)
         raw, slack = _erres_lower_bound(prob, state, _GateParts.of(prob))
         value = erres(prob, state.H)
         assert np.nanmax(raw) > value
