@@ -19,8 +19,9 @@ criterion, tolerance, alpha, beta, erres_final, frob_h, rank_h, seconds,
 records (list of {k, value, kernel_order, seconds, lower_bound}).
 ``switched_at`` is the k at which the solve handed off from dADDA to
 triplet-form ADDA, or null.  A record with ``lower_bound`` true holds a
-certified lower bound on erres, above the tolerance, in place of the full
-criterion (see ``solver._stopping_loop``).
+lower bound on erres above the tolerance in place of the full criterion:
+the certified factored bound, or the first row panel maximum above the
+tolerance, where erres stopped (see ``solver._stopping_loop``).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ blocked sum's far less (Higham, Sec. 4.2).  The scalar sums
 ``ordered_sum``, ``ordered_dot`` and ``frobenius_norm`` stream fixed-size
 chunks through ``np.add.accumulate``, a running sum and so sequential by
 definition, without copying their operands; the instance generators build
-their data with the first two, and the report's ``frob_h`` is the third.
+their data with the first two, and a dense iterate's ``frob_h`` is the third.
 :func:`matmul` is bitwise the ascending triple loop for any row
 blocking, which the criterion's in-panel dense products need (a panel
 must equal the whole matrix), as does the dense reference
@@ -164,7 +164,7 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.sqrt(_running_total(flat, flat)))
 
 
-def _panel_ratio_max(panels) -> float:
+def _panel_ratio_max(panels, *, above: float = np.inf) -> float:
     """max over entries of num/den, with 0/0 -> 0 and x/0 -> +inf (x != 0), of
     the arrays that the (num, den) panels stack to.
 
@@ -173,6 +173,12 @@ def _panel_ratio_max(panels) -> float:
     0 through ``np.where``.  An x/0 in any panel decides the value (+inf) at
     once, as over the whole arrays, while a quotient that overflowed to
     +inf does not: the panel maxima combine by ``np.max``, which keeps a NaN.
+
+    With ``above``, the first panel maximum greater than it is returned
+    and the panels below go unread.  Each entry read is bitwise the full
+    evaluation's, so a value at most ``above`` is the full value, and an
+    exit value lies in (above, full value] unless a later panel holds a
+    NaN.  A NaN maximum turns the exit off for the panels below it.
     """
     maxima = []
     for num, den in panels:
@@ -180,13 +186,17 @@ def _panel_ratio_max(panels) -> float:
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
             if den.all():
-                maxima.append(np.max(num / den))
-                continue
-            zero_den = den == 0.0
-            if np.any(zero_den & (num != 0.0)):
-                return float("inf")
-            ratio = np.where(zero_den, 0.0, num / np.where(zero_den, 1.0, den))
-        maxima.append(np.max(ratio))
+                top = np.max(num / den)
+            else:
+                zero_den = den == 0.0
+                if np.any(zero_den & (num != 0.0)):
+                    return float("inf")
+                top = np.max(np.where(zero_den, 0.0, num / np.where(zero_den, 1.0, den)))
+        if top > above:
+            return float(top)
+        if np.isnan(top):
+            above = np.inf
+        maxima.append(top)
     return float(np.max(maxima)) if maxima else 0.0
 
 

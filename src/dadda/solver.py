@@ -33,8 +33,9 @@ exact and entries keep their componentwise accuracy (Higham, Accuracy and
 Stability of Numerical Algorithms, 2nd ed., Sec. 3.1 and 4.2); only the
 rounding, and with it a criterion value, depends on the BLAS build and
 thread count.  What stays in ascending order: erres's in-panel products
-with a dense-kind A or D (see below) and the report's ``frob_h``, a
-running sum of squares (:func:`~dadda.linalg.frobenius_norm`).
+with a dense-kind A or D (see below), and the ``frob_h`` of an iterate
+whose factors are not skinny, a running sum of squares; a skinny one's
+comes from the r x r grams (:meth:`DaddaState.frob`).
 
 One step operator per family.  The first :func:`advance` builds a
 :class:`_BlockStep` for each of U, V, W and Q from the family's shifted
@@ -243,7 +244,12 @@ so every step runs it.  A skipped step changes nothing observable but its
 record: the iterates, and every full evaluation, are bitwise those of an
 ungated loop, and the report's ``erres_final`` is always a full one.  Nor
 does it drop a sign check: gamma Ucheck X >= 0 follows from the checked
-blocks and X, so the check on the formed H is redundant there.
+blocks and X, so the check on the formed H is redundant there.  The
+second kind of ``lower_bound`` record is erres's own: the loop passes it
+the tolerance as ``above``, and erres stops at the first row panel whose
+maximum exceeds it.  That maximum is at most the full erres and exceeds
+the tolerance exactly when erres does (``linalg._panel_ratio_max``);
+where H spans more than one panel, it is recorded as a lower bound.
 """
 
 from __future__ import annotations
@@ -319,8 +325,9 @@ class StopCriteria:
 
 @dataclass
 class IterationRecord:
-    """One step of the stopping loop.  ``lower_bound``: ``value`` is the
-    factored lower bound on ``erres`` that skipped the full criterion."""
+    """One step of the stopping loop.  ``lower_bound``: ``value`` is a lower
+    bound on ``erres`` above the tolerance: the factored gate's, or the
+    first row panel maximum above it, where erres stopped."""
 
     k: int
     value: float
@@ -398,20 +405,25 @@ class DaddaState:
         return np.concatenate(self.q_blocks, axis=1)
 
     @property
+    def skinny(self) -> bool:
+        """Whether kernel order r < min(m, n): the factors are smaller than H."""
+        return self.kernel_order < min(self.prob.m, self.prob.n)
+
+    @property
     def H(self) -> np.ndarray:
         """Dense current iterate Ucheck (gamma X), materialized lazily.
 
-        gamma scales X before the product, so the m x n array is formed by
-        one product and read once, by its sign check.  A term
-        Ucheck_il (gamma X_lj) still takes one rounding for gamma, one for
-        the product and at most r - 1 in the sum over the kernel order r,
-        the r + 1 that K_H = n + 2r + 2 of :meth:`apply_h` counts for the
-        formed H.  The check catches the NaN of an inf * 0 too.
+        Scaling X by gamma, the product and the sum over the kernel order r
+        round a term r + 1 times, as K_H = n + 2r + 2 of :meth:`apply_h`
+        counts for the formed H.  No pass over H checks its sign: :func:`_gram`
+        checks both factors >= 0 and they are checked finite, so each entry is
+        a sum of finite nonnegative terms, >= 0 and no NaN in any order.  A
+        check of the formed H gave no more: an overflow to +inf passed it too.
         """
         if self._H is None:
-            H = _gram(self.Ucheck, self.shifts.gamma * self.X)
-            _check_sign(H.min(initial=0.0) >= 0.0, "iterate H")
-            self._H = H
+            u, gx = self.Ucheck, self.shifts.gamma * self.X
+            _check_sign(np.isfinite(u).all() and np.isfinite(gx).all(), "iterate H factor")
+            self._H = _gram(u, gx)
         return self._H
 
     @property
@@ -448,6 +460,15 @@ class DaddaState:
 
     def rank(self) -> int:
         return rank_of_iterate(self)
+
+    def frob(self) -> float:
+        """Frobenius norm of H_k; while :attr:`skinny`, from the r x r grams as
+        sqrt(sum (Ucheck^T Ucheck) o ((gamma X)(gamma X)^T)) in O((m + n) r^2):
+        nonnegative terms only, so accurate in any summation order."""
+        if not self.skinny:
+            return frobenius_norm(self.H)
+        u, gx = self.Ucheck, self.shifts.gamma * self.X
+        return float(np.sqrt(np.sum(_gram(u.T, u) * _gram(gx, gx.T))))
 
     def apply_h(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
         """H_k rhs as gamma Ucheck (X rhs), with the roundings K_H = n + 2r + 2
@@ -646,7 +667,7 @@ def advance(state: DaddaState) -> DaddaState:
 # -- residuals and stopping criteria ----------------------------------------
 
 
-def erres(prob: MareProblem, H: np.ndarray) -> float:
+def erres(prob: MareProblem, H: np.ndarray, *, above: float = np.inf) -> float:
     """Entrywise relative residual.
 
     Numerator and denominator are grouped so each is a sum of nonnegative
@@ -670,14 +691,14 @@ def erres(prob: MareProblem, H: np.ndarray) -> float:
     evaluation from the same three products.  The panel ratios combine by
     ``linalg._panel_ratio_max``: one divide and one max where group 2 has
     no zero, and any x/0 decides the value (+inf), as over the whole
-    matrix.
+    matrix.  With ``above`` it stops at the first panel maximum above it.
     """
     A, D = prob.A, prob.D
     H = np.asarray(H, dtype=np.float64)
     m, n = A.n, D.n
     if H.shape != (m, n):
         raise ValueError(f"iterate must have shape {(m, n)}, got {H.shape}")
-    return _panel_ratio_max(_residual_panels(prob, H))
+    return _panel_ratio_max(_residual_panels(prob, H), above=above)
 
 
 def _add_lowrank_offdiag(acc, block, coef, rt, x, rowdot, term, tmp) -> None:
@@ -835,7 +856,7 @@ def rank_of_iterate(state: DaddaState) -> int:
     costs more time and memory than H's singular values: the rank is then
     that of H, the one rule of every iterate.
     """
-    if state.kernel_order >= min(state.prob.m, state.prob.n):
+    if not state.skinny:
         return _numerical_rank(state.H)
     ru = scipy.linalg.qr(state.Ucheck, mode="economic")[1]
     return _numerical_rank(state.shifts.gamma * (ru @ state.X))
@@ -858,6 +879,9 @@ class _Quadruple:
 
     def rank(self) -> int:
         return _numerical_rank(self.H)
+
+    def frob(self) -> float:
+        return frobenius_norm(self.H)
 
     def apply_h(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
         """H_k rhs, and the n roundings a term of it may take."""
@@ -1051,24 +1075,6 @@ def _erres_lower_bound(
         return raw, 2.0 * (_gamma(k_h + 14) * raw + err / den)
 
 
-def _criterion_value(
-    prob: MareProblem,
-    H: np.ndarray,
-    kind: str,
-    h_prev: np.ndarray | None,
-    x_true: np.ndarray | None,
-) -> float:
-    if kind == "erres":
-        return erres(prob, H)
-    if kind == "nres":
-        return normalized_residual(prob, H)
-    if kind == "rchange":
-        if h_prev is None:
-            return float("inf")
-        return relative_change(H, h_prev)
-    return ererr(H, x_true)
-
-
 def _stopping_loop(
     prob: MareProblem,
     it: DaddaState | _Quadruple,
@@ -1092,7 +1098,8 @@ def _stopping_loop(
     factored lower bound of :func:`_erres_lower_bound`.  Where that bound
     exceeds the tolerance, the computed erres would too, so the step
     records the bound (``lower_bound=True``) and steps on without forming
-    H or running the criterion; everywhere else erres decides as before.
+    H or running the criterion.  Elsewhere erres stops at its first row
+    panel above the tolerance, a lower bound too where H has more panels.
     ``erres_final`` is always a full evaluation on the returned H.
     """
     records: list[IterationRecord] = []
@@ -1104,9 +1111,19 @@ def _stopping_loop(
         if gate is not None:
             raw, slack = _erres_lower_bound(prob, it, gate)
             value = float(np.nanmax(raw - slack, initial=-np.inf))
-        gated = value > criteria.tolerance
-        if not gated:
-            value = _criterion_value(prob, it.H, criteria.criterion, h_prev, x_true)
+        lower_bound = value > criteria.tolerance
+        if not lower_bound:
+            # no local name holds H: the next step frees it before forming its own
+            kind = criteria.criterion
+            if kind == "erres":
+                value = erres(prob, it.H, above=criteria.tolerance)
+                lower_bound = value > criteria.tolerance and prob.m > _panel_rows(prob.n)
+            elif kind == "nres":
+                value = normalized_residual(prob, it.H)
+            elif kind == "rchange":
+                value = np.inf if h_prev is None else relative_change(it.H, h_prev)
+            else:
+                value = ererr(it.H, x_true)
         now = time.perf_counter()
         records.append(
             IterationRecord(
@@ -1114,7 +1131,7 @@ def _stopping_loop(
                 value=value,
                 kernel_order=it.kernel_order,
                 seconds=now - t_mark,
-                lower_bound=gated,
+                lower_bound=lower_bound,
             )
         )
         t_mark = now
@@ -1148,7 +1165,7 @@ def _stopping_loop(
         records=records,
         H=h_final,
         erres_final=erres_final,
-        frob_h=frobenius_norm(h_final),
+        frob_h=it.frob(),
         rank_h=it.rank(),
         G=it.dual() if compute_dual else None,
         switched_at=it.switched_at,

@@ -14,11 +14,16 @@ the solves are bitwise equal.  Record seconds are left out.
 
 ``compare`` prints every field that differs between two dumps, with both
 values for the scalar fields that a moved stopping step changes
-(termination, iterations, ``switched_at``, ``erres_final``, ``ererr``),
-and exits 1 if any field differs, 0 if the whole set is bitwise equal.
-Its last line counts the solves whose termination, iterations or
-``switched_at`` moved: a change at rounding level alters every hash, and
-that count is what separates it from one that alters the iteration.
+(termination, iterations, ``switched_at``, ``erres_final``, ``ererr``)
+and for ``frob_h``, whose relative change it adds, and exits 1 if any
+field differs, 0 if the whole set is bitwise equal.  Its last two lines
+count the solves whose termination, iterations or ``switched_at`` moved,
+and the solves that differ only in ``frob_h`` and in records that are a
+lower bound on either side (their flag and value): a change at rounding
+level alters every hash, one to the report's norm or to how far erres
+reads past the tolerance alters neither the iterates nor a full
+evaluation, and these counts are what separate them from a change that
+alters the iteration.
 
 The parity set: every ``perfbench`` instance at seeds 1 and 3, each under
 its own stopping rule, and ``random_mare`` (``tests/conftest.py``) of each
@@ -135,7 +140,7 @@ def dump(path: str) -> None:
     Path(path).write_text(json.dumps(out, indent=1) + "\n")
 
 
-_SHOWN = ("termination", "iterations", "switched_at", "erres_final", "ererr")
+_SHOWN = ("termination", "iterations", "switched_at", "erres_final", "ererr", "frob_h")
 _STEPS = ("termination", "iterations", "switched_at")
 
 
@@ -143,7 +148,21 @@ def _show(key: str, value) -> str:
     """A dumped scalar for reading, its hex floats in decimal."""
     if key in ("erres_final", "ererr") and value is not None:
         return f"{float.fromhex(value):.3g}"
+    if key == "frob_h":
+        return f"{float.fromhex(value):.17g}"
     return str(value)
+
+
+def _bounds_and_norm_only(old: dict, new: dict) -> bool:
+    """Whether two dumps of one solve differ, and only in ``frob_h`` and in
+    records that are a lower bound on either side."""
+    if old == new or any(old.get(k) != new.get(k) for k in old.keys() | new.keys()
+                         if k not in ("frob_h", "records")):
+        return False
+    a, b = old["records"], new["records"]
+    return len(a) == len(b) and all(
+        r[:2] == s[:2] and (r == s or r[2] or s[2]) for r, s in zip(a, b)
+    )
 
 
 def compare(before: str, after: str) -> int:
@@ -157,17 +176,23 @@ def compare(before: str, after: str) -> int:
             if old == new:
                 continue
             if key in _SHOWN:
-                diffs.append(f"{label}: {key} {_show(key, old)} -> {_show(key, new)}")
+                line = f"{label}: {key} {_show(key, old)} -> {_show(key, new)}"
+                if key == "frob_h":
+                    x, y = float.fromhex(old), float.fromhex(new)
+                    line += f" (relative {(y - x) / x:+.2g})" if x else ""
+                diffs.append(line)
             else:
                 diffs.append(f"{label}: {key} differs")
     moved = sum(
         any(a[label].get(key) != b[label].get(key) for key in _STEPS)
         for label in a.keys() & b.keys()
     )
+    benign = sum(_bounds_and_norm_only(a[label], b[label]) for label in a.keys() & b.keys())
     for line in sorted(diffs):
         print(line)
     print(f"{len(a.keys() & b.keys())} solves compared, {len(diffs)} differences")
     print(f"{moved} solves moved their termination, iterations or switched_at")
+    print(f"{benign} solves differ only in frob_h and in lower-bound records")
     return 1 if diffs else 0
 
 

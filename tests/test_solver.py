@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import importlib.util
+import math
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -64,6 +65,16 @@ class TestIterates:
             state = initialize(prob, sh)
             h0 = closed_form_h0(prob, sh)
             assert np.abs(state.H - h0).max() <= 1e-12 * np.abs(h0).max()
+
+    def test_h_checks_its_factors_not_itself(self):
+        # finite nonnegative factors give H >= 0 with no NaN in any order;
+        # an inf, a NaN or a negative entry of a factor is refused
+        prob = random_mare(50)
+        for bad in (np.inf, np.nan, -1.0):
+            state = _run_state(prob, make_shifts(prob), 1)
+            state.X[0, 0] = bad
+            with pytest.raises(NotMMatrixError):
+                state.H
 
     def test_matches_dense_oracle(self):
         # structured low-rank recursion against the dense quadruple, all
@@ -470,6 +481,37 @@ class TestErresPanels:
                 prob = _problem(rng, A, D, q=1, p=2)
                 assert erres(prob, H) == dense_erres(prob, H), (A.kind, D.kind)
 
+    @pytest.mark.parametrize("m, n", [(21, 4096), (300, 256)])
+    def test_early_exit_is_the_full_value_or_a_bound_above_the_threshold(self, m, n):
+        # scaling the last row of H down puts the maximum in the last panel,
+        # so a threshold below an earlier panel's maximum exits there, below
+        # the full value
+        rng = np.random.Generator(np.random.Philox(m))
+        H = rng.uniform(0.5, 1.5, size=(m, n))
+        Hl = H.copy()
+        Hl[-1] *= 1e-6
+        early = 0
+        for A in _blocks(rng, m, 2, 1):
+            for D in _blocks(rng, n, 1, 2):
+                prob = _problem(rng, A, D)
+                for X in (H, Hl):
+                    e = erres(prob, X)
+                    for t in (0.0, e / 2, np.nextafter(e, 0.0), e, 2 * e):
+                        v = erres(prob, X, above=t)
+                        if e <= t:
+                            assert v == e, (A.kind, D.kind, t)
+                        else:
+                            assert t < v <= e, (A.kind, D.kind, t)
+                            early += v < e
+        assert early > 0
+
+    def test_early_exit_of_one_panel_is_the_full_value(self):
+        rng = np.random.Generator(np.random.Philox(3))
+        A, D = _blocks(rng, 21, 2, 1)[0], _blocks(rng, 256, 1, 2)[1]
+        prob, H = _problem(rng, A, D), rng.uniform(0.5, 1.5, size=(21, 256))
+        assert 21 <= linalg._panel_rows(256)
+        assert erres(prob, H, above=0.0) == erres(prob, H) > 0.0
+
     def _middle(self):
         rng = np.random.Generator(np.random.Philox(7))
         A, D = _blocks(rng, 21, 2, 1)[0], _blocks(rng, 4096, 1, 2)[1]
@@ -481,6 +523,7 @@ class TestErresPanels:
         assert np.isfinite(erres(prob, H))
         H[i, 5] = 0.0
         assert erres(prob, H) == dense_erres(prob, H) == np.inf
+        assert erres(prob, H, above=1e300) == np.inf
 
     def test_nan_in_one_panel(self):
         prob, H, i = self._middle()
@@ -494,6 +537,16 @@ class TestErresPanels:
             assert np.isnan(erres(prob, H))
             H[i, 5] = 1.0
             assert erres(prob, H) == dense_erres(prob, H) == np.inf
+
+    def test_nan_panel_turns_the_early_exit_off(self):
+        # the maximum sits in the last panel, below the NaN's middle one
+        prob, _, i = self._middle()
+        H = np.random.Generator(np.random.Philox(8)).uniform(0.5, 1.5, size=(21, 4096))
+        t = erres(prob, H)
+        H[-1] *= 1e-6
+        assert erres(prob, H, above=t) == erres(prob, H) > t
+        H[i, 5] = np.nan
+        assert np.isnan(erres(prob, H, above=t))
 
     def test_zero_over_zero_is_zero(self):
         prob, H, i = self._middle()
@@ -766,7 +819,7 @@ class TestErresGate:
             termination, it.k, switched_at)
         assert np.array_equal(rep.H, it.H)
         assert rep.erres_final == values[-1]
-        assert rep.frob_h == frobenius_norm(it.H)
+        assert rep.frob_h == it.frob()
         assert rep.rank_h == it.rank()
         assert [r.k for r in rep.records] == list(range(len(values)))
         for r, e in zip(rep.records, values):
@@ -804,16 +857,39 @@ class TestErresGate:
         assert rep.erres_final > rep.tolerance
 
     def test_gated_steps_never_form_h(self, monkeypatch):
-        formed = []
+        events = []
         materialize = DaddaState.H.fget
 
         def counted(state):
-            formed.append(state._H is None)
+            if state._H is None:
+                events.append(("H", state.k))
             return materialize(state)
 
+        def counted_erres(prob, H, **kwargs):
+            events.append("erres")
+            return erres(prob, H, **kwargs)
+
         monkeypatch.setattr(DaddaState, "H", property(counted))
+        monkeypatch.setattr(solver, "erres", counted_erres)
         rep = solve(gen_fluid(400, 100)[0])
-        assert sum(formed) == sum(not r.lower_bound for r in rep.records) >= 1
+        # H is formed exactly at the steps that call erres; k = 0..3 are gate
+        # records, k = 4 stops erres at a panel above the tolerance, and
+        # k = 5 converges
+        called = [event[1] for event in events if event != "erres"]
+        assert called == [4, 5]
+        assert events == [e for k in called for e in (("H", k), "erres")]
+        assert [r.lower_bound for r in rep.records] == [True] * 5 + [False]
+
+    @pytest.mark.parametrize("case", ["fluid 400x100", "fluid 7200x800", "tridiagonal 200"])
+    def test_frob_h_is_the_norm_of_the_returned_h(self, case):
+        # the reference is H's own norm, not the exact solution's: the
+        # iterate may sit further from that than frob_h's rounding
+        if case == "fluid 7200x800":
+            rep = solve(gen_fluid(7200, 800)[0])
+        else:
+            rep = _gate_run(case)[2]
+        exact = math.sqrt(math.fsum(np.square(rep.H).ravel()))
+        assert abs(rep.frob_h - exact) <= 1e-13 * exact
 
 
 class TestIterateProtocol:
