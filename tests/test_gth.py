@@ -172,10 +172,14 @@ class TestFactorization:
         # largest order spans three full panels and a ragged one.  The band
         # elimination and its tbtrs solves take every bandwidth pair at
         # orders 1, 2 (where a band is clipped to the order), 130 and
-        # 3 * 128 + 5, on a full band.
+        # 3 * 128 + 5, on a full band; the last four pairs are wide bands,
+        # where pivots sum up to ten products.
         orders = ((1, 26), (20, 27), (100, 28), (230, 25), (3 * _PANEL + _PANEL // 2 + 5, 30))
         cases = [(n, seed, None) for n, seed in orders]
-        widths = ((0, 1), (1, 0), (1, 1), (2, 1), (1, 3), (3, 3))
+        widths = (
+            (0, 1), (1, 0), (1, 1), (2, 1), (1, 3), (3, 3),
+            (5, 5), (6, 5), (0, 10), (11, 0),
+        )
         cases += [
             (n, 40 + i, w) for i, w in enumerate(widths) for n in (1, 2, 130, 3 * 128 + 5)
         ]
@@ -208,6 +212,20 @@ class TestFactorization:
             )
             assert np.abs(xbt - xst).max() <= 1e-13 * np.abs(xst).max()
             assert np.all(xbt >= 0.0)
+
+    def test_narrow_band_is_sequential_bitwise(self):
+        # with uw <= 1 every pivot sums at most one product, so the band
+        # elimination adds the very terms of the textbook pivot loop of
+        # conftest: its factors are bitwise those, for the benchmark's
+        # tridiagonal blocks among others
+        for i, (lw, uw) in enumerate(((0, 1), (1, 0), (1, 1), (2, 1), (3, 1))):
+            for n in (1, 2, 130, 3 * 128 + 5):
+                N, u, v = random_triplet(_rng(60 + i), n, v_scale=1e-6)
+                N = np.triu(np.tril(N, uw), -lw)
+                t = TripletRepresentation.from_parts(N, u, v)
+                f = _dense_factors(DenseGthSolver(_band_triplet(t, lw, uw)).factorization)
+                L, U = sequential_gth(N, u, v)
+                assert np.array_equal(f.L, L) and np.array_equal(f.U, U), (lw, uw, n)
 
     def test_sign_violation_raises_under_optimize(self):
         # N changed after validation: U gains a positive entry below a
@@ -251,14 +269,16 @@ raise SystemExit("factorization returned despite a positive off-diagonal entry")
         # a band triplet changed after validation: a positive entry of M
         # below the diagonal (so L gains one) or above it (so U does), too
         # small to make a pivot non-positive, must stop the band
-        # elimination under python -O as well
+        # elimination under python -O as well, on a tridiagonal band and
+        # on a wider one.  The entry sits on the outermost band, which no
+        # update reaches.
         code = """
 import numpy as np
 from dadda.gth import BandTriplet, DenseGthSolver, NotMMatrixError
 rng = np.random.Generator(np.random.Philox(32))
-for off in (-1, 1):
-    bands = {o: rng.uniform(size=299) for o in (-1, 1)}
-    t = BandTriplet.from_parts(300, 1, 1, bands, np.ones(300), rng.uniform(0.1, 1.0, size=300))
+for w, off in ((1, -1), (1, 1), (6, -6), (6, 6)):
+    bands = {o: rng.uniform(size=300 - abs(o)) for o in range(-w, w + 1) if o}
+    t = BandTriplet.from_parts(300, w, w, bands, np.ones(300), rng.uniform(0.1, 1.0, size=300))
     t.bands[off][127] = -1e-3
     try:
         DenseGthSolver(t)
