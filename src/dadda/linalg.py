@@ -17,9 +17,8 @@ chunks through ``np.add.accumulate``, a running sum and so sequential by
 definition, without copying their operands; the instance generators build
 their data with the first two, and a dense iterate's ``frob_h`` is the third.
 :func:`matmul` is bitwise the ascending triple loop for any row
-blocking, which the criterion's in-panel dense products need (a panel
-must equal the whole matrix), as does the dense reference
-``TripletRepresentation.matrix()``.
+blocking, which the dense reference ``TripletRepresentation.matrix()``
+needs; the criterion's in-panel products with a dense-kind block are BLAS.
 
 Square coefficient matrices come in three structured kinds:
 

@@ -173,11 +173,12 @@ class MareProblem:
             return rep
         # triplet residual: W [u1; u2] = [v1; v2] within relative tolerance
         cu2, bu1 = self.coupling_products()
-        res1 = self.D.apply(self.u1) - cu2 - self.v1
-        res2 = self.A.apply(self.u2) - bu1 - self.v2
+        du1, au2 = self.D.apply(self.u1), self.A.apply(self.u2)
+        res1 = du1 - cu2 - self.v1
+        res2 = au2 - bu1 - self.v2
         scale = max(
-            float(np.max(np.abs(self.D.apply(self.u1)))),
-            float(np.max(np.abs(self.A.apply(self.u2)))),
+            float(np.max(np.abs(du1))),
+            float(np.max(np.abs(au2))),
             float(np.max(cu2, initial=0.0)),
             float(np.max(bu1, initial=0.0)),
             1.0,

@@ -32,10 +32,9 @@ partial sum is negative or below any of its rounded terms.  So signs stay
 exact and entries keep their componentwise accuracy (Higham, Accuracy and
 Stability of Numerical Algorithms, 2nd ed., Sec. 3.1 and 4.2); only the
 rounding, and with it a criterion value, depends on the BLAS build and
-thread count.  What stays in ascending order: erres's in-panel products
-with a dense-kind A or D (see below), and the ``frob_h`` of an iterate
-whose factors are not skinny, a running sum of squares; a skinny one's
-comes from the r x r grams (:meth:`DaddaState.frob`).
+thread count.  What stays in ascending order is the ``frob_h`` of an
+iterate whose factors are not skinny, a running sum of squares; a skinny
+one's comes from the r x r grams (:meth:`DaddaState.frob`).
 
 One step operator per family.  The first :func:`advance` builds a
 :class:`_BlockStep` for each of U, V, W and Q from the family's shifted
@@ -147,27 +146,29 @@ The entrywise residual :func:`erres` is one fused kernel over row panels
 of H, top to bottom.  Its three reductions over a long side of H, Cr^T H,
 R_A^T H for a low-rank A and H [Cl, P_D], are formed once per call by
 BLAS.  H >= 0 is checked where it is formed and the factors are validated
->= 0, so both groups stay sums of nonnegative terms, the only subtraction
-is the final |G1 - G2|, and a blocked sum errs far less than an ascending
-one, whose error grows with the term count (Higham, Sec. 4.2): over the
-7200 columns of fluid 800 x 7200, ascending sums hold erres at 4.2e-14,
-above its 1e-14 tolerance, where BLAS reads 4.0e-15.  Every step inside a
-panel is formed by the same operations in the same order as over the whole
-matrix (ordered products are the ascending loop for any blocking; a sum
-that starts from its first term rather than from 0.0 can differ only in
-the sign of a zero, which the criterion cannot see) and slices the
-whole-matrix reductions, so the value is bitwise the unpanelled one from
-the same three products while each panel does elementwise work in
-O(panel * n) memory.  A BLAS product per panel would not keep that, so the
-in-panel products with a dense-kind A or D stay the ascending
-:func:`~dadda.linalg.matmul`.  ``ererr`` and ``relative_change`` stream
-the same way.  The one product with a mixed-sign operand is
-:func:`rank_of_iterate`'s core, a QR factor times X, where no summation
-order is sign-exact; it is a diagnostic outside the iteration, so BLAS
-forms it too.
+>= 0, so every product adds nonnegative terms.  Besides the final
+|G1 - G2|, group 1 subtracts P (R^T x) - rowdots * x for a low-rank A or
+D (``_add_lowrank_offdiag``), which the gate below counts on both sides.
+A blocked sum errs far less than an ascending one, whose error grows with
+the term count (Higham, Sec. 4.2): over the 7200 columns of fluid
+800 x 7200, ascending sums hold erres at 4.2e-14, above its 1e-14
+tolerance, where BLAS reads 4.0e-15.  Every other step inside a panel is
+formed by the same operations in the same order as over the whole matrix
+(a sum that starts from its first term rather than from 0.0 can differ
+only in the sign of a zero, which the criterion cannot see) and slices
+the whole-matrix reductions, so each panel does elementwise work in
+O(panel * n) memory and the value is bitwise the unpanelled one from the
+same three products.  A dense-kind A or D adds one BLAS product of the
+panel's rows, into a reused buffer.  A BLAS build may round a row panel
+unlike the whole product, so there the value is the unpanelled one to
+rounding (bitwise with OpenBLAS on one and two threads).  ``ererr`` and
+``relative_change`` stream the same way.  The one product with a
+mixed-sign operand is :func:`rank_of_iterate`'s core, a QR factor times
+X, where no summation order is sign-exact; it is a diagnostic outside the
+iteration, so BLAS forms it too.
 
 Gating ``erres`` by a factored lower bound.  Above one slab of entries
-(m n > ``linalg._SLAB_FLOATS``) the stopping loop first bounds ``erres``
+(m n > ``linalg._SLAB_FLOATS``) the stopping rule first bounds ``erres``
 from below by one skinny product with H, and skips both the m x n iterate
 and the full criterion at a step where the bound already exceeds the
 tolerance.  Write erres's groups G1 = HCH + N_A H + H N_D + B and
@@ -235,17 +236,16 @@ counts are
 
 the 10 bounding the additions that combine the parts on both paths.  All
 three iterates gate; the gate needs Z-pattern A and D with positive
-diagonals, u1 > 0 and nonnegative factors, checked once per solve.  What
-the bound needs of the problem alone (the right-hand side, Bl (Br^T u1),
-diag(A), the counts less their K_H terms and gamma_{K_B}) is built once per
-solve too, as ``_GateParts``, with the same operations as at each step.  At
+diagonals, u1 > 0 and nonnegative factors.  :func:`_erres_gate` checks
+that once per solve, builds what the bound needs of the problem alone and
+returns the bound as a function of the iterate.  At
 m n <= ``_SLAB_FLOATS`` the whole criterion is one cache-resident panel,
 so every step runs it.  A skipped step changes nothing observable but its
 record: the iterates, and every full evaluation, are bitwise those of an
 ungated loop, and the report's ``erres_final`` is always a full one.  Nor
 does it drop a sign check: gamma Ucheck X >= 0 follows from the checked
 blocks and X, so the check on the formed H is redundant there.  The
-second kind of ``lower_bound`` record is erres's own: the loop passes it
+second kind of ``lower_bound`` record is erres's own: the rule passes it
 the tolerance as ``above``, and erres stops at the first row panel whose
 maximum exceeds it.  That maximum is at most the full erres and exceeds
 the tolerance exactly when erres does (``linalg._panel_ratio_max``);
@@ -279,8 +279,9 @@ from .linalg import (
     _panel_rows,
     _row_panels,
     frobenius_norm,
-    matmul,
 )
+# matmul is not called here; the benchmark's tracer wraps this binding
+from .linalg import matmul
 from .problem import MareProblem, ShiftPair, make_shifts, shifted_parts
 
 __all__ = [
@@ -670,10 +671,10 @@ def advance(state: DaddaState) -> DaddaState:
 def erres(prob: MareProblem, H: np.ndarray, *, above: float = np.inf) -> float:
     """Entrywise relative residual.
 
-    Numerator and denominator are grouped so each is a sum of nonnegative
-    terms: |(HCH + N_A H + H N_D + B) - (diag(A) H + H diag(D))| over
-    diag(A) H + H diag(D), maximized entrywise with 0/0 -> 0 and
-    x/0 -> +inf.
+    |(HCH + N_A H + H N_D + B) - (diag(A) H + H diag(D))| over the
+    diagonal group diag(A) H + H diag(D), maximized entrywise with
+    0/0 -> 0 and x/0 -> +inf.  Every product adds nonnegative terms; group
+    1 also subtracts the row dots of a low-rank A or D (module docstring).
 
     One fused kernel evaluates it in row panels of H (see
     ``linalg._panel_rows``), so no m x n temporary is made.  The per-call
@@ -683,10 +684,11 @@ def erres(prob: MareProblem, H: np.ndarray, *, above: float = np.inf) -> float:
     slices those products and takes elementwise work only, through three
     reused buffers: every product with a small inner dimension is a sum
     of outer products written in place, and an empty band product is
-    skipped.  Each entry of both groups is formed by the same operations
-    in the same order as over the whole matrix, except that a sum starts
-    from its first term where ``matmul`` starts from 0.0.  That can change
-    only the sign of a zero, which neither |group1 - group2| nor the test
+    skipped; a dense-kind A or D takes one BLAS product per panel.  Each
+    other entry of both groups is formed by the same operations in the
+    same order as over the whole matrix, except that a sum starts from its
+    first term where ``matmul`` starts from 0.0.  That can change only the
+    sign of a zero, which neither |group1 - group2| nor the test
     group2 == 0 can see, so the value is bitwise equal to the unpanelled
     evaluation from the same three products.  The panel ratios combine by
     ``linalg._panel_ratio_max``: one divide and one max where group 2 has
@@ -758,7 +760,7 @@ def _residual_panels(prob: MareProblem, H: np.ndarray):
         if A.kind == "diag_plus_lowrank":
             _add_lowrank_offdiag(g1, A, A.p[i0:i1], a_rtx, panel, a_rowdot[i0:i1], t1, t2)
         elif A.kind == "dense":
-            g1 += matmul(a_nmat[i0:i1], H)
+            g1 += np.matmul(a_nmat[i0:i1], H, out=t1)
         elif a_neg:
             # rows [i0, i1) read H rows [i0 - lower, i1 + upper), and the
             # window's band o holds the entries of rows [w0, w1 - |o|)
@@ -773,7 +775,7 @@ def _residual_panels(prob: MareProblem, H: np.ndarray):
         if D.kind == "diag_plus_lowrank":
             _add_lowrank_offdiag(g1, D, hf[i0:i1, q:], d_rt, panel, d_rowdot, t1, t2)
         elif D.kind == "dense":
-            g1 += matmul(panel, d_nmat)
+            g1 += np.matmul(panel, d_nmat, out=t1)
         elif d_neg:
             g1 += _band_apply(d_neg, panel.T, True, out=t1.T).T
         g1 += _outer_sum(prob.Bl[i0:i1], brt, t1, t2)
@@ -994,136 +996,125 @@ def _adda_step(E, F, G, H, w1, w2, u1, u2):
     return quad, w1 + E @ xw, w2 + F @ (w2 + H @ xw)
 
 
-def _gate_applies(prob: MareProblem, criteria: StopCriteria) -> bool:
-    """Whether the loop gates erres by :func:`_erres_lower_bound` (module docstring)."""
-    if criteria.criterion != "erres" or prob.m * prob.n <= _SLAB_FLOATS:
-        return False
-    A, D = prob.A, prob.D
-    return bool(
-        A.offdiag_nonpositive() and D.offdiag_nonpositive()
-        and A.diagonal().min() > 0.0 and D.diagonal().min() > 0.0
-        and prob.u1.min() > 0.0
-        and all(f.min(initial=0.0) >= 0.0 for f in (prob.Bl, prob.Br, prob.Cl, prob.Cr))
-    )
-
-
 def _gamma(k: int) -> float:
     """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
     ku = k * np.finfo(np.float64).eps / 2
     return ku / (1.0 - ku)
 
 
-@dataclass(frozen=True, eq=False)
-class _GateParts:
-    """What :func:`_erres_lower_bound` needs of the problem alone, built once per solve.
+def _erres_gate(prob: MareProblem):
+    """The gate on :func:`erres` (module docstring), None where it does not apply.
 
-    ``rhs`` = [u1, N_D u1 as its two sums, diag(D) u1, Cl] and ``bu`` =
-    Bl (Br^T u1); ``k_hch``, ``k_a`` and ``k_d`` are the rounding counts
-    K_HCH, K_A and K_D less their K_H terms, and ``gamma_b`` is gamma_{K_B}.
+    The problem-only parts are built here, once per solve: rhs = [u1, N_D u1
+    as its two sums, diag(D) u1, Cl], Bl (Br^T u1), diag(A), the counts
+    K_HCH, K_A and K_D less their K_H terms, and gamma_{K_B}.  The returned
+    function gives per row i the raw bound L_i and its slack s_i, with
+    ``max(L - s)`` at most the computed ``erres(prob, it.H)`` (L_i = s_i =
+    nan where G2 u is 0); only ``it.apply_h`` touches the iterate.
     """
+    A, D, u = prob.A, prob.D, prob.u1
+    if prob.m * prob.n <= _SLAB_FLOATS or not (
+        A.offdiag_nonpositive() and D.offdiag_nonpositive()
+        and A.diagonal().min() > 0.0 and D.diagonal().min() > 0.0
+        and u.min() > 0.0
+        and all(f.min(initial=0.0) >= 0.0 for f in (prob.Bl, prob.Br, prob.Cl, prob.Cr))
+    ):
+        return None
+    rhs = np.column_stack([u, *D.offdiag_parts(u), D.diagonal() * u, prob.Cl])
+    bu = prob.coupling_products()[1]
+    diag_a = A.diagonal()
+    k_hch = 2 * prob.m + prob.n + 2 * prob.q + 10
+    k_a, k_d = 2 * A.offdiag_row_terms() + 10, 2 * D.offdiag_row_terms() + 10
+    gamma_b = _gamma(prob.n + 2 * prob.p + 10)
 
-    rhs: np.ndarray
-    bu: np.ndarray
-    diag_a: np.ndarray
-    k_hch: int
-    k_a: int
-    k_d: int
-    gamma_b: float
-
-    @staticmethod
-    def of(prob: MareProblem) -> "_GateParts":
-        m, n, p, q = prob.m, prob.n, prob.p, prob.q
-        u = prob.u1
-        return _GateParts(
-            rhs=np.column_stack([u, *prob.D.offdiag_parts(u), prob.D.diagonal() * u, prob.Cl]),
-            bu=prob.coupling_products()[1],
-            diag_a=prob.A.diagonal(),
-            k_hch=2 * m + n + 2 * q + 10,
-            k_a=2 * prob.A.offdiag_row_terms() + 10,
-            k_d=2 * prob.D.offdiag_row_terms() + 10,
-            gamma_b=_gamma(n + 2 * p + 10),
+    def bound(it) -> tuple[np.ndarray, np.ndarray]:
+        y, k_h = it.apply_h(rhs)
+        hu, d_pos, d_neg = y[:, 0], y[:, 1], y[:, 2]
+        hch = y[:, 4:] @ (prob.Cr.T @ hu)
+        a_pos, a_neg = A.offdiag_parts(hu)
+        g2u = diag_a * hu + y[:, 3]
+        num = np.abs(((hch + a_pos) + (d_pos + bu)) - ((a_neg + d_neg) + g2u))
+        err = (
+            _gamma(k_hch + 2 * k_h) * hch
+            + _gamma(k_a + k_h) * (a_pos + a_neg)
+            + _gamma(k_d + k_h) * (d_pos + d_neg)
+            + gamma_b * bu
+            + _gamma(k_h + 14) * g2u
         )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            den = np.where(g2u > 0.0, g2u, np.nan)
+            raw = num / den
+            return raw, 2.0 * (_gamma(k_h + 14) * raw + err / den)
+
+    return bound
 
 
-def _erres_lower_bound(
-    prob: MareProblem, it, parts: _GateParts
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per row i, the raw bound L_i <= erres and its rounding slack s_i.
+def _stopping_rule(prob: MareProblem, criteria: StopCriteria, x_true: np.ndarray | None):
+    """One solve's stopping rule, built before any set-up work.
 
-    ``max(L - s)`` is at most the computed ``erres(prob, it.H)`` (see the
-    module docstring); a row whose G2 u is 0 has L_i = s_i = nan.  Only
-    ``it.apply_h`` touches the iterate.  ``parts`` are the problem's
-    invariants, ``_GateParts.of(prob)``.
+    Returns ``measure(it)``, an iterate's ``(value, lower_bound)``, and
+    ``erres_final(it, record)``, the final iterate's full erres (the last
+    record's value where it is one).  The rule owns what the criterion
+    carries across steps: the erres gate, erres's early exit at the
+    tolerance, ``rchange``'s previous H and ``ererr``'s reference.  Each
+    criterion is called by its module name, so a rebinding sees each call.
     """
-    y, k_h = it.apply_h(parts.rhs)
-    hu, d_pos, d_neg = y[:, 0], y[:, 1], y[:, 2]
-    hch = y[:, 4:] @ (prob.Cr.T @ hu)
-    a_pos, a_neg = prob.A.offdiag_parts(hu)
-    bu = parts.bu
-    g2u = parts.diag_a * hu + y[:, 3]
-    num = np.abs(((hch + a_pos) + (d_pos + bu)) - ((a_neg + d_neg) + g2u))
-    err = (
-        _gamma(parts.k_hch + 2 * k_h) * hch
-        + _gamma(parts.k_a + k_h) * (a_pos + a_neg)
-        + _gamma(parts.k_d + k_h) * (d_pos + d_neg)
-        + parts.gamma_b * bu
-        + _gamma(k_h + 14) * g2u
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        den = np.where(g2u > 0.0, g2u, np.nan)
-        raw = num / den
-        return raw, 2.0 * (_gamma(k_h + 14) * raw + err / den)
+    kind, tol = criteria.criterion, criteria.tolerance
+    if kind == "ererr" and x_true is None:
+        raise ValueError("criterion 'ererr' needs the true solution")
+    gate = _erres_gate(prob) if kind == "erres" else None
+    panelled = prob.m > _panel_rows(prob.n)
+    h_prev = None
+
+    def measure(it) -> tuple[float, bool]:
+        nonlocal h_prev
+        if kind == "nres":
+            return normalized_residual(prob, it.H), False
+        if kind == "ererr":
+            return ererr(it.H, x_true), False
+        if kind == "rchange":
+            # a hand-off's H is the very array of the state it was built from
+            value = np.inf if h_prev is None else relative_change(it.H, h_prev)
+            h_prev = it.H
+            return value, False
+        if gate is not None:
+            raw, slack = gate(it)
+            value = float(np.nanmax(raw - slack, initial=-np.inf))
+            if value > tol:
+                return value, True
+        # no local name holds H: the next step frees it before forming its own
+        value = erres(prob, it.H, above=tol)
+        return value, value > tol and panelled
+
+    def erres_final(it, record: IterationRecord) -> float:
+        if kind == "erres" and not record.lower_bound:
+            return record.value
+        return erres(prob, it.H)
+
+    return measure, erres_final
 
 
 def _stopping_loop(
-    prob: MareProblem,
-    it: DaddaState | _Quadruple,
-    shifts: ShiftPair,
-    criteria: StopCriteria,
-    x_true: np.ndarray | None,
-    t0: float,
-    compute_dual: bool = False,
+    prob: MareProblem, it: DaddaState | _Quadruple, shifts: ShiftPair,
+    criteria: StopCriteria, rule, t0: float, compute_dual: bool = False,
 ) -> SolveReport:
-    """Evaluate the criterion on ``it`` and step it until the rule stops.
+    """Measure ``it`` by ``rule`` and step it until the rule stops.
 
     ``it`` is any iterate of one protocol: ``k``, ``kernel_order``, ``H``,
     ``step()``, ``apply_h(rhs)``, ``rank()``, ``dual()``, ``switched_at``
     and ``successor(cap)``.  The iterate decides its successor: None ends
     the solve at the kernel row cap, and a DaddaState hands off to a
     :class:`_TripletAdda` once its next kernel would outgrow m + n.  The
-    loop then drops the DaddaState, so its factor blocks are freed.  The
-    report's seconds count from ``t0``.
-
-    Under ``erres`` above one slab of entries, each step first takes the
-    factored lower bound of :func:`_erres_lower_bound`.  Where that bound
-    exceeds the tolerance, the computed erres would too, so the step
-    records the bound (``lower_bound=True``) and steps on without forming
-    H or running the criterion.  Elsewhere erres stops at its first row
-    panel above the tolerance, a lower bound too where H has more panels.
-    ``erres_final`` is always a full evaluation on the returned H.
+    loop then drops the DaddaState, so its factor blocks are freed.
+    ``rule`` is :func:`_stopping_rule`'s pair, and the report's seconds
+    count from ``t0``; its ``erres_final`` is always a full evaluation on
+    the returned H.
     """
+    measure, erres_final = rule
     records: list[IterationRecord] = []
-    h_prev: np.ndarray | None = None
-    gate = _GateParts.of(prob) if _gate_applies(prob, criteria) else None
     t_mark = t0
     while True:
-        value = -np.inf
-        if gate is not None:
-            raw, slack = _erres_lower_bound(prob, it, gate)
-            value = float(np.nanmax(raw - slack, initial=-np.inf))
-        lower_bound = value > criteria.tolerance
-        if not lower_bound:
-            # no local name holds H: the next step frees it before forming its own
-            kind = criteria.criterion
-            if kind == "erres":
-                value = erres(prob, it.H, above=criteria.tolerance)
-                lower_bound = value > criteria.tolerance and prob.m > _panel_rows(prob.n)
-            elif kind == "nres":
-                value = normalized_residual(prob, it.H)
-            elif kind == "rchange":
-                value = np.inf if h_prev is None else relative_change(it.H, h_prev)
-            else:
-                value = ererr(it.H, x_true)
+        value, lower_bound = measure(it)
         now = time.perf_counter()
         records.append(
             IterationRecord(
@@ -1145,16 +1136,9 @@ def _stopping_loop(
         if successor is None:
             termination = "kernel_cap_exceeded"
             break
-        if criteria.criterion == "rchange":
-            h_prev = it.H  # a hand-off's H is this very array
         it = successor
         it.step()
 
-    h_final = it.H
-    if criteria.criterion == "erres" and not records[-1].lower_bound:
-        erres_final = records[-1].value
-    else:
-        erres_final = erres(prob, h_final)
     return SolveReport(
         termination=termination,
         iterations=it.k,
@@ -1163,24 +1147,14 @@ def _stopping_loop(
         alpha=shifts.alpha,
         beta=shifts.beta,
         records=records,
-        H=h_final,
-        erres_final=erres_final,
+        H=it.H,
+        erres_final=erres_final(it, records[-1]),
         frob_h=it.frob(),
         rank_h=it.rank(),
         G=it.dual() if compute_dual else None,
         switched_at=it.switched_at,
         seconds=time.perf_counter() - t0,
     )
-
-
-def _defaults(prob, shifts, criteria, x_true) -> tuple[ShiftPair, StopCriteria]:
-    if criteria is None:
-        criteria = StopCriteria()
-    if shifts is None:
-        shifts = make_shifts(prob)
-    if criteria.criterion == "ererr" and x_true is None:
-        raise ValueError("criterion 'ererr' needs the true solution")
-    return shifts, criteria
 
 
 def solve(
@@ -1196,13 +1170,15 @@ def solve(
     solve runs on triplet-form ADDA (``report.switched_at`` gives the k).
     With ``compute_dual`` the report carries the final iterate's G.
     """
-    shifts, criteria = _defaults(prob, shifts, criteria, x_true)
+    criteria = StopCriteria() if criteria is None else criteria
     if criteria.kernel_row_cap < max(prob.p, prob.q):
         raise ValueError("kernel_row_cap must be at least max(p, q)")
     t0 = time.perf_counter()
+    rule = _stopping_rule(prob, criteria, x_true)
+    shifts = make_shifts(prob) if shifts is None else shifts
     # no reference kept here: the loop frees the DaddaState at a hand-off
     return _stopping_loop(
-        prob, initialize(prob, shifts), shifts, criteria, x_true, t0, compute_dual
+        prob, initialize(prob, shifts), shifts, criteria, rule, t0, compute_dual
     )
 
 
@@ -1217,6 +1193,8 @@ def solve_dense(
     Dense and capped at m + n <= 200 (see :mod:`dadda.oracle`); the report
     has no kernel orders and no dual iterate.
     """
-    shifts, criteria = _defaults(prob, shifts, criteria, x_true)
+    criteria = StopCriteria() if criteria is None else criteria
     t0 = time.perf_counter()
-    return _stopping_loop(prob, _DenseAdda(prob, shifts), shifts, criteria, x_true, t0)
+    rule = _stopping_rule(prob, criteria, x_true)
+    shifts = make_shifts(prob) if shifts is None else shifts
+    return _stopping_loop(prob, _DenseAdda(prob, shifts), shifts, criteria, rule, t0)

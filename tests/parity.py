@@ -33,10 +33,10 @@ step ungated, each solved by ``solve`` and by the dense reference
 gate applies to, and one solve that the kernel row cap stops.  So the
 set runs all three iterates (dADDA, triplet ADDA after a hand-off, dense
 ADDA) and every termination.  BLAS runs on one thread, as in the
-benchmark: every product of the iteration and ``erres``'s three
-reductions over a long side of H use BLAS, whose rounding depends on the
-thread count, so every iterate and ``erres`` value, and with them a
-stopping step, do too.
+benchmark: every product of the iteration, ``erres``'s three reductions
+over a long side of H and its in-panel products with a dense-kind A or D
+use BLAS, whose rounding depends on the thread count, so every iterate and
+``erres`` value, and with them a stopping step, do too.
 
 Named ``parity.py`` so that pytest does not collect it.
 """

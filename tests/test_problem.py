@@ -95,6 +95,20 @@ class TestValidate:
         rep = _small_problem(v1=np.array([4.5, 4.6])).validate()
         assert any("triplet residual" in e for e in rep.errors)
 
+    def test_triplet_residual_applies_each_block_once(self, monkeypatch):
+        # D u1 and A u2 serve both the residual and its scale
+        prob = gen_transport(8, seed=0)
+        calls = []
+        apply = StructuredSquare.apply
+
+        def counted(self, x, *args, **kwargs):
+            calls.append(self)
+            return apply(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(StructuredSquare, "apply", counted)
+        assert prob.validate().ok
+        assert len(calls) == 2 and {id(s) for s in calls} == {id(prob.A), id(prob.D)}
+
 
 class TestShifts:
     def test_default_shifts_frozen(self):

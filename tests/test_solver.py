@@ -33,8 +33,7 @@ from dadda.solver import (
     StopCriteria,
     _BlockStep,
     _DenseAdda,
-    _GateParts,
-    _erres_lower_bound,
+    _erres_gate,
     _gram,
     _numerical_rank,
     _TripletAdda,
@@ -456,8 +455,7 @@ class TestErresPanels:
     @pytest.mark.parametrize("m, n", [(21, 4096), (300, 256)])
     def test_bitwise_equal_to_the_whole_matrix(self, m, n):
         # several panels and a short last one, for every kind of A and D;
-        # scaling one edge row of H down puts the maximum in that row (the
-        # ordered dense products are slow, so dense blocks skip that scan)
+        # scaling one edge row of H down puts the maximum in that row
         rng = np.random.Generator(np.random.Philox(m))
         rows = max(8, 2**15 // n)
         assert rows < m and m % rows
@@ -468,7 +466,7 @@ class TestErresPanels:
             for D in _blocks(rng, n, 1, 2):
                 prob = _problem(rng, A, D)
                 assert erres(prob, H) == dense_erres(prob, H)
-                for i in edges if "dense" not in (A.kind, D.kind) else ():
+                for i in edges:
                     Hi = H.copy()
                     Hi[i] *= 1e-6
                     assert erres(prob, Hi) == dense_erres(prob, Hi), (A.kind, D.kind, i)
@@ -504,6 +502,22 @@ class TestErresPanels:
                             assert t < v <= e, (A.kind, D.kind, t)
                             early += v < e
         assert early > 0
+
+    def test_dense_kinds_take_no_ordered_product(self, monkeypatch):
+        # the in-panel products with a dense-kind A or D are BLAS products;
+        # the reference is taken first, because dense_erres calls matmul
+        rng = np.random.Generator(np.random.Philox(5))
+        A, D = _blocks(rng, 300, 2, 1)[-1], _blocks(rng, 256, 1, 2)[-1]
+        assert A.kind == D.kind == "dense"
+        prob, H = _problem(rng, A, D), rng.uniform(0.5, 1.5, size=(300, 256))
+        expected = dense_erres(prob, H)
+
+        def ordered(a, b):
+            raise AssertionError("an ordered product inside erres")
+
+        for mod in (linalg, solver):
+            monkeypatch.setattr(mod, "matmul", ordered)
+        assert erres(prob, H) == expected
 
     def test_early_exit_of_one_panel_is_the_full_value(self):
         rng = np.random.Generator(np.random.Philox(3))
@@ -712,10 +726,17 @@ class TestSolveLoop:
         with pytest.raises(ValueError, match="max\\(p, q\\)"):
             solve(prob, criteria=StopCriteria(kernel_row_cap=1))
 
-    def test_ererr_requires_reference(self):
+    def test_ererr_requires_reference(self, monkeypatch):
+        # the input error raises before any set-up work of either loop
+        def set_up(*args):
+            raise AssertionError("set-up ran before the input check")
+
+        monkeypatch.setattr(solver, "initialize", set_up)
+        monkeypatch.setattr(oracle, "initial_quadruple", set_up)
         prob = random_mare(69)
-        with pytest.raises(ValueError, match="true solution"):
-            solve(prob, criteria=StopCriteria(criterion="ererr", tolerance=1e-10))
+        for run in (solve, solver.solve_dense):
+            with pytest.raises(ValueError, match="true solution"):
+                run(prob, criteria=StopCriteria(criterion="ererr", tolerance=1e-10))
 
     def test_ererr_criterion_with_reference(self):
         prob, x_true = gen_fluid(3, 4)
@@ -843,10 +864,27 @@ class TestErresGate:
         # the rounding of either (at k = 0 the two agree to 1e-9 relative)
         prob = gen_fluid(33, 1000)[0]
         state = _run_state(prob, make_shifts(prob), 2)
-        raw, slack = _erres_lower_bound(prob, state, _GateParts.of(prob))
+        raw, slack = _erres_gate(prob)(state)
         value = erres(prob, state.H)
         assert np.nanmax(raw) > value
         assert 1e-14 < np.nanmax(raw - slack) <= value
+
+    def test_gate_parts_are_built_once_per_solve(self, monkeypatch):
+        # the split of N_D u1 is a problem-only part of the gate, taken once
+        # per solve; the split of N_A (H u) is taken at every step
+        prob = gen_fluid(400, 100)[0]
+        calls = []
+        split = StructuredSquare.offdiag_parts
+
+        def counted(self, x, *args, **kwargs):
+            calls.append(self)
+            return split(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(StructuredSquare, "offdiag_parts", counted)
+        rep = solve(prob)
+        assert len(rep.records) == 6
+        assert sum(block is prob.D for block in calls) == 1
+        assert sum(block is prob.A for block in calls) == len(rep.records)
 
     def test_erres_final_is_a_full_evaluation(self):
         prob = gen_fluid(400, 100)[0]
