@@ -18,7 +18,11 @@ definition, without copying their operands; the instance generators build
 their data with the first two, and a dense iterate's ``frob_h`` is the third.
 :func:`matmul` is bitwise the ascending triple loop for any row
 blocking, which the dense reference ``TripletRepresentation.matrix()``
-needs; the criterion's in-panel products with a dense-kind block are BLAS.
+needs.  The criteria stream the iterate in row panels (``_panel_edges``),
+and every product inside a panel is BLAS: the outer-product terms of
+``erres`` in one product of small inner dimension, and a dense-kind
+block's product of the panel's rows.  ``_panel_ratio_max`` combines the
+panels' ratios bitwise as over the whole arrays.
 
 Square coefficient matrices come in three structured kinds:
 
@@ -137,22 +141,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _outer_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """a @ b written to ``out`` as outer products in ascending inner index.
-
-    Each entry is ``matmul``'s ascending loop from its first term on, so it
-    differs from ``matmul(a, b)`` at most in the sign of a zero.  ``tmp`` is
-    scratch of out's shape.
-    """
-    if a.shape[1] == 0:
-        out.fill(0.0)
-        return out
-    np.multiply(a[:, :1], b[:1], out=out)
-    for t in range(1, a.shape[1]):
-        out += np.multiply(a[:, t : t + 1], b[t : t + 1], out=tmp)
-    return out
-
-
 def frobenius_norm(a: np.ndarray) -> float:
     """Frobenius norm, squares summed ascending in C order.
 
@@ -167,11 +155,14 @@ def _panel_ratio_max(panels, *, above: float = np.inf) -> float:
     """max over entries of num/den, with 0/0 -> 0 and x/0 -> +inf (x != 0), of
     the arrays that the (num, den) panels stack to.
 
-    The value is bitwise the one over the whole arrays.  A panel whose den
-    has no zero takes one division and one max; otherwise 0/0 entries count
-    0 through ``np.where``.  An x/0 in any panel decides the value (+inf) at
-    once, as over the whole arrays, while a quotient that overflowed to
-    +inf does not: the panel maxima combine by ``np.max``, which keeps a NaN.
+    The value is bitwise the one over the whole arrays.  Each panel is
+    divided into one reused buffer, and its maximum and minimum read from
+    there: both finite prove that no den is zero where num is not (x/0 is
+    +inf or, with a signed zero, -inf, and 0/0 is NaN), so that maximum is
+    the panel's value.  Otherwise 0/0 entries count 0 through ``np.where``.
+    An x/0 in any panel decides the value (+inf) at once, as over the whole
+    arrays, while a quotient that overflowed to +inf does not: the panel
+    maxima combine by ``np.max``, which keeps a NaN.
 
     With ``above``, the first panel maximum greater than it is returned
     and the panels below go unread.  Each entry read is bitwise the full
@@ -180,13 +171,17 @@ def _panel_ratio_max(panels, *, above: float = np.inf) -> float:
     NaN.  A NaN maximum turns the exit off for the panels below it.
     """
     maxima = []
+    scratch = np.empty(0)
     for num, den in panels:
-        if num.size == 0:
+        both = np.broadcast(num, den)
+        if both.size == 0:
             continue
+        if scratch.size < both.size:
+            scratch = np.empty(both.size)
         with np.errstate(divide="ignore", invalid="ignore"):
-            if den.all():
-                top = np.max(num / den)
-            else:
+            ratio = np.divide(num, den, out=scratch[: both.size].reshape(both.shape))
+            top = ratio.max()
+            if not (np.isfinite(top) and ratio.min() > -np.inf):
                 zero_den = den == 0.0
                 if np.any(zero_den & (num != 0.0)):
                     return float("inf")
@@ -208,11 +203,26 @@ def _panel_rows(width: int) -> int:
     return max(8, _SLAB_FLOATS // max(width, 1))
 
 
+def _panel_edges(height: int, width: int) -> list[int]:
+    """Row edges 0 = e_0 < ... < e_k = height of the row panels that stream
+    an array of ``height`` rows of ``width`` floats, top to bottom.
+
+    Each panel is ``_panel_rows`` high but the last: a one-row remainder
+    joins the panel above it, so no panel past the first has one row.  A
+    BLAS product of one row is a matrix-vector product, which may round
+    unlike the rows of the whole product.
+    """
+    edges = list(range(0, height, _panel_rows(width))) + [height]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return edges
+
+
 def _row_panels(*arrays):
-    """Aligned row panels of arrays of one shape, ``_panel_rows`` high, top to bottom."""
-    rows = _panel_rows(arrays[0][:1].size)
-    for i0 in range(0, len(arrays[0]), rows):
-        yield tuple(a[i0 : i0 + rows] for a in arrays)
+    """Aligned row panels of arrays of one shape, at ``_panel_edges``, top to bottom."""
+    edges = _panel_edges(len(arrays[0]), arrays[0][:1].size)
+    for i0, i1 in zip(edges, edges[1:]):
+        yield tuple(a[i0:i1] for a in arrays)
 
 
 def _column_form(x, n: int) -> tuple[np.ndarray, bool]:

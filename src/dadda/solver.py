@@ -143,29 +143,35 @@ through BLAS: the quadruple stays exactly nonnegative and its entries
 keep their componentwise accuracy.
 
 The entrywise residual :func:`erres` is one fused kernel over row panels
-of H, top to bottom.  Its three reductions over a long side of H, Cr^T H,
-R_A^T H for a low-rank A and H [Cl, P_D], are formed once per call by
-BLAS.  H >= 0 is checked where it is formed and the factors are validated
->= 0, so every product adds nonnegative terms.  Besides the final
-|G1 - G2|, group 1 subtracts P (R^T x) - rowdots * x for a low-rank A or
-D (``_add_lowrank_offdiag``), which the gate below counts on both sides.
-A blocked sum errs far less than an ascending one, whose error grows with
-the term count (Higham, Sec. 4.2): over the 7200 columns of fluid
-800 x 7200, ascending sums hold erres at 4.2e-14, above its 1e-14
-tolerance, where BLAS reads 4.0e-15.  Every other step inside a panel is
-formed by the same operations in the same order as over the whole matrix
-(a sum that starts from its first term rather than from 0.0 can differ
-only in the sign of a zero, which the criterion cannot see) and slices
-the whole-matrix reductions, so each panel does elementwise work in
-O(panel * n) memory and the value is bitwise the unpanelled one from the
-same three products.  A dense-kind A or D adds one BLAS product of the
-panel's rows, into a reused buffer.  A BLAS build may round a row panel
-unlike the whole product, so there the value is the unpanelled one to
-rounding (bitwise with OpenBLAS on one and two threads).  ``ererr`` and
-``relative_change`` stream the same way.  The one product with a
-mixed-sign operand is :func:`rank_of_iterate`'s core, a QR factor times
-X, where no summation order is sign-exact; it is a diagnostic outside the
-iteration, so BLAS forms it too.
+of H, top to bottom.  Each panel evaluates |P - Q| / G2 with
+G2 = diag(A) H + H diag(D) = H o (diag(A) (+) diag(D)).  Every term of the
+residual is nonnegative, and each goes to the side it takes: P adds HCH,
+B and the pos of :meth:`~dadda.linalg.StructuredSquare.offdiag_parts` for
+A and D, Q = H o (a (+) d) the diagonals plus the neg, the row dots that
+a sign -1 low-rank block's N = P R^T - diag(rowdots) cancels (a sign +1
+block swaps its two parts, as ``offdiag_parts`` does).  So |P - Q| is the
+one subtraction, in the grouping of the gate below.  All the
+outer-product terms of P are one BLAS product per panel,
+[H Cl, Bl, P_A, H P_D]_p @ [Cr^T H; Br^T; R_A^T H; R_D^T], from the two
+reductions over a long side of H, H [Cl, P_D] and [Cr, R_A]^T H, formed
+once per call.  A band term is multiplied into a reused buffer and added
+to P, and a dense-kind A or D adds one BLAS product of the panel's rows.
+H >= 0 is checked where it is formed and the factors are validated >= 0,
+so each of those sums adds nonnegative terms, in any order: a blocked sum
+errs far less than an ascending one, whose error grows with the term
+count (Higham, Sec. 4.2), and over the 7200 columns of fluid 800 x 7200
+ascending sums held erres at 4.2e-14, above its 1e-14 tolerance, where
+BLAS reads 3.8e-15.  Every other step inside a panel is formed by the
+same operations in the same order as over the whole matrix and slices the
+whole-matrix reductions, so each panel does elementwise work in
+O(panel * n) memory and the value is bitwise the unpanelled one wherever
+BLAS rounds the rows of a panel like those of the whole product (with
+OpenBLAS on one and two threads; a one-row product, which it forms as a
+matrix-vector product, is why no panel past the first has one row).
+``ererr`` and ``relative_change`` stream the same way.  The one product
+with a mixed-sign operand is :func:`rank_of_iterate`'s core, a QR factor
+times X, where no summation order is sign-exact; it is a diagnostic
+outside the iteration, so BLAS forms it too.
 
 Gating ``erres`` by a factored lower bound.  Above one slab of entries
 (m n > ``linalg._SLAB_FLOATS``) the stopping rule first bounds ``erres``
@@ -194,8 +200,8 @@ factors in O((m + n) r (q + 4)), without materializing H, and the ADDA
 iterates as H @ rhs.
 
 The raw L_i can exceed the computed erres e (fluid 33 x 1000 at k = 0:
-3.19712567796e-6 against 3.19712565619e-6; 7200 x 800 at k = 4: 2.1e-14
-against 3.5e-15), so the gate takes v = max_i (L_i - s_i) with a rounding
+3.1971256833e-6 against 3.1971256774e-6; 7200 x 800 at k = 4: 2.3e-14
+against 5.5e-15, with BLAS on one thread), so the gate takes v = max_i (L_i - s_i) with a rounding
 slack s_i.  Sort the terms of both computations into five parts (HCH,
 N_A H, H N_D, B, G2), and let mu_i be a part's u-weighted row sum of term
 magnitudes (a low-rank N counts both sides of its subtraction).  A term of
@@ -227,14 +233,22 @@ branch it took before, and the step records v, flagged ``lower_bound``.
 With K_H the roundings a term of H rhs takes beyond those of the
 materialized H (n + 2r + 2 from the factors of kernel order r: Ucheck
 (gamma X) takes r + 1, gamma Ucheck (X rhs) n + r + 1, and Lemma 3.3 adds
-them; n for a dense H @ rhs) and w_M the terms of one entry of N_M x
-(``offdiag_row_terms``: order, band count, or order plus rank), the
-counts are
+them; n for a dense H @ rhs), w_M the terms of one entry of N_M x
+(``offdiag_row_terms``: order, band count, or order plus rank) and t the
+roundings that erres's P adds to a term after its own reductions (the
+one outer-product sum of q + p + rank terms, then one addition per
+off-diagonal band, dense-kind block and sign +1 row dots:
+:func:`_residual_tail`), the counts are
 
-    K_HCH = 2m + n + 2q + 2 K_H + 10,   K_A = 2 w_A + K_H + 10,
-    K_D = 2 w_D + K_H + 10,   K_B = n + 2p + 10,   K_G = K_H + 14,
+    K_HCH = 2m + n + q + t + 2 K_H + 10,   K_A = 2 w_A + t + K_H + 10,
+    K_D = 2 w_D + t + K_H + 10,   K_B = n + p + t + 10,   K_G = K_H + 14,
 
-the 10 bounding the additions that combine the parts on both paths.  All
+the 10 bounding the additions that combine the parts on both paths.  A
+term of HCH, for one, takes n (H Cl), m (Cr^T H), t and the subtraction
+|P - Q| on the erres path, and 2 K_H + m + q on the bound's.  A term of Q
+takes at most five roundings on the erres path, |P - Q| included
+(a = diag(A) + rowdots, a + d, the product with H and a sign +1 block's
+product), within K_G and the 2 w_M of a low-rank block's row dots.  All
 three iterates gate; the gate needs Z-pattern A and D with positive
 diagonals, u1 > 0 and nonnegative factors.  :func:`_erres_gate` checks
 that once per solve, builds what the bound needs of the problem alone and
@@ -271,12 +285,10 @@ from .gth import (
 )
 from .linalg import (
     _SLAB_FLOATS,
-    _band_apply,
     _column_form,
     _negated_offdiag,
-    _outer_sum,
+    _panel_edges,
     _panel_ratio_max,
-    _panel_rows,
     _row_panels,
     frobenius_norm,
 )
@@ -672,28 +684,28 @@ def erres(prob: MareProblem, H: np.ndarray, *, above: float = np.inf) -> float:
     """Entrywise relative residual.
 
     |(HCH + N_A H + H N_D + B) - (diag(A) H + H diag(D))| over the
-    diagonal group diag(A) H + H diag(D), maximized entrywise with
-    0/0 -> 0 and x/0 -> +inf.  Every product adds nonnegative terms; group
-    1 also subtracts the row dots of a low-rank A or D (module docstring).
+    diagonal group G2 = diag(A) H + H diag(D), maximized entrywise with
+    0/0 -> 0 and x/0 -> +inf.  It is evaluated as |P - Q| / G2, every
+    nonnegative term of the residual on the side it takes (module
+    docstring): P holds HCH, B and each pos of
+    :meth:`~dadda.linalg.StructuredSquare.offdiag_parts`, and Q = H o (a (+) d)
+    the diagonals with each neg's row dots.  So |P - Q| is the one
+    subtraction.
 
-    One fused kernel evaluates it in row panels of H (see
-    ``linalg._panel_rows``), so no m x n temporary is made.  The per-call
-    invariants come first: the BLAS products Cr^T H, R_A^T H for a
-    low-rank A and H [Cl, P_D] (see the module docstring), the negated
-    bands, the low-rank row dots and both diagonals.  Each panel then
-    slices those products and takes elementwise work only, through three
-    reused buffers: every product with a small inner dimension is a sum
-    of outer products written in place, and an empty band product is
-    skipped; a dense-kind A or D takes one BLAS product per panel.  Each
-    other entry of both groups is formed by the same operations in the
-    same order as over the whole matrix, except that a sum starts from its
-    first term where ``matmul`` starts from 0.0.  That can change only the
-    sign of a zero, which neither |group1 - group2| nor the test
-    group2 == 0 can see, so the value is bitwise equal to the unpanelled
-    evaluation from the same three products.  The panel ratios combine by
-    ``linalg._panel_ratio_max``: one divide and one max where group 2 has
-    no zero, and any x/0 decides the value (+inf), as over the whole
-    matrix.  With ``above`` it stops at the first panel maximum above it.
+    One fused kernel evaluates it in row panels of H (``linalg._panel_edges``),
+    so no m x n temporary is made.  The per-call invariants come first: the
+    BLAS products H [Cl, P_D] and [Cr, R_A]^T H, the two factors of the
+    outer-product terms, the negated bands and the row and column vectors
+    of Q and G2.  Each panel takes one BLAS product for all its
+    outer-product terms, one per dense-kind A or D, and elementwise work
+    through two reused buffers: each band term is multiplied into one and
+    added to P.  Every entry is formed by the same operations in the same
+    order as over the whole matrix, so the value is bitwise the unpanelled
+    evaluation from the same products where BLAS rounds a row panel like
+    the rows of the whole product.  The panel ratios combine by
+    ``linalg._panel_ratio_max``, and any x/0 decides the value (+inf), as
+    over the whole matrix.  With ``above`` it stops at the first panel
+    maximum above it.
     """
     A, D = prob.A, prob.D
     H = np.asarray(H, dtype=np.float64)
@@ -703,86 +715,106 @@ def erres(prob: MareProblem, H: np.ndarray, *, above: float = np.inf) -> float:
     return _panel_ratio_max(_residual_panels(prob, H), above=above)
 
 
-def _add_lowrank_offdiag(acc, block, coef, rt, x, rowdot, term, tmp) -> None:
-    """acc += -sign * (coef @ rt - x * rowdot), a low-rank block's N = diag(M) - M.
+def _row_dot_sides(block, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(Q's vector, P's vector or None) of one block for :func:`erres`.
 
-    ``coef @ rt`` is P_rows R^T x on the left or (x P) R^T on the right, and
-    rowdot broadcasts over rows or columns to match; -sign is applied by
-    adding or subtracting the bracket, which is the same rounding.
+    Q's is ``diag`` plus a sign -1 low-rank block's row dots (its neg of
+    ``offdiag_parts``); a sign +1 block's row dots are its pos, and go to P.
     """
-    _outer_sum(coef, rt, term, tmp)
-    term -= np.multiply(x, rowdot, out=tmp)
-    if block.sign == -1:
-        acc += term
-    else:
-        acc -= term
+    if block.kind != "diag_plus_lowrank":
+        return diag, None
+    dots = block.lowrank_rowdot().reshape(diag.shape)
+    return (diag + dots, None) if block.sign == -1 else (diag, dots)
+
+
+def _residual_tail(prob: MareProblem) -> int:
+    """t of the erres gate's counts: the terms of the one outer-product sum
+    of :func:`_residual_panels` (q + p and each low-rank block's rank),
+    plus the additions into P after it (one per off-diagonal band, one per
+    dense-kind block, one for a sign +1 low-rank block's row dots)."""
+    tail = prob.q + prob.p
+    for block in (prob.A, prob.D):
+        if block.kind == "banded":
+            tail += len(block.bands) - 1
+        elif block.kind == "dense":
+            tail += 1
+        else:
+            tail += block.p.shape[1] + (block.sign == 1)
+    return tail
 
 
 def _residual_panels(prob: MareProblem, H: np.ndarray):
-    """Yield (|group1 - group2|, group2) of :func:`erres` panel by panel, top to bottom.
+    """Yield (|P - Q|, G2) of :func:`erres` panel by panel, top to bottom.
 
     The yielded arrays are the kernel's buffers, overwritten by the next panel.
     """
     A, D = prob.A, prob.D
     m, n = H.shape
-    rows = _panel_rows(n)
     q = prob.Cl.shape[1]
-    # the reductions over a long side of H: BLAS products, formed once
-    crth = prob.Cr.T @ H
-    f = prob.Cl
-    if D.kind == "diag_plus_lowrank":
-        f = np.concatenate([prob.Cl, D.p], axis=1)
-        d_rowdot, d_rt = D.lowrank_rowdot(), np.ascontiguousarray(D.r.T)
-    elif D.kind == "banded":
-        d_neg = _negated_offdiag(D.bands)
-    else:
-        d_nmat = np.diag(np.diagonal(D.a)) - D.a
-    hf = H @ f
-    pad = 0
-    if A.kind == "diag_plus_lowrank":
-        a_rtx, a_rowdot = A.r.T @ H, A.lowrank_rowdot()[:, None]
-    elif A.kind == "banded":
-        a_neg = _negated_offdiag(A.bands)
-        pad = A.lower + A.upper
-    else:
-        a_nmat = np.diag(np.diagonal(A.a)) - A.a
+    low_a, low_d = A.kind == "diag_plus_lowrank", D.kind == "diag_plus_lowrank"
+    # the reductions over a long side of H: BLAS products, formed once over
+    # all of H (8-row panels of fluid 800 x 7200 round H [Cl, P_D] unlike it)
+    hf = H @ (np.concatenate([prob.Cl, D.p], axis=1) if low_d else prob.Cl)
+    rth = (np.concatenate([prob.Cr, A.r], axis=1) if low_a else prob.Cr).T @ H
+    # the factors of the outer-product terms [H Cl, Bl, P_A, H P_D] and
+    # [Cr^T H; Br^T; R_A^T H; R_D^T]: a low-rank block's go to P for sign -1
+    # and to Q for sign +1
+    sides = {-1: ([hf[:, :q], prob.Bl], [rth[:q], prob.Br.T]), 1: ([], [])}
+    if low_a:
+        sides[A.sign][0].append(A.p)
+        sides[A.sign][1].append(rth[q:])
+    if low_d:
+        sides[D.sign][0].append(hf[:, q:])
+        sides[D.sign][1].append(D.r.T)
+    (p_left, p_right), q_outer = (
+        (np.concatenate(lt, axis=1), np.concatenate(rt, axis=0)) if lt else None
+        for lt, rt in (sides[-1], sides[1])
+    )
+    a_bands = sorted(_negated_offdiag(A.bands).items()) if A.kind == "banded" else []
+    d_bands = sorted(_negated_offdiag(D.bands).items()) if D.kind == "banded" else []
+    a_nmat = np.diag(np.diagonal(A.a)) - A.a if A.kind == "dense" else None
+    d_nmat = np.diag(np.diagonal(D.a)) - D.a if D.kind == "dense" else None
     diag_a, diag_d = A.diagonal()[:, None], D.diagonal()
-    brt = np.ascontiguousarray(prob.Br.T)
-    height = min(rows, m)
+    a, a_pos = _row_dot_sides(A, diag_a)
+    d, d_pos = _row_dot_sides(D, diag_d)
+    # Q is G2 unless it holds row dots or a product
+    apart = a is not diag_a or d is not diag_d or q_outer is not None
+    edges = _panel_edges(m, n)
+    height = max(i1 - i0 for i0, i1 in zip(edges, edges[1:]))
     acc, tmp = np.empty((height, n)), np.empty((height, n))
-    term = np.empty((height + pad, n))  # a banded A's window is taller
-    for i0 in range(0, m, rows):
-        i1 = min(m, i0 + rows)
+    spare = None if q_outer is None else np.empty((height, n))
+    for i0, i1 in zip(edges, edges[1:]):
         h = i1 - i0
-        panel, g1, t1, t2 = H[i0:i1], acc[:h], term[:h], tmp[:h]
-        # group 1 = (H_p Cl)(Cr^T H) + rows of N_A H + H_p N_D + Bl_p Br^T
-        _outer_sum(hf[i0:i1, :q], crth, g1, t2)
-        if A.kind == "diag_plus_lowrank":
-            _add_lowrank_offdiag(g1, A, A.p[i0:i1], a_rtx, panel, a_rowdot[i0:i1], t1, t2)
-        elif A.kind == "dense":
-            g1 += np.matmul(a_nmat[i0:i1], H, out=t1)
-        elif a_neg:
-            # rows [i0, i1) read H rows [i0 - lower, i1 + upper), and the
-            # window's band o holds the entries of rows [w0, w1 - |o|)
-            w0, w1 = max(0, i0 - A.lower), min(m, i1 + A.upper)
-            window = {
-                off: vals[w0 : w1 - abs(off)]
-                for off, vals in a_neg.items()
-                if abs(off) < w1 - w0
-            }
-            _band_apply(window, H[w0:w1], False, out=term[: w1 - w0])
-            g1 += term[i0 - w0 : i1 - w0]
-        if D.kind == "diag_plus_lowrank":
-            _add_lowrank_offdiag(g1, D, hf[i0:i1, q:], d_rt, panel, d_rowdot, t1, t2)
-        elif D.kind == "dense":
-            g1 += np.matmul(panel, d_nmat, out=t1)
-        elif d_neg:
-            g1 += _band_apply(d_neg, panel.T, True, out=t1.T).T
-        g1 += _outer_sum(prob.Bl[i0:i1], brt, t1, t2)
-        np.multiply(diag_a[i0:i1], panel, out=t1)
-        t1 += np.multiply(panel, diag_d, out=t2)
-        g1 -= t1
-        yield np.abs(g1, out=g1), t1
+        panel, p, t = H[i0:i1], acc[:h], tmp[:h]
+        np.matmul(p_left[i0:i1], p_right, out=p)
+        # rows of N_A H: band o pairs row i with row i + o of H
+        for off, vals in a_bands:
+            r0, r1 = max(i0, -off), min(i1, m - off)
+            if r0 < r1:
+                lo, rows = min(off, 0), slice(r0 - i0, r1 - i0)
+                p[rows] += np.multiply(
+                    vals[r0 + lo : r1 + lo, None], H[r0 + off : r1 + off], out=t[rows]
+                )
+        if a_nmat is not None:
+            p += np.matmul(a_nmat[i0:i1], H, out=t)
+        # H_p N_D: band o pairs column j with column j - o of H_p
+        for off, vals in d_bands:
+            c0, c1 = max(0, off), min(n, n + off)
+            p[:, c0:c1] += np.multiply(panel[:, c0 - off : c1 - off], vals, out=t[:, c0:c1])
+        if d_nmat is not None:
+            p += np.matmul(panel, d_nmat, out=t)
+        if a_pos is not None or d_pos is not None:
+            np.add(0.0 if a_pos is None else a_pos[i0:i1], 0.0 if d_pos is None else d_pos, out=t)
+            p += np.multiply(t, panel, out=t)
+        np.add(a[i0:i1], d, out=t)
+        np.multiply(t, panel, out=t)
+        if q_outer is not None:
+            t += np.matmul(q_outer[0][i0:i1], q_outer[1], out=spare[:h])
+        p -= t
+        if apart:
+            np.add(diag_a[i0:i1], diag_d, out=t)
+            np.multiply(t, panel, out=t)
+        yield np.abs(p, out=p), t
 
 
 def normalized_residual(prob: MareProblem, H: np.ndarray) -> float:
@@ -1023,9 +1055,11 @@ def _erres_gate(prob: MareProblem):
     rhs = np.column_stack([u, *D.offdiag_parts(u), D.diagonal() * u, prob.Cl])
     bu = prob.coupling_products()[1]
     diag_a = A.diagonal()
-    k_hch = 2 * prob.m + prob.n + 2 * prob.q + 10
-    k_a, k_d = 2 * A.offdiag_row_terms() + 10, 2 * D.offdiag_row_terms() + 10
-    gamma_b = _gamma(prob.n + 2 * prob.p + 10)
+    tail = _residual_tail(prob)
+    k_hch = 2 * prob.m + prob.n + prob.q + tail + 10
+    k_a = 2 * A.offdiag_row_terms() + tail + 10
+    k_d = 2 * D.offdiag_row_terms() + tail + 10
+    gamma_b = _gamma(prob.n + prob.p + tail + 10)
 
     def bound(it) -> tuple[np.ndarray, np.ndarray]:
         y, k_h = it.apply_h(rhs)
@@ -1060,10 +1094,15 @@ def _stopping_rule(prob: MareProblem, criteria: StopCriteria, x_true: np.ndarray
     criterion is called by its module name, so a rebinding sees each call.
     """
     kind, tol = criteria.criterion, criteria.tolerance
-    if kind == "ererr" and x_true is None:
-        raise ValueError("criterion 'ererr' needs the true solution")
+    if kind == "ererr":
+        if x_true is None:
+            raise ValueError("criterion 'ererr' needs the true solution")
+        if np.shape(x_true) != (prob.m, prob.n):
+            raise ValueError(
+                f"the true solution must have shape {(prob.m, prob.n)}, got {np.shape(x_true)}"
+            )
     gate = _erres_gate(prob) if kind == "erres" else None
-    panelled = prob.m > _panel_rows(prob.n)
+    panelled = len(_panel_edges(prob.m, prob.n)) > 2
     h_prev = None
 
     def measure(it) -> tuple[float, bool]:

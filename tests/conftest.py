@@ -46,38 +46,56 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def dense_erres(prob, H):
     """The entrywise relative residual over the whole m x n matrix at once.
 
-    The unpanelled form of ``solver.erres``, built from public methods
-    and the same three platform products that it forms once per call:
-    H [Cl, P_D], Cr^T H and R_A^T H.  Their summation order is the BLAS
-    build's, so a bitwise reference must take them from the very same
-    products; every other product is the ordered ``matmul``.  N_A H and
-    H N_D follow :meth:`~dadda.linalg.StructuredSquare.offdiag_parts`,
-    with a low-rank block's P R^T product taken from these reductions.
+    The unpanelled form of ``solver.erres``: |P - Q| over G2 = H o
+    (diag(A) (+) diag(D)).  P adds every nonnegative term of the residual:
+    the outer-product terms [H Cl, Bl, P_A, H P_D] @ [Cr^T H; Br^T;
+    R_A^T H; R_D^T] as one product (a sign -1 low-rank block's P R^T x),
+    then N_A H and H N_D one off-diagonal band at a time in ascending
+    offset, or a dense-kind block's product, then a sign +1 block's row
+    dots times H.  Q = H o (a (+) d) holds the diagonals plus a sign -1
+    block's row dots, and a sign +1 block's product.  The reductions H
+    [Cl, P_D] and [Cr, R_A]^T H and the outer-product terms are the very
+    BLAS products that ``erres`` forms, whose summation order is the BLAS
+    build's; every other term comes from the public ``offdiag_abs_apply``
+    of the block or of one band of it.
     """
     A, D = prob.A, prob.D
     q = prob.Cl.shape[1]
-    f = prob.Cl
-    if D.kind == "diag_plus_lowrank":
-        f = np.concatenate([prob.Cl, D.p], axis=1)
-    hf = H @ f
-    group1 = matmul(hf[:, :q], prob.Cr.T @ H)
-    if A.kind == "diag_plus_lowrank":
-        group1 += _lowrank_offdiag(A, matmul(A.p, A.r.T @ H), H * A.lowrank_rowdot()[:, None])
-    else:
-        group1 += A.offdiag_abs_apply(H, side="left")
-    if D.kind == "diag_plus_lowrank":
-        group1 += _lowrank_offdiag(D, matmul(hf[:, q:], D.r.T), H * D.lowrank_rowdot())
-    else:
-        group1 += D.offdiag_abs_apply(H, side="right")
-    group1 += matmul(prob.Bl, prob.Br.T)
-    group2 = A.diagonal()[:, None] * H + H * D.diagonal()[None, :]
-    return _panel_ratio_max([(np.abs(group1 - group2), group2)])
-
-
-def _lowrank_offdiag(block, prt, dots):
-    """N = diag(M) - M of a low-rank block applied as -sign (P R^T x - rowdots x),
-    from the two sums ``prt`` and ``dots`` that ``offdiag_parts`` subtracts."""
-    return prt - dots if block.sign == -1 else dots - prt
+    low_a, low_d = A.kind == "diag_plus_lowrank", D.kind == "diag_plus_lowrank"
+    hf = H @ (np.concatenate([prob.Cl, D.p], axis=1) if low_d else prob.Cl)
+    rth = (np.concatenate([prob.Cr, A.r], axis=1) if low_a else prob.Cr).T @ H
+    left, right = [[hf[:, :q], prob.Bl], []], [[rth[:q], prob.Br.T], []]
+    diag_a, diag_d = A.diagonal()[:, None], D.diagonal()
+    a, d, a_pos, d_pos = diag_a, diag_d, 0.0, 0.0
+    if low_a:
+        left[A.sign == 1].append(A.p)
+        right[A.sign == 1].append(rth[q:])
+        dots = A.lowrank_rowdot()[:, None]
+        a, a_pos = (diag_a + dots, 0.0) if A.sign == -1 else (diag_a, dots)
+    if low_d:
+        left[D.sign == 1].append(hf[:, q:])
+        right[D.sign == 1].append(D.r.T)
+        dots = D.lowrank_rowdot()
+        d, d_pos = (diag_d + dots, 0.0) if D.sign == -1 else (diag_d, dots)
+    plus_dots = (low_a and A.sign == 1) or (low_d and D.sign == 1)
+    pos = np.concatenate(left[0], axis=1) @ np.concatenate(right[0], axis=0)
+    for block, side in ((A, "left"), (D, "right")):
+        if block.kind == "banded":
+            for off in sorted(o for o in block.bands if o != 0):
+                lower, upper = max(-off, 0), max(off, 0)
+                one = StructuredSquare.banded(
+                    block.n, lower, upper, {0: np.zeros(block.n), off: block.bands[off]}
+                )
+                pos += one.offdiag_abs_apply(H, side=side)
+        elif block.kind == "dense":
+            pos += block.offdiag_abs_apply(H, side=side)
+    if plus_dots:
+        pos += (a_pos + d_pos) * H
+    neg = (a + d) * H
+    if left[1]:
+        neg += np.concatenate(left[1], axis=1) @ np.concatenate(right[1], axis=0)
+    group2 = (diag_a + diag_d) * H
+    return _panel_ratio_max([(np.abs(pos - neg), group2)])
 
 
 def where_ratio_max(num, den):

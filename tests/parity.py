@@ -16,14 +16,17 @@ the solves are bitwise equal.  Record seconds are left out.
 values for the scalar fields that a moved stopping step changes
 (termination, iterations, ``switched_at``, ``erres_final``, ``ererr``)
 and for ``frob_h``, whose relative change it adds, and exits 1 if any
-field differs, 0 if the whole set is bitwise equal.  Its last two lines
+field differs, 0 if the whole set is bitwise equal.  Its summary lines
 count the solves whose termination, iterations or ``switched_at`` moved,
 and the solves that differ only in ``frob_h`` and in records that are a
 lower bound on either side (their flag and value): a change at rounding
 level alters every hash, one to the report's norm or to how far erres
 reads past the tolerance alters neither the iterates nor a full
 evaluation, and these counts are what separate them from a change that
-alters the iteration.
+alters the iteration.  The last three lines say whether every H and G
+hash matched, and give the largest relative change of ``erres_final`` and
+of a record value that is a full evaluation on both sides: a criterion
+that moves at rounding level reads as one number there.
 
 The parity set: every ``perfbench`` instance at seeds 1 and 3, each under
 its own stopping rule, and ``random_mare`` (``tests/conftest.py``) of each
@@ -33,10 +36,10 @@ step ungated, each solved by ``solve`` and by the dense reference
 gate applies to, and one solve that the kernel row cap stops.  So the
 set runs all three iterates (dADDA, triplet ADDA after a hand-off, dense
 ADDA) and every termination.  BLAS runs on one thread, as in the
-benchmark: every product of the iteration, ``erres``'s three reductions
-over a long side of H and its in-panel products with a dense-kind A or D
-use BLAS, whose rounding depends on the thread count, so every iterate and
-``erres`` value, and with them a stopping step, do too.
+benchmark: every product of the iteration, ``erres``'s two reductions
+over a long side of H and its in-panel products use BLAS, whose rounding
+depends on the thread count, so every iterate and ``erres`` value, and
+with them a stopping step, do too.
 
 Named ``parity.py`` so that pytest does not collect it.
 """
@@ -188,12 +191,38 @@ def compare(before: str, after: str) -> int:
         for label in a.keys() & b.keys()
     )
     benign = sum(_bounds_and_norm_only(a[label], b[label]) for label in a.keys() & b.keys())
+    both = [(a[label], b[label]) for label in sorted(a.keys() & b.keys())]
+    hashes = all(old[key] == new[key] for old, new in both for key in ("H", "G"))
+    finals = [(old["erres_final"], new["erres_final"]) for old, new in both]
+    full = [
+        (r[3], s[3])
+        for old, new in both
+        for r, s in zip(old["records"], new["records"])
+        if r[:2] == s[:2] and not (r[2] or s[2])
+    ]
     for line in sorted(diffs):
         print(line)
-    print(f"{len(a.keys() & b.keys())} solves compared, {len(diffs)} differences")
+    print(f"{len(both)} solves compared, {len(diffs)} differences")
     print(f"{moved} solves moved their termination, iterations or switched_at")
     print(f"{benign} solves differ only in frob_h and in lower-bound records")
+    print(f"H and G hashes {'all match' if hashes else 'differ'}")
+    print(f"largest relative change of erres_final: {_largest_change(finals)}")
+    print(f"largest relative change of a full record value: {_largest_change(full)}")
     return 1 if diffs else 0
+
+
+def _largest_change(pairs) -> str:
+    """The largest |new - old| / |old| over pairs of hex floats, with its pair."""
+    worst, shown = -1.0, "none"
+    for old, new in pairs:
+        x, y = float.fromhex(old), float.fromhex(new)
+        if x == y or (x != x and y != y):
+            change = 0.0
+        else:
+            change = abs(y - x) / abs(x) if x else float("inf")
+        if change > worst:
+            worst, shown = change, f"{change:.2g} ({x:.3g} -> {y:.3g})"
+    return "0, all bitwise equal" if worst == 0.0 else shown
 
 
 def main(argv) -> int:

@@ -452,7 +452,7 @@ def _problem(rng, A, D, q=2, p=1):
 
 
 class TestErresPanels:
-    @pytest.mark.parametrize("m, n", [(21, 4096), (300, 256)])
+    @pytest.mark.parametrize("m, n", [(21, 4096), (300, 256), (33, 1000)])
     def test_bitwise_equal_to_the_whole_matrix(self, m, n):
         # several panels and a short last one, for every kind of A and D;
         # scaling one edge row of H down puts the maximum in that row
@@ -734,9 +734,13 @@ class TestSolveLoop:
         monkeypatch.setattr(solver, "initialize", set_up)
         monkeypatch.setattr(oracle, "initial_quadruple", set_up)
         prob = random_mare(69)
+        criteria = StopCriteria(criterion="ererr", tolerance=1e-10)
         for run in (solve, solver.solve_dense):
             with pytest.raises(ValueError, match="true solution"):
-                run(prob, criteria=StopCriteria(criterion="ererr", tolerance=1e-10))
+                run(prob, criteria=criteria)
+            # a reference of the wrong shape raises as early
+            with pytest.raises(ValueError, match="true solution must have shape"):
+                run(prob, criteria=criteria, x_true=np.ones((prob.m - 1, prob.n)))
 
     def test_ererr_criterion_with_reference(self):
         prob, x_true = gen_fluid(3, 4)
