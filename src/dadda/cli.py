@@ -251,9 +251,11 @@ def _verify_transport(n, seeds, failures):
 def _verify_gth(seed, failures):
     rng = np.random.Generator(np.random.Philox(seed))
     # 20 small orders, each one panel, then two orders that run several
-    # panels (one of them with a ragged last panel)
+    # panels (one of them with a ragged last panel), then the kernel
+    # orders of the transport workload's ADDA steps and its largest
+    # one-panel dADDA kernel
     small = (int(rng.integers(2, 9)) for _ in range(20))
-    for trial, k in enumerate(itertools.chain(small, (230, 837))):
+    for trial, k in enumerate(itertools.chain(small, (230, 837, 20, 100, 128))):
         N = rng.uniform(size=(k, k))
         np.fill_diagonal(N, 0.0)
         u = rng.uniform(0.5, 1.5, size=k)

@@ -8,10 +8,12 @@ subtractive cancellation can occur:
 
 - the pivot at step k is (v_k + sum_{j>k} (-U_kj) u_j) / u_k with all
   terms nonnegative (U stays nonpositive off the diagonal);
-- the Schur update subtracts products of two nonpositive numbers from
-  nonpositive entries, which preserves their sign exactly in floating
-  point;
-- the running v picks up v_k * (-L_{ik}) >= 0.
+- every entry of U and L is an original nonpositive entry minus a sum of
+  products of two nonpositive factors, which preserves its sign exactly
+  in floating point, whether the products are subtracted one pivot at a
+  time (the textbook Schur update) or summed first (the left-looking
+  form of :func:`gth_factorize`);
+- the running v_k is v_k plus the nonnegative terms v_j * (-L_kj), j < k.
 
 As a consequence high relative componentwise accuracy is preserved even
 for nearly singular M, and solves with nonnegative right-hand sides return
@@ -21,11 +23,13 @@ forward pass runs on U^T and the backward pass on L^T with the identical
 sign argument.
 
 None of this depends on the order in which the nonnegative terms are
-summed, so the substitutions run as LAPACK triangular solves, a dense
-elimination as a BLAS-3 panel code (``trsm``, ``gemm``) and the products
-of the Sherman-Morrison-Woodbury path below as BLAS products, changing
-results at rounding level only.  The sign invariants are explicit checks
-raising NotMMatrixError.
+summed (Alfa, Xue and Ye, Math. Comp. 2002), so the substitutions run as
+LAPACK triangular solves, a dense elimination as a BLAS-3 panel code
+(``trsm``, ``gemm``) whose pivots are eliminated left-looking, two
+matrix-vector products each, and the products of the
+Sherman-Morrison-Woodbury path below as BLAS products, changing results
+at rounding level only.  The sign invariants are explicit checks raising
+NotMMatrixError.
 
 There is one elimination entry per storage: :func:`gth_factorize` for a
 dense :class:`TripletRepresentation`, and :class:`DenseGthSolver` on a
@@ -335,9 +339,26 @@ def gth_factorize(t: TripletRepresentation) -> GthFactorization:
     Pivots come in panels of _PANEL, and only the panel's diagonal block is
     eliminated pivot by pivot.  Pivot k still comes from the triplet
     formula; the part of row k beyond the panel enters it as the carried
-    row mass s_k = (-U[k, pe:]) u[pe:], which eliminating an earlier panel
-    pivot j updates by s_k += (-L_kj) s_j rather than by rewriting the
-    row.  At panel end
+    row mass s_k = (-U[k, pe:]) u[pe:], which an earlier panel pivot j
+    updates by s_k += (-L_kj) s_j rather than by rewriting the row.
+
+    The panel is eliminated left-looking (Crout) on one array
+    P = [D | -s | -v[panel]], the diagonal block followed by two carried
+    columns.  At pivot k, with P's rows above k already rows of U and
+    its columns left of k already columns of L,
+
+        P[k, k+1:] -= P[k, :k] @ P[:k, k+1:]          (row k of U)
+        pivot = -(P[k, k+1:] @ [u, 1, 1][k+1:]) / u_k
+        P[k+1:, k] = (P[k+1:, k] - P[k+1:, :k] @ P[:k, k]) / pivot
+
+    where row k's update brings its carried columns to -s_k and -v_k, the
+    values pivot k needs, so the pivot sums the nonnegative terms
+    (-U_kj) u_j, s_k and v_k.  Each entry of U and L is its original
+    nonpositive entry minus one sum of products of two nonpositive
+    factors (a row of L times a column of U), so it keeps its sign
+    exactly, in whatever order BLAS sums; a pivot costs two
+    matrix-vector products and a dot product, with no order^2 temporary.
+    At panel end
 
         L21 = A21 U11^{-1},  U12 = L11^{-1} A12      (two trsm)
         v[pe:] += (-L21) v[panel],  A22 -= L21 U12   (gemv, gemm)
@@ -350,7 +371,8 @@ def gth_factorize(t: TripletRepresentation) -> GthFactorization:
     guarantees hold exactly.  Diagonal entries of the unreduced part are
     implied by (u, v), so they are never read, only overwritten by their
     pivots.  L's columns overwrite the eliminated entries below the
-    diagonal, so both factors take the one array F.
+    diagonal, so both factors take the one array F.  The panel's sign
+    checks read P, so the U11 check covers both carried columns.
     """
     n = t.n
     F = -t.N
@@ -358,25 +380,30 @@ def gth_factorize(t: TripletRepresentation) -> GthFactorization:
     v = t.v.copy()
     for p0 in range(0, n, _PANEL):
         pe = min(n, p0 + _PANEL)
-        s = -(F[p0:pe, pe:] @ u[pe:])
-        _check_sign(np.all(s >= 0.0), "carried row mass")
-        D = F[p0:pe, p0:pe]
-        for k in range(pe - p0):
-            g = p0 + k
-            row = D[k, k + 1 :]
-            pivot = (v[g] + s[k] - row @ u[g + 1 : pe]) / u[g]
-            if not (pivot > 0.0 and np.isfinite(pivot)):
+        b = pe - p0
+        P = np.empty((b, b + 2))
+        P[:, :b] = F[p0:pe, p0:pe]
+        P[:, b] = F[p0:pe, pe:] @ u[pe:]
+        P[:, b + 1] = -v[p0:pe]
+        _check_sign(np.all(P[:, b] <= 0.0), "carried row mass")
+        weights = np.concatenate([u[p0:pe], [1.0, 1.0]])
+        for k in range(b):
+            row = P[k, k + 1 :]
+            row -= P[k, :k] @ P[:k, k + 1 :]
+            pivot = -float(row @ weights[k + 1 :]) / weights[k]
+            if not 0.0 < pivot < np.inf:
                 raise NotMMatrixError(
-                    f"not a nonsingular M-matrix (pivot {g} non-positive)"
+                    f"not a nonsingular M-matrix (pivot {p0 + k} non-positive)"
                 )
-            D[k, k] = pivot
-            col = np.divide(D[k + 1 :, k], pivot, out=D[k + 1 :, k])
-            D[k + 1 :, k + 1 :] -= col[:, None] * row
-            s[k + 1 :] -= col * s[k]
-            v[g + 1 : pe] -= col * v[g]
-        _check_sign(np.all(np.tril(D, -1) <= 0.0), "L11")
-        _check_sign(np.all(np.triu(D, 1) <= 0.0), "U11")
-        _check_sign(np.all(v[p0:pe] >= 0.0), "running v")
+            P[k, k] = pivot
+            col = P[k + 1 :, k]
+            col -= P[k + 1 :, :k] @ P[:k, k]
+            col /= pivot
+        _check_sign(np.all(np.tril(P, -1) <= 0.0), "L11")
+        _check_sign(np.all(np.triu(P, 1) <= 0.0), "U11 or a carried column")
+        D = F[p0:pe, p0:pe]
+        D[...] = P[:, :b]
+        v[p0:pe] = -P[:, b + 1]
         if pe == n:
             break
         L21 = _trsolve(D, F[pe:, p0:pe].T, lower=False, transpose=True).T

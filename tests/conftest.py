@@ -173,7 +173,9 @@ def sequential_gth(N, u, v):
     Pivot k is (v_k + sum_{j>k} (-U_kj) u_j) / u_k, the Schur update
     subtracts a product of two nonpositive numbers, and the running v
     gains v_k (-L_ik); the unreduced diagonal is implied by (u, v) and
-    never read.  The reference for the panel code of dadda.gth.
+    never read.  The reference for the panel code of dadda.gth, whose
+    left-looking pivot loop sums the same products per entry before
+    subtracting them.
     """
     order = len(u)
     U = -np.array(N, dtype=np.float64)

@@ -213,6 +213,28 @@ class TestFactorization:
             assert np.abs(xbt - xst).max() <= 1e-13 * np.abs(xst).max()
             assert np.all(xbt >= 0.0)
 
+    def test_panel_seams_match_sequential(self):
+        # just below, at and past a panel boundary, and past the second,
+        # with tiny v, so the last pivots are about 1e-10 of the largest;
+        # then, on one panel, the solve entry by entry against the exact
+        # rational one
+        for n, seed in ((_PANEL - 1, 72), (_PANEL, 73), (_PANEL + 1, 74), (2 * _PANEL + 1, 75)):
+            N, u, v = random_triplet(_rng(seed), n, v_scale=1e-12)
+            f = gth_factorize(TripletRepresentation.from_parts(N, u, v))
+            L, U = sequential_gth(N, u, v)
+            _sign_ok(f)
+            assert np.array_equal(np.sign(f.U), np.sign(U)), n
+            assert np.array_equal(np.sign(f.L), np.sign(L)), n
+            assert np.abs(f.U - U).max() <= 1e-13 * np.abs(U).max(), n
+            assert np.abs(f.L - L).max() <= 1e-13, n
+        for n, seed in ((24, 70), (32, 71)):
+            rng = _rng(seed)
+            N, u, v = random_triplet(rng, n, v_scale=1e-10)
+            b = rng.uniform(size=n)
+            x = gth_factorize(TripletRepresentation.from_parts(N, u, v)).solve(b)
+            ref = fraction_solve(N, u, v, b)
+            assert np.all(np.abs(x - ref) <= 1e-13 * ref), n
+
     def test_narrow_band_is_sequential_bitwise(self):
         # with uw <= 1 every pivot sums at most one product, so the band
         # elimination adds the very terms of the textbook pivot loop of
@@ -264,6 +286,31 @@ raise SystemExit("factorization returned despite a positive off-diagonal entry")
 """
             proc = _run_optimized(code)
             assert proc.returncode == 0, (n, width, proc.stderr)
+
+    def test_nan_raises_under_optimize(self):
+        # a NaN planted in N after validation must stop the elimination
+        # under python -O: on one panel below and above the diagonal, and
+        # on three panels where it reaches L21, the carried row mass and
+        # the trailing block before any pivot of its own row
+        code = """
+import numpy as np
+from dadda.gth import NotMMatrixError, TripletRepresentation, gth_factorize
+rng = np.random.Generator(np.random.Philox(33))
+for n, spots in ((5, ((4, 0), (0, 4))), (300, ((299, 0), (0, 299), (200, 250)))):
+    N = rng.uniform(size=(n, n))
+    np.fill_diagonal(N, 0.0)
+    u, v = rng.uniform(0.5, 1.5, size=n), rng.uniform(0.1, 1.0, size=n)
+    for i, j in spots:
+        t = TripletRepresentation.from_parts(N.copy(), u, v)
+        t.N[i, j] = np.nan
+        try:
+            gth_factorize(t)
+        except NotMMatrixError:
+            continue
+        raise SystemExit(f"factorization returned despite a NaN at ({i}, {j}), n = {n}")
+"""
+        proc = _run_optimized(code)
+        assert proc.returncode == 0, proc.stderr
 
     def test_band_sign_violation_raises_under_optimize(self):
         # a band triplet changed after validation: a positive entry of M
