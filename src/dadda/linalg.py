@@ -241,20 +241,14 @@ def _column_form(x, n: int) -> tuple[np.ndarray, bool]:
     return x, squeeze
 
 
-def _band_apply(
-    bands: Dict[int, np.ndarray], x: np.ndarray, transpose: bool, out: np.ndarray | None = None
-) -> np.ndarray:
+def _band_apply(bands: Dict[int, np.ndarray], x: np.ndarray, transpose: bool) -> np.ndarray:
     """Banded matrix (diagonals by offset) times an (n, cols) array.
 
     Offsets are added in ascending order; ``transpose`` applies the
     transposed matrix, whose offset o diagonal is the stored offset -o.
-    The product overwrites ``out`` when one is given.
     """
     n = x.shape[0]
-    if out is None:
-        out = np.zeros_like(x)
-    else:
-        out.fill(0.0)
+    out = np.zeros_like(x)
     for off in sorted(bands):
         vals = bands[off]
         o = -off if transpose else off
@@ -529,15 +523,6 @@ class StructuredSquare:
             if self.sign == 1:
                 pos, neg = neg, pos
         return (pos[:, 0], neg[:, 0]) if squeeze else (pos, neg)
-
-    def offdiag_row_terms(self) -> int:
-        """The most terms one entry of N x sums: order, band count, or order
-        plus rank."""
-        if self.kind == "banded":
-            return len(self.bands)
-        if self.kind == "diag_plus_lowrank":
-            return self.n + self.p.shape[1]
-        return self.n
 
     def offdiag_abs_apply(
         self, x: np.ndarray, side: str = "left"

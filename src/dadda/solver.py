@@ -234,11 +234,10 @@ With K_H the roundings a term of H rhs takes beyond those of the
 materialized H (n + 2r + 2 from the factors of kernel order r: Ucheck
 (gamma X) takes r + 1, gamma Ucheck (X rhs) n + r + 1, and Lemma 3.3 adds
 them; n for a dense H @ rhs), w_M the terms of one entry of N_M x
-(``offdiag_row_terms``: order, band count, or order plus rank) and t the
-roundings that erres's P adds to a term after its own reductions (the
-one outer-product sum of q + p + rank terms, then one addition per
-off-diagonal band, dense-kind block and sign +1 row dots:
-:func:`_residual_tail`), the counts are
+and t = q + p + t_A + t_D the roundings that erres's P adds to a term
+after its own reductions (the one outer-product sum, then the additions
+into P; :func:`_residual_share` gives each block's w_M and t_M with its
+sides of the grouping), the counts are
 
     K_HCH = 2m + n + q + t + 2 K_H + 10,   K_A = 2 w_A + t + K_H + 10,
     K_D = 2 w_D + t + K_H + 10,   K_B = n + p + t + 10,   K_G = K_H + 14,
@@ -715,32 +714,25 @@ def erres(prob: MareProblem, H: np.ndarray, *, above: float = np.inf) -> float:
     return _panel_ratio_max(_residual_panels(prob, H), above=above)
 
 
-def _row_dot_sides(block, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(Q's vector, P's vector or None) of one block for :func:`erres`.
+def _residual_share(block, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, int, int]:
+    """One block's share of :func:`erres`'s grouping: (Q's vector, P's row
+    dots or None, w, t).
 
-    Q's is ``diag`` plus a sign -1 low-rank block's row dots (its neg of
-    ``offdiag_parts``); a sign +1 block's row dots are its pos, and go to P.
+    Q's vector is ``diag`` plus a sign -1 low-rank block's row dots (its neg
+    of ``offdiag_parts``); a sign +1 block's row dots are its pos, and go to
+    P.  For the gate's counts, w is the most terms one entry of N x sums
+    (band count, order, or order plus rank) and t what the block adds to P's
+    roundings: its rank in the one outer-product sum, then one addition per
+    off-diagonal band, dense product or sign +1 row dots.
     """
-    if block.kind != "diag_plus_lowrank":
-        return diag, None
-    dots = block.lowrank_rowdot().reshape(diag.shape)
-    return (diag + dots, None) if block.sign == -1 else (diag, dots)
-
-
-def _residual_tail(prob: MareProblem) -> int:
-    """t of the erres gate's counts: the terms of the one outer-product sum
-    of :func:`_residual_panels` (q + p and each low-rank block's rank),
-    plus the additions into P after it (one per off-diagonal band, one per
-    dense-kind block, one for a sign +1 low-rank block's row dots)."""
-    tail = prob.q + prob.p
-    for block in (prob.A, prob.D):
-        if block.kind == "banded":
-            tail += len(block.bands) - 1
-        elif block.kind == "dense":
-            tail += 1
-        else:
-            tail += block.p.shape[1] + (block.sign == 1)
-    return tail
+    if block.kind == "banded":
+        return diag, None, len(block.bands), len(block.bands) - 1
+    if block.kind == "dense":
+        return diag, None, block.n, 1
+    dots, rank = block.lowrank_rowdot().reshape(diag.shape), block.p.shape[1]
+    if block.sign == -1:
+        return diag + dots, None, block.n + rank, rank
+    return diag, dots, block.n + rank, rank + 1
 
 
 def _residual_panels(prob: MareProblem, H: np.ndarray):
@@ -775,8 +767,8 @@ def _residual_panels(prob: MareProblem, H: np.ndarray):
     a_nmat = np.diag(np.diagonal(A.a)) - A.a if A.kind == "dense" else None
     d_nmat = np.diag(np.diagonal(D.a)) - D.a if D.kind == "dense" else None
     diag_a, diag_d = A.diagonal()[:, None], D.diagonal()
-    a, a_pos = _row_dot_sides(A, diag_a)
-    d, d_pos = _row_dot_sides(D, diag_d)
+    a, a_pos = _residual_share(A, diag_a)[:2]
+    d, d_pos = _residual_share(D, diag_d)[:2]
     # Q is G2 unless it holds row dots or a product
     apart = a is not diag_a or d is not diag_d or q_outer is not None
     edges = _panel_edges(m, n)
@@ -841,9 +833,10 @@ def relative_change(h_new: np.ndarray, h_prev: np.ndarray) -> float:
     Streamed in row panels, bitwise equal to the ratio over the whole
     matrices (see ``linalg._panel_ratio_max``).
     """
+    if h_new.shape != h_prev.shape:
+        raise ValueError("shape mismatch against the previous iterate")
     return _panel_ratio_max(
-        (np.abs(hn - hp), np.abs(hn))
-        for hn, hp in _row_panels(h_new, np.broadcast_to(h_prev, h_new.shape))
+        (np.abs(hn - hp), np.abs(hn)) for hn, hp in _row_panels(h_new, h_prev)
     )
 
 
@@ -1055,10 +1048,12 @@ def _erres_gate(prob: MareProblem):
     rhs = np.column_stack([u, *D.offdiag_parts(u), D.diagonal() * u, prob.Cl])
     bu = prob.coupling_products()[1]
     diag_a = A.diagonal()
-    tail = _residual_tail(prob)
+    *_, w_a, t_a = _residual_share(A, diag_a)
+    *_, w_d, t_d = _residual_share(D, D.diagonal())
+    tail = prob.q + prob.p + t_a + t_d
     k_hch = 2 * prob.m + prob.n + prob.q + tail + 10
-    k_a = 2 * A.offdiag_row_terms() + tail + 10
-    k_d = 2 * D.offdiag_row_terms() + tail + 10
+    k_a = 2 * w_a + tail + 10
+    k_d = 2 * w_d + tail + 10
     gamma_b = _gamma(prob.n + prob.p + tail + 10)
 
     def bound(it) -> tuple[np.ndarray, np.ndarray]:
@@ -1134,22 +1129,26 @@ def _stopping_rule(prob: MareProblem, criteria: StopCriteria, x_true: np.ndarray
 
 
 def _stopping_loop(
-    prob: MareProblem, it: DaddaState | _Quadruple, shifts: ShiftPair,
-    criteria: StopCriteria, rule, t0: float, compute_dual: bool = False,
+    prob: MareProblem, start, shifts: ShiftPair | None, criteria: StopCriteria,
+    x_true: np.ndarray | None, compute_dual: bool = False,
 ) -> SolveReport:
-    """Measure ``it`` by ``rule`` and step it until the rule stops.
+    """Build :func:`_stopping_rule`, the shifts (``make_shifts`` by default)
+    and the iterate ``start(prob, shifts)``, then step it until the rule stops.
 
-    ``it`` is any iterate of one protocol: ``k``, ``kernel_order``, ``H``,
-    ``step()``, ``apply_h(rhs)``, ``rank()``, ``dual()``, ``switched_at``
-    and ``successor(cap)``.  The iterate decides its successor: None ends
-    the solve at the kernel row cap, and a DaddaState hands off to a
+    ``start`` is :func:`initialize` or :class:`_DenseAdda`, and the iterate
+    any of one protocol: ``k``, ``kernel_order``, ``H``, ``step()``,
+    ``apply_h(rhs)``, ``rank()``, ``dual()``, ``switched_at`` and
+    ``successor(cap)``.  The iterate decides its successor: None ends the
+    solve at the kernel row cap, and a DaddaState hands off to a
     :class:`_TripletAdda` once its next kernel would outgrow m + n.  The
-    loop then drops the DaddaState, so its factor blocks are freed.
-    ``rule`` is :func:`_stopping_rule`'s pair, and the report's seconds
-    count from ``t0``; its ``erres_final`` is always a full evaluation on
-    the returned H.
+    loop then drops the DaddaState, so its factor blocks are freed.  The
+    report's seconds count from before the rule is built; its
+    ``erres_final`` is always a full evaluation on the returned H.
     """
-    measure, erres_final = rule
+    t0 = time.perf_counter()
+    measure, erres_final = _stopping_rule(prob, criteria, x_true)
+    shifts = make_shifts(prob) if shifts is None else shifts
+    it = start(prob, shifts)
     records: list[IterationRecord] = []
     t_mark = t0
     while True:
@@ -1212,13 +1211,8 @@ def solve(
     criteria = StopCriteria() if criteria is None else criteria
     if criteria.kernel_row_cap < max(prob.p, prob.q):
         raise ValueError("kernel_row_cap must be at least max(p, q)")
-    t0 = time.perf_counter()
-    rule = _stopping_rule(prob, criteria, x_true)
-    shifts = make_shifts(prob) if shifts is None else shifts
-    # no reference kept here: the loop frees the DaddaState at a hand-off
-    return _stopping_loop(
-        prob, initialize(prob, shifts), shifts, criteria, rule, t0, compute_dual
-    )
+    # initialize by its module name, so a rebinding sees the call
+    return _stopping_loop(prob, initialize, shifts, criteria, x_true, compute_dual)
 
 
 def solve_dense(
@@ -1233,7 +1227,4 @@ def solve_dense(
     has no kernel orders and no dual iterate.
     """
     criteria = StopCriteria() if criteria is None else criteria
-    t0 = time.perf_counter()
-    rule = _stopping_rule(prob, criteria, x_true)
-    shifts = make_shifts(prob) if shifts is None else shifts
-    return _stopping_loop(prob, _DenseAdda(prob, shifts), shifts, criteria, rule, t0)
+    return _stopping_loop(prob, _DenseAdda, shifts, criteria, x_true)

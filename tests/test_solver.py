@@ -403,6 +403,11 @@ class TestResiduals:
         assert relative_change(b, a) == pytest.approx(0.1 / 1.1, rel=1e-12)
         assert relative_change(a, a) == 0.0
 
+    def test_relative_change_rejects_a_wrong_shape(self):
+        # broadcasting the row would read 0.0
+        with pytest.raises(ValueError, match="shape"):
+            relative_change(np.ones((3, 2)), np.ones(2))
+
     def test_ererr_zero_entry_rule(self):
         x_true = np.array([[1.0, 0.0]])
         assert ererr(np.array([[1.0, 0.0]]), x_true) == 0.0
@@ -796,10 +801,21 @@ def _tridiagonal_mare(order, seed):
     )
 
 
+def _fluid_sign_plus_one(m, n):
+    """gen_fluid(m, n) with A = n I stored as diag(d) + e0 e0^T, sign +1."""
+    prob = gen_fluid(m, n)[0]
+    d, e0 = np.full(m, float(n)), np.eye(m)[:, :1]
+    d[0] -= 1.0
+    low = StructuredSquare.diag_plus_lowrank(d, e0, e0, sign=1)
+    return dataclasses.replace(prob, A=low)
+
+
 # every input but the last has more than one slab (2^15) of entries
 GATE_CASES = {
     "fluid 400x100": lambda: (gen_fluid(400, 100)[0], StopCriteria()),
     "fluid 100x400": lambda: (gen_fluid(100, 400)[0], StopCriteria()),
+    # the twin of test_sign_plus_one_diagonal_block: its row dots go to P
+    "fluid 400x100, sign +1 A": lambda: (_fluid_sign_plus_one(400, 100), StopCriteria()),
     # stops at k = 3 at computed erres 9.1e-16, where ascending reductions
     # over its 1000 columns read 1.55e-14
     "fluid 33x1000": lambda: (gen_fluid(33, 1000)[0], StopCriteria()),
