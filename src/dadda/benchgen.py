@@ -49,7 +49,11 @@ _REDRAW_LIMIT = 8
 
 
 def gen_fluid(m: int, n: int) -> tuple[MareProblem, np.ndarray]:
-    """Fluid-flow instance and its exact minimal solution ones/max(m, n)."""
+    """Fluid-flow instance and its exact minimal solution ones/max(m, n).
+
+    The solution is one scalar, returned as a read-only broadcast view of
+    shape (m, n), so a caller that drops it pays for no m x n array.
+    """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
     A = StructuredSquare.banded(m, 0, 0, {0: float(n) * np.ones(m)})
@@ -71,8 +75,7 @@ def gen_fluid(m: int, n: int) -> tuple[MareProblem, np.ndarray]:
         v1=np.zeros(n),
         v2=np.zeros(m),
     )
-    x_true = np.full((m, n), 1.0 / max(m, n))
-    return prob, x_true
+    return prob, np.broadcast_to(1.0 / max(m, n), (m, n))
 
 
 def _normalize_exact(raw: np.ndarray) -> np.ndarray:

@@ -154,10 +154,20 @@ one subtraction, in the grouping of the gate below.  All the
 outer-product terms of P are one BLAS product per panel,
 [H Cl, Bl, P_A, H P_D]_p @ [Cr^T H; Br^T; R_A^T H; R_D^T], from the two
 reductions over a long side of H, H [Cl, P_D] and [Cr, R_A]^T H, formed
-once per call.  A band term is multiplied into a reused buffer and added
-to P, and a dense-kind A or D adds one BLAS product of the panel's rows.
+once per call.  Each outer sum, Q's a (+) d, G2's diag(A) (+) diag(D)
+and a sign +1 block's row dots, is one BLAS product with K = 2,
+[a, 1] @ [1; d]: both of its products are exact, so every entry takes
+the one rounding of a_i + d_j in any summation order, with or without
+fused multiply-adds, bitwise the broadcast sum.  A band term of N_A H is
+multiplied into a reused buffer and added to P.  One of H_p N_D is one
+contiguous multiply and add over the flattened panel, against a copy of
+the band laid over the panel's rows, made once per call, with zeros
+where a flat shift wraps into the next row: H is finite and >= 0 there,
+so those positions add +0.0 and change nothing, and every other entry
+takes the same product and addition in the same band order as over the
+columns.  A dense-kind A or D adds one BLAS product of the panel's rows.
 H >= 0 is checked where it is formed and the factors are validated >= 0,
-so each of those sums adds nonnegative terms, in any order: a blocked sum
+so each of those BLAS sums adds nonnegative terms, in any order: a blocked sum
 errs far less than an ascending one, whose error grows with the term
 count (Higham, Sec. 4.2), and over the 7200 columns of fluid 800 x 7200
 ascending sums held erres at 4.2e-14, above its 1e-14 tolerance, where
@@ -696,10 +706,14 @@ def erres(prob: MareProblem, H: np.ndarray, *, above: float = np.inf) -> float:
     BLAS products H [Cl, P_D] and [Cr, R_A]^T H, the two factors of the
     outer-product terms, the negated bands and the row and column vectors
     of Q and G2.  Each panel takes one BLAS product for all its
-    outer-product terms, one per dense-kind A or D, and elementwise work
-    through two reused buffers: each band term is multiplied into one and
-    added to P.  Every entry is formed by the same operations in the same
-    order as over the whole matrix, so the value is bitwise the unpanelled
+    outer-product terms, one per dense-kind A or D, one with K = 2 per
+    outer sum, [a, 1] @ [1; d], whose two products are exact, so each
+    entry is the one rounding of a_i + d_j, and elementwise work through
+    two reused buffers: each band term is multiplied into one and added to
+    P, D's as flat passes over the panel against a zero-padded copy of the
+    band, whose zeros add +0.0 where a shift wraps to the next row.  Every
+    entry is formed by the same operations in the same order as over the
+    whole matrix, so for a finite H the value is bitwise the unpanelled
     evaluation from the same products where BLAS rounds a row panel like
     the rows of the whole product.  The panel ratios combine by
     ``linalg._panel_ratio_max``, and any x/0 decides the value (+inf), as
@@ -739,6 +753,22 @@ def _residual_panels(prob: MareProblem, H: np.ndarray):
     """Yield (|P - Q|, G2) of :func:`erres` panel by panel, top to bottom.
 
     The yielded arrays are the kernel's buffers, overwritten by the next panel.
+    The outer sums are K = 2 products [a, 1] @ [1; d] into the buffer
+    (``_outer_sum_factors``): a_i * 1 and 1 * d_j are exact, so each entry
+    is round(a_i + d_j) in either order, with or without a fused
+    multiply-add, bitwise ``np.add``'s.  Each band o of H_p N_D is one
+    multiply and one add over the flattened panel, entry k against entry
+    k - o, with the band laid over the panel's rows in a copy made once per
+    call (O(bands * panel) floats).  The copy holds zeros at the columns
+    that band o does not reach, where the flat shift wraps to the next
+    row: H is finite and >= 0 there, so the product is +0.0 and P keeps
+    its value, and every other entry takes the product and the addition
+    of the column-shifted form, in the same band order.  A non-finite
+    entry of H makes its own ratio NaN already; the zeros can spread that
+    NaN to a wrap neighbour in its panel, which turns the value to +inf
+    where G2 is zero there, as a band term of that entry can over the
+    columns.  Flattening a panel makes a view where H is C-contiguous and
+    a copy of that one panel where it is not.
     """
     A, D = prob.A, prob.D
     m, n = H.shape
@@ -769,10 +799,24 @@ def _residual_panels(prob: MareProblem, H: np.ndarray):
     diag_a, diag_d = A.diagonal()[:, None], D.diagonal()
     a, a_pos = _residual_share(A, diag_a)[:2]
     d, d_pos = _residual_share(D, diag_d)[:2]
+    q_sum = _outer_sum_factors(a, d)
+    g2_sum = q_sum if a is diag_a and d is diag_d else _outer_sum_factors(diag_a, diag_d)
     # Q is G2 unless it holds row dots or a product
-    apart = a is not diag_a or d is not diag_d or q_outer is not None
+    apart = g2_sum is not q_sum or q_outer is not None
+    pos_sum = None
+    if a_pos is not None or d_pos is not None:
+        pos_sum = _outer_sum_factors(
+            np.zeros((m, 1)) if a_pos is None else a_pos, np.zeros(n) if d_pos is None else d_pos
+        )
     edges = _panel_edges(m, n)
     height = max(i1 - i0 for i0, i1 in zip(edges, edges[1:]))
+    # D's bands over a flattened panel: band o at the columns it reaches,
+    # zero where a flat shift by o wraps to the neighbouring row
+    d_tiles = []
+    for off, vals in d_bands:
+        tile = np.zeros((height, n))
+        tile[:, max(0, off) : n + min(0, off)] = vals
+        d_tiles.append((off, tile.reshape(-1)))
     acc, tmp = np.empty((height, n)), np.empty((height, n))
     spare = None if q_outer is None else np.empty((height, n))
     for i0, i1 in zip(edges, edges[1:]):
@@ -789,24 +833,39 @@ def _residual_panels(prob: MareProblem, H: np.ndarray):
                 )
         if a_nmat is not None:
             p += np.matmul(a_nmat[i0:i1], H, out=t)
-        # H_p N_D: band o pairs column j with column j - o of H_p
-        for off, vals in d_bands:
-            c0, c1 = max(0, off), min(n, n + off)
-            p[:, c0:c1] += np.multiply(panel[:, c0 - off : c1 - off], vals, out=t[:, c0:c1])
+        # H_p N_D: band o pairs flat entry k of the panel with entry k - o
+        if d_tiles:
+            flat, pf, tf = panel.ravel(), p.reshape(-1), t.reshape(-1)
+            for off, tile in d_tiles:
+                k0, k1 = max(0, off), h * n + min(0, off)
+                pf[k0:k1] += np.multiply(flat[k0 - off : k1 - off], tile[k0:k1], out=tf[k0:k1])
         if d_nmat is not None:
             p += np.matmul(panel, d_nmat, out=t)
-        if a_pos is not None or d_pos is not None:
-            np.add(0.0 if a_pos is None else a_pos[i0:i1], 0.0 if d_pos is None else d_pos, out=t)
+        if pos_sum is not None:
+            np.matmul(pos_sum[0][i0:i1], pos_sum[1], out=t)
             p += np.multiply(t, panel, out=t)
-        np.add(a[i0:i1], d, out=t)
+        np.matmul(q_sum[0][i0:i1], q_sum[1], out=t)
         np.multiply(t, panel, out=t)
         if q_outer is not None:
             t += np.matmul(q_outer[0][i0:i1], q_outer[1], out=spare[:h])
         p -= t
         if apart:
-            np.add(diag_a[i0:i1], diag_d, out=t)
+            np.matmul(g2_sum[0][i0:i1], g2_sum[1], out=t)
             np.multiply(t, panel, out=t)
         yield np.abs(p, out=p), t
+
+
+def _outer_sum_factors(col: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[col, 1] and [1; row], whose product is the outer sum col (+) row.
+
+    Each entry of the product is col_i * 1 + 1 * row_j: two exact products,
+    so it takes the one rounding of col_i + row_j in either summation
+    order, with or without a fused multiply-add, bitwise ``np.add``'s.
+    """
+    left, right = np.ones((len(col), 2)), np.ones((2, len(row)))
+    left[:, :1] = col
+    right[1] = row
+    return left, right
 
 
 def normalized_residual(prob: MareProblem, H: np.ndarray) -> float:

@@ -33,6 +33,12 @@ class TestFluid:
         _, x_one = gen_fluid(1, 1)
         assert np.array_equal(x_one, np.ones((1, 1)))
 
+    def test_solution_is_a_read_only_view(self):
+        _, x_true = gen_fluid(7200, 800)
+        assert x_true.shape == (7200, 800) and x_true.dtype == np.float64
+        assert x_true.strides == (0, 0)
+        assert not x_true.flags.writeable
+
     def test_validates(self):
         prob, _ = gen_fluid(5, 4)
         rep = prob.validate()

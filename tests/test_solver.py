@@ -592,6 +592,74 @@ class TestErresPanels:
                 tracemalloc.stop()
             assert peak < bound, (call.__name__, peak)
 
+    def test_one_row_and_two_columns(self):
+        # a one-row H against banded D (1, 2): one panel, a one-row product
+        # and D's flat band passes over a single row; a two-column H against
+        # banded A (2, 1), over two panels
+        rng = np.random.Generator(np.random.Philox(28))
+        for n in (5, 4096):
+            D = _blocks(rng, n, 1, 2)[0]
+            H = rng.uniform(0.5, 1.5, size=(1, n))
+            for A in (
+                StructuredSquare.banded(1, 0, 0, {0: np.array([1.5])}),
+                StructuredSquare.dense(np.array([[1.5]])),
+            ):
+                prob = _problem(rng, A, D)
+                assert erres(prob, H) == dense_erres(prob, H), (A.kind, n)
+        m = linalg._panel_rows(2) + 16
+        A = _blocks(rng, m, 2, 1)[0]
+        H = rng.uniform(0.5, 1.5, size=(m, 2))
+        H[linalg._panel_rows(2)] *= 1e-6
+        for D in _blocks(rng, 2, 1, 1):
+            prob = _problem(rng, A, D)
+            assert erres(prob, H) == dense_erres(prob, H), D.kind
+
+    def test_strided_iterates_make_no_full_copy(self):
+        # a Fortran-ordered H and a transposed view read like their C-ordered
+        # copy, within the memory bound of test_memory_stays_within_panels
+        rng = np.random.Generator(np.random.Philox(29))
+        fluid, _ = gen_fluid(4096, 1024)
+        banded = _problem(rng, _blocks(rng, 2048, 2, 1)[0], _blocks(rng, 1024, 1, 2)[0])
+        for prob, H in (
+            (fluid, _run_state(fluid, make_shifts(fluid), 2).H),
+            (banded, rng.uniform(0.5, 1.5, size=(2048, 1024))),
+        ):
+            expected = erres(prob, H)
+            for X in (np.asfortranarray(H), np.ascontiguousarray(H.T).T):
+                assert not X.flags.c_contiguous
+                tracemalloc.start()
+                try:
+                    got = erres(prob, X)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert got == expected, (prob.D.kind, X.strides)
+                assert peak < H.nbytes / 4, (prob.D.kind, X.strides, peak)
+
+    def test_outer_sum_product_is_the_broadcast_sum(self):
+        # erres forms each outer sum a (+) d as the K = 2 product
+        # [a, 1] @ [1; d]: two exact products and one addition per entry,
+        # bitwise np.add's as long as BLAS keeps subnormals and rounds once;
+        # panels of 1 and 2 rows take BLAS's matrix-vector path
+        rng = np.random.Generator(np.random.Philox(30))
+        a, d = 10.0 ** rng.uniform(-310, 300, size=16), 10.0 ** rng.uniform(-310, 300, size=300)
+        a[:4], d[:6] = (0.0, 5e-324, 1e-310, 1.7e308), (0.0, 5e-324, 2e-310, 1e-300, 1.0, 1.7e308)
+        a = a[:, None]
+        with np.errstate(over="ignore"):
+            expected = np.add(a, d)
+        assert np.isinf(expected).any() and (expected[expected > 0] < 2.2e-308).any()
+        left, right = solver._outer_sum_factors(a, d)
+        for rows in (1, 2, 16):
+            for i0 in range(0, 16, rows):
+                with np.errstate(over="ignore"):
+                    got = np.matmul(left[i0 : i0 + rows], right, out=np.empty((rows, 300)))
+                bad = np.argwhere(got.view(np.int64) != expected[i0 : i0 + rows].view(np.int64))
+                assert bad.size == 0, (
+                    f"[a, 1] @ [1; d] in {rows}-row panels is not np.add's a + d "
+                    f"(BLAS flushed a subnormal or rounded twice), first at row "
+                    f"{i0 + bad[0][0]}, column {bad[0][1]}"
+                )
+
 
 class TestStreamedRatios:
     """ererr and relative_change run in row panels like erres."""
