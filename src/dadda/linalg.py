@@ -22,7 +22,9 @@ needs.  The criteria stream the iterate in row panels (``_panel_edges``),
 and every product inside a panel is BLAS: the outer-product terms of
 ``erres`` in one product of small inner dimension, and a dense-kind
 block's product of the panel's rows.  ``_panel_ratio_max`` combines the
-panels' ratios bitwise as over the whole arrays.
+panels' ratios bitwise as over the whole arrays, and ``_halves_ratio_max``
+reads them in two row halves at once, the bottom half on one helper thread
+(``_together``), with the same result.
 
 Square coefficient matrices come in three structured kinds:
 
@@ -45,6 +47,10 @@ whole chain of blocks and checks the chain's first operand.
 
 from __future__ import annotations
 
+import contextvars
+import itertools
+import os
+import threading
 from dataclasses import dataclass
 from typing import Dict
 
@@ -170,9 +176,19 @@ def _panel_ratio_max(panels, *, above: float = np.inf) -> float:
     exit value lies in (above, full value] unless a later panel holds a
     NaN.  A NaN maximum turns the exit off for the panels below it.
     """
-    maxima = []
+    return _fold_maxima(_panel_maxima(panels), above, [])[0]
+
+
+def _panel_maxima(panels, stop: threading.Event | None = None):
+    """Each (num, den) panel's ratio maximum (0/0 -> 0), top to bottom, and
+    None for a panel with an x/0.  A set ``stop`` ends it between panels."""
+    panels = iter(panels)
     scratch = np.empty(0)
-    for num, den in panels:
+    while stop is None or not stop.is_set():
+        pair = next(panels, None)
+        if pair is None:
+            return
+        num, den = pair
         both = np.broadcast(num, den)
         if both.size == 0:
             continue
@@ -184,14 +200,153 @@ def _panel_ratio_max(panels, *, above: float = np.inf) -> float:
             if not (np.isfinite(top) and ratio.min() > -np.inf):
                 zero_den = den == 0.0
                 if np.any(zero_den & (num != 0.0)):
-                    return float("inf")
-                top = np.max(np.where(zero_den, 0.0, num / np.where(zero_den, 1.0, den)))
+                    top = None
+                else:
+                    top = np.max(np.where(zero_den, 0.0, num / np.where(zero_den, 1.0, den)))
+        yield top
+
+
+def _fold_maxima(maxima, above: float, seen: list) -> tuple[float, bool]:
+    """The value of :func:`_panel_ratio_max` from the panel maxima, top to
+    bottom, and whether one panel decided it.
+
+    An x/0 (None) decides +inf, and the first maximum above ``above`` with
+    no NaN before it decides itself; the maxima below go unread.  Else the
+    value is the largest maximum (NaN if one is), 0.0 for none.  Each
+    maximum read is appended to ``seen``.
+    """
+    for top in maxima:
+        seen.append(top)
+        if top is None:
+            return float("inf"), True
         if top > above:
-            return float(top)
+            return float(top), True
         if np.isnan(top):
             above = np.inf
-        maxima.append(top)
-    return float(np.max(maxima)) if maxima else 0.0
+    return (float(np.max(seen)) if seen else 0.0), False
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _together(first, second) -> tuple:
+    """(first(), second()), with second() on one helper thread while first()
+    runs on the calling thread, or both here in order on one CPU.
+
+    The helper is started and joined inside the call, so no thread outlives
+    it, and an exception raised in the helper re-raises here after the join.
+    It runs in a copy of the caller's context, so numpy's ``errstate``
+    holds on both threads.
+    """
+    if _cpu_count() < 2:
+        return first(), second()
+    out: list = [None, None]
+
+    def run():
+        try:
+            out[0] = second()
+        except BaseException as exc:
+            out[1] = exc
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(run,))
+    helper.start()
+    try:
+        top = first()
+    finally:
+        helper.join()
+    if out[1] is not None:
+        raise out[1]
+    return top, out[0]
+
+
+# Two row halves of an m x n array run at once from this many entries up: the
+# measured break-even of erres and of H with the helper thread, BLAS on one
+# thread (CHANGES.md)
+_HALVES_FLOATS = 1 << 20
+
+# A product split into row halves splits at a multiple of this many rows, and
+# only where each half takes more multiply-adds than _SMALL_PRODUCT
+_SPLIT_ROWS = 48
+_SMALL_PRODUCT = 100**3
+
+
+def _row_halves(height: int, width: int) -> list[list[int]]:
+    """The ``_panel_edges`` of a ``height`` x ``width`` array as one list, or
+    as two lists that split it at a middle panel edge into a top and a
+    bottom row half.
+
+    Split from ``_HALVES_FLOATS`` entries and four panels up, so each half
+    holds two panels or more.  The split depends on the shape alone, never
+    on the CPU count.
+    """
+    edges = _panel_edges(height, width)
+    if height * width < _HALVES_FLOATS or len(edges) < 5:
+        return [edges]
+    mid = len(edges) // 2
+    return [edges[: mid + 1], edges[mid:]]
+
+
+def _product_split(height: int, width: int, inner: int) -> int:
+    """The row at which a product with a ``height`` x ``width`` result and
+    inner dimension ``inner`` splits into a top and a bottom row half, each
+    formed by its own BLAS call; 0 for no split.
+
+    Split from ``_HALVES_FLOATS`` entries up, at the largest multiple of
+    ``_SPLIT_ROWS`` rows not past the middle, where each half takes more
+    than ``_SMALL_PRODUCT`` multiply-adds.  BLAS tiles the rows of a
+    row-major product from the top; where the split is a multiple of the
+    tile height, every row of a half lies in the same tile position as in
+    the whole product and takes the same kernel, so it rounds the same.
+    With OpenBLAS 0.3.31 on one thread (an AVX-512 host), splits at
+    multiples of 12 rows kept the whole product's bits in 232 of 232
+    random shapes from 2^20 entries up, at multiples of 8 or 16 in about
+    half of them; 48 is a multiple of all three.  Products of at most 100^3
+    multiply-adds go to its small-matrix kernels, which round unlike the
+    blocked one, so neither half may be that small.
+    """
+    if height * width < _HALVES_FLOATS:
+        return 0
+    split = _SPLIT_ROWS * (height // (2 * _SPLIT_ROWS))
+    return split if split * width * inner > _SMALL_PRODUCT else 0
+
+
+def _halves_ratio_max(panels, halves: list[list[int]], *, above: float = np.inf) -> float:
+    """:func:`_panel_ratio_max` over the row panels at ``halves``
+    (:func:`_row_halves`), where ``panels(edges)`` yields the (num, den)
+    panels at ``edges`` into buffers of its own.
+
+    With two halves, the top half is read here and the bottom half on a
+    helper thread (:func:`_together`), each panel by the same operations
+    as in one pass.  The merge replays the one-pass rule over the maxima
+    in top-to-bottom order, so the value is bitwise the one-pass value,
+    early exits included: a top half that decides sets a stop flag, which
+    the helper reads between panels, and its value stands; else every
+    maximum read is folded again in order, and where a NaN in the top half
+    turns off the exit at which the bottom half stopped, the bottom half's
+    remaining panels are read here.
+    """
+    if len(halves) == 1:
+        return _panel_ratio_max(panels(halves[0]), above=above)
+    stop = threading.Event()
+    top_seen: list = []
+    bottom_seen: list = []
+    bottom = _panel_maxima(panels(halves[1]), stop)
+
+    def top_half():
+        value, decided = _fold_maxima(_panel_maxima(panels(halves[0])), above, top_seen)
+        if decided:
+            stop.set()
+        return value, decided
+
+    (value, decided), _ = _together(top_half, lambda: _fold_maxima(bottom, above, bottom_seen))
+    if decided:
+        return value
+    return _fold_maxima(itertools.chain(top_seen, bottom_seen, bottom), above, [])[0]
 
 
 def _panel_rows(width: int) -> int:

@@ -183,6 +183,25 @@ with a mixed-sign operand is :func:`rank_of_iterate`'s core, a QR factor
 times X, where no summation order is sign-exact; it is a diagnostic
 outside the iteration, so BLAS forms it too.
 
+Two row halves.  From ``linalg._HALVES_FLOATS`` entries of H up, the
+m x n layer runs on two threads: the calling thread takes the top rows and
+one helper thread, started and joined inside the call, the bottom rows.
+:attr:`DaddaState.H` forms its two row blocks by one BLAS product each into
+the one allocated H (``linalg._product_split``), and :func:`erres` forms
+its two reductions over H at once, then reads its row panels in two
+contiguous halves of ``linalg._panel_edges``, each half into buffers of
+its own.  The halves write disjoint rows and share only read-only
+operands.  Every entry of erres is formed by the same BLAS call or numpy
+operation on the same rows as in one pass, and the panel maxima merge in
+the fixed top-to-bottom order of ``linalg._panel_ratio_max``
+(``linalg._halves_ratio_max``).  H splits at a multiple of BLAS's row
+tiles, where each row rounds as in the whole product with BLAS on one
+thread (BLAS's own threads split the rows their own way, so H's rounding
+may move with their count, as it could before).  The split rows depend on
+the shape alone, so on one CPU both halves run in order on the calling
+thread and give the same bits.  The helper calls numpy and the kernels'
+own closures only, never a function of the public API or scipy.
+
 Gating ``erres`` by a factored lower bound.  Above one slab of entries
 (m n > ``linalg._SLAB_FLOATS``) the stopping rule first bounds ``erres``
 from below by one skinny product with H, and skips both the m x n iterate
@@ -295,10 +314,14 @@ from .gth import (
 from .linalg import (
     _SLAB_FLOATS,
     _column_form,
+    _halves_ratio_max,
     _negated_offdiag,
     _panel_edges,
     _panel_ratio_max,
+    _product_split,
+    _row_halves,
     _row_panels,
+    _together,
     frobenius_norm,
 )
 # matmul is not called here; the benchmark's tracer wraps this binding
@@ -437,15 +460,34 @@ class DaddaState:
 
         Scaling X by gamma, the product and the sum over the kernel order r
         round a term r + 1 times, as K_H = n + 2r + 2 of :meth:`apply_h`
-        counts for the formed H.  No pass over H checks its sign: :func:`_gram`
-        checks both factors >= 0 and they are checked finite, so each entry is
-        a sum of finite nonnegative terms, >= 0 and no NaN in any order.  A
-        check of the formed H gave no more: an overflow to +inf passed it too.
+        counts for the formed H.  No pass over H checks its sign: both factors
+        are checked finite and >= 0, so each entry is a sum of finite
+        nonnegative terms, >= 0 and no NaN in any order.  A check of the
+        formed H gave no more: an overflow to +inf passed it too.
+
+        H is allocated once and formed in two row halves where
+        ``linalg._product_split`` splits it, each by one BLAS product
+        Ucheck[rows] (gamma X) into its rows, the bottom half on a helper
+        thread.  The split row depends on the shape alone and is a multiple
+        of BLAS's row tiles, so H is bitwise the whole product
+        ``Ucheck @ (gamma X)`` with BLAS on one thread, on one CPU or two.
         """
         if self._H is None:
             u, gx = self.Ucheck, self.shifts.gamma * self.X
-            _check_sign(np.isfinite(u).all() and np.isfinite(gx).all(), "iterate H factor")
-            self._H = _gram(u, gx)
+            _check_sign(
+                all(np.isfinite(f).all() and np.all(f >= 0.0) for f in (u, gx)),
+                "iterate H factor",
+            )
+            H = np.empty((u.shape[0], gx.shape[1]))
+            split = _product_split(*H.shape, gx.shape[0])
+            if split:
+                _together(
+                    lambda: np.matmul(u[:split], gx, out=H[:split]),
+                    lambda: np.matmul(u[split:], gx, out=H[split:]),
+                )
+            else:
+                np.matmul(u, gx, out=H)
+            self._H = H
         return self._H
 
     @property
@@ -719,13 +761,20 @@ def erres(prob: MareProblem, H: np.ndarray, *, above: float = np.inf) -> float:
     ``linalg._panel_ratio_max``, and any x/0 decides the value (+inf), as
     over the whole matrix.  With ``above`` it stops at the first panel
     maximum above it.
+
+    From ``linalg._HALVES_FLOATS`` entries up (``linalg._row_halves``), the
+    two reductions run at once and the panels in two row halves, the
+    bottom half on a helper thread; the halves merge as one top-to-bottom
+    pass would, early exit included (``linalg._halves_ratio_max``), so the
+    value is bitwise the one-pass value on one CPU or two.
     """
     A, D = prob.A, prob.D
     H = np.asarray(H, dtype=np.float64)
     m, n = A.n, D.n
     if H.shape != (m, n):
         raise ValueError(f"iterate must have shape {(m, n)}, got {H.shape}")
-    return _panel_ratio_max(_residual_panels(prob, H), above=above)
+    halves = _row_halves(m, n)
+    return _halves_ratio_max(_residual_panels(prob, H, len(halves) > 1), halves, above=above)
 
 
 def _residual_share(block, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, int, int]:
@@ -749,11 +798,15 @@ def _residual_share(block, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     return diag, dots, block.n + rank, rank + 1
 
 
-def _residual_panels(prob: MareProblem, H: np.ndarray):
-    """Yield (|P - Q|, G2) of :func:`erres` panel by panel, top to bottom.
+def _residual_panels(prob: MareProblem, H: np.ndarray, halves: bool):
+    """The kernel of :func:`erres`: the per-call invariants, and a function
+    ``panels(edges)`` that yields (|P - Q|, G2) panel by panel at ``edges``,
+    top to bottom.
 
-    The yielded arrays are the kernel's buffers, overwritten by the next panel.
-    The outer sums are K = 2 products [a, 1] @ [1; d] into the buffer
+    With ``halves`` the two reductions over H run at once (one on a helper
+    thread, ``linalg._together``).  Each ``panels`` call makes its own
+    buffers, and the arrays it yields are those buffers, overwritten by its
+    next panel.  The outer sums are K = 2 products [a, 1] @ [1; d] into the buffer
     (``_outer_sum_factors``): a_i * 1 and 1 * d_j are exact, so each entry
     is round(a_i + d_j) in either order, with or without a fused
     multiply-add, bitwise ``np.add``'s.  Each band o of H_p N_D is one
@@ -776,8 +829,16 @@ def _residual_panels(prob: MareProblem, H: np.ndarray):
     low_a, low_d = A.kind == "diag_plus_lowrank", D.kind == "diag_plus_lowrank"
     # the reductions over a long side of H: BLAS products, formed once over
     # all of H (8-row panels of fluid 800 x 7200 round H [Cl, P_D] unlike it)
-    hf = H @ (np.concatenate([prob.Cl, D.p], axis=1) if low_d else prob.Cl)
-    rth = (np.concatenate([prob.Cr, A.r], axis=1) if low_a else prob.Cr).T @ H
+    right = np.concatenate([prob.Cl, D.p], axis=1) if low_d else prob.Cl
+    left = np.concatenate([prob.Cr, A.r], axis=1) if low_a else prob.Cr
+
+    def form_hf():
+        return H @ right
+
+    def form_rth():
+        return left.T @ H
+
+    hf, rth = _together(form_hf, form_rth) if halves else (form_hf(), form_rth())
     # the factors of the outer-product terms [H Cl, Bl, P_A, H P_D] and
     # [Cr^T H; Br^T; R_A^T H; R_D^T]: a low-rank block's go to P for sign -1
     # and to Q for sign +1
@@ -817,42 +878,46 @@ def _residual_panels(prob: MareProblem, H: np.ndarray):
         tile = np.zeros((height, n))
         tile[:, max(0, off) : n + min(0, off)] = vals
         d_tiles.append((off, tile.reshape(-1)))
-    acc, tmp = np.empty((height, n)), np.empty((height, n))
-    spare = None if q_outer is None else np.empty((height, n))
-    for i0, i1 in zip(edges, edges[1:]):
-        h = i1 - i0
-        panel, p, t = H[i0:i1], acc[:h], tmp[:h]
-        np.matmul(p_left[i0:i1], p_right, out=p)
-        # rows of N_A H: band o pairs row i with row i + o of H
-        for off, vals in a_bands:
-            r0, r1 = max(i0, -off), min(i1, m - off)
-            if r0 < r1:
-                lo, rows = min(off, 0), slice(r0 - i0, r1 - i0)
-                p[rows] += np.multiply(
-                    vals[r0 + lo : r1 + lo, None], H[r0 + off : r1 + off], out=t[rows]
-                )
-        if a_nmat is not None:
-            p += np.matmul(a_nmat[i0:i1], H, out=t)
-        # H_p N_D: band o pairs flat entry k of the panel with entry k - o
-        if d_tiles:
-            flat, pf, tf = panel.ravel(), p.reshape(-1), t.reshape(-1)
-            for off, tile in d_tiles:
-                k0, k1 = max(0, off), h * n + min(0, off)
-                pf[k0:k1] += np.multiply(flat[k0 - off : k1 - off], tile[k0:k1], out=tf[k0:k1])
-        if d_nmat is not None:
-            p += np.matmul(panel, d_nmat, out=t)
-        if pos_sum is not None:
-            np.matmul(pos_sum[0][i0:i1], pos_sum[1], out=t)
-            p += np.multiply(t, panel, out=t)
-        np.matmul(q_sum[0][i0:i1], q_sum[1], out=t)
-        np.multiply(t, panel, out=t)
-        if q_outer is not None:
-            t += np.matmul(q_outer[0][i0:i1], q_outer[1], out=spare[:h])
-        p -= t
-        if apart:
-            np.matmul(g2_sum[0][i0:i1], g2_sum[1], out=t)
+
+    def panels(edges):
+        acc, tmp = np.empty((height, n)), np.empty((height, n))
+        spare = None if q_outer is None else np.empty((height, n))
+        for i0, i1 in zip(edges, edges[1:]):
+            h = i1 - i0
+            panel, p, t = H[i0:i1], acc[:h], tmp[:h]
+            np.matmul(p_left[i0:i1], p_right, out=p)
+            # rows of N_A H: band o pairs row i with row i + o of H
+            for off, vals in a_bands:
+                r0, r1 = max(i0, -off), min(i1, m - off)
+                if r0 < r1:
+                    lo, rows = min(off, 0), slice(r0 - i0, r1 - i0)
+                    p[rows] += np.multiply(
+                        vals[r0 + lo : r1 + lo, None], H[r0 + off : r1 + off], out=t[rows]
+                    )
+            if a_nmat is not None:
+                p += np.matmul(a_nmat[i0:i1], H, out=t)
+            # H_p N_D: band o pairs flat entry k of the panel with entry k - o
+            if d_tiles:
+                flat, pf, tf = panel.ravel(), p.reshape(-1), t.reshape(-1)
+                for off, tile in d_tiles:
+                    k0, k1 = max(0, off), h * n + min(0, off)
+                    pf[k0:k1] += np.multiply(flat[k0 - off : k1 - off], tile[k0:k1], out=tf[k0:k1])
+            if d_nmat is not None:
+                p += np.matmul(panel, d_nmat, out=t)
+            if pos_sum is not None:
+                np.matmul(pos_sum[0][i0:i1], pos_sum[1], out=t)
+                p += np.multiply(t, panel, out=t)
+            np.matmul(q_sum[0][i0:i1], q_sum[1], out=t)
             np.multiply(t, panel, out=t)
-        yield np.abs(p, out=p), t
+            if q_outer is not None:
+                t += np.matmul(q_outer[0][i0:i1], q_outer[1], out=spare[:h])
+            p -= t
+            if apart:
+                np.matmul(g2_sum[0][i0:i1], g2_sum[1], out=t)
+                np.multiply(t, panel, out=t)
+            yield np.abs(p, out=p), t
+
+    return panels
 
 
 def _outer_sum_factors(col: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,10 @@
 ``dump`` solves the parity set with the ``dadda`` on the import path and
 writes, per solve: termination, iterations, ``switched_at``, a sha256 of H
 and of the dual iterate G, ``erres_final``, ``frob_h`` and ``rank_h``, and
-every record's k, kernel order, ``lower_bound`` flag and value.  The fluid
+every record's k, kernel order, ``lower_bound`` flag and value.  The dump
+also records how many CPUs the process may run on (its affinity count):
+with two or more, H and ``erres`` run their two row halves at once, with
+one both in order, and the values must not differ.  The fluid
 instances, whose exact solution is known, also get ``ererr`` against it, so
 a stopping step that moved shows what it costs in accuracy (``null``
 elsewhere).  Floats are written in hex, so two dumps are equal exactly when
@@ -16,7 +19,8 @@ the solves are bitwise equal.  Record seconds are left out.
 values for the scalar fields that a moved stopping step changes
 (termination, iterations, ``switched_at``, ``erres_final``, ``ererr``)
 and for ``frob_h``, whose relative change it adds, and exits 1 if any
-field differs, 0 if the whole set is bitwise equal.  Its summary lines
+field differs, 0 if the whole set is bitwise equal.  It prints the CPU
+counts of both dumps first.  Its summary lines
 count the solves whose termination, iterations or ``switched_at`` moved,
 and the solves that differ only in ``frob_h`` and in records that are a
 lower bound on either side (their flag and value): a change at rounding
@@ -121,6 +125,7 @@ def dump(path: str) -> None:
     from dadda.solver import ererr
 
     out = {}
+    cpus = len(os.sched_getaffinity(0))
     for label, run, exact in _cases():
         rep = run()
         err = None if exact is None else float(ererr(rep.H, np.full(rep.H.shape, exact))).hex()
@@ -140,7 +145,7 @@ def dump(path: str) -> None:
             ],
         }
         print(f"{label}: {rep.termination} at k = {rep.iterations}", flush=True)
-    Path(path).write_text(json.dumps(out, indent=1) + "\n")
+    Path(path).write_text(json.dumps({"cpus": cpus, "solves": out}, indent=1) + "\n")
 
 
 _SHOWN = ("termination", "iterations", "switched_at", "erres_final", "ererr", "frob_h")
@@ -171,6 +176,8 @@ def _bounds_and_norm_only(old: dict, new: dict) -> bool:
 def compare(before: str, after: str) -> int:
     a = json.loads(Path(before).read_text())
     b = json.loads(Path(after).read_text())
+    print(f"CPUs: {a['cpus']} in {before}, {b['cpus']} in {after}")
+    a, b = a["solves"], b["solves"]
     diffs = [f"only in {before}: {label}" for label in a.keys() - b.keys()]
     diffs += [f"only in {after}: {label}" for label in b.keys() - a.keys()]
     for label in a.keys() & b.keys():

@@ -1,15 +1,23 @@
 """Deterministic reductions, matmul, and structured-matrix behavior."""
 
+import sys
+import threading
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_matmul, same_float, where_ratio_max
+from dadda import linalg
 from dadda.linalg import (
     _SUM_CHUNK,
     StructuredSquare,
+    _halves_ratio_max,
     _panel_ratio_max,
+    _together,
     frobenius_norm,
     matmul,
     ordered_dot,
@@ -180,6 +188,151 @@ class TestScalarHelpers:
             num, den = np.append(num, 1.0), np.append(den, 0.0)
             assert _panel_ratio_max([(num, den)]) == np.inf
             assert _panel_ratio_max([(num[:2], den[:2]), (num[2:], den[2:])]) == np.inf
+
+
+
+def _panels_of(num, den):
+    """``panels(edges)`` of :func:`~dadda.linalg._halves_ratio_max` over two arrays."""
+
+    def panels(edges):
+        for i0, i1 in zip(edges, edges[1:]):
+            yield num[i0:i1], den[i0:i1]
+
+    return panels
+
+
+class TestRowHalves:
+    @given(
+        _ratio_operands(),
+        st.one_of(st.sampled_from([np.inf, 0.0, 0.5, 1.0]), st.floats(0.0, 1e308)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_two_halves_merge_like_one_pass(self, operands, above):
+        # every panel split into a top and a bottom half, on one CPU and two,
+        # gives the one-pass value bitwise, exit values included
+        num, den, rows = operands
+        edges = list(range(0, len(num), rows)) + [len(num)]
+        with np.errstate(over="ignore"):
+            want = _panel_ratio_max(_panels_of(num, den)(edges), above=above)
+            for mid in range(1, len(edges) - 1):
+                halves = [edges[: mid + 1], edges[mid:]]
+                for cpus in (1, 2):
+                    with mock.patch.object(linalg, "_cpu_count", lambda c=cpus: c):
+                        got = _halves_ratio_max(_panels_of(num, den), halves, above=above)
+                    assert same_float(got, want), (mid, cpus, got, want)
+
+    def test_nan_above_turns_off_the_bottom_halfs_exit(self):
+        # the bottom half stops at its first maximum above the threshold, but
+        # a NaN in the top half turns that exit off: the rest is read after
+        # the join, where an x/0 still decides
+        halves = [[0, 1, 2, 3], [3, 4, 5, 6]]
+        for cpus in (1, 2):
+            num, den = np.array([np.nan, 1.0, 3.0, 5.0, 0.5, 1.0]), np.ones(6)
+            with mock.patch.object(linalg, "_cpu_count", lambda c=cpus: c):
+                assert np.isnan(_halves_ratio_max(_panels_of(num, den), halves, above=4.0))
+                den[5] = 0.0
+                assert _halves_ratio_max(_panels_of(num, den), halves, above=4.0) == np.inf
+                num[0] = 0.5
+                assert _halves_ratio_max(_panels_of(num, den), halves, above=4.0) == 5.0
+
+    def test_top_half_exit_stops_the_helper_between_panels(self):
+        # the top half exits at its first panel, once the helper has begun;
+        # the helper's 20 panels are below the threshold and take 50 ms each,
+        # so it stops by the flag, after about one panel (at most 10 leaves
+        # room for a slow host); on one CPU it reads none
+        for cpus, most in ((2, 10), (1, 0)):
+            read = []
+            started = threading.Event()
+
+            def panels(edges):
+                for i0 in edges[:-1]:
+                    if i0 == 0 and cpus == 2:
+                        started.wait(5.0)
+                    elif i0 > 0:
+                        started.set()
+                        time.sleep(0.05)
+                    read.append(i0)
+                    yield np.full(1, 2.0 if i0 == 0 else 0.5), np.ones(1)
+
+            edges = list(range(41))
+            with mock.patch.object(linalg, "_cpu_count", lambda c=cpus: c):
+                assert _halves_ratio_max(panels, [edges[:21], edges[20:]], above=1.0) == 2.0
+            assert len([i for i in read if i >= 20]) <= most, (cpus, read)
+
+    def test_helper_error_reraises_and_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+
+        def boom():
+            raise KeyError("helper")
+
+        def panels(edges):
+            for i0, i1 in zip(edges, edges[1:]):
+                if i0 >= 2:
+                    raise ZeroDivisionError("bottom half")
+                yield np.ones(1), np.ones(1)
+
+        for cpus in (1, 2):
+            with mock.patch.object(linalg, "_cpu_count", lambda c=cpus: c):
+                with pytest.raises(KeyError, match="helper"):
+                    _together(lambda: 1, boom)
+                with pytest.raises(ZeroDivisionError, match="bottom half"):
+                    _halves_ratio_max(panels, [[0, 1, 2], [2, 3, 4]])
+                assert _together(lambda: 1, lambda: 2) == (1, 2)
+            assert threading.active_count() == before
+
+    def test_concurrent_callers_share_no_state(self):
+        # four callers at once, each with its own helper, eight threads on
+        # the host's cores, with the interpreter switching threads every
+        # microsecond: every value is still its one-pass value
+        rng = _rng(40)
+        edges = list(range(0, 201, 10))
+        halves = [edges[:11], edges[10:]]
+        cases = []
+        for _ in range(8):
+            num, den = rng.uniform(size=200), rng.uniform(size=200)
+            num[rng.integers(200)] = rng.choice([np.nan, np.inf, 1.0])
+            den[rng.integers(200)] = rng.choice([0.0, 1e-300, 1.0])
+            above = float(rng.choice([np.inf, 2.0, 50.0]))
+            with np.errstate(all="ignore"):
+                want = _panel_ratio_max(_panels_of(num, den)(edges), above=above)
+            cases.append((num, den, above, want))
+        bad = []
+
+        def caller():
+            with np.errstate(all="ignore"):
+                for _ in range(25):
+                    for num, den, above, want in cases:
+                        got = _halves_ratio_max(_panels_of(num, den), halves, above=above)
+                        if not same_float(got, want):
+                            bad.append((got, want))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(linalg, "_cpu_count", lambda: 2):
+                callers = [threading.Thread(target=caller) for _ in range(4)]
+                for t in callers:
+                    t.start()
+                for t in callers:
+                    t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert not bad, bad[:3]
+
+    def test_splits_depend_on_the_shape_alone(self):
+        # below _HALVES_FLOATS one pass; above, two halves of two panels or
+        # more, and a product split at a multiple of _SPLIT_ROWS rows
+        assert linalg._row_halves(1023, 1024) == [linalg._panel_edges(1023, 1024)]
+        assert linalg._product_split(1023, 1024, 64) == 0
+        # a half of at most _SMALL_PRODUCT multiply-adds: no split
+        assert linalg._product_split(1027, 1023, 2) == 0
+        for m, n in ((1024, 1024), (4097, 1024), (800, 7200), (7200, 800), (2001, 2000)):
+            top, bottom = linalg._row_halves(m, n)
+            assert top[-1] == bottom[0] and top + bottom[1:] == linalg._panel_edges(m, n)
+            assert min(len(top), len(bottom)) >= 3
+            split = linalg._product_split(m, n, 4)
+            assert split % linalg._SPLIT_ROWS == 0 and 0 < split <= m - split
 
 
 class TestStructuredSquare:

@@ -4,6 +4,10 @@ import dataclasses
 import functools
 import importlib.util
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -22,6 +26,7 @@ from conftest import (
     naive_matmul,
     oracle_residual,
     random_mare,
+    same_float,
 )
 from dadda import gth, linalg, oracle, problem, solver
 from dadda.benchgen import gen_fluid, gen_transport
@@ -659,6 +664,172 @@ class TestErresPanels:
                     f"(BLAS flushed a subnormal or rounded twice), first at row "
                     f"{i0 + bad[0][0]}, column {bad[0][1]}"
                 )
+
+
+def _one_pass_erres(prob, H, above=np.inf):
+    """erres in one top-to-bottom pass on the calling thread."""
+    panels = solver._residual_panels(prob, H, False)
+    return linalg._panel_ratio_max(panels(linalg._panel_edges(*H.shape)), above=above)
+
+
+def _run_on_one_blas_thread(code):
+    """Run ``code`` in a fresh python with BLAS on one thread, as the
+    benchmark and ``tests/parity.py`` run, with dadda and conftest importable."""
+    src = Path(solver.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), str(Path(__file__).resolve().parent)])
+    threads = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path, **threads),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+class TestRowHalves:
+    """H and erres run two row halves at once, bitwise as in one pass."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.Generator(np.random.Philox(31))
+        fluid, _ = gen_fluid(4096, 1024)
+        H = rng.uniform(0.5, 1.5, size=(2048, 1024))
+        d = _blocks(rng, 1024, 1, 2)[0]
+        return [
+            ("fluid 4096x1024", fluid, _run_state(fluid, make_shifts(fluid), 2).H),
+            ("banded 2048x1024", _problem(rng, _blocks(rng, 2048, 2, 1)[0], d), H),
+            ("dense A 1024x1024", _problem(rng, _blocks(rng, 1024, 2, 1)[3], d), H[:1024]),
+            ("sign +1 low-rank A", _problem(rng, _blocks(rng, 2048, 2, 1)[2], d), H),
+        ]
+
+    def test_erres_is_the_one_pass_on_one_cpu_and_two(self, monkeypatch):
+        for label, prob, H in self._cases():
+            assert len(linalg._row_halves(*H.shape)) == 2, label
+            full = _one_pass_erres(prob, H)
+            for above in (np.inf, 0.0, full / 2, full):
+                want = _one_pass_erres(prob, H, above)
+                for cpus in (1, 2):
+                    monkeypatch.setattr(linalg, "_cpu_count", lambda c=cpus: c)
+                    assert same_float(erres(prob, H, above=above), want), (label, above, cpus)
+
+    def test_planted_specials_on_either_side_of_the_split(self, monkeypatch):
+        # NaN, +inf, 0/0, x/0 and a large ratio, alone and in pairs, in the
+        # top half, the bottom half and the two rows at the split; A diagonal
+        # and no C term, so each stays in its own row
+        rng = np.random.Generator(np.random.Philox(32))
+        m, n = 2048, 1024
+        A = StructuredSquare.banded(m, 0, 0, {0: np.linspace(1.0, 2.0, m)})
+        prob = _problem(rng, A, _blocks(rng, n, 1, 2)[0], q=0)
+        base = rng.uniform(0.5, 1.5, size=(m, n))
+        split = linalg._row_halves(m, n)[1][0]
+        full = _one_pass_erres(prob, base)
+
+        def plant(H, bl, kind, i):
+            if kind == "nan":
+                H[i, 7] = np.nan
+            elif kind == "inf":
+                H[i, 7] = np.inf
+            elif kind == "x/0":
+                H[i, 7] = 0.0
+            elif kind == "0/0":
+                H[i], bl[i] = 0.0, 0.0
+            else:
+                H[i] *= 1e-6
+
+        kinds = ("nan", "inf", "x/0", "0/0", "large")
+        singles = [((k, i),) for k in kinds for i in (5, split - 1, split, m - 3)]
+        pairs = [
+            ((k1, i1), (k2, i2))
+            for k1 in kinds for k2 in kinds for i1, i2 in ((5, m - 3), (split - 1, split))
+        ]
+        with np.errstate(all="ignore"):
+            for planted in singles + pairs:
+                H, bl = base.copy(), prob.Bl.copy()
+                for kind, i in planted:
+                    plant(H, bl, kind, i)
+                case = dataclasses.replace(prob, Bl=bl)
+                for above in (np.inf, 0.0, full):
+                    want = _one_pass_erres(case, H, above)
+                    for cpus in (1, 2):
+                        monkeypatch.setattr(linalg, "_cpu_count", lambda c=cpus: c)
+                        got = erres(case, H, above=above)
+                        assert same_float(got, want), (planted, above, cpus, got, want)
+
+    def test_h_at_odd_m_is_the_whole_product(self):
+        # the halves split at a multiple of BLAS's row tiles, so with BLAS on
+        # one thread each row rounds as in the whole product, at any kernel
+        # order and with n off every tile width
+        code = """
+import numpy as np
+from conftest import random_mare
+from dadda import linalg
+from dadda.solver import advance, initialize
+
+rng = np.random.Generator(np.random.Philox(33))
+state = advance(advance(initialize(random_mare(34, m=2049, n=1001, kind="lowrank"))))
+
+
+def check(label):
+    whole = state.Ucheck @ (state.shifts.gamma * state.X)
+    for cpus in (1, 2):
+        linalg._cpu_count = lambda c=cpus: c
+        state._H = None
+        assert np.array_equal(state.H.view(np.int64), whole.view(np.int64)), (label, cpus)
+
+
+check("solve state")
+splits = 0
+for m, n in ((2049, 1001), (4097, 333), (1501, 701), (1027, 1023)):
+    for r in (1, 2, 3, 5, 8, 16, 64):
+        splits += linalg._product_split(m, n, r) > 0
+        state.u_blocks, state.X = [rng.uniform(size=(m, r))], rng.uniform(size=(r, n))
+        check((m, n, r))
+assert splits >= 24, splits
+print("ok")
+"""
+        proc = _run_on_one_blas_thread(code)
+        assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
+
+    def test_helper_error_reraises_after_the_join(self, monkeypatch):
+        prob, H = self._cases()[1][1:]
+        real = linalg._panel_maxima
+
+        def failing(panels, stop=None):
+            if stop is not None:
+                raise RuntimeError("bottom half")
+            yield from real(panels, stop)
+
+        monkeypatch.setattr(linalg, "_panel_maxima", failing)
+        before = threading.active_count()
+        for cpus in (1, 2):
+            monkeypatch.setattr(linalg, "_cpu_count", lambda c=cpus: c)
+            with pytest.raises(RuntimeError, match="bottom half"):
+                erres(prob, H)
+            assert threading.active_count() == before
+
+    def test_helper_calls_no_traced_binding(self, monkeypatch):
+        # the benchmark's spans nest by call order on one thread: every
+        # binding it wraps is called from the solving thread alone
+        tracer = _load_tracer()
+        callers = []
+
+        def make(name, fn, note):
+            @functools.wraps(fn)
+            def recorded(*args, **kwargs):
+                callers.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+
+            return recorded
+
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
+        prob, _ = gen_fluid(2048, 1024)
+        assert len(linalg._row_halves(2048, 1024)) == 2 and linalg._product_split(2048, 1024, 1)
+        with tracer.Patches(tracer.TRACED, make):
+            report = solve(prob)
+        assert report.termination == "converged"
+        assert {"solver.criterion", "solver.materialize"} <= {name for name, _ in callers}
+        assert {ident for _, ident in callers} == {threading.get_ident()}
 
 
 class TestStreamedRatios:
