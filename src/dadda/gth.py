@@ -54,6 +54,7 @@ proves M singular and raises at once.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,7 @@ from .linalg import (
     _canonical_lowrank,
     _column_form,
     _negated_offdiag,
+    _openblas_function,
     matmul,
 )
 
@@ -242,6 +244,42 @@ class GthFactorization:
         )
 
 
+class _OneLapackThread:
+    """While any thread is inside, scipy's BLAS runs on one thread.
+
+    scipy's wheel bundles an OpenBLAS of its own beside numpy's, with its
+    own thread pool, and threads even the small triangular solves here;
+    its workers then spin for a while after each call, taking the CPUs
+    from numpy's products and the Python in between.  The first thread in
+    sets scipy's thread count to 1 where it is more, and the last one out
+    puts it back, so concurrent callers never wait on each other.  Where
+    scipy's OpenBLAS is not found, nothing is changed.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._saved = 1
+
+    def __enter__(self):
+        with self._lock:
+            if self._inside == 0:
+                get = _openblas_function("scipy", "get_num_threads")
+                self._saved = get() if get is not None else 1
+                if self._saved != 1:
+                    _openblas_function("scipy", "set_num_threads")(1)
+            self._inside += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._inside -= 1
+            if self._inside == 0 and self._saved != 1:
+                _openblas_function("scipy", "set_num_threads")(self._saved)
+
+
+_one_lapack_thread = _OneLapackThread()
+
+
 def _trsolve(T, b, lower, transpose=False, unit=False, overwrite=False):
     """LAPACK ``trtrs`` (``trsm`` behind a zero-pivot check) on T x = b.
 
@@ -250,10 +288,11 @@ def _trsolve(T, b, lower, transpose=False, unit=False, overwrite=False):
     no copy when T is C-contiguous.  Calling the routine directly keeps
     small systems at a few microseconds per solve.
     """
-    x, info = dtrtrs(
-        T.T, b, lower=not lower, trans=not transpose, unitdiag=unit,
-        overwrite_b=overwrite,
-    )
+    with _one_lapack_thread:
+        x, info = dtrtrs(
+            T.T, b, lower=not lower, trans=not transpose, unitdiag=unit,
+            overwrite_b=overwrite,
+        )
     if info != 0:
         raise NotMMatrixError(f"triangular solve failed (LAPACK info {info})")
     return x
@@ -303,10 +342,11 @@ def _tbsolve(F, b, transpose, unit=False, overwrite=False):
     U solves flip ``transpose``).  F^T is then LAPACK's lower band
     storage, a Fortran array that costs no copy.
     """
-    x, info = dtbtrs(
-        F.T, b, uplo="L", trans="T" if transpose else "N", diag="U" if unit else "N",
-        overwrite_b=overwrite,
-    )
+    with _one_lapack_thread:
+        x, info = dtbtrs(
+            F.T, b, uplo="L", trans="T" if transpose else "N", diag="U" if unit else "N",
+            overwrite_b=overwrite,
+        )
     if info != 0:
         raise NotMMatrixError(f"triangular solve failed (LAPACK info {info})")
     return x

@@ -48,6 +48,10 @@ whole chain of blocks and checks the chain's first operand.
 from __future__ import annotations
 
 import contextvars
+import ctypes
+import functools
+import glob
+import importlib
 import itertools
 import os
 import threading
@@ -226,8 +230,44 @@ def _fold_maxima(maxima, above: float, seen: list) -> tuple[float, bool]:
     return (float(np.max(seen)) if seen else 0.0), False
 
 
+@functools.cache
+def _openblas_function(package: str, name: str):
+    """The OpenBLAS function ``name`` (as ``get_num_threads``) of the
+    OpenBLAS bundled with the wheel of ``package`` ("numpy" or "scipy"),
+    or None where none is found.
+
+    Only a library already loaded into the process is opened
+    (``RTLD_NOLOAD``), so the lookup never loads a second BLAS.
+    """
+    here = os.path.dirname(importlib.import_module(package).__file__)
+    libs = glob.glob(os.path.join(here, os.pardir, f"{package}.libs", "*openblas*"))
+    libs += glob.glob(os.path.join(here, ".dylibs", "*openblas*"))
+    symbols = [f"{prefix}_{name}{suffix}" for prefix in ("scipy_openblas", "openblas")
+               for suffix in ("64_", "")]
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib, mode=getattr(os, "RTLD_NOLOAD", 0) | ctypes.RTLD_LOCAL)
+        except OSError:
+            continue
+        for symbol in symbols:
+            function = getattr(handle, symbol, None)
+            if function is not None:
+                return function
+    return None
+
+
 def _cpu_count() -> int:
-    """The CPUs this process may run on."""
+    """The CPUs the two row halves may use: those this process may run on
+    where numpy's BLAS runs on one thread, else 1.
+
+    BLAS on more threads already has the other CPUs, and its workers spin
+    between calls, so a helper thread would contend with them; the same
+    holds where BLAS's thread count cannot be read.  It is read on every
+    call, as it may be changed at run time.
+    """
+    threads = _openblas_function("numpy", "get_num_threads")
+    if threads is None or threads() != 1:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
@@ -313,6 +353,28 @@ def _product_split(height: int, width: int, inner: int) -> int:
         return 0
     split = _SPLIT_ROWS * (height // (2 * _SPLIT_ROWS))
     return split if split * width * inner > _SMALL_PRODUCT else 0
+
+
+def _product_halves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b into one allocated array, in two row halves at once where
+    :func:`_product_split` splits it and a second CPU is free
+    (:func:`_cpu_count`), the bottom half on a helper thread; else by the
+    whole product.
+
+    With BLAS on one thread either way gives the whole product's bits; with
+    BLAS on more threads there is no free CPU, and the whole product is
+    formed as one call.
+    """
+    out = np.empty((a.shape[0], b.shape[1]))
+    split = _product_split(*out.shape, a.shape[1])
+    if split and _cpu_count() > 1:
+        _together(
+            lambda: np.matmul(a[:split], b, out=out[:split]),
+            lambda: np.matmul(a[split:], b, out=out[split:]),
+        )
+    else:
+        np.matmul(a, b, out=out)
+    return out
 
 
 def _halves_ratio_max(panels, halves: list[list[int]], *, above: float = np.inf) -> float:

@@ -184,10 +184,12 @@ times X, where no summation order is sign-exact; it is a diagnostic
 outside the iteration, so BLAS forms it too.
 
 Two row halves.  From ``linalg._HALVES_FLOATS`` entries of H up, the
-m x n layer runs on two threads: the calling thread takes the top rows and
-one helper thread, started and joined inside the call, the bottom rows.
+m x n layer runs on two threads where a second CPU is free
+(``linalg._cpu_count``: the process may run on two CPUs and numpy's BLAS
+runs on one thread): the calling thread takes the top rows and one helper
+thread, started and joined inside the call, the bottom rows.
 :attr:`DaddaState.H` forms its two row blocks by one BLAS product each into
-the one allocated H (``linalg._product_split``), and :func:`erres` forms
+the one allocated H (``linalg._product_halves``), and :func:`erres` forms
 its two reductions over H at once, then reads its row panels in two
 contiguous halves of ``linalg._panel_edges``, each half into buffers of
 its own.  The halves write disjoint rows and share only read-only
@@ -196,11 +198,11 @@ operation on the same rows as in one pass, and the panel maxima merge in
 the fixed top-to-bottom order of ``linalg._panel_ratio_max``
 (``linalg._halves_ratio_max``).  H splits at a multiple of BLAS's row
 tiles, where each row rounds as in the whole product with BLAS on one
-thread (BLAS's own threads split the rows their own way, so H's rounding
-may move with their count, as it could before).  The split rows depend on
-the shape alone, so on one CPU both halves run in order on the calling
-thread and give the same bits.  The helper calls numpy and the kernels'
-own closures only, never a function of the public API or scipy.
+thread.  With no free CPU, erres runs its halves in order on the calling
+thread, with the same bits, and H is the whole product (BLAS's own
+threads split its rows their own way, so H's rounding may move with their
+count, as it could before).  The helper calls numpy and the kernels' own
+closures only, never a function of the public API or scipy.
 
 Gating ``erres`` by a factored lower bound.  Above one slab of entries
 (m n > ``linalg._SLAB_FLOATS``) the stopping rule first bounds ``erres``
@@ -318,7 +320,7 @@ from .linalg import (
     _negated_offdiag,
     _panel_edges,
     _panel_ratio_max,
-    _product_split,
+    _product_halves,
     _row_halves,
     _row_panels,
     _together,
@@ -466,11 +468,13 @@ class DaddaState:
         formed H gave no more: an overflow to +inf passed it too.
 
         H is allocated once and formed in two row halves where
-        ``linalg._product_split`` splits it, each by one BLAS product
+        ``linalg._product_split`` splits it and a second CPU is free
+        (``linalg._product_halves``), each by one BLAS product
         Ucheck[rows] (gamma X) into its rows, the bottom half on a helper
-        thread.  The split row depends on the shape alone and is a multiple
-        of BLAS's row tiles, so H is bitwise the whole product
-        ``Ucheck @ (gamma X)`` with BLAS on one thread, on one CPU or two.
+        thread; else by the whole product.  The split row depends on the
+        shape alone and is a multiple of BLAS's row tiles, so H is bitwise
+        the whole product ``Ucheck @ (gamma X)`` with BLAS on one thread, on
+        one CPU or two.
         """
         if self._H is None:
             u, gx = self.Ucheck, self.shifts.gamma * self.X
@@ -478,16 +482,7 @@ class DaddaState:
                 all(np.isfinite(f).all() and np.all(f >= 0.0) for f in (u, gx)),
                 "iterate H factor",
             )
-            H = np.empty((u.shape[0], gx.shape[1]))
-            split = _product_split(*H.shape, gx.shape[0])
-            if split:
-                _together(
-                    lambda: np.matmul(u[:split], gx, out=H[:split]),
-                    lambda: np.matmul(u[split:], gx, out=H[split:]),
-                )
-            else:
-                np.matmul(u, gx, out=H)
-            self._H = H
+            self._H = _product_halves(u, gx)
         return self._H
 
     @property

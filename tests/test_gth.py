@@ -1,5 +1,6 @@
 """GTH-like factorization, triplet handling, and the SMW fast path."""
 
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from conftest import (
     random_triplet,
     sequential_gth,
 )
+from dadda import gth
 from dadda.gth import (
     _PANEL,
     BandGthFactorization,
@@ -30,7 +32,7 @@ from dadda.gth import (
     gth_factorize,
     triplet_for_capacitance,
 )
-from dadda.linalg import StructuredSquare, frobenius_norm, matmul
+from dadda.linalg import StructuredSquare, _openblas_function, frobenius_norm, matmul
 
 
 def _rng(seed):
@@ -681,3 +683,60 @@ class TestSolverDispatch:
         s = DiagonalSolver(np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             s.solve(np.ones(3))
+
+
+class TestLapackThreads:
+    """scipy's BLAS runs every LAPACK solve here on one thread."""
+
+    @pytest.fixture
+    def scipy_threads(self):
+        get = _openblas_function("scipy", "get_num_threads")
+        put = _openblas_function("scipy", "set_num_threads")
+        if get is None or put is None:
+            pytest.skip("scipy's BLAS is not a bundled OpenBLAS")
+        before = get()
+        put(2)
+        try:
+            yield get
+        finally:
+            put(before)
+
+    def test_solves_run_on_one_thread(self, scipy_threads, monkeypatch):
+        seen = []
+
+        def recording(routine):
+            def call(*args, **kwargs):
+                seen.append(scipy_threads())
+                return routine(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(gth, "dtrtrs", recording(gth.dtrtrs))
+        monkeypatch.setattr(gth, "dtbtrs", recording(gth.dtbtrs))
+        t = TripletRepresentation.from_parts(*random_triplet(_rng(41), 300))
+        b = _rng(42).uniform(size=(300, 3))
+        gth_factorize(t).solve(b)
+        DenseGthSolver(_band_triplet(t, 2, 1)).factorization.solve(b, transpose=True)
+        assert len(seen) >= 6 and set(seen) == {1}
+        assert scipy_threads() == 2
+
+    def test_the_last_one_out_restores_the_count(self, scipy_threads):
+        inside, leave = threading.Event(), threading.Event()
+
+        def other():
+            with gth._one_lapack_thread:
+                inside.set()
+                leave.wait(timeout=60.0)
+
+        helper = threading.Thread(target=other)
+        helper.start()
+        try:
+            assert inside.wait(timeout=60.0)
+            with gth._one_lapack_thread:
+                assert scipy_threads() == 1
+            assert scipy_threads() == 1
+        finally:
+            leave.set()
+            helper.join(timeout=60.0)
+        assert not helper.is_alive()
+        assert scipy_threads() == 2

@@ -1,5 +1,7 @@
 """Deterministic reductions, matmul, and structured-matrix behavior."""
 
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -319,6 +321,23 @@ class TestRowHalves:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert not bad, bad[:3]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_helper_only_beside_blas_on_one_thread(self, threads):
+        # numpy's BLAS on more threads already has the other CPUs, and the
+        # halves then run in order; its count is read from the loaded BLAS
+        code = (
+            "import os; from dadda import linalg; "
+            "print(linalg._cpu_count(), len(os.sched_getaffinity(0)))"
+        )
+        src = os.path.dirname(os.path.dirname(linalg.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        cpus, affinity = map(int, proc.stdout.split())
+        assert cpus == (affinity if threads == "1" else 1)
 
     def test_splits_depend_on_the_shape_alone(self):
         # below _HALVES_FLOATS one pass; above, two halves of two panels or
