@@ -24,7 +24,9 @@ and every product inside a panel is BLAS: the outer-product terms of
 block's product of the panel's rows.  ``_panel_ratio_max`` combines the
 panels' ratios bitwise as over the whole arrays, and ``_halves_ratio_max``
 reads them in two row halves at once, the bottom half on one helper thread
-(``_together``), with the same result.
+(``_together``), with the same result.  ``_block_edges`` gives the row
+blocks in which ``erres`` forms a factored iterate's rows, each block
+rounding like those rows of the whole products.
 
 Square coefficient matrices come in three structured kinds:
 
@@ -315,17 +317,17 @@ _SPLIT_ROWS = 48
 _SMALL_PRODUCT = 100**3
 
 
-def _row_halves(height: int, width: int) -> list[list[int]]:
-    """The ``_panel_edges`` of a ``height`` x ``width`` array as one list, or
-    as two lists that split it at a middle panel edge into a top and a
-    bottom row half.
+def _row_halves(height: int, width: int, blocks: list[int] | None = None) -> list[list[int]]:
+    """The ``_panel_edges`` of a ``height`` x ``width`` array, or its row
+    ``blocks`` (:func:`_block_edges`), as one list, or as two lists that
+    split it at a middle edge into a top and a bottom row half.
 
-    Split from ``_HALVES_FLOATS`` entries and four panels up, so each half
-    holds two panels or more.  The split depends on the shape alone, never
-    on the CPU count.
+    Split from ``_HALVES_FLOATS`` entries up, where each half holds two
+    panels or one block or more.  The split depends on the shape alone,
+    never on the CPU count.
     """
-    edges = _panel_edges(height, width)
-    if height * width < _HALVES_FLOATS or len(edges) < 5:
+    edges = _panel_edges(height, width) if blocks is None else blocks
+    if height * width < _HALVES_FLOATS or len(edges) < (5 if blocks is None else 3):
         return [edges]
     mid = len(edges) // 2
     return [edges[: mid + 1], edges[mid:]]
@@ -353,6 +355,22 @@ def _product_split(height: int, width: int, inner: int) -> int:
         return 0
     split = _SPLIT_ROWS * (height // (2 * _SPLIT_ROWS))
     return split if split * width * inner > _SMALL_PRODUCT else 0
+
+
+def _block_edges(height: int, width: int, inners: tuple[int, ...]) -> list[int]:
+    """Row edges 0 = e_0 < ... < e_k = height of the blocks in which rows of
+    a ``height`` x ``width`` product are formed apart, each block by BLAS
+    products of ``width`` columns and the inner dimensions ``inners``.
+
+    Each block starts at a multiple of ``_SPLIT_ROWS`` rows and is the
+    fewest such rows that give each of its products more than
+    ``_SMALL_PRODUCT`` multiply-adds; the tail joins the block above.  So
+    with BLAS on one thread each block's rows round as in the whole
+    products, by :func:`_product_split`'s argument.
+    """
+    least = _SMALL_PRODUCT // (width * max(min(inners), 1)) + 1
+    rows = _SPLIT_ROWS * -(-least // _SPLIT_ROWS)
+    return list(range(0, max(height - rows, 0) + 1, rows)) + [height]
 
 
 def _product_halves(a: np.ndarray, b: np.ndarray) -> np.ndarray:

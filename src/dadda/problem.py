@@ -27,6 +27,8 @@ from typing import Any
 import numpy as np
 import scipy.linalg
 
+from .gth import _one_lapack_thread
+
 # matmul is not called here; the benchmark's tracer wraps this binding
 from .linalg import StructuredSquare, matmul
 
@@ -69,7 +71,8 @@ def _full_column_rank(a: np.ndarray) -> bool:
         return True
     if a.shape[1] > a.shape[0]:
         return False
-    _, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    with _one_lapack_thread:
+        _, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
     diag = np.abs(np.diagonal(r))
     col_norms = np.sqrt(np.sum(a * a, axis=0))
     thresh = _RANK_TOL * max(float(np.max(col_norms)), np.finfo(np.float64).tiny)

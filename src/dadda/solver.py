@@ -18,8 +18,11 @@ coupling matrices double by
     Z_{k+1} = [[0, Z_k], [Z_k, gamma * Vcheck_k^T Ucheck_k]].
 
 Everything on the right-hand side above is entrywise nonnegative, so the
-whole iteration is free of subtractive cancellation; the m x n iterate is
-only materialized when a stopping criterion or the caller asks for it.
+whole iteration is free of subtractive cancellation.  The m x n iterate is
+formed whole (:attr:`DaddaState.H`) only where a criterion or a diagnostic
+reads it whole, or the caller reads ``SolveReport.H``: erres reads the
+rows of an iterate with a diagonal A from its factors (see below), and
+the report forms H on its first read.
 Each step forms the two new corners and the kernel's product
 Y_{k+1} Z_{k+1} whole, each by one :func:`_gram`.
 
@@ -183,6 +186,25 @@ with a mixed-sign operand is :func:`rank_of_iterate`'s core, a QR factor
 times X, where no summation order is sign-exact; it is a diagnostic
 outside the iteration, so BLAS forms it too.
 
+Two row sources.  :func:`erres` reads an array, or an iterate's formed H,
+in panels that slice it.  A DaddaState whose A has no off-diagonal band,
+and whose H spans more than one row block (:func:`_row_blocks`), is read
+from its factors instead, and no m x n array is formed.  Row i of the
+numerator then reads row i of H alone, so each block Ucheck[rows]
+(gamma X) is formed into a buffer with its rows of H [Cl, P_D], the
+panels run inside the block from its top row, and the next block reuses
+the buffer; the early exit forms no block below its panel.  A block
+starts at a multiple of BLAS's row tiles and gives each of its two
+products more than BLAS's small-matrix size (``linalg._block_edges``), so
+with BLAS on one thread its rows of H and of H [Cl, P_D] are bitwise
+those of the whole products, the cancelling term H P_D included.
+Cr^T H, a sum over all m rows, comes from the factors as
+(Cr^T Ucheck) (gamma X).  It feeds HCH only, which P adds and nothing
+cancels, so the value may round apart from the formed H's by a few ulps
+(on the benchmark's fluid instances the two are bitwise equal at every
+k).  Every other iterate reads its formed H: transport, banded, the ADDA
+iterates, one-block problems, and any array a caller passes.
+
 Two row halves.  From ``linalg._HALVES_FLOATS`` entries of H up, the
 m x n layer runs on two threads where a second CPU is free
 (``linalg._cpu_count``: the process may run on two CPUs and numpy's BLAS
@@ -190,10 +212,11 @@ runs on one thread): the calling thread takes the top rows and one helper
 thread, started and joined inside the call, the bottom rows.
 :attr:`DaddaState.H` forms its two row blocks by one BLAS product each into
 the one allocated H (``linalg._product_halves``), and :func:`erres` forms
-its two reductions over H at once, then reads its row panels in two
-contiguous halves of ``linalg._panel_edges``, each half into buffers of
-its own.  The halves write disjoint rows and share only read-only
-operands.  Every entry of erres is formed by the same BLAS call or numpy
+its two reductions over a formed H at once, then reads its row panels in
+two contiguous halves of ``linalg._panel_edges``, or of the block edges,
+each half into buffers of its own, its block buffer included.  The
+halves write disjoint rows, of H or of a block's share of erres's
+outer-product factors, and share only read-only operands besides.  Every entry of erres is formed by the same BLAS call or numpy
 operation on the same rows as in one pass, and the panel maxima merge in
 the fixed top-to-bottom order of ``linalg._panel_ratio_max``
 (``linalg._halves_ratio_max``).  H splits at a multiple of BLAS's row
@@ -286,7 +309,8 @@ returns the bound as a function of the iterate.  At
 m n <= ``_SLAB_FLOATS`` the whole criterion is one cache-resident panel,
 so every step runs it.  A skipped step changes nothing observable but its
 record: the iterates, and every full evaluation, are bitwise those of an
-ungated loop, and the report's ``erres_final`` is always a full one.  Nor
+ungated loop, and the report's ``erres_final`` is always a full evaluation
+on the rows of the returned H.  Nor
 does it drop a sign check: gamma Ucheck X >= 0 follows from the checked
 blocks and X, so the check on the formed H is redundant there.  The
 second kind of ``lower_bound`` record is erres's own: the rule passes it
@@ -310,11 +334,13 @@ from .gth import (
     TripletRepresentation,
     _check_sign,
     _offdiag_triplet,
+    _one_lapack_thread,
     build_solver,
     gth_factorize,
 )
 from .linalg import (
     _SLAB_FLOATS,
+    _block_edges,
     _column_form,
     _halves_ratio_max,
     _negated_offdiag,
@@ -385,6 +411,11 @@ class IterationRecord:
 
 @dataclass
 class SolveReport:
+    """The outcome of one solve.  ``H``, the final iterate, is formed on its
+    first read, by :attr:`DaddaState.H` for a dADDA iterate, and kept; the
+    solve itself forms it only where a criterion or a diagnostic reads it.
+    ``H`` may be assigned."""
+
     termination: str
     iterations: int
     criterion: str
@@ -392,13 +423,24 @@ class SolveReport:
     alpha: float
     beta: float
     records: list[IterationRecord]
-    H: np.ndarray
     erres_final: float
     frob_h: float
     rank_h: int
     seconds: float
     G: np.ndarray | None = None
     switched_at: int | None = None
+    # the final iterate until H is read, then H
+    _final: object = field(default=None, repr=False, compare=False)
+
+    @property
+    def H(self) -> np.ndarray:
+        if isinstance(self._final, DaddaState):
+            self._final = self._final.H
+        return self._final
+
+    @H.setter
+    def H(self, value: np.ndarray) -> None:
+        self._final = value
 
 
 @dataclass(eq=False)
@@ -477,13 +519,17 @@ class DaddaState:
         one CPU or two.
         """
         if self._H is None:
-            u, gx = self.Ucheck, self.shifts.gamma * self.X
-            _check_sign(
-                all(np.isfinite(f).all() and np.all(f >= 0.0) for f in (u, gx)),
-                "iterate H factor",
-            )
-            self._H = _product_halves(u, gx)
+            self._H = _product_halves(*self._factors())
         return self._H
+
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """H's two factors, Ucheck and gamma X, each checked finite and >= 0."""
+        u, gx = self.Ucheck, self.shifts.gamma * self.X
+        _check_sign(
+            all(np.isfinite(f).all() and np.all(f >= 0.0) for f in (u, gx)),
+            "iterate H factor",
+        )
+        return u, gx
 
     @property
     def v1k(self) -> np.ndarray:
@@ -726,8 +772,9 @@ def advance(state: DaddaState) -> DaddaState:
 # -- residuals and stopping criteria ----------------------------------------
 
 
-def erres(prob: MareProblem, H: np.ndarray, *, above: float = np.inf) -> float:
-    """Entrywise relative residual.
+def erres(prob: MareProblem, H, *, above: float = np.inf) -> float:
+    """Entrywise relative residual of the iterate ``H``: an array, or a
+    :class:`DaddaState`.
 
     |(HCH + N_A H + H N_D + B) - (diag(A) H + H diag(D))| over the
     diagonal group G2 = diag(A) H + H diag(D), maximized entrywise with
@@ -757,19 +804,55 @@ def erres(prob: MareProblem, H: np.ndarray, *, above: float = np.inf) -> float:
     over the whole matrix.  With ``above`` it stops at the first panel
     maximum above it.
 
+    The second source of rows: a DaddaState whose A has no off-diagonal
+    band and whose H spans more than one row block (:func:`_row_blocks`) is
+    read from its factors block by block, and its H is not formed (module
+    docstring, "Two row sources").  Any other DaddaState is read by its
+    formed :attr:`~DaddaState.H`.
+
     From ``linalg._HALVES_FLOATS`` entries up (``linalg._row_halves``), the
-    two reductions run at once and the panels in two row halves, the
-    bottom half on a helper thread; the halves merge as one top-to-bottom
-    pass would, early exit included (``linalg._halves_ratio_max``), so the
-    value is bitwise the one-pass value on one CPU or two.
+    panels, or the blocks, run in two row halves, the bottom half on a
+    helper thread, the formed H's two reductions at once; the halves merge
+    as one top-to-bottom pass would, early exit included
+    (``linalg._halves_ratio_max``), so the value is bitwise the one-pass
+    value on one CPU or two.
+
+    Both halves' buffers are allocated on the calling thread, the two block
+    buffers as one array.  glibc gives each helper thread a heap arena of
+    its own, which keeps a freed block buffer resident, and a new arena
+    whenever a helper starts before the last one has left its arena: with
+    the helper allocating its own block, fluid's peak RSS in the benchmark
+    read 174 MB alone and up to 189 MB beside a busy process, against
+    162 MB before.  And two separate block buffers freed together at the
+    top of the main heap exceed its trim threshold (twice the largest
+    mapped chunk freed so far), so they went back to the system after each
+    call and their pages faulted in again on the next, about 4.5 ms per
+    7.4 MB buffer here; one array of both raises that threshold on its
+    first free and stays in the heap (175-176 MB beside a busy process).
     """
     A, D = prob.A, prob.D
-    H = np.asarray(H, dtype=np.float64)
     m, n = A.n, D.n
-    if H.shape != (m, n):
-        raise ValueError(f"iterate must have shape {(m, n)}, got {H.shape}")
-    halves = _row_halves(m, n)
+    blocks = _row_blocks(prob, H)
+    if blocks is None:
+        H = np.asarray(H.H if isinstance(H, DaddaState) else H, dtype=np.float64)
+        if H.shape != (m, n):
+            raise ValueError(f"iterate must have shape {(m, n)}, got {H.shape}")
+    halves = _row_halves(m, n, blocks)
     return _halves_ratio_max(_residual_panels(prob, H, len(halves) > 1), halves, above=above)
+
+
+def _row_blocks(prob: MareProblem, it) -> list[int] | None:
+    """The row blocks (``linalg._block_edges``) in which :func:`erres` reads
+    the DaddaState ``it`` from its factors, or None where it reads a formed H.
+
+    That is a DaddaState whose A has no off-diagonal band, where the
+    blocks of Ucheck (gamma X) and of H [Cl, P_D] give more than one block.
+    """
+    if not isinstance(it, DaddaState) or prob.A.kind != "banded" or set(prob.A.bands) != {0}:
+        return None
+    cols = prob.Cl.shape[1] + (prob.D.p.shape[1] if prob.D.kind == "diag_plus_lowrank" else 0)
+    edges = _block_edges(prob.m, prob.n, (it.X.shape[0], cols))
+    return edges if len(edges) > 2 else None
 
 
 def _residual_share(block, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, int, int]:
@@ -793,15 +876,18 @@ def _residual_share(block, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     return diag, dots, block.n + rank, rank + 1
 
 
-def _residual_panels(prob: MareProblem, H: np.ndarray, halves: bool):
+def _residual_panels(prob: MareProblem, H, halves: bool):
     """The kernel of :func:`erres`: the per-call invariants, and a function
-    ``panels(edges)`` that yields (|P - Q|, G2) panel by panel at ``edges``,
-    top to bottom.
+    ``panels(edges)`` that yields (|P - Q|, G2) panel by panel, top to
+    bottom: at the panel ``edges`` of an array ``H``, or inside the row
+    blocks at ``edges`` of a DaddaState ``H`` (:func:`_row_blocks`).
 
-    With ``halves`` the two reductions over H run at once (one on a helper
-    thread, ``linalg._together``).  Each ``panels`` call makes its own
-    buffers, and the arrays it yields are those buffers, overwritten by its
-    next panel.  The outer sums are K = 2 products [a, 1] @ [1; d] into the buffer
+    With ``halves`` the two reductions over a formed H run at once (one on
+    a helper thread, ``linalg._together``).  Each ``panels`` call allocates
+    its own buffers on the calling thread, a block's rows of H and of
+    H [Cl, P_D] included, and the arrays it yields are those buffers,
+    overwritten by its next panel.  The
+    outer sums are K = 2 products [a, 1] @ [1; d] into the buffer
     (``_outer_sum_factors``): a_i * 1 and 1 * d_j are exact, so each entry
     is round(a_i + d_j) in either order, with or without a fused
     multiply-add, bitwise ``np.add``'s.  Each band o of H_p N_D is one
@@ -819,35 +905,60 @@ def _residual_panels(prob: MareProblem, H: np.ndarray, halves: bool):
     a copy of that one panel where it is not.
     """
     A, D = prob.A, prob.D
-    m, n = H.shape
+    m, n = A.n, D.n
     q = prob.Cl.shape[1]
     low_a, low_d = A.kind == "diag_plus_lowrank", D.kind == "diag_plus_lowrank"
-    # the reductions over a long side of H: BLAS products, formed once over
-    # all of H (8-row panels of fluid 800 x 7200 round H [Cl, P_D] unlike it)
+    # the reductions over a long side of H: BLAS products over all of a
+    # formed H (8-row panels of fluid 800 x 7200 round H [Cl, P_D] unlike it)
     right = np.concatenate([prob.Cl, D.p], axis=1) if low_d else prob.Cl
     left = np.concatenate([prob.Cr, A.r], axis=1) if low_a else prob.Cr
+    streamed = isinstance(H, DaddaState)
+    if streamed:
+        u, gx = H._factors()
+        rth = (left.T @ u) @ gx
+    else:
 
-    def form_hf():
-        return H @ right
+        def form_hf():
+            return H @ right
 
-    def form_rth():
-        return left.T @ H
+        def form_rth():
+            return left.T @ H
 
-    hf, rth = _together(form_hf, form_rth) if halves else (form_hf(), form_rth())
+        hf, rth = _together(form_hf, form_rth) if halves else (form_hf(), form_rth())
     # the factors of the outer-product terms [H Cl, Bl, P_A, H P_D] and
     # [Cr^T H; Br^T; R_A^T H; R_D^T]: a low-rank block's go to P for sign -1
-    # and to Q for sign +1
-    sides = {-1: ([hf[:, :q], prob.Bl], [rth[:q], prob.Br.T]), 1: ([], [])}
+    # and to Q for sign +1; a column range stands for those of H [Cl, P_D],
+    # copied in by fill(rows, hf_rows)
+    sides = {-1: ([(0, q), prob.Bl], [rth[:q], prob.Br.T]), 1: ([], [])}
     if low_a:
         sides[A.sign][0].append(A.p)
         sides[A.sign][1].append(rth[q:])
     if low_d:
-        sides[D.sign][0].append(hf[:, q:])
+        sides[D.sign][0].append((q, right.shape[1]))
         sides[D.sign][1].append(D.r.T)
+    fills = []
+
+    def left_factor(parts):
+        widths = [p[1] - p[0] if isinstance(p, tuple) else p.shape[1] for p in parts]
+        out, at = np.empty((m, sum(widths))), 0
+        for part, width in zip(parts, widths):
+            if isinstance(part, tuple):
+                fills.append((out, slice(at, at + width), slice(*part)))
+            else:
+                out[:, at : at + width] = part
+            at += width
+        return out
+
+    def fill(rows, hf_rows):
+        for out, cols, src in fills:
+            out[rows, cols] = hf_rows[:, src]
+
     (p_left, p_right), q_outer = (
-        (np.concatenate(lt, axis=1), np.concatenate(rt, axis=0)) if lt else None
+        (left_factor(lt), np.concatenate(rt, axis=0)) if lt else None
         for lt, rt in (sides[-1], sides[1])
     )
+    if not streamed:
+        fill(slice(None), hf)
     a_bands = sorted(_negated_offdiag(A.bands).items()) if A.kind == "banded" else []
     d_bands = sorted(_negated_offdiag(D.bands).items()) if D.kind == "banded" else []
     a_nmat = np.diag(np.diagonal(A.a)) - A.a if A.kind == "dense" else None
@@ -864,8 +975,16 @@ def _residual_panels(prob: MareProblem, H: np.ndarray, halves: bool):
         pos_sum = _outer_sum_factors(
             np.zeros((m, 1)) if a_pos is None else a_pos, np.zeros(n) if d_pos is None else d_pos
         )
-    edges = _panel_edges(m, n)
-    height = max(i1 - i0 for i0, i1 in zip(edges, edges[1:]))
+
+    def tallest(edges):
+        return max(e1 - e0 for e0, e1 in zip(edges, edges[1:]))
+
+    if streamed:
+        blocks = _row_blocks(prob, H)
+        tall = tallest(blocks)
+        height = max(tallest(_panel_edges(b1 - b0, n)) for b0, b1 in zip(blocks, blocks[1:]))
+    else:
+        height = tallest(_panel_edges(m, n))
     # D's bands over a flattened panel: band o at the columns it reaches,
     # zero where a flat shift by o wraps to the neighbouring row
     d_tiles = []
@@ -874,12 +993,36 @@ def _residual_panels(prob: MareProblem, H: np.ndarray, halves: bool):
         tile[:, max(0, off) : n + min(0, off)] = vals
         d_tiles.append((off, tile.reshape(-1)))
 
+    def panel_rows(edges, rows_h, rows_hf):
+        # (i0, i1, rows i0 to i1 of H) of each panel: at the edges of a
+        # formed H, or inside each block, from its top row, once the block
+        # and its rows of H [Cl, P_D] are formed into rows_h and rows_hf
+        if not streamed:
+            for i0, i1 in zip(edges, edges[1:]):
+                yield i0, i1, H[i0:i1]
+            return
+        for b0, b1 in zip(edges, edges[1:]):
+            block = np.matmul(u[b0:b1], gx, out=rows_h[: b1 - b0])
+            fill(slice(b0, b1), np.matmul(block, right, out=rows_hf[: b1 - b0]))
+            inner = _panel_edges(b1 - b0, n)
+            for e0, e1 in zip(inner, inner[1:]):
+                yield b0 + e0, b0 + e1, block[e0:e1]
+
+    # the halves' block buffers, in one allocation on the calling thread (see erres)
+    blocks_h = list(np.empty((2 if halves else 1, tall, n))) if streamed else []
+
     def panels(edges):
+        # allocated here, on the calling thread, so a helper thread that
+        # reads the panels allocates nothing large (see erres)
         acc, tmp = np.empty((height, n)), np.empty((height, n))
         spare = None if q_outer is None else np.empty((height, n))
-        for i0, i1 in zip(edges, edges[1:]):
+        rows = (blocks_h.pop(), np.empty((tall, right.shape[1]))) if streamed else (None, None)
+        return kernel(panel_rows(edges, *rows), acc, tmp, spare)
+
+    def kernel(panel_rows, acc, tmp, spare):
+        for i0, i1, panel in panel_rows:
             h = i1 - i0
-            panel, p, t = H[i0:i1], acc[:h], tmp[:h]
+            p, t = acc[:h], tmp[:h]
             np.matmul(p_left[i0:i1], p_right, out=p)
             # rows of N_A H: band o pairs row i with row i + o of H
             for off, vals in a_bands:
@@ -1000,11 +1143,14 @@ def rank_of_iterate(state: DaddaState) -> int:
     above its rounding.  So BLAS forms it.  From r >= min(m, n) on the
     factors are no smaller than H itself, and the QR of the m x r Ucheck
     costs more time and memory than H's singular values: the rank is then
-    that of H, the one rule of every iterate.
+    that of H, the one rule of every iterate.  The QR runs with scipy's
+    BLAS on one thread (``gth._one_lapack_thread``), like every LAPACK
+    call of a solve.
     """
     if not state.skinny:
         return _numerical_rank(state.H)
-    ru = scipy.linalg.qr(state.Ucheck, mode="economic")[1]
+    with _one_lapack_thread:
+        ru = scipy.linalg.qr(state.Ucheck, mode="economic")[1]
     return _numerical_rank(state.shifts.gamma * (ru @ state.X))
 
 
@@ -1202,7 +1348,9 @@ def _stopping_rule(prob: MareProblem, criteria: StopCriteria, x_true: np.ndarray
 
     Returns ``measure(it)``, an iterate's ``(value, lower_bound)``, and
     ``erres_final(it, record)``, the final iterate's full erres (the last
-    record's value where it is one).  The rule owns what the criterion
+    record's value where it is one).  erres reads the iterate itself where
+    it streams the rows from the factors (:func:`_row_blocks`), else the
+    formed H, which is formed before erres is called.  The rule owns what the criterion
     carries across steps: the erres gate, erres's early exit at the
     tolerance, ``rchange``'s previous H and ``ererr``'s reference.  Each
     criterion is called by its module name, so a rebinding sees each call.
@@ -1236,13 +1384,18 @@ def _stopping_rule(prob: MareProblem, criteria: StopCriteria, x_true: np.ndarray
             if value > tol:
                 return value, True
         # no local name holds H: the next step frees it before forming its own
-        value = erres(prob, it.H, above=tol)
-        return value, value > tol and panelled
+        rows = erres_rows(it)
+        value = erres(prob, rows, above=tol)
+        return value, value > tol and (panelled or rows is it)
 
     def erres_final(it, record: IterationRecord) -> float:
         if kind == "erres" and not record.lower_bound:
             return record.value
-        return erres(prob, it.H)
+        return erres(prob, erres_rows(it))
+
+    def erres_rows(it):
+        # the iterate itself where erres streams its rows, else its formed H
+        return it if _row_blocks(prob, it) is not None else it.H
 
     return measure, erres_final
 
@@ -1262,7 +1415,8 @@ def _stopping_loop(
     :class:`_TripletAdda` once its next kernel would outgrow m + n.  The
     loop then drops the DaddaState, so its factor blocks are freed.  The
     report's seconds count from before the rule is built; its
-    ``erres_final`` is always a full evaluation on the returned H.
+    ``erres_final`` is always a full evaluation on the rows of the returned
+    H, and the report keeps a DaddaState to form H on its first read.
     """
     t0 = time.perf_counter()
     measure, erres_final = _stopping_rule(prob, criteria, x_true)
@@ -1304,13 +1458,13 @@ def _stopping_loop(
         alpha=shifts.alpha,
         beta=shifts.beta,
         records=records,
-        H=it.H,
         erres_final=erres_final(it, records[-1]),
         frob_h=it.frob(),
         rank_h=it.rank(),
         G=it.dual() if compute_dual else None,
         switched_at=it.switched_at,
         seconds=time.perf_counter() - t0,
+        _final=it if isinstance(it, DaddaState) else it.H,
     )
 
 

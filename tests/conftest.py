@@ -306,6 +306,34 @@ def random_mare(
     )
 
 
+def transport_reference(draw, max_sweeps=100_000):
+    """Minimal solution of a ``benchgen.draw_transport`` MARE in Lu's vector
+    form (Lu, SIMAX 26, 2005), independent of the doubling iterations.
+
+    With delta = (1/omega) / (beta_t (1 + alpha_t)) and d = (1/omega) /
+    (beta_t (1 - alpha_t)), formed as the draw forms them (``A.diagonal()``
+    is delta - q, not delta), the solution is T o (u v^T) with T_ij =
+    1 / (delta_i + d_j), where u, v are the minimal solution of
+    u = u o (P v) + e and v = v o (Pt u) + e, P_ij = q_j / (delta_i + d_j),
+    Pt_ij = q_j / (delta_j + d_i).  Iterated from u = v = 0, Gauss-Seidel
+    style, until a sweep changes no bit; every term is nonnegative.
+    """
+    w = 1.0 / draw.omega
+    delta = w / (draw.beta_t * (1.0 + draw.alpha_t))
+    d = w / (draw.beta_t * (1.0 - draw.alpha_t))
+    T = 1.0 / (delta[:, None] + d[None, :])
+    P = T * draw.q
+    Pt = draw.q / (delta[None, :] + d[:, None])
+    u = v = np.zeros(len(w))
+    for _ in range(max_sweeps):
+        u_next = u * (P @ v) + 1.0
+        v_next = v * (Pt @ u_next) + 1.0
+        if np.array_equal(u_next, u) and np.array_equal(v_next, v):
+            return T * np.outer(u, v)
+        u, v = u_next, v_next
+    raise RuntimeError(f"transport reference did not settle in {max_sweeps} sweeps")
+
+
 def _banded_from_dense(a, lower, upper):
     order = a.shape[0]
     bands = {}

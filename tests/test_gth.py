@@ -720,6 +720,28 @@ class TestLapackThreads:
         assert len(seen) >= 6 and set(seen) == {1}
         assert scipy_threads() == 2
 
+    def test_rank_and_validation_qrs_run_on_one_thread(self, scipy_threads, monkeypatch):
+        import scipy.linalg
+
+        from dadda.benchgen import gen_fluid
+        from dadda.solver import initialize, rank_of_iterate
+
+        seen = []
+        qr = scipy.linalg.qr
+
+        def recording(*args, **kwargs):
+            seen.append(scipy_threads())
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qr", recording)
+        prob = gen_fluid(300, 40)[0]
+        assert prob.validate().ok
+        validated = len(seen)
+        state = initialize(prob)
+        assert state.skinny and rank_of_iterate(state) == 1
+        assert validated == 4 and len(seen) == 5 and set(seen) == {1}
+        assert scipy_threads() == 2
+
     def test_the_last_one_out_restores_the_count(self, scipy_threads):
         inside, leave = threading.Event(), threading.Event()
 

@@ -353,6 +353,32 @@ class TestRowHalves:
             split = linalg._product_split(m, n, 4)
             assert split % linalg._SPLIT_ROWS == 0 and 0 < split <= m - split
 
+    def test_block_edges_start_aligned_and_the_tail_joins_the_block_above(self):
+        rows, small = linalg._SPLIT_ROWS, linalg._SMALL_PRODUCT
+        # the fluid shapes: 672-row blocks at n = 800, 96-row blocks at n = 7200
+        assert linalg._block_edges(7200, 800, (8, 2)) == [*range(0, 6049, 672), 7200]
+        assert linalg._block_edges(800, 7200, (16, 2)) == [*range(0, 673, 96), 800]
+        assert linalg._block_edges(400, 100, (16, 2)) == [0, 400]
+        assert linalg._block_edges(95, 7200, (8, 2)) == [0, 95]
+        assert linalg._block_edges(192, 7200, (8, 2)) == [0, 96, 192]
+        assert linalg._block_edges(191, 7200, (8, 2)) == [0, 191]
+        for m, n in ((7200, 800), (800, 7200), (3001, 999), (5000, 333)):
+            for inners in ((1, 1), (2, 32), (5, 3), (64, 2)):
+                edges = linalg._block_edges(m, n, inners)
+                spans = [b - a for a, b in zip(edges, edges[1:])]
+                assert edges[0] == 0 and edges[-1] == m
+                assert all(e % rows == 0 for e in edges[:-1])
+                # every block but the last is the fewest aligned rows above
+                # the small-product size, and the tail is in the last
+                least = min(spans[:-1] or [m])
+                assert all(s == least for s in spans[:-1])
+                if len(spans) > 1:
+                    assert least * n * min(inners) > small >= (least - rows) * n * min(inners)
+                    assert least <= spans[-1] < 2 * least
+                # halves split at a block edge
+                halves = linalg._row_halves(m, n, edges)
+                assert halves[0] + sum((h[1:] for h in halves[1:]), []) == edges
+
 
 class TestStructuredSquare:
     def _cases(self, rng):

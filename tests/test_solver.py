@@ -27,9 +27,10 @@ from conftest import (
     oracle_residual,
     random_mare,
     same_float,
+    transport_reference,
 )
 from dadda import gth, linalg, oracle, problem, solver
-from dadda.benchgen import gen_fluid, gen_transport
+from dadda.benchgen import draw_transport, gen_fluid, gen_transport
 from dadda.gth import NotMMatrixError, build_solver, gth_factorize
 from dadda.linalg import StructuredSquare, frobenius_norm
 from dadda.problem import MareProblem, ShiftPair, make_shifts
@@ -827,9 +828,155 @@ print("ok")
         assert len(linalg._row_halves(2048, 1024)) == 2 and linalg._product_split(2048, 1024, 1)
         with tracer.Patches(tracer.TRACED, make):
             report = solve(prob)
+            # the solve streams erres's rows and forms no H; reading the
+            # report's forms it, under the wrappers
+            report.H
         assert report.termination == "converged"
         assert {"solver.criterion", "solver.materialize"} <= {name for name, _ in callers}
         assert {ident for _, ident in callers} == {threading.get_ident()}
+
+
+def _factored_state(prob, u, x):
+    """A DaddaState of ``prob`` whose H is u @ (gamma x), gamma = 1, with
+    no other part: what erres reads of an iterate's factors."""
+    return DaddaState(
+        prob=prob, shifts=ShiftPair(alpha=0.25, beta=0.75), solver_a=None, solver_d=None,
+        a_neg=None, d_neg=None, k=0, u_blocks=[u], v_blocks=[], w_blocks=[], q_blocks=[],
+        Y=None, Z=None, dinv_v1=None, ainv_v2=None, bru1=None, X=x,
+    )
+
+
+class TestStreamedErres:
+    """erres reads a DaddaState with a diagonal A from its factors, in row
+    blocks that keep the bits of the whole products."""
+
+    def test_blocks_are_the_whole_products(self):
+        # each block of H = Ucheck (gamma X) and of H [Cl, P_D] is bitwise
+        # those rows of the whole products, with BLAS on one thread: at the
+        # fluid shapes, where erres streams, and at odd shapes for r = 1..32
+        code = """
+import numpy as np
+from dadda import linalg
+from dadda.benchgen import gen_fluid
+from dadda.solver import _row_blocks, advance, initialize
+
+
+def check(label, u, gx, right, edges, H=None):
+    H = u @ gx if H is None else H
+    hf = H @ right
+    assert len(edges) > 2, label
+    for b0, b1 in zip(edges, edges[1:]):
+        block = u[b0:b1] @ gx
+        assert np.array_equal(block.view(np.int64), H[b0:b1].view(np.int64)), (label, b0)
+        rows = block @ right
+        assert np.array_equal(rows.view(np.int64), hf[b0:b1].view(np.int64)), (label, b0)
+
+
+for m, n in ((7200, 800), (800, 7200)):
+    prob = gen_fluid(m, n)[0]
+    state = advance(advance(advance(initialize(prob))))
+    right = np.concatenate([prob.Cl, prob.D.p], axis=1)
+    for k in (3, 4):
+        check((m, n, k), *state._factors(), right, _row_blocks(prob, state), state.H)
+        advance(state)
+rng = np.random.Generator(np.random.Philox(35))
+for m, n in ((2049, 1001), (7001, 333), (3001, 701), (1777, 2345)):
+    for r in range(1, 33):
+        cols = 1 + r % 3
+        u, gx = rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
+        right = rng.uniform(size=(n, cols))
+        check((m, n, r), u, gx, right, linalg._block_edges(m, n, (r, cols)))
+print("ok")
+"""
+        proc = _run_on_one_blas_thread(code)
+        assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
+
+    def test_fluid_streams_the_formed_value_at_every_k(self):
+        # both benchmark fluid instances, BLAS on one thread: streamed erres
+        # is bitwise erres of the formed H at every k, and forms no H
+        code = """
+from dadda import linalg
+from dadda.benchgen import gen_fluid
+from dadda.solver import _row_blocks, advance, erres, initialize
+
+for m, n in ((7200, 800), (800, 7200)):
+    prob = gen_fluid(m, n)[0]
+    state = initialize(prob)
+    for k in range(7):
+        if k:
+            advance(state)
+        assert _row_blocks(prob, state) is not None, (m, n, k)
+        for cpus in (1, 2):
+            linalg._cpu_count = lambda c=cpus: c
+            streamed = erres(prob, state)
+            assert state._H is None
+            formed = erres(prob, state.H)
+            state._H = None
+            assert streamed.hex() == formed.hex(), (m, n, k, cpus, streamed, formed)
+print("ok")
+"""
+        proc = _run_on_one_blas_thread(code)
+        assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
+
+    def test_streamed_solve_forms_no_h_until_it_is_read(self):
+        prob = gen_fluid(7200, 800)[0]
+        tracemalloc.start()
+        try:
+            rep = solve(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.termination == "converged"
+        assert peak < 7200 * 800 * 8, peak
+        state = _run_state(prob, make_shifts(prob), rep.iterations)
+        assert np.array_equal(rep.H.view(np.int64), state.H.view(np.int64))
+        assert rep.H is rep.H
+
+    @pytest.mark.parametrize("kind", ["banded", "lowrank -1", "lowrank +1", "dense"])
+    def test_every_kind_of_d_matches_the_formed_path(self, kind, monkeypatch):
+        # only HCH's reduction Cr^T H takes another rounding, from the factors
+        rng = np.random.Generator(np.random.Philox(81))
+        m, n, r = 1100, 1000, 4
+        A = StructuredSquare.banded(m, 0, 0, {0: rng.uniform(1.0, 2.0, size=m)})
+        blocks = _blocks(rng, n, 1, 2)
+        D = blocks[["banded", "lowrank -1", "lowrank +1", "dense"].index(kind)]
+        prob = _problem(rng, A, D)
+        state = _factored_state(prob, rng.uniform(size=(m, r)), rng.uniform(size=(r, n)))
+        assert len(solver._row_blocks(prob, state)) > 2
+        assert len(linalg._row_halves(m, n, solver._row_blocks(prob, state))) == 2
+        formed = erres(prob, state.H)
+        state._H = None
+        values = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(linalg, "_cpu_count", lambda c=cpus: c)
+            for above in (np.inf, 0.0, formed / 2):
+                values.setdefault(above, set()).add(erres(prob, state, above=above).hex())
+                assert state._H is None
+        # the same bits on one CPU and two
+        assert all(len(v) == 1 for v in values.values())
+        full = float.fromhex(values[np.inf].pop())
+        assert abs(full - formed) <= 1e-14 * formed
+        for above in (0.0, formed / 2):
+            assert above < float.fromhex(values[above].pop()) <= full
+
+    @pytest.mark.parametrize("m, n", [(400, 100), (100, 400)])
+    def test_one_block_takes_the_formed_path(self, m, n):
+        prob = gen_fluid(m, n)[0]
+        state = _run_state(prob, make_shifts(prob), 2)
+        assert solver._row_blocks(prob, state) is None
+        value = erres(prob, state)
+        assert state._H is not None and value == erres(prob, state.H)
+
+    def test_only_a_diagonal_a_streams(self):
+        # an off-diagonal band or a low-rank part of A couples the rows of H
+        rng = np.random.Generator(np.random.Philox(82))
+        m, n = 1100, 1000
+        D = _blocks(rng, n, 1, 2)[0]
+        for A in _blocks(rng, m, 1, 0)[:3]:
+            prob = _problem(rng, A, D)
+            state = _factored_state(prob, rng.uniform(size=(m, 4)), rng.uniform(size=(4, n)))
+            assert solver._row_blocks(prob, state) is None, A.kind
+        assert solver._row_blocks(prob, state.H) is None
 
 
 class TestStreamedRatios:
@@ -1015,6 +1162,18 @@ class TestSolveLoop:
         assert rep.alpha == 0.0
         assert rep.beta == sh.beta
         assert rep.termination == "converged"
+
+
+class TestTransportReference:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_solve_is_componentwise_accurate(self, seed):
+        # against Lu's vector form, which no doubling step enters: every
+        # entry of H, however small, to a few ulps (1.3e-14 measured at s = 1)
+        draw = draw_transport(100, seed)
+        rep = solve(draw.problem, criteria=StopCriteria(tolerance=1e-12))
+        assert rep.termination == "converged"
+        exact = transport_reference(draw)
+        assert np.max(np.abs(rep.H - exact) / exact) <= 5e-14
 
 
 def _tridiagonal_mare(order, seed):
