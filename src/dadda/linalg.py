@@ -24,9 +24,10 @@ and every product inside a panel is BLAS: the outer-product terms of
 block's product of the panel's rows.  ``_panel_ratio_max`` combines the
 panels' ratios bitwise as over the whole arrays, and ``_halves_ratio_max``
 reads them in two row halves at once, the bottom half on one helper thread
-(``_together``), with the same result.  ``_block_edges`` gives the row
-blocks in which ``erres`` forms a factored iterate's rows, each block
-rounding like those rows of the whole products.
+(``_together``), with the same result, split at a middle edge by
+``_row_halves``.  ``_block_edges`` gives the row blocks in which ``erres``
+forms a factored iterate's rows, and at whose middle edge H splits, each
+block rounding like those rows of the whole products.
 
 Square coefficient matrices come in three structured kinds:
 
@@ -311,50 +312,25 @@ def _together(first, second) -> tuple:
 # thread (CHANGES.md)
 _HALVES_FLOATS = 1 << 20
 
-# A product split into row halves splits at a multiple of this many rows, and
-# only where each half takes more multiply-adds than _SMALL_PRODUCT
+# Row blocks formed apart (_block_edges) start at a multiple of this many rows,
+# and each of their products takes more multiply-adds than _SMALL_PRODUCT
 _SPLIT_ROWS = 48
 _SMALL_PRODUCT = 100**3
 
 
-def _row_halves(height: int, width: int, blocks: list[int] | None = None) -> list[list[int]]:
-    """The ``_panel_edges`` of a ``height`` x ``width`` array, or its row
-    ``blocks`` (:func:`_block_edges`), as one list, or as two lists that
-    split it at a middle edge into a top and a bottom row half.
+def _row_halves(height: int, width: int, blocks: list[int]) -> list[list[int]]:
+    """The row ``blocks`` of a ``height`` x ``width`` array (its
+    ``_panel_edges`` or :func:`_block_edges`), as one list, or as two lists
+    that split it at a middle edge into a top and a bottom row half.
 
-    Split from ``_HALVES_FLOATS`` entries up, where each half holds two
-    panels or one block or more.  The split depends on the shape alone,
-    never on the CPU count.
+    Split from ``_HALVES_FLOATS`` entries up, where each half holds one
+    block or more.  The split depends on the shape alone, never on the CPU
+    count.
     """
-    edges = _panel_edges(height, width) if blocks is None else blocks
-    if height * width < _HALVES_FLOATS or len(edges) < (5 if blocks is None else 3):
-        return [edges]
-    mid = len(edges) // 2
-    return [edges[: mid + 1], edges[mid:]]
-
-
-def _product_split(height: int, width: int, inner: int) -> int:
-    """The row at which a product with a ``height`` x ``width`` result and
-    inner dimension ``inner`` splits into a top and a bottom row half, each
-    formed by its own BLAS call; 0 for no split.
-
-    Split from ``_HALVES_FLOATS`` entries up, at the largest multiple of
-    ``_SPLIT_ROWS`` rows not past the middle, where each half takes more
-    than ``_SMALL_PRODUCT`` multiply-adds.  BLAS tiles the rows of a
-    row-major product from the top; where the split is a multiple of the
-    tile height, every row of a half lies in the same tile position as in
-    the whole product and takes the same kernel, so it rounds the same.
-    With OpenBLAS 0.3.31 on one thread (an AVX-512 host), splits at
-    multiples of 12 rows kept the whole product's bits in 232 of 232
-    random shapes from 2^20 entries up, at multiples of 8 or 16 in about
-    half of them; 48 is a multiple of all three.  Products of at most 100^3
-    multiply-adds go to its small-matrix kernels, which round unlike the
-    blocked one, so neither half may be that small.
-    """
-    if height * width < _HALVES_FLOATS:
-        return 0
-    split = _SPLIT_ROWS * (height // (2 * _SPLIT_ROWS))
-    return split if split * width * inner > _SMALL_PRODUCT else 0
+    if height * width < _HALVES_FLOATS or len(blocks) < 3:
+        return [blocks]
+    mid = len(blocks) // 2
+    return [blocks[: mid + 1], blocks[mid:]]
 
 
 def _block_edges(height: int, width: int, inners: tuple[int, ...]) -> list[int]:
@@ -364,9 +340,17 @@ def _block_edges(height: int, width: int, inners: tuple[int, ...]) -> list[int]:
 
     Each block starts at a multiple of ``_SPLIT_ROWS`` rows and is the
     fewest such rows that give each of its products more than
-    ``_SMALL_PRODUCT`` multiply-adds; the tail joins the block above.  So
-    with BLAS on one thread each block's rows round as in the whole
-    products, by :func:`_product_split`'s argument.
+    ``_SMALL_PRODUCT`` multiply-adds; the tail joins the block above.  BLAS
+    tiles the rows of a row-major product from the top; where a block
+    starts at a multiple of the tile height, every row of it lies in the
+    same tile position as in the whole product and takes the same kernel,
+    so with BLAS on one thread it rounds the same.  With OpenBLAS 0.3.31 on
+    one thread (an AVX-512 host), splits at multiples of 12 rows kept the
+    whole product's bits in 232 of 232 random shapes from 2^20 entries up,
+    at multiples of 8 or 16 in about half of them; 48 is a multiple of all
+    three.  Products of at most 100^3 multiply-adds go to its small-matrix
+    kernels, which round unlike the blocked one, so no block may be that
+    small.
     """
     least = _SMALL_PRODUCT // (width * max(min(inners), 1)) + 1
     rows = _SPLIT_ROWS * -(-least // _SPLIT_ROWS)
@@ -375,17 +359,18 @@ def _block_edges(height: int, width: int, inners: tuple[int, ...]) -> list[int]:
 
 def _product_halves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b into one allocated array, in two row halves at once where
-    :func:`_product_split` splits it and a second CPU is free
-    (:func:`_cpu_count`), the bottom half on a helper thread; else by the
-    whole product.
+    :func:`_row_halves` splits its :func:`_block_edges` and a second CPU is
+    free (:func:`_cpu_count`), the bottom half on a helper thread; else by
+    the whole product.
 
     With BLAS on one thread either way gives the whole product's bits; with
     BLAS on more threads there is no free CPU, and the whole product is
     formed as one call.
     """
     out = np.empty((a.shape[0], b.shape[1]))
-    split = _product_split(*out.shape, a.shape[1])
-    if split and _cpu_count() > 1:
+    halves = _row_halves(*out.shape, _block_edges(*out.shape, (a.shape[1],)))
+    if len(halves) > 1 and _cpu_count() > 1:
+        split = halves[1][0]
         _together(
             lambda: np.matmul(a[:split], b, out=out[:split]),
             lambda: np.matmul(a[split:], b, out=out[split:]),

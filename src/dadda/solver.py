@@ -186,46 +186,43 @@ with a mixed-sign operand is :func:`rank_of_iterate`'s core, a QR factor
 times X, where no summation order is sign-exact; it is a diagnostic
 outside the iteration, so BLAS forms it too.
 
-Two row sources.  :func:`erres` reads an array, or an iterate's formed H,
-in panels that slice it.  A DaddaState whose A has no off-diagonal band,
-and whose H spans more than one row block (:func:`_row_blocks`), is read
-from its factors instead, and no m x n array is formed.  Row i of the
-numerator then reads row i of H alone, so each block Ucheck[rows]
-(gamma X) is formed into a buffer with its rows of H [Cl, P_D], the
-panels run inside the block from its top row, and the next block reuses
-the buffer; the early exit forms no block below its panel.  A block
-starts at a multiple of BLAS's row tiles and gives each of its two
-products more than BLAS's small-matrix size (``linalg._block_edges``), so
-with BLAS on one thread its rows of H and of H [Cl, P_D] are bitwise
-those of the whole products, the cancelling term H P_D included.
-Cr^T H, a sum over all m rows, comes from the factors as
-(Cr^T Ucheck) (gamma X).  It feeds HCH only, which P adds and nothing
-cancels, so the value may round apart from the formed H's by a few ulps
-(on the benchmark's fluid instances the two are bitwise equal at every
-k).  Every other iterate reads its formed H: transport, banded, the ADDA
-iterates, one-block problems, and any array a caller passes.
-
-Two row halves.  From ``linalg._HALVES_FLOATS`` entries of H up, the
-m x n layer runs on two threads where a second CPU is free
-(``linalg._cpu_count``: the process may run on two CPUs and numpy's BLAS
-runs on one thread): the calling thread takes the top rows and one helper
-thread, started and joined inside the call, the bottom rows.
-:attr:`DaddaState.H` forms its two row blocks by one BLAS product each into
-the one allocated H (``linalg._product_halves``), and :func:`erres` forms
-its two reductions over a formed H at once, then reads its row panels in
-two contiguous halves of ``linalg._panel_edges``, or of the block edges,
-each half into buffers of its own, its block buffer included.  The
-halves write disjoint rows, of H or of a block's share of erres's
-outer-product factors, and share only read-only operands besides.  Every entry of erres is formed by the same BLAS call or numpy
-operation on the same rows as in one pass, and the panel maxima merge in
-the fixed top-to-bottom order of ``linalg._panel_ratio_max``
-(``linalg._halves_ratio_max``).  H splits at a multiple of BLAS's row
-tiles, where each row rounds as in the whole product with BLAS on one
-thread.  With no free CPU, erres runs its halves in order on the calling
-thread, with the same bits, and H is the whole product (BLAS's own
-threads split its rows their own way, so H's rounding may move with their
-count, as it could before).  The helper calls numpy and the kernels' own
-closures only, never a function of the public API or scipy.
+One block loop.  :func:`erres` reads H in row blocks, and runs its panels
+inside each block from its top row.  An array, or an iterate's formed H,
+has its row panels (``linalg._panel_edges``) for blocks, each sliced with
+its rows of H [Cl, P_D], one BLAS product over the whole H.  A DaddaState
+whose A has no off-diagonal band, and whose H spans more than one row
+block (:func:`_row_blocks`), is read from its factors instead, and no
+m x n array is formed: row i of the numerator reads row i of H alone, so
+each block Ucheck[rows] (gamma X) is formed into a buffer with its rows of
+H [Cl, P_D], the next block reuses the buffer, and the early exit forms
+no block below its panel.  Such a block starts at a multiple of BLAS's
+row tiles and gives each of its two products more than BLAS's
+small-matrix size (``linalg._block_edges``), so with BLAS on one thread
+its rows of H and of H [Cl, P_D] are bitwise those of the whole products,
+the cancelling term H P_D included.  Cr^T H, a sum over all m rows, comes
+from the factors as (Cr^T Ucheck) (gamma X); it feeds HCH only, which P
+adds and nothing cancels, so the value may round apart from the formed
+H's by a few ulps (on the benchmark's fluid instances the two are bitwise
+equal at every k).  From ``linalg._HALVES_FLOATS`` entries of H up, where
+a second CPU is free (``linalg._cpu_count``: the process may run on two
+CPUs and numpy's BLAS runs on one thread), the calling thread takes the
+top rows and one helper thread, started and joined inside the call, the
+bottom rows, split at the middle edge of one list of row edges
+(``linalg._row_halves``): :func:`erres` splits its blocks, each half with
+buffers of its own, and forms a formed H's two reductions at once;
+:attr:`DaddaState.H` splits its ``linalg._block_edges``, a multiple of
+BLAS's row tiles, and forms each half by one BLAS product into the one
+allocated H (``linalg._product_halves``).  The halves write disjoint rows
+and share only read-only operands besides.  Every entry of erres is
+formed by the same operations on the same rows as in one pass, the panel
+maxima merge in the fixed top-to-bottom order of
+``linalg._panel_ratio_max`` (``linalg._halves_ratio_max``), and each row
+of H rounds as in the whole product with BLAS on one thread.  With no
+free CPU, erres runs its halves in order on the calling thread, with the
+same bits, and H is the whole product (BLAS's own threads split its rows
+their own way, so H's rounding may move with their count).  The helper
+calls numpy and the kernels' own closures only, never a function of the
+public API or scipy.
 
 Gating ``erres`` by a factored lower bound.  Above one slab of entries
 (m n > ``linalg._SLAB_FLOATS``) the stopping rule first bounds ``erres``
@@ -411,10 +408,10 @@ class IterationRecord:
 
 @dataclass
 class SolveReport:
-    """The outcome of one solve.  ``H``, the final iterate, is formed on its
-    first read, by :attr:`DaddaState.H` for a dADDA iterate, and kept; the
-    solve itself forms it only where a criterion or a diagnostic reads it.
-    ``H`` may be assigned."""
+    """The outcome of one solve.  ``H``, the final iterate, and ``G``, its
+    dual iterate, are formed on their first read from the final iterate,
+    which the report keeps, and then kept; the solve itself forms H only
+    where a criterion or a diagnostic reads it.  ``H`` may be assigned."""
 
     termination: str
     iterations: int
@@ -427,20 +424,26 @@ class SolveReport:
     frob_h: float
     rank_h: int
     seconds: float
-    G: np.ndarray | None = None
     switched_at: int | None = None
-    # the final iterate until H is read, then H
     _final: object = field(default=None, repr=False, compare=False)
+    _H: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _G: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def H(self) -> np.ndarray:
-        if isinstance(self._final, DaddaState):
-            self._final = self._final.H
-        return self._final
+        if self._H is None:
+            self._H = self._final.H
+        return self._H
 
     @H.setter
     def H(self, value: np.ndarray) -> None:
-        self._final = value
+        self._H = value
+
+    @property
+    def G(self) -> np.ndarray:
+        if self._G is None:
+            self._G = self._final.dual()
+        return self._G
 
 
 @dataclass(eq=False)
@@ -510,13 +513,13 @@ class DaddaState:
         formed H gave no more: an overflow to +inf passed it too.
 
         H is allocated once and formed in two row halves where
-        ``linalg._product_split`` splits it and a second CPU is free
-        (``linalg._product_halves``), each by one BLAS product
-        Ucheck[rows] (gamma X) into its rows, the bottom half on a helper
-        thread; else by the whole product.  The split row depends on the
-        shape alone and is a multiple of BLAS's row tiles, so H is bitwise
-        the whole product ``Ucheck @ (gamma X)`` with BLAS on one thread, on
-        one CPU or two.
+        ``linalg._row_halves`` splits its ``linalg._block_edges`` and a
+        second CPU is free (``linalg._product_halves``), each by one BLAS
+        product Ucheck[rows] (gamma X) into its rows, the bottom half on a
+        helper thread; else by the whole product.  The split row depends on
+        the shape alone and is a multiple of BLAS's row tiles, so H is
+        bitwise the whole product ``Ucheck @ (gamma X)`` with BLAS on one
+        thread, on one CPU or two.
         """
         if self._H is None:
             self._H = _product_halves(*self._factors())
@@ -785,35 +788,32 @@ def erres(prob: MareProblem, H, *, above: float = np.inf) -> float:
     the diagonals with each neg's row dots.  So |P - Q| is the one
     subtraction.
 
-    One fused kernel evaluates it in row panels of H (``linalg._panel_edges``),
-    so no m x n temporary is made.  The per-call invariants come first: the
-    BLAS products H [Cl, P_D] and [Cr, R_A]^T H, the two factors of the
-    outer-product terms, the negated bands and the row and column vectors
-    of Q and G2.  Each panel takes one BLAS product for all its
-    outer-product terms, one per dense-kind A or D, one with K = 2 per
-    outer sum, [a, 1] @ [1; d], whose two products are exact, so each
-    entry is the one rounding of a_i + d_j, and elementwise work through
-    two reused buffers: each band term is multiplied into one and added to
-    P, D's as flat passes over the panel against a zero-padded copy of the
-    band, whose zeros add +0.0 where a shift wraps to the next row.  Every
-    entry is formed by the same operations in the same order as over the
-    whole matrix, so for a finite H the value is bitwise the unpanelled
-    evaluation from the same products where BLAS rounds a row panel like
-    the rows of the whole product.  The panel ratios combine by
-    ``linalg._panel_ratio_max``, and any x/0 decides the value (+inf), as
-    over the whole matrix.  With ``above`` it stops at the first panel
-    maximum above it.
-
-    The second source of rows: a DaddaState whose A has no off-diagonal
-    band and whose H spans more than one row block (:func:`_row_blocks`) is
-    read from its factors block by block, and its H is not formed (module
-    docstring, "Two row sources").  Any other DaddaState is read by its
-    formed :attr:`~DaddaState.H`.
-
-    From ``linalg._HALVES_FLOATS`` entries up (``linalg._row_halves``), the
-    panels, or the blocks, run in two row halves, the bottom half on a
-    helper thread, the formed H's two reductions at once; the halves merge
-    as one top-to-bottom pass would, early exit included
+    One fused kernel (:func:`_residual_panels`) evaluates it in row panels
+    inside row blocks of H, so no m x n temporary is made.  After one shape
+    check, the blocks are worked out once per call: the row panels
+    (``linalg._panel_edges``) of an array or of an iterate's formed
+    :attr:`~DaddaState.H`, or the row blocks (:func:`_row_blocks`) in which
+    a DaddaState whose A has no off-diagonal band is read from its factors,
+    with no H formed (module docstring, "One block loop").  The per-call
+    invariants come first: the BLAS products H [Cl, P_D] (per block where
+    streamed) and [Cr, R_A]^T H, the two factors of the outer-product
+    terms, the negated bands and the row and column vectors of Q and G2.
+    Each panel takes one BLAS product for all its outer-product terms, one
+    per dense-kind A or D, one with K = 2 per outer sum, [a, 1] @ [1; d],
+    whose two products are exact, so each entry is the one rounding of
+    a_i + d_j, and elementwise work through two reused buffers: each band
+    term is multiplied into one and added to P, D's as flat passes over
+    the panel against a zero-padded copy of the band, whose zeros add +0.0
+    where a shift wraps to the next row.  Every entry is formed by the same
+    operations in the same order as over the whole matrix, so for a finite
+    H the value is bitwise the unpanelled evaluation from the same products
+    where BLAS rounds a row panel like the rows of the whole product.  The
+    panel ratios combine by ``linalg._panel_ratio_max``, and any x/0
+    decides the value (+inf), as over the whole matrix.  With ``above`` it
+    stops at the first panel maximum above it.  From
+    ``linalg._HALVES_FLOATS`` entries up the blocks run in two row halves
+    (``linalg._row_halves``), the bottom half on a helper thread; the
+    halves merge as one top-to-bottom pass would, early exit included
     (``linalg._halves_ratio_max``), so the value is bitwise the one-pass
     value on one CPU or two.
 
@@ -830,15 +830,17 @@ def erres(prob: MareProblem, H, *, above: float = np.inf) -> float:
     7.4 MB buffer here; one array of both raises that threshold on its
     first free and stays in the heap (175-176 MB beside a busy process).
     """
-    A, D = prob.A, prob.D
-    m, n = A.n, D.n
+    m, n = prob.m, prob.n
+    shape = (len(H.u_blocks[0]), H.X.shape[1]) if isinstance(H, DaddaState) else np.shape(H)
+    if shape != (m, n):
+        raise ValueError(f"iterate must have shape {(m, n)}, got {shape}")
     blocks = _row_blocks(prob, H)
     if blocks is None:
         H = np.asarray(H.H if isinstance(H, DaddaState) else H, dtype=np.float64)
-        if H.shape != (m, n):
-            raise ValueError(f"iterate must have shape {(m, n)}, got {H.shape}")
+        blocks = _panel_edges(m, n)
     halves = _row_halves(m, n, blocks)
-    return _halves_ratio_max(_residual_panels(prob, H, len(halves) > 1), halves, above=above)
+    panels = _residual_panels(prob, H, blocks, len(halves) > 1)
+    return _halves_ratio_max(panels, halves, above=above)
 
 
 def _row_blocks(prob: MareProblem, it) -> list[int] | None:
@@ -876,21 +878,24 @@ def _residual_share(block, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     return diag, dots, block.n + rank, rank + 1
 
 
-def _residual_panels(prob: MareProblem, H, halves: bool):
+def _residual_panels(prob: MareProblem, H, blocks: list[int], halves: bool):
     """The kernel of :func:`erres`: the per-call invariants, and a function
     ``panels(edges)`` that yields (|P - Q|, G2) panel by panel, top to
-    bottom: at the panel ``edges`` of an array ``H``, or inside the row
-    blocks at ``edges`` of a DaddaState ``H`` (:func:`_row_blocks`).
+    bottom, inside the row blocks at ``edges``, a run of ``blocks``: the
+    panels of an array ``H``, or the row blocks of a DaddaState ``H``
+    (:func:`_row_blocks`).  One loop serves both: each block's rows of H
+    and of H [Cl, P_D] are slices of the array and of its whole product,
+    or formed from the factors into a block buffer, and its panels follow
+    from its top row.
 
     With ``halves`` the two reductions over a formed H run at once (one on
-    a helper thread, ``linalg._together``).  Each ``panels`` call allocates
-    its own buffers on the calling thread, a block's rows of H and of
-    H [Cl, P_D] included, and the arrays it yields are those buffers,
-    overwritten by its next panel.  The
-    outer sums are K = 2 products [a, 1] @ [1; d] into the buffer
-    (``_outer_sum_factors``): a_i * 1 and 1 * d_j are exact, so each entry
-    is round(a_i + d_j) in either order, with or without a fused
-    multiply-add, bitwise ``np.add``'s.  Each band o of H_p N_D is one
+    a helper thread, ``linalg._together``), and each half gets a block
+    buffer.  Each ``panels`` call allocates its own buffers on the calling
+    thread, and the arrays it yields are those buffers, overwritten by its
+    next panel.  The outer sums are K = 2 products [a, 1] @ [1; d] into
+    the buffer (``_outer_sum_factors``): a_i * 1 and 1 * d_j are exact, so
+    each entry is round(a_i + d_j) in either order, with or without a
+    fused multiply-add, bitwise ``np.add``'s.  Each band o of H_p N_D is one
     multiply and one add over the flattened panel, entry k against entry
     k - o, with the band laid over the panel's rows in a copy made once per
     call (O(bands * panel) floats).  The copy holds zeros at the columns
@@ -957,8 +962,6 @@ def _residual_panels(prob: MareProblem, H, halves: bool):
         (left_factor(lt), np.concatenate(rt, axis=0)) if lt else None
         for lt, rt in (sides[-1], sides[1])
     )
-    if not streamed:
-        fill(slice(None), hf)
     a_bands = sorted(_negated_offdiag(A.bands).items()) if A.kind == "banded" else []
     d_bands = sorted(_negated_offdiag(D.bands).items()) if D.kind == "banded" else []
     a_nmat = np.diag(np.diagonal(A.a)) - A.a if A.kind == "dense" else None
@@ -979,12 +982,9 @@ def _residual_panels(prob: MareProblem, H, halves: bool):
     def tallest(edges):
         return max(e1 - e0 for e0, e1 in zip(edges, edges[1:]))
 
-    if streamed:
-        blocks = _row_blocks(prob, H)
-        tall = tallest(blocks)
-        height = max(tallest(_panel_edges(b1 - b0, n)) for b0, b1 in zip(blocks, blocks[1:]))
-    else:
-        height = tallest(_panel_edges(m, n))
+    # a streamed block's buffer height, and that of every panel's buffers
+    tall = tallest(blocks)
+    height = max(tallest(_panel_edges(b1 - b0, n)) for b0, b1 in zip(blocks, blocks[1:]))
     # D's bands over a flattened panel: band o at the columns it reaches,
     # zero where a flat shift by o wraps to the neighbouring row
     d_tiles = []
@@ -994,16 +994,16 @@ def _residual_panels(prob: MareProblem, H, halves: bool):
         d_tiles.append((off, tile.reshape(-1)))
 
     def panel_rows(edges, rows_h, rows_hf):
-        # (i0, i1, rows i0 to i1 of H) of each panel: at the edges of a
-        # formed H, or inside each block, from its top row, once the block
-        # and its rows of H [Cl, P_D] are formed into rows_h and rows_hf
-        if not streamed:
-            for i0, i1 in zip(edges, edges[1:]):
-                yield i0, i1, H[i0:i1]
-            return
+        # (i0, i1, rows i0 to i1 of H) of each panel inside each block, from
+        # its top row, once the block's rows of H and of H [Cl, P_D] are in:
+        # slices of a formed H and its hf, or formed into rows_h and rows_hf
         for b0, b1 in zip(edges, edges[1:]):
-            block = np.matmul(u[b0:b1], gx, out=rows_h[: b1 - b0])
-            fill(slice(b0, b1), np.matmul(block, right, out=rows_hf[: b1 - b0]))
+            if streamed:
+                block = np.matmul(u[b0:b1], gx, out=rows_h[: b1 - b0])
+                fill(slice(b0, b1), np.matmul(block, right, out=rows_hf[: b1 - b0]))
+            else:
+                block = H[b0:b1]
+                fill(slice(b0, b1), hf[b0:b1])
             inner = _panel_edges(b1 - b0, n)
             for e0, e1 in zip(inner, inner[1:]):
                 yield b0 + e0, b0 + e1, block[e0:e1]
@@ -1402,7 +1402,7 @@ def _stopping_rule(prob: MareProblem, criteria: StopCriteria, x_true: np.ndarray
 
 def _stopping_loop(
     prob: MareProblem, start, shifts: ShiftPair | None, criteria: StopCriteria,
-    x_true: np.ndarray | None, compute_dual: bool = False,
+    x_true: np.ndarray | None,
 ) -> SolveReport:
     """Build :func:`_stopping_rule`, the shifts (``make_shifts`` by default)
     and the iterate ``start(prob, shifts)``, then step it until the rule stops.
@@ -1416,7 +1416,8 @@ def _stopping_loop(
     loop then drops the DaddaState, so its factor blocks are freed.  The
     report's seconds count from before the rule is built; its
     ``erres_final`` is always a full evaluation on the rows of the returned
-    H, and the report keeps a DaddaState to form H on its first read.
+    H, and the report keeps the final iterate to form H and G on their
+    first read.
     """
     t0 = time.perf_counter()
     measure, erres_final = _stopping_rule(prob, criteria, x_true)
@@ -1461,10 +1462,9 @@ def _stopping_loop(
         erres_final=erres_final(it, records[-1]),
         frob_h=it.frob(),
         rank_h=it.rank(),
-        G=it.dual() if compute_dual else None,
         switched_at=it.switched_at,
         seconds=time.perf_counter() - t0,
-        _final=it if isinstance(it, DaddaState) else it.H,
+        _final=it,
     )
 
 
@@ -1473,19 +1473,17 @@ def solve(
     shifts: ShiftPair | None = None,
     criteria: StopCriteria | None = None,
     x_true: np.ndarray | None = None,
-    compute_dual: bool = False,
 ) -> SolveReport:
     """Run the doubling iteration under a stopping rule.
 
     dADDA runs until its next kernel would outgrow m + n; the rest of the
     solve runs on triplet-form ADDA (``report.switched_at`` gives the k).
-    With ``compute_dual`` the report carries the final iterate's G.
     """
     criteria = StopCriteria() if criteria is None else criteria
     if criteria.kernel_row_cap < max(prob.p, prob.q):
         raise ValueError("kernel_row_cap must be at least max(p, q)")
     # initialize by its module name, so a rebinding sees the call
-    return _stopping_loop(prob, initialize, shifts, criteria, x_true, compute_dual)
+    return _stopping_loop(prob, initialize, shifts, criteria, x_true)
 
 
 def solve_dense(
@@ -1497,7 +1495,7 @@ def solve_dense(
     """Run the dense ADDA reference under the stopping rule of :func:`solve`.
 
     Dense and capped at m + n <= 200 (see :mod:`dadda.oracle`); the report
-    has no kernel orders and no dual iterate.
+    has no kernel orders.
     """
     criteria = StopCriteria() if criteria is None else criteria
     return _stopping_loop(prob, _DenseAdda, shifts, criteria, x_true)

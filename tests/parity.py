@@ -5,11 +5,12 @@
 
 ``dump`` solves the parity set with the ``dadda`` on the import path and
 writes, per solve: termination, iterations, ``switched_at``, a sha256 of H
-and of the dual iterate G, ``erres_final``, ``frob_h`` and ``rank_h``, and
-every record's k, kernel order, ``lower_bound`` flag and value.  The dump
-also records how many CPUs the process may run on (its affinity count):
-with two or more, H and ``erres`` run their two row halves at once, with
-one both in order, and the values must not differ.  The fluid
+and of the dual iterate G (``report.G``, read for the ``solve`` runs only,
+so the dense reference's G is ``null``), ``erres_final``, ``frob_h`` and
+``rank_h``, and every record's k, kernel order, ``lower_bound`` flag and
+value.  The dump also records how many CPUs the process may run on (its
+affinity count): with two or more, H and ``erres`` run their two row
+halves at once, with one both in order, and the values must not differ.  The fluid
 instances, whose exact solution is known, also get ``ererr`` against it, so
 a stopping step that moved shows what it costs in accuracy (``null``
 elsewhere).  Floats are written in hex, so two dumps are equal exactly when
@@ -70,10 +71,11 @@ RANDOM_SEEDS = (2, 5, 11)
 
 
 def _cases():
-    """(label, solve, exact) of every solve in the parity set.
+    """(label, solve, exact, dual) of every solve in the parity set.
 
     ``solve()`` returns its report; ``exact`` is the entry of a fluid
-    instance's exact solution ``exact * ones``, None elsewhere.
+    instance's exact solution ``exact * ones``, None elsewhere; ``dual``
+    says whether the dump reads the report's G.
     """
     import instances
     from conftest import random_mare
@@ -82,31 +84,33 @@ def _cases():
     from dadda.solver import StopCriteria, solve, solve_dense
 
     def dadda(prob, criteria):
-        return partial(solve, prob, criteria=criteria, compute_dual=True)
+        return partial(solve, prob, criteria=criteria)
 
     for workload in instances.WORKLOADS:
         for seed in SEEDS:
             for inst in instances.build(workload, seed):
                 run = dadda(inst.problem, inst.criteria)
-                yield f"{inst.label} seed={seed}", run, inst.exact
+                yield f"{inst.label} seed={seed}", run, inst.exact, True
     for kind in KINDS:
         for seed in RANDOM_SEEDS:
             prob = random_mare(seed, kind=kind)
             for criterion in CRITERIA:
                 label = f"random_mare({seed}, kind={kind}) {criterion}"
                 criteria = StopCriteria(criterion=criterion, tolerance=1e-13, max_iterations=12)
-                yield label, dadda(prob, criteria), None
-                yield f"{label} dense", partial(solve_dense, prob, criteria=criteria), None
+                yield label, dadda(prob, criteria), None, True
+                yield f"{label} dense", partial(solve_dense, prob, criteria=criteria), None, False
         yield (
             f"random_mare(7, m=200, n=190, kind={kind}) erres",
             dadda(random_mare(7, m=200, n=190, kind=kind),
                   StopCriteria(tolerance=1e-13, max_iterations=12)),
             None,
+            True,
         )
     yield (
         "gen_transport(100, 1) kernel_row_cap=64",
         dadda(gen_transport(100, 1), StopCriteria(tolerance=1e-12, kernel_row_cap=64)),
         None,
+        True,
     )
 
 
@@ -126,7 +130,7 @@ def dump(path: str) -> None:
 
     out = {}
     cpus = len(os.sched_getaffinity(0))
-    for label, run, exact in _cases():
+    for label, run, exact, dual in _cases():
         rep = run()
         err = None if exact is None else float(ererr(rep.H, np.full(rep.H.shape, exact))).hex()
         out[label] = {
@@ -134,7 +138,7 @@ def dump(path: str) -> None:
             "iterations": rep.iterations,
             "switched_at": rep.switched_at,
             "H": _sha(rep.H),
-            "G": _sha(rep.G),
+            "G": _sha(rep.G) if dual else None,
             "erres_final": float(rep.erres_final).hex(),
             "frob_h": float(rep.frob_h).hex(),
             "rank_h": rep.rank_h,

@@ -340,18 +340,28 @@ class TestRowHalves:
         assert cpus == (affinity if threads == "1" else 1)
 
     def test_splits_depend_on_the_shape_alone(self):
-        # below _HALVES_FLOATS one pass; above, two halves of two panels or
-        # more, and a product split at a multiple of _SPLIT_ROWS rows
-        assert linalg._row_halves(1023, 1024) == [linalg._panel_edges(1023, 1024)]
-        assert linalg._product_split(1023, 1024, 64) == 0
-        # a half of at most _SMALL_PRODUCT multiply-adds: no split
-        assert linalg._product_split(1027, 1023, 2) == 0
-        for m, n in ((1024, 1024), (4097, 1024), (800, 7200), (7200, 800), (2001, 2000)):
-            top, bottom = linalg._row_halves(m, n)
-            assert top[-1] == bottom[0] and top + bottom[1:] == linalg._panel_edges(m, n)
+        # below _HALVES_FLOATS one pass; above, two halves split at a middle
+        # edge, the panel edges where the parent split them
+        edges = linalg._panel_edges(1023, 1024)
+        assert linalg._row_halves(1023, 1024, edges) == [edges]
+        assert len(linalg._row_halves(1023, 1024, linalg._block_edges(1023, 1024, (64,)))) == 1
+        # one block of more than _SMALL_PRODUCT multiply-adds: no split
+        assert linalg._block_edges(1027, 1023, (2,)) == [0, 1027]
+        expected = {(1024, 1024): 512, (4097, 1024): 2048, (800, 7200): 400,
+                    (7200, 800): 3600, (2001, 2000): 1008}
+        rows, small = linalg._SPLIT_ROWS, linalg._SMALL_PRODUCT
+        for (m, n), mid in expected.items():
+            top, bottom = linalg._row_halves(m, n, linalg._panel_edges(m, n))
+            assert top[-1] == bottom[0] == mid and top + bottom[1:] == linalg._panel_edges(m, n)
             assert min(len(top), len(bottom)) >= 3
-            split = linalg._product_split(m, n, 4)
-            assert split % linalg._SPLIT_ROWS == 0 and 0 < split <= m - split
+            # H's split: a block edge at a multiple of _SPLIT_ROWS rows, with
+            # more than _SMALL_PRODUCT multiply-adds on each side
+            blocks = linalg._block_edges(m, n, (4,))
+            top, bottom = linalg._row_halves(m, n, blocks)
+            split = bottom[0]
+            assert split in blocks and split % rows == 0
+            assert min(split, m - split) * n * 4 > small
+
 
     def test_block_edges_start_aligned_and_the_tail_joins_the_block_above(self):
         rows, small = linalg._SPLIT_ROWS, linalg._SMALL_PRODUCT

@@ -147,7 +147,6 @@ class TestIterates:
             prob,
             shifts=sh,
             criteria=StopCriteria(tolerance=1e-13, max_iterations=6),
-            compute_dual=True,
         )
         G = oracle.iterate_oracle(prob, sh, rep.iterations)[2]
         assert rep.G is not None
@@ -169,9 +168,20 @@ class TestIterates:
                 rel = np.abs(G - ref)[mask] / np.abs(ref)[mask]
                 assert rel.max() <= 1e-10, (k, rel.max())
 
-    def test_dual_not_computed_by_default(self):
+    def test_dual_not_computed_by_default(self, monkeypatch):
+        # the solve forms no G; the report forms it on the first read of G
+        calls = []
+        real = DaddaState.dual
+
+        def dual(state):
+            calls.append(state.k)
+            return real(state)
+
+        monkeypatch.setattr(DaddaState, "dual", dual)
         rep = solve(random_mare(57), criteria=StopCriteria(max_iterations=2))
-        assert rep.G is None
+        assert calls == []
+        G = rep.G
+        assert calls == [rep.iterations] and rep.G is G
 
 
 class TestKernels:
@@ -669,8 +679,9 @@ class TestErresPanels:
 
 def _one_pass_erres(prob, H, above=np.inf):
     """erres in one top-to-bottom pass on the calling thread."""
-    panels = solver._residual_panels(prob, H, False)
-    return linalg._panel_ratio_max(panels(linalg._panel_edges(*H.shape)), above=above)
+    edges = linalg._panel_edges(*H.shape)
+    panels = solver._residual_panels(prob, H, edges, False)
+    return linalg._panel_ratio_max(panels(edges), above=above)
 
 
 def _run_on_one_blas_thread(code):
@@ -706,7 +717,7 @@ class TestRowHalves:
 
     def test_erres_is_the_one_pass_on_one_cpu_and_two(self, monkeypatch):
         for label, prob, H in self._cases():
-            assert len(linalg._row_halves(*H.shape)) == 2, label
+            assert len(linalg._row_halves(*H.shape, linalg._panel_edges(*H.shape))) == 2, label
             full = _one_pass_erres(prob, H)
             for above in (np.inf, 0.0, full / 2, full):
                 want = _one_pass_erres(prob, H, above)
@@ -723,7 +734,7 @@ class TestRowHalves:
         A = StructuredSquare.banded(m, 0, 0, {0: np.linspace(1.0, 2.0, m)})
         prob = _problem(rng, A, _blocks(rng, n, 1, 2)[0], q=0)
         base = rng.uniform(0.5, 1.5, size=(m, n))
-        split = linalg._row_halves(m, n)[1][0]
+        split = linalg._row_halves(m, n, linalg._panel_edges(m, n))[1][0]
         full = _one_pass_erres(prob, base)
 
         def plant(H, bl, kind, i):
@@ -783,7 +794,7 @@ check("solve state")
 splits = 0
 for m, n in ((2049, 1001), (4097, 333), (1501, 701), (1027, 1023)):
     for r in (1, 2, 3, 5, 8, 16, 64):
-        splits += linalg._product_split(m, n, r) > 0
+        splits += len(linalg._row_halves(m, n, linalg._block_edges(m, n, (r,)))) > 1
         state.u_blocks, state.X = [rng.uniform(size=(m, r))], rng.uniform(size=(r, n))
         check((m, n, r))
 assert splits >= 24, splits
@@ -825,7 +836,8 @@ print("ok")
 
         monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
         prob, _ = gen_fluid(2048, 1024)
-        assert len(linalg._row_halves(2048, 1024)) == 2 and linalg._product_split(2048, 1024, 1)
+        for edges in (linalg._panel_edges(2048, 1024), linalg._block_edges(2048, 1024, (1,))):
+            assert len(linalg._row_halves(2048, 1024, edges)) == 2
         with tracer.Patches(tracer.TRACED, make):
             report = solve(prob)
             # the solve streams erres's rows and forms no H; reading the
@@ -966,6 +978,20 @@ print("ok")
         assert solver._row_blocks(prob, state) is None
         value = erres(prob, state)
         assert state._H is not None and value == erres(prob, state.H)
+
+    def test_an_iterate_of_another_shape_gets_one_message(self):
+        # one shape check before the row sources split: the streamed path
+        # names the shapes as the formed path does
+        prob, other = gen_fluid(7200, 800)[0], gen_fluid(3600, 400)[0]
+        state = _run_state(other, make_shifts(other), 1)
+        for it in (state, state.H):
+            with pytest.raises(ValueError, match=r"must have shape \(7200, 800\), got \(3600, 400\)"):
+                erres(prob, it)
+        one_block, other = gen_fluid(400, 100)[0], gen_fluid(100, 400)[0]
+        state = _run_state(other, make_shifts(other), 1)
+        for it in (state, state.H):
+            with pytest.raises(ValueError, match=r"must have shape \(400, 100\), got \(100, 400\)"):
+                erres(one_block, it)
 
     def test_only_a_diagonal_a_streams(self):
         # an off-diagonal band or a low-rank part of A couples the rows of H
@@ -1174,6 +1200,32 @@ class TestTransportReference:
         assert rep.termination == "converged"
         exact = transport_reference(draw)
         assert np.max(np.abs(rep.H - exact) / exact) <= 5e-14
+
+    def test_the_dense_oracle_fails_the_check(self):
+        # teeth: run through the same check, the dense LU oracle errs above
+        # the bound on both draws where solve stays under it; with BLAS on
+        # one thread the oracle read 6.72e-14 and 8.73e-14, solve 1.25e-14
+        # and 2.21e-14
+        code = """
+import numpy as np
+from conftest import transport_reference
+from dadda.benchgen import draw_transport
+from dadda.solver import StopCriteria, solve, solve_dense
+
+for seed in (1, 2):
+    draw = draw_transport(100, seed)
+    exact = transport_reference(draw)
+    errors = []
+    for run in (solve, solve_dense):
+        rep = run(draw.problem, criteria=StopCriteria(tolerance=1e-12))
+        assert rep.termination == "converged", (seed, run.__name__)
+        errors.append(np.max(np.abs(rep.H - exact) / exact))
+    assert errors[0] <= 5e-14 < errors[1], (seed, errors)
+    print(*errors)
+print("ok")
+"""
+        proc = _run_on_one_blas_thread(code)
+        assert proc.returncode == 0 and proc.stdout.split()[-1] == "ok", proc.stderr
 
 
 def _tridiagonal_mare(order, seed):
@@ -1570,8 +1622,7 @@ class TestTripletAdda:
     def test_switched_dual_iterate(self):
         prob = gen_transport(10, 0)
         sh = make_shifts(prob)
-        rep = solve(prob, shifts=sh, compute_dual=True,
-                    criteria=StopCriteria(tolerance=1e-12))
+        rep = solve(prob, shifts=sh, criteria=StopCriteria(tolerance=1e-12))
         assert rep.switched_at == 4
         G = oracle.iterate_oracle(prob, sh, rep.iterations)[2]
         assert np.abs(rep.G - G).max() <= 1e-10 * G.max()
