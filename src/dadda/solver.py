@@ -21,8 +21,8 @@ Everything on the right-hand side above is entrywise nonnegative, so the
 whole iteration is free of subtractive cancellation.  The m x n iterate is
 formed whole (:attr:`DaddaState.H`) only where a criterion or a diagnostic
 reads it whole, or the caller reads ``SolveReport.H``: erres reads the
-rows of an iterate with a diagonal A from its factors (see below), and
-the report forms H on its first read.
+rows of a dADDA iterate from its factors (see below), and the report
+forms H on its first read.
 Each step forms the two new corners and the kernel's product
 Y_{k+1} Z_{k+1} whole, each by one :func:`_gram`.
 
@@ -157,20 +157,23 @@ one subtraction, in the grouping of the gate below.  All the
 outer-product terms of P are one BLAS product per panel,
 [H Cl, Bl, P_A, H P_D]_p @ [Cr^T H; Br^T; R_A^T H; R_D^T], from the two
 reductions over a long side of H, H [Cl, P_D] and [Cr, R_A]^T H, formed
-once per call.  Each outer sum, Q's a (+) d, G2's diag(A) (+) diag(D)
-and a sign +1 block's row dots, is one BLAS product with K = 2,
+once per call; on an iterate read from its factors, N_A H and H N_D join
+that product (see "One block loop").  Each outer sum, Q's a (+) d, G2's
+diag(A) (+) diag(D) and a sign +1 block's row dots, is one BLAS product
+with K = 2,
 [a, 1] @ [1; d]: both of its products are exact, so every entry takes
 the one rounding of a_i + d_j in any summation order, with or without
-fused multiply-adds, bitwise the broadcast sum.  A band term of N_A H is
-multiplied into a reused buffer and added to P.  One of H_p N_D is one
-contiguous multiply and add over the flattened panel, against a copy of
+fused multiply-adds, bitwise the broadcast sum.  Over a formed H, a band
+term of N_A H is multiplied into a reused buffer and added to P.  One of
+H_p N_D is one contiguous multiply and add over the flattened panel, against a copy of
 the band laid over the panel's rows, made once per call, with zeros
 where a flat shift wraps into the next row: H is finite and >= 0 there,
 so those positions add +0.0 and change nothing, and every other entry
 takes the same product and addition in the same band order as over the
 columns.  A dense-kind A or D adds one BLAS product of the panel's rows.
-H >= 0 is checked where it is formed and the factors are validated >= 0,
-so each of those BLAS sums adds nonnegative terms, in any order: a blocked sum
+H >= 0 is checked where it is formed (or follows from its checked
+factors) and the problem's factors are validated >= 0, so each of those
+BLAS sums adds nonnegative terms, in any order: a blocked sum
 errs far less than an ascending one, whose error grows with the term
 count (Higham, Sec. 4.2), and over the 7200 columns of fluid 800 x 7200
 ascending sums held erres at 4.2e-14, above its 1e-14 tolerance, where
@@ -190,30 +193,73 @@ One block loop.  :func:`erres` reads H in row blocks, and runs its panels
 inside each block from its top row.  An array, or an iterate's formed H,
 has its row panels (``linalg._panel_edges``) for blocks, each sliced with
 its rows of H [Cl, P_D], one BLAS product over the whole H.  A DaddaState
-whose A has no off-diagonal band, and whose H spans more than one row
-block (:func:`_row_blocks`), is read from its factors instead, and no
-m x n array is formed: row i of the numerator reads row i of H alone, so
-each block Ucheck[rows] (gamma X) is formed into a buffer with its rows of
-H [Cl, P_D], the next block reuses the buffer, and the early exit forms
-no block below its panel.  Such a block starts at a multiple of BLAS's
-row tiles and gives each of its two products more than BLAS's
+whose H spans more than one row block, of any kind of D and any but a
+low-rank A, is read from its factors instead (:func:`_row_blocks`), and
+no m x n array is formed.  Each product of an off-diagonal part with H
+is one more outer-product term of P,
+
+    N_A H = (N_A Ucheck)(gamma X),    H N_D = Ucheck (gamma X N_D),
+
+so P's product over a panel is
+[H Cl, Bl, H P_D, N_A Ucheck, Ucheck]_p @
+[Cr^T H; Br^T; R_D^T; gamma X; gamma X N_D], and the in-panel band
+passes and dense products drop out.  That holds for a factored block: a
+banded one with an off-diagonal band, or a dense one (a diagonal block
+has no such term, and a low-rank D's is already an outer product).  The
+factors N_A Ucheck (m x r) and gamma X N_D (r x n) are
+``offdiag_parts``' pos, formed once per call, in O((m + n) r) per band
+or by one product of O(m^2 r) or O(n^2 r) for a dense block.  Every term
+of P stays a sum of nonnegative terms: N_A and N_D are >= 0 for the
+Z-pattern A and D of a valid problem, Ucheck and gamma X are checked
+>= 0 (``DaddaState._factors``), so each entry of both factors, and each
+entry of P's one product, adds nonnegative terms only, and |P - Q| is
+still the one subtraction.  Row i of the numerator then reads row i of H
+alone, so each block Ucheck[rows] (gamma X) is formed into a buffer with
+its rows of H [Cl, P_D], the next block reuses the buffer, and the early
+exit forms no block below its panel.  Such a block starts at a multiple
+of BLAS's row tiles and gives each of its two products more than BLAS's
 small-matrix size (``linalg._block_edges``), so with BLAS on one thread
-its rows of H and of H [Cl, P_D] are bitwise those of the whole products,
-the cancelling term H P_D included.  Cr^T H, a sum over all m rows, comes
-from the factors as (Cr^T Ucheck) (gamma X); it feeds HCH only, which P
-adds and nothing cancels, so the value may round apart from the formed
-H's by a few ulps (on the benchmark's fluid instances the two are bitwise
-equal at every k).  From ``linalg._HALVES_FLOATS`` entries of H up, where
+its rows of H and of H [Cl, P_D] are bitwise those of the whole
+products, the cancelling term H P_D included.
+
+Which terms may read H through its factors.  Where a term of P reads H
+through the factors and Q and G2 read the one rounded H, erres moves by
+the rounding of H, (r + 1) u of an entry, times that term's mass over
+G2.  A low-rank block's P R^T H (or H P R^T) holds the terms that Q's row
+dots cancel, and its mass may be many times G2: taking H [Cl, P_D] from
+the factors held fluid 800 x 7200 above its 1e-14 tolerance from k = 4
+to k = 7, and taking R_A^T H from them read erres 8.4e-15 against
+1.5e-15 over the formed H at k = 4 of the same problem transposed (a
+low-rank A of order 7200).  So the low-rank reductions read the one
+rounded H, and a low-rank A, whose R_A^T H sums over all m rows, keeps
+the formed path.  What reads H through its factors is Cr^T H, a sum over
+all m rows taken as (Cr^T Ucheck) (gamma X), which feeds HCH (on the
+benchmark's fluid instances bitwise the formed H's at every k), and the
+band and dense terms, whose mass, weighted by u, is below the
+diagonal's for the M-matrices of a valid problem.  A term
+v U_{i+o,t} (gamma X)_{tj} of N_A H took r + 1 roundings in H_{i+o,j}
+(gamma X, the product, the r - 1 additions of the sum over t), one in
+the product with the band value v and one addition per off-diagonal band
+into P; it now takes one in v U, at most w_A - 2 additions of
+N_A Ucheck's band sum, one in gamma X, one in the product and its
+additions in P's one sum (the mirror for H N_D).  So erres moves by a
+few ulps of the band terms over G2, and the iterates not at all: at
+k = 4 the benchmark's banded instance reads erres 2.167e-15 from the
+factors against 1.959e-15 over its formed H (seed 1; 2.422e-15 against
+2.082e-15 at seed 3), with a 1e-13 tolerance.  Past the r of
+:func:`_row_blocks`, P's extra inner dimension (r per factored block)
+costs more than the passes it replaces, and the iterate keeps the formed
+path.  From ``linalg._HALVES_FLOATS`` entries of H up, where
 a second CPU is free (``linalg._cpu_count``: the process may run on two
 CPUs and numpy's BLAS runs on one thread), the calling thread takes the
 top rows and one helper thread, started and joined inside the call, the
-bottom rows, split at the middle edge of one list of row edges
-(``linalg._row_halves``): :func:`erres` splits its blocks, each half with
-buffers of its own, and forms a formed H's two reductions at once;
-:attr:`DaddaState.H` splits its ``linalg._block_edges``, a multiple of
-BLAS's row tiles, and forms each half by one BLAS product into the one
-allocated H (``linalg._product_halves``).  The halves write disjoint rows
-and share only read-only operands besides.  Every entry of erres is
+bottom rows: :func:`erres` splits its blocks at their middle edge
+(``linalg._row_halves``), each half with buffers of its own, and forms a
+formed H's two reductions at once; :attr:`DaddaState.H` splits at the
+multiple of BLAS's row tiles nearest its middle row
+(``linalg._split_row``) and forms each half by one BLAS product into the
+one allocated H (``linalg._product_halves``).  The halves write disjoint
+rows and share only read-only operands besides.  Every entry of erres is
 formed by the same operations on the same rows as in one pass, the panel
 maxima merge in the fixed top-to-bottom order of
 ``linalg._panel_ratio_max`` (``linalg._halves_ratio_max``), and each row
@@ -285,18 +331,27 @@ With K_H the roundings a term of H rhs takes beyond those of the
 materialized H (n + 2r + 2 from the factors of kernel order r: Ucheck
 (gamma X) takes r + 1, gamma Ucheck (X rhs) n + r + 1, and Lemma 3.3 adds
 them; n for a dense H @ rhs), w_M the terms of one entry of N_M x
-and t = q + p + t_A + t_D the roundings that erres's P adds to a term
-after its own reductions (the one outer-product sum, then the additions
-into P; :func:`_residual_share` gives each block's w_M and t_M with its
-sides of the grouping), the counts are
+and t = q + p + t_A + t_D + f r the roundings that erres's P adds to a
+term after its own reductions (the one outer-product sum, then the
+additions into P; :func:`_residual_share` gives each block's w_M and t_M
+with its sides of the grouping, t_M counting a formed H's band passes
+and dense product, and f r the r more terms that P's one sum takes per
+factored block where erres reads the iterate from its factors, 0
+elsewhere), the counts, formed per iterate, are
 
     K_HCH = 2m + n + q + t + 2 K_H + 10,   K_A = 2 w_A + t + K_H + 10,
     K_D = 2 w_D + t + K_H + 10,   K_B = n + p + t + 10,   K_G = K_H + 14,
 
 the 10 bounding the additions that combine the parts on both paths.  A
 term of HCH, for one, takes n (H Cl), m (Cr^T H), t and the subtraction
-|P - Q| on the erres path, and 2 K_H + m + q on the bound's.  A term of Q
-takes at most five roundings on the erres path, |P - Q| included
+|P - Q| on the erres path, and 2 K_H + m + q on the bound's.  A term of
+N_A H read from the factors takes at most w_A + 2 roundings before P's
+sum (v U, the band sum or the dense product's, gamma X and the product
+with it) where the formed H's took r + 1 inside K_H and one more, so
+its two paths together stay within K_A: w_A + 3 + t on the erres path,
+n + r + 1 + w_A + 3 on the bound's (H u, N_A (H u) and the combining
+additions), against K_A = 2 w_A + t + n + 2r + 12; H N_D likewise.  A
+term of Q takes at most five roundings on the erres path, |P - Q| included
 (a = diag(A) + rowdots, a + d, the product with H and a sign +1 block's
 product), within K_G and the 2 w_M of a low-rank block's row dots.  All
 three iterates gate; the gate needs Z-pattern A and D with positive
@@ -513,8 +568,8 @@ class DaddaState:
         formed H gave no more: an overflow to +inf passed it too.
 
         H is allocated once and formed in two row halves where
-        ``linalg._row_halves`` splits its ``linalg._block_edges`` and a
-        second CPU is free (``linalg._product_halves``), each by one BLAS
+        ``linalg._split_row`` splits it and a second CPU is free
+        (``linalg._product_halves``), each by one BLAS
         product Ucheck[rows] (gamma X) into its rows, the bottom half on a
         helper thread; else by the whole product.  The split row depends on
         the shape alone and is a multiple of BLAS's row tiles, so H is
@@ -793,18 +848,20 @@ def erres(prob: MareProblem, H, *, above: float = np.inf) -> float:
     check, the blocks are worked out once per call: the row panels
     (``linalg._panel_edges``) of an array or of an iterate's formed
     :attr:`~DaddaState.H`, or the row blocks (:func:`_row_blocks`) in which
-    a DaddaState whose A has no off-diagonal band is read from its factors,
-    with no H formed (module docstring, "One block loop").  The per-call
+    a DaddaState with any but a low-rank A is read from its factors, with
+    no H formed (module docstring, "One block loop").  The per-call
     invariants come first: the BLAS products H [Cl, P_D] (per block where
     streamed) and [Cr, R_A]^T H, the two factors of the outer-product
-    terms, the negated bands and the row and column vectors of Q and G2.
-    Each panel takes one BLAS product for all its outer-product terms, one
-    per dense-kind A or D, one with K = 2 per outer sum, [a, 1] @ [1; d],
-    whose two products are exact, so each entry is the one rounding of
-    a_i + d_j, and elementwise work through two reused buffers: each band
-    term is multiplied into one and added to P, D's as flat passes over
-    the panel against a zero-padded copy of the band, whose zeros add +0.0
-    where a shift wraps to the next row.  Every entry is formed by the same
+    terms (with N_A Ucheck, Ucheck and gamma X, gamma X N_D where
+    streamed), the negated bands and the row and column vectors of Q and
+    G2.  Each panel takes one BLAS product for all its outer-product terms,
+    one with K = 2 per outer sum, [a, 1] @ [1; d], whose two products are
+    exact, so each entry is the one rounding of a_i + d_j, and elementwise
+    work through two reused buffers.  Over a formed H it also takes one
+    BLAS product per dense-kind A or D, and each band term is multiplied
+    into a buffer and added to P, D's as flat passes over the panel against
+    a zero-padded copy of the band, whose zeros add +0.0 where a shift
+    wraps to the next row.  Every entry is formed by the same
     operations in the same order as over the whole matrix, so for a finite
     H the value is bitwise the unpanelled evaluation from the same products
     where BLAS rounds a row panel like the rows of the whole product.  The
@@ -839,22 +896,74 @@ def erres(prob: MareProblem, H, *, above: float = np.inf) -> float:
         H = np.asarray(H.H if isinstance(H, DaddaState) else H, dtype=np.float64)
         blocks = _panel_edges(m, n)
     halves = _row_halves(m, n, blocks)
-    panels = _residual_panels(prob, H, blocks, len(halves) > 1)
-    return _halves_ratio_max(panels, halves, above=above)
+    return _halves_ratio_max(_residual_panels(prob, H, halves), halves, above=above)
 
 
 def _row_blocks(prob: MareProblem, it) -> list[int] | None:
     """The row blocks (``linalg._block_edges``) in which :func:`erres` reads
     the DaddaState ``it`` from its factors, or None where it reads a formed H.
 
-    That is a DaddaState whose A has no off-diagonal band, where the
-    blocks of Ucheck (gamma X) and of H [Cl, P_D] give more than one block.
+    That is a DaddaState whose blocks of Ucheck (gamma X) and of
+    H [Cl, P_D] give more than one block, of any kind of D and any but a
+    low-rank A (whose R_A^T H must read the one rounded H that Q's row
+    dots read; module docstring), while P's extra inner dimension, r per
+    factored block (:func:`_panel_madds`), costs no more than the
+    in-panel passes it replaces.  Measured with
+    OpenBLAS 0.3.31 on one thread (2-core host, medians of 9 calls; 5 for
+    dense), streamed-and-factored erres against forming H plus the formed
+    erres, in ms:
+
+    ============================================  ===  ========  =====
+    instance                                        r  streamed  formed
+    ============================================  ===  ========  =====
+    gen_banded(2000, 1): A, D tridiagonal          16      21.1   30.9
+    (4 off-diagonal bands)                         32      33.3   39.3
+    ..                                             48      38.5   39.5
+    ..                                             64      40.2   36.6
+    ..                                            128      70.0   44.3
+    the same, D diagonal (2 bands)                 64      30.7   32.3
+    ..                                             96      39.5   35.2
+    the same, A, D pentadiagonal (8 bands)         64      40.3   47.7
+    ..                                             96      54.2   50.2
+    1100 x 1000, A dense, D diagonal              256      35.8   47.9
+    ..                                            384      54.3   53.6
+    the same, D dense                             256      68.8   85.9
+    ..                                            512     112.2   87.8
+    ============================================  ===  ========  =====
+
+    So a band's two passes cost about 24 multiply-adds of P per entry
+    (``_BAND_PASS_MADDS``), and a dense block's product of order n about
+    n / 3: it runs as one large BLAS product, where the streamed path also
+    forms the factor (N_A Ucheck or gamma X N_D) by one of O(n^2 r).  The
+    rule streams tridiagonal A and D up to r = 48 and a dense A of order
+    1100 up to r = 366.
     """
-    if not isinstance(it, DaddaState) or prob.A.kind != "banded" or set(prob.A.bands) != {0}:
+    if not isinstance(it, DaddaState) or prob.A.kind == "diag_plus_lowrank":
+        return None
+    r, parts = it.X.shape[0], (_panel_madds(prob.A), _panel_madds(prob.D))
+    if r * sum(c > 0 for c in parts) > sum(parts):
         return None
     cols = prob.Cl.shape[1] + (prob.D.p.shape[1] if prob.D.kind == "diag_plus_lowrank" else 0)
-    edges = _block_edges(prob.m, prob.n, (it.X.shape[0], cols))
+    edges = _block_edges(prob.m, prob.n, (r, cols))
     return edges if len(edges) > 2 else None
+
+
+# an off-diagonal band's two in-panel passes take about as long as this many
+# multiply-adds per entry of P's BLAS product (see _row_blocks)
+_BAND_PASS_MADDS = 24
+
+
+def _panel_madds(block) -> int:
+    """The cost of :func:`erres`'s in-panel passes over a formed H for
+    ``block``'s off-diagonal part, in multiply-adds per entry of P's BLAS
+    product (:func:`_row_blocks`): ``_BAND_PASS_MADDS`` per off-diagonal
+    band, a third of the order for a dense block.  0 for a diagonal or
+    low-rank block, whose part the streamed path does not factor."""
+    if block.kind == "dense":
+        return max(block.n // 3, 1)
+    if block.kind == "banded":
+        return _BAND_PASS_MADDS * (len(block.bands) - 1)
+    return 0
 
 
 def _residual_share(block, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, int, int]:
@@ -866,7 +975,10 @@ def _residual_share(block, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     P.  For the gate's counts, w is the most terms one entry of N x sums
     (band count, order, or order plus rank) and t what the block adds to P's
     roundings: its rank in the one outer-product sum, then one addition per
-    off-diagonal band, dense product or sign +1 row dots.
+    off-diagonal band, dense product or sign +1 row dots over a formed H.
+    Where erres reads the iterate from its factors, a banded or dense
+    block's term is r more terms of P's one sum instead; the gate adds
+    those per iterate.
     """
     if block.kind == "banded":
         return diag, None, len(block.bands), len(block.bands) - 1
@@ -878,36 +990,39 @@ def _residual_share(block, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     return diag, dots, block.n + rank, rank + 1
 
 
-def _residual_panels(prob: MareProblem, H, blocks: list[int], halves: bool):
+def _residual_panels(prob: MareProblem, H, halves: list[list[int]]):
     """The kernel of :func:`erres`: the per-call invariants, and a function
     ``panels(edges)`` that yields (|P - Q|, G2) panel by panel, top to
-    bottom, inside the row blocks at ``edges``, a run of ``blocks``: the
-    panels of an array ``H``, or the row blocks of a DaddaState ``H``
-    (:func:`_row_blocks`).  One loop serves both: each block's rows of H
-    and of H [Cl, P_D] are slices of the array and of its whole product,
-    or formed from the factors into a block buffer, and its panels follow
-    from its top row.
+    bottom, inside the row blocks at ``edges``, one of ``halves``
+    (``linalg._row_halves``) of the panels of an array ``H``, or of the row
+    blocks of a DaddaState ``H`` (:func:`_row_blocks`).  One loop serves
+    both: each block's rows of H and of H [Cl, P_D] are slices of the array
+    and of its whole product, or formed from the factors into a block
+    buffer, and its panels follow from its top row.  A DaddaState's
+    off-diagonal products with H are outer-product terms of P, from the
+    factors formed here; an array's are the in-panel passes below.
 
-    With ``halves`` the two reductions over a formed H run at once (one on
+    With two halves the two reductions over a formed H run at once (one on
     a helper thread, ``linalg._together``), and each half gets a block
-    buffer.  Each ``panels`` call allocates its own buffers on the calling
-    thread, and the arrays it yields are those buffers, overwritten by its
-    next panel.  The outer sums are K = 2 products [a, 1] @ [1; d] into
-    the buffer (``_outer_sum_factors``): a_i * 1 and 1 * d_j are exact, so
-    each entry is round(a_i + d_j) in either order, with or without a
-    fused multiply-add, bitwise ``np.add``'s.  Each band o of H_p N_D is one
-    multiply and one add over the flattened panel, entry k against entry
-    k - o, with the band laid over the panel's rows in a copy made once per
-    call (O(bands * panel) floats).  The copy holds zeros at the columns
-    that band o does not reach, where the flat shift wraps to the next
-    row: H is finite and >= 0 there, so the product is +0.0 and P keeps
-    its value, and every other entry takes the product and the addition
-    of the column-shifted form, in the same band order.  A non-finite
-    entry of H makes its own ratio NaN already; the zeros can spread that
-    NaN to a wrap neighbour in its panel, which turns the value to +inf
-    where G2 is zero there, as a band term of that entry can over the
-    columns.  Flattening a panel makes a view where H is C-contiguous and
-    a copy of that one panel where it is not.
+    buffer as tall as its tallest block.  Each ``panels`` call allocates
+    its own buffers on the calling thread, and the arrays it yields are
+    those buffers, overwritten by its next panel.  The outer sums are K = 2
+    products [a, 1] @ [1; d] into the buffer (``_outer_sum_factors``): a_i
+    * 1 and 1 * d_j are exact, so each entry is round(a_i + d_j) in either
+    order, with or without a fused multiply-add, bitwise ``np.add``'s.
+    Over a formed H, each band o of H_p N_D is one multiply and one add
+    over the flattened panel, entry k against entry k - o, with the band
+    laid over the panel's rows in a copy made once per call (O(bands *
+    panel) floats).  The copy holds zeros at the columns that band o does
+    not reach, where the flat shift wraps to the next row: H is finite and
+    >= 0 there, so the product is +0.0 and P keeps its value, and every
+    other entry takes the product and the addition of the column-shifted
+    form, in the same band order.  A non-finite entry of H makes its own
+    ratio NaN already; the zeros can spread that NaN to a wrap neighbour in
+    its panel, which turns the value to +inf where G2 is zero there, as a
+    band term of that entry can over the columns.  Flattening a panel makes
+    a view where H is C-contiguous and a copy of that one panel where it is
+    not.
     """
     A, D = prob.A, prob.D
     m, n = A.n, D.n
@@ -929,7 +1044,7 @@ def _residual_panels(prob: MareProblem, H, blocks: list[int], halves: bool):
         def form_rth():
             return left.T @ H
 
-        hf, rth = _together(form_hf, form_rth) if halves else (form_hf(), form_rth())
+        hf, rth = _together(form_hf, form_rth) if len(halves) > 1 else (form_hf(), form_rth())
     # the factors of the outer-product terms [H Cl, Bl, P_A, H P_D] and
     # [Cr^T H; Br^T; R_A^T H; R_D^T]: a low-rank block's go to P for sign -1
     # and to Q for sign +1; a column range stands for those of H [Cl, P_D],
@@ -941,6 +1056,14 @@ def _residual_panels(prob: MareProblem, H, blocks: list[int], halves: bool):
     if low_d:
         sides[D.sign][0].append((q, right.shape[1]))
         sides[D.sign][1].append(D.r.T)
+    if streamed:
+        # N_A H = (N_A Ucheck)(gamma X) and H N_D = Ucheck (gamma X N_D)
+        if _panel_madds(A):
+            sides[-1][0].append(A.offdiag_parts(u)[0])
+            sides[-1][1].append(gx)
+        if _panel_madds(D):
+            sides[-1][0].append(u)
+            sides[-1][1].append(D.offdiag_parts(gx.T, transpose=True)[0].T)
     fills = []
 
     def left_factor(parts):
@@ -962,10 +1085,12 @@ def _residual_panels(prob: MareProblem, H, blocks: list[int], halves: bool):
         (left_factor(lt), np.concatenate(rt, axis=0)) if lt else None
         for lt, rt in (sides[-1], sides[1])
     )
-    a_bands = sorted(_negated_offdiag(A.bands).items()) if A.kind == "banded" else []
-    d_bands = sorted(_negated_offdiag(D.bands).items()) if D.kind == "banded" else []
-    a_nmat = np.diag(np.diagonal(A.a)) - A.a if A.kind == "dense" else None
-    d_nmat = np.diag(np.diagonal(D.a)) - D.a if D.kind == "dense" else None
+    # the in-panel passes of a formed H
+    formed = not streamed
+    a_bands = sorted(_negated_offdiag(A.bands).items()) if formed and A.kind == "banded" else []
+    d_bands = sorted(_negated_offdiag(D.bands).items()) if formed and D.kind == "banded" else []
+    a_nmat = np.diag(np.diagonal(A.a)) - A.a if formed and A.kind == "dense" else None
+    d_nmat = np.diag(np.diagonal(D.a)) - D.a if formed and D.kind == "dense" else None
     diag_a, diag_d = A.diagonal()[:, None], D.diagonal()
     a, a_pos = _residual_share(A, diag_a)[:2]
     d, d_pos = _residual_share(D, diag_d)[:2]
@@ -982,9 +1107,8 @@ def _residual_panels(prob: MareProblem, H, blocks: list[int], halves: bool):
     def tallest(edges):
         return max(e1 - e0 for e0, e1 in zip(edges, edges[1:]))
 
-    # a streamed block's buffer height, and that of every panel's buffers
-    tall = tallest(blocks)
-    height = max(tallest(_panel_edges(b1 - b0, n)) for b0, b1 in zip(blocks, blocks[1:]))
+    # the height of every panel's buffers
+    height = max(tallest(_panel_edges(b1 - b0, n)) for h in halves for b0, b1 in zip(h, h[1:]))
     # D's bands over a flattened panel: band o at the columns it reaches,
     # zero where a flat shift by o wraps to the neighbouring row
     d_tiles = []
@@ -1008,15 +1132,22 @@ def _residual_panels(prob: MareProblem, H, blocks: list[int], halves: bool):
             for e0, e1 in zip(inner, inner[1:]):
                 yield b0 + e0, b0 + e1, block[e0:e1]
 
-    # the halves' block buffers, in one allocation on the calling thread (see erres)
-    blocks_h = list(np.empty((2 if halves else 1, tall, n))) if streamed else []
+    # each half's block buffer, by its top edge, in one allocation on the
+    # calling thread (see erres)
+    block_bufs = {}
+    if streamed:
+        whole, at = np.empty((sum(tallest(h) for h in halves), n)), 0
+        for h in halves:
+            block_bufs[h[0]], at = whole[at : at + tallest(h)], at + tallest(h)
 
     def panels(edges):
         # allocated here, on the calling thread, so a helper thread that
         # reads the panels allocates nothing large (see erres)
         acc, tmp = np.empty((height, n)), np.empty((height, n))
         spare = None if q_outer is None else np.empty((height, n))
-        rows = (blocks_h.pop(), np.empty((tall, right.shape[1]))) if streamed else (None, None)
+        rows = (None, None)
+        if streamed:
+            rows = (block_bufs[edges[0]], np.empty((tallest(edges), right.shape[1])))
         return kernel(panel_rows(edges, *rows), acc, tmp, spare)
 
     def kernel(panel_rows, acc, tmp, spare):
@@ -1296,8 +1427,10 @@ def _erres_gate(prob: MareProblem):
     """The gate on :func:`erres` (module docstring), None where it does not apply.
 
     The problem-only parts are built here, once per solve: rhs = [u1, N_D u1
-    as its two sums, diag(D) u1, Cl], Bl (Br^T u1), diag(A), the counts
-    K_HCH, K_A and K_D less their K_H terms, and gamma_{K_B}.  The returned
+    as its two sums, diag(D) u1, Cl], Bl (Br^T u1), diag(A), each block's
+    w and t and the number of factored blocks; the counts follow per
+    iterate, with its K_H and, where erres reads it from its factors
+    (:func:`_row_blocks`), its kernel order r.  The returned
     function gives per row i the raw bound L_i and its slack s_i, with
     ``max(L - s)`` at most the computed ``erres(prob, it.H)`` (L_i = s_i =
     nan where G2 u is 0); only ``it.apply_h`` touches the iterate.
@@ -1316,23 +1449,22 @@ def _erres_gate(prob: MareProblem):
     *_, w_a, t_a = _residual_share(A, diag_a)
     *_, w_d, t_d = _residual_share(D, D.diagonal())
     tail = prob.q + prob.p + t_a + t_d
-    k_hch = 2 * prob.m + prob.n + prob.q + tail + 10
-    k_a = 2 * w_a + tail + 10
-    k_d = 2 * w_d + tail + 10
-    gamma_b = _gamma(prob.n + prob.p + tail + 10)
+    factored = sum(_panel_madds(block) > 0 for block in (A, D))
 
     def bound(it) -> tuple[np.ndarray, np.ndarray]:
         y, k_h = it.apply_h(rhs)
+        # a streamed iterate's P sums r more terms per factored block
+        t = tail + (factored * it.X.shape[0] if _row_blocks(prob, it) is not None else 0)
         hu, d_pos, d_neg = y[:, 0], y[:, 1], y[:, 2]
         hch = y[:, 4:] @ (prob.Cr.T @ hu)
         a_pos, a_neg = A.offdiag_parts(hu)
         g2u = diag_a * hu + y[:, 3]
         num = np.abs(((hch + a_pos) + (d_pos + bu)) - ((a_neg + d_neg) + g2u))
         err = (
-            _gamma(k_hch + 2 * k_h) * hch
-            + _gamma(k_a + k_h) * (a_pos + a_neg)
-            + _gamma(k_d + k_h) * (d_pos + d_neg)
-            + gamma_b * bu
+            _gamma(2 * prob.m + prob.n + prob.q + t + 2 * k_h + 10) * hch
+            + _gamma(2 * w_a + t + k_h + 10) * (a_pos + a_neg)
+            + _gamma(2 * w_d + t + k_h + 10) * (d_pos + d_neg)
+            + _gamma(prob.n + prob.p + t + 10) * bu
             + _gamma(k_h + 14) * g2u
         )
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -38,7 +38,9 @@ its own stopping rule, and ``random_mare`` (``tests/conftest.py``) of each
 kind under ``erres``, ``nres`` and ``rchange``, small enough to run every
 step ungated, each solved by ``solve`` and by the dense reference
 ``solve_dense``, plus one order-200 instance per kind that the ``erres``
-gate applies to, and one solve that the kernel row cap stops.  So the
+gate applies to, one 1100 x 1000 instance per kind whose iterate spans
+more than one row block, so that ``erres`` reads it from its factors,
+and one solve that the kernel row cap stops.  So the
 set runs all three iterates (dADDA, triplet ADDA after a hand-off, dense
 ADDA) and every termination.  BLAS runs on one thread, as in the
 benchmark: every product of the iteration, ``erres``'s two reductions
@@ -102,6 +104,13 @@ def _cases():
         yield (
             f"random_mare(7, m=200, n=190, kind={kind}) erres",
             dadda(random_mare(7, m=200, n=190, kind=kind),
+                  StopCriteria(tolerance=1e-13, max_iterations=12)),
+            None,
+            True,
+        )
+        yield (
+            f"random_mare(9, m=1100, n=1000, p=2, q=2, kind={kind}) erres",
+            dadda(random_mare(9, m=1100, n=1000, p=2, q=2, kind=kind),
                   StopCriteria(tolerance=1e-13, max_iterations=12)),
             None,
             True,

@@ -344,9 +344,13 @@ class TestRowHalves:
         # edge, the panel edges where the parent split them
         edges = linalg._panel_edges(1023, 1024)
         assert linalg._row_halves(1023, 1024, edges) == [edges]
-        assert len(linalg._row_halves(1023, 1024, linalg._block_edges(1023, 1024, (64,)))) == 1
-        # one block of more than _SMALL_PRODUCT multiply-adds: no split
-        assert linalg._block_edges(1027, 1023, (2,)) == [0, 1027]
+        assert linalg._split_row(1023, 1024, 64) is None
+        # a side of at most _SMALL_PRODUCT multiply-adds: no split
+        assert linalg._split_row(4097, 333, 1) is None
+        # the aligned row nearest the middle, where the middle block edge
+        # (1536 of 4097 rows) left one thread idle for a quarter of the product
+        assert linalg._split_row(4097, 333, 2) == 2064
+        assert linalg._split_row(1027, 1023, 2) == 528
         expected = {(1024, 1024): 512, (4097, 1024): 2048, (800, 7200): 400,
                     (7200, 800): 3600, (2001, 2000): 1008}
         rows, small = linalg._SPLIT_ROWS, linalg._SMALL_PRODUCT
@@ -354,12 +358,10 @@ class TestRowHalves:
             top, bottom = linalg._row_halves(m, n, linalg._panel_edges(m, n))
             assert top[-1] == bottom[0] == mid and top + bottom[1:] == linalg._panel_edges(m, n)
             assert min(len(top), len(bottom)) >= 3
-            # H's split: a block edge at a multiple of _SPLIT_ROWS rows, with
-            # more than _SMALL_PRODUCT multiply-adds on each side
-            blocks = linalg._block_edges(m, n, (4,))
-            top, bottom = linalg._row_halves(m, n, blocks)
-            split = bottom[0]
-            assert split in blocks and split % rows == 0
+            # H's split: the multiple of _SPLIT_ROWS rows nearest the middle
+            # row, with more than _SMALL_PRODUCT multiply-adds on each side
+            split = linalg._split_row(m, n, 4)
+            assert split % rows == 0 and abs(2 * split - m) <= rows
             assert min(split, m - split) * n * 4 > small
 
 

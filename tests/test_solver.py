@@ -680,7 +680,7 @@ class TestErresPanels:
 def _one_pass_erres(prob, H, above=np.inf):
     """erres in one top-to-bottom pass on the calling thread."""
     edges = linalg._panel_edges(*H.shape)
-    panels = solver._residual_panels(prob, H, edges, False)
+    panels = solver._residual_panels(prob, H, [edges])
     return linalg._panel_ratio_max(panels(edges), above=above)
 
 
@@ -769,9 +769,9 @@ class TestRowHalves:
                         assert same_float(got, want), (planted, above, cpus, got, want)
 
     def test_h_at_odd_m_is_the_whole_product(self):
-        # the halves split at a multiple of BLAS's row tiles, so with BLAS on
-        # one thread each row rounds as in the whole product, at any kernel
-        # order and with n off every tile width
+        # the halves split at the multiple of BLAS's row tiles nearest the
+        # middle row, so with BLAS on one thread each row rounds as in the
+        # whole product, at any kernel order and with n off every tile width
         code = """
 import numpy as np
 from conftest import random_mare
@@ -794,10 +794,10 @@ check("solve state")
 splits = 0
 for m, n in ((2049, 1001), (4097, 333), (1501, 701), (1027, 1023)):
     for r in (1, 2, 3, 5, 8, 16, 64):
-        splits += len(linalg._row_halves(m, n, linalg._block_edges(m, n, (r,)))) > 1
+        splits += linalg._split_row(m, n, r) is not None
         state.u_blocks, state.X = [rng.uniform(size=(m, r))], rng.uniform(size=(r, n))
         check((m, n, r))
-assert splits >= 24, splits
+assert splits >= 25, splits
 print("ok")
 """
         proc = _run_on_one_blas_thread(code)
@@ -823,7 +823,7 @@ print("ok")
     def test_helper_calls_no_traced_binding(self, monkeypatch):
         # the benchmark's spans nest by call order on one thread: every
         # binding it wraps is called from the solving thread alone
-        tracer = _load_tracer()
+        tracer = _load_perfbench("tracer")
         callers = []
 
         def make(name, fn, note):
@@ -838,6 +838,7 @@ print("ok")
         prob, _ = gen_fluid(2048, 1024)
         for edges in (linalg._panel_edges(2048, 1024), linalg._block_edges(2048, 1024, (1,))):
             assert len(linalg._row_halves(2048, 1024, edges)) == 2
+        assert linalg._split_row(2048, 1024, 1) is not None
         with tracer.Patches(tracer.TRACED, make):
             report = solve(prob)
             # the solve streams erres's rows and forms no H; reading the
@@ -858,9 +859,26 @@ def _factored_state(prob, u, x):
     )
 
 
+def _forms_no_h_until_it_is_read(prob):
+    """``solve(prob)`` converges below m n floats of traced memory, and its
+    report's H, formed on first read and kept, is the final iterate's."""
+    tracemalloc.start()
+    try:
+        rep = solve(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.termination == "converged"
+    assert peak < prob.m * prob.n * 8, peak
+    state = _run_state(prob, make_shifts(prob), rep.iterations)
+    assert np.array_equal(rep.H.view(np.int64), state.H.view(np.int64))
+    assert rep.H is rep.H
+
+
 class TestStreamedErres:
-    """erres reads a DaddaState with a diagonal A from its factors, in row
-    blocks that keep the bits of the whole products."""
+    """erres reads a DaddaState from its factors, in row blocks that keep the
+    bits of the whole products, with its off-diagonal products as
+    outer-product terms of P."""
 
     def test_blocks_are_the_whole_products(self):
         # each block of H = Ucheck (gamma X) and of H [Cl, P_D] is bitwise
@@ -931,22 +949,15 @@ print("ok")
         assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
 
     def test_streamed_solve_forms_no_h_until_it_is_read(self):
-        prob = gen_fluid(7200, 800)[0]
-        tracemalloc.start()
-        try:
-            rep = solve(prob)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.termination == "converged"
-        assert peak < 7200 * 800 * 8, peak
-        state = _run_state(prob, make_shifts(prob), rep.iterations)
-        assert np.array_equal(rep.H.view(np.int64), state.H.view(np.int64))
-        assert rep.H is rep.H
+        _forms_no_h_until_it_is_read(gen_fluid(7200, 800)[0])
+
+    def test_banded_solve_forms_no_h_until_it_is_read(self):
+        # the benchmark's tridiagonal A and D, as outer-product terms of P
+        _forms_no_h_until_it_is_read(_load_perfbench("instances").gen_banded(2000, 1))
 
     @pytest.mark.parametrize("kind", ["banded", "lowrank -1", "lowrank +1", "dense"])
     def test_every_kind_of_d_matches_the_formed_path(self, kind, monkeypatch):
-        # only HCH's reduction Cr^T H takes another rounding, from the factors
+        # Cr^T H, and a banded or dense D's H N_D, read H through its factors
         rng = np.random.Generator(np.random.Philox(81))
         m, n, r = 1100, 1000, 4
         A = StructuredSquare.banded(m, 0, 0, {0: rng.uniform(1.0, 2.0, size=m)})
@@ -993,16 +1004,61 @@ print("ok")
             with pytest.raises(ValueError, match=r"must have shape \(400, 100\), got \(100, 400\)"):
                 erres(one_block, it)
 
-    def test_only_a_diagonal_a_streams(self):
-        # an off-diagonal band or a low-rank part of A couples the rows of H
+    def test_every_kind_streams_above_one_block_within_the_rule(self):
+        # every kind of D, and every kind of A but low-rank, streams at r = 4
+        # and matches the formed path; a low-rank A's R_A^T H must read the
+        # one rounded H, and past P's extra inner dimension the rule keeps
+        # the formed path
         rng = np.random.Generator(np.random.Philox(82))
-        m, n = 1100, 1000
-        D = _blocks(rng, n, 1, 2)[0]
-        for A in _blocks(rng, m, 1, 0)[:3]:
-            prob = _problem(rng, A, D)
-            state = _factored_state(prob, rng.uniform(size=(m, 4)), rng.uniform(size=(4, n)))
-            assert solver._row_blocks(prob, state) is None, A.kind
-        assert solver._row_blocks(prob, state.H) is None
+        m, n = 1024, 1000
+        u, x = rng.uniform(size=(m, 4)), rng.uniform(size=(4, n))
+        for A in _blocks(rng, m, 1, 0):
+            for D in _blocks(rng, n, 1, 2)[::3]:
+                prob = _problem(rng, A, D, q=4)
+                state = _factored_state(prob, u, x)
+                if A.kind == "diag_plus_lowrank":
+                    assert solver._row_blocks(prob, state) is None
+                    continue
+                assert len(solver._row_blocks(prob, state)) > 2, (A.kind, D.kind)
+                streamed = erres(prob, state)
+                assert state._H is None
+                formed = erres(prob, state.H)
+                assert abs(streamed - formed) <= 1e-14 * formed, (A.kind, D.kind)
+                assert solver._row_blocks(prob, state.H) is None
+        # tridiagonal A and D: 24 multiply-adds per band pass, r per block
+        tri = _problem(rng, *(_blocks(rng, k, 1, 1)[0] for k in (m, n)), q=4)
+        for r, streams in ((48, True), (49, False)):
+            state = _factored_state(tri, rng.uniform(size=(m, r)), rng.uniform(size=(r, n)))
+            assert (solver._row_blocks(tri, state) is not None) is streams, r
+        # a dense A and a diagonal D: a third of A's order
+        dense = _problem(rng, _blocks(rng, m, 1, 0)[3], _blocks(rng, n, 0, 0)[0], q=4)
+        for r, streams in ((341, True), (342, False)):
+            state = _factored_state(dense, rng.uniform(size=(m, r)), rng.uniform(size=(r, n)))
+            assert (solver._row_blocks(dense, state) is not None) is streams, r
+
+    @pytest.mark.parametrize("kind", ["tridiagonal", "dense A"])
+    def test_the_gate_stays_below_streamed_erres(self, kind):
+        # _erres_gate's v is at most the streamed erres at k = 0..5, whose
+        # off-diagonal terms read H through its factors; it moves from the
+        # formed erres by rounding alone (a few ulps of the terms over G2)
+        if kind == "tridiagonal":
+            prob = _load_perfbench("instances").gen_banded(2000, 2)
+        else:
+            prob = random_mare(8, m=1100, n=1000, p=2, q=2, kind="dense")
+        gate = _erres_gate(prob)
+        state = initialize(prob)
+        for k in range(6):
+            if k:
+                advance(state)
+            assert len(solver._row_blocks(prob, state)) > 2, k
+            streamed = erres(prob, state)
+            raw, slack = gate(state)
+            assert np.nanmax(raw - slack) <= streamed, k
+            formed = erres(prob, state.H)
+            state._H = None
+            assert abs(streamed - formed) <= 1e-14, (k, streamed, formed)
+            if streamed > 1e-2:
+                assert abs(streamed - formed) <= 1e-12 * formed, (k, streamed, formed)
 
 
 class TestStreamedRatios:
@@ -1682,11 +1738,14 @@ for family in range(4):
         assert proc.returncode == 0, proc.stderr
 
 
-def _load_tracer():
-    """perfbench/tracer.py, the benchmark's span table, as a module."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+def _load_perfbench(name):
+    """perfbench/<name>.py as a module: ``tracer``, the benchmark's span
+    table, or ``instances``, its workloads."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -1709,7 +1768,7 @@ class TestBandedSetup:
     def test_band_solvers_keep_the_benchmark_kind(self):
         # the benchmark's per-layer table looks shifted solvers up by class
         # name; both banded blocks must count as its "dense" kind
-        tracer = _load_tracer()
+        tracer = _load_perfbench("tracer")
         spans = tracer.Spans()
         with spans.patches():
             report = solve(random_mare(41, m=30, n=20, kind="banded"))
