@@ -26,8 +26,7 @@ panels' ratios bitwise as over the whole arrays, and ``_halves_ratio_max``
 reads them in two row halves at once, the bottom half on one helper thread
 (``_together``), with the same result, split at a middle edge by
 ``_row_halves``.  ``_block_edges`` gives the row blocks in which ``erres``
-forms a factored iterate's rows, and ``_split_row`` the row nearest the
-middle at which H splits, each block or half rounding like those rows of
+forms a factored iterate's rows, each block rounding like those rows of
 the whole products.
 
 Square coefficient matrices come in three structured kinds:
@@ -309,13 +308,12 @@ def _together(first, second) -> tuple:
 
 
 # Two row halves of an m x n array run at once from this many entries up: the
-# measured break-even of erres and of H with the helper thread, BLAS on one
-# thread (CHANGES.md)
+# measured break-even of erres with the helper thread, BLAS on one thread
+# (CHANGES.md)
 _HALVES_FLOATS = 1 << 20
 
-# Row blocks formed apart (_block_edges, and H's halves at _split_row) start at
-# a multiple of this many rows, and each of their products takes more
-# multiply-adds than _SMALL_PRODUCT
+# Row blocks formed apart (_block_edges) start at a multiple of this many rows,
+# and each of their products takes more multiply-adds than _SMALL_PRODUCT
 _SPLIT_ROWS = 48
 _SMALL_PRODUCT = 100**3
 
@@ -358,44 +356,6 @@ def _block_edges(height: int, width: int, inners: tuple[int, ...]) -> list[int]:
     least = _SMALL_PRODUCT // (width * max(min(inners), 1)) + 1
     rows = _SPLIT_ROWS * -(-least // _SPLIT_ROWS)
     return list(range(0, max(height - rows, 0) + 1, rows)) + [height]
-
-
-def _split_row(height: int, width: int, inner: int) -> int | None:
-    """The row at which :func:`_product_halves` splits a ``height`` x
-    ``width`` product of inner dimension ``inner``, or None for one product.
-
-    The multiple of ``_SPLIT_ROWS`` nearest the middle row, from
-    ``_HALVES_FLOATS`` entries up, where each side takes more than
-    ``_SMALL_PRODUCT`` multiply-adds: both halves then start at a multiple
-    of BLAS's row tiles and reach its blocked kernel, so with BLAS on one
-    thread each rounds as in the whole product (:func:`_block_edges`).  The
-    row depends on the shape alone.
-    """
-    split = _SPLIT_ROWS * ((height + _SPLIT_ROWS) // (2 * _SPLIT_ROWS))
-    small = min(split, height - split) * width * inner <= _SMALL_PRODUCT
-    return None if height * width < _HALVES_FLOATS or small else split
-
-
-def _product_halves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b into one allocated array, in two row halves at once where
-    :func:`_split_row` splits it and a second CPU is free
-    (:func:`_cpu_count`), the bottom half on a helper thread; else by the
-    whole product.
-
-    With BLAS on one thread either way gives the whole product's bits; with
-    BLAS on more threads there is no free CPU, and the whole product is
-    formed as one call.
-    """
-    out = np.empty((a.shape[0], b.shape[1]))
-    split = _split_row(*out.shape, a.shape[1])
-    if split is not None and _cpu_count() > 1:
-        _together(
-            lambda: np.matmul(a[:split], b, out=out[:split]),
-            lambda: np.matmul(a[split:], b, out=out[split:]),
-        )
-    else:
-        np.matmul(a, b, out=out)
-    return out
 
 
 def _halves_ratio_max(panels, halves: list[list[int]], *, above: float = np.inf) -> float:

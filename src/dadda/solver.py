@@ -164,13 +164,9 @@ with K = 2,
 [a, 1] @ [1; d]: both of its products are exact, so every entry takes
 the one rounding of a_i + d_j in any summation order, with or without
 fused multiply-adds, bitwise the broadcast sum.  Over a formed H, a band
-term of N_A H is multiplied into a reused buffer and added to P.  One of
-H_p N_D is one contiguous multiply and add over the flattened panel, against a copy of
-the band laid over the panel's rows, made once per call, with zeros
-where a flat shift wraps into the next row: H is finite and >= 0 there,
-so those positions add +0.0 and change nothing, and every other entry
-takes the same product and addition in the same band order as over the
-columns.  A dense-kind A or D adds one BLAS product of the panel's rows.
+term of N_A H or of H N_D is multiplied into a reused buffer and added to
+P, over the rows or the columns that the band reaches.  A dense-kind A or
+D adds one BLAS product of the panel's rows.
 H >= 0 is checked where it is formed (or follows from its checked
 factors) and the problem's factors are validated >= 0, so each of those
 BLAS sums adds nonnegative terms, in any order: a blocked sum
@@ -249,26 +245,22 @@ factors against 1.959e-15 over its formed H (seed 1; 2.422e-15 against
 2.082e-15 at seed 3), with a 1e-13 tolerance.  Past the r of
 :func:`_row_blocks`, P's extra inner dimension (r per factored block)
 costs more than the passes it replaces, and the iterate keeps the formed
-path.  From ``linalg._HALVES_FLOATS`` entries of H up, where
-a second CPU is free (``linalg._cpu_count``: the process may run on two
-CPUs and numpy's BLAS runs on one thread), the calling thread takes the
-top rows and one helper thread, started and joined inside the call, the
-bottom rows: :func:`erres` splits its blocks at their middle edge
-(``linalg._row_halves``), each half with buffers of its own, and forms a
-formed H's two reductions at once; :attr:`DaddaState.H` splits at the
-multiple of BLAS's row tiles nearest its middle row
-(``linalg._split_row``) and forms each half by one BLAS product into the
-one allocated H (``linalg._product_halves``).  The halves write disjoint
-rows and share only read-only operands besides.  Every entry of erres is
-formed by the same operations on the same rows as in one pass, the panel
-maxima merge in the fixed top-to-bottom order of
-``linalg._panel_ratio_max`` (``linalg._halves_ratio_max``), and each row
-of H rounds as in the whole product with BLAS on one thread.  With no
-free CPU, erres runs its halves in order on the calling thread, with the
-same bits, and H is the whole product (BLAS's own threads split its rows
-their own way, so H's rounding may move with their count).  The helper
-calls numpy and the kernels' own closures only, never a function of the
-public API or scipy.
+path.  From ``linalg._HALVES_FLOATS`` entries of H up, where a second CPU
+is free (``linalg._cpu_count``: the process may run on two CPUs and
+numpy's BLAS runs on one thread), :func:`erres` splits its blocks at their
+middle edge (``linalg._row_halves``): the calling thread reads the top
+half and one helper thread, started and joined inside the call, the
+bottom half, each with buffers of its own.  The halves share only
+read-only operands.  Every entry of erres is formed by the same
+operations on the same rows as in one pass, and the panel maxima merge in
+the fixed top-to-bottom order of ``linalg._panel_ratio_max``
+(``linalg._halves_ratio_max``); with no free CPU, erres runs its halves
+in order on the calling thread, with the same bits.  The helper calls
+numpy and the kernels' own closures only, never a function of the public
+API or scipy.  H, and a formed H's two reductions, are each one BLAS
+product on the calling thread: every entry of H and of P stays a sum of
+nonnegative terms, formed by the same BLAS calls on the same operands on
+one CPU or two.
 
 Gating ``erres`` by a factored lower bound.  Above one slab of entries
 (m n > ``linalg._SLAB_FLOATS``) the stopping rule first bounds ``erres``
@@ -398,10 +390,8 @@ from .linalg import (
     _negated_offdiag,
     _panel_edges,
     _panel_ratio_max,
-    _product_halves,
     _row_halves,
     _row_panels,
-    _together,
     frobenius_norm,
 )
 # matmul is not called here; the benchmark's tracer wraps this binding
@@ -558,7 +548,8 @@ class DaddaState:
 
     @property
     def H(self) -> np.ndarray:
-        """Dense current iterate Ucheck (gamma X), materialized lazily.
+        """Dense current iterate, the one BLAS product Ucheck @ (gamma X),
+        materialized lazily.
 
         Scaling X by gamma, the product and the sum over the kernel order r
         round a term r + 1 times, as K_H = n + 2r + 2 of :meth:`apply_h`
@@ -566,18 +557,10 @@ class DaddaState:
         are checked finite and >= 0, so each entry is a sum of finite
         nonnegative terms, >= 0 and no NaN in any order.  A check of the
         formed H gave no more: an overflow to +inf passed it too.
-
-        H is allocated once and formed in two row halves where
-        ``linalg._split_row`` splits it and a second CPU is free
-        (``linalg._product_halves``), each by one BLAS
-        product Ucheck[rows] (gamma X) into its rows, the bottom half on a
-        helper thread; else by the whole product.  The split row depends on
-        the shape alone and is a multiple of BLAS's row tiles, so H is
-        bitwise the whole product ``Ucheck @ (gamma X)`` with BLAS on one
-        thread, on one CPU or two.
         """
         if self._H is None:
-            self._H = _product_halves(*self._factors())
+            u, gx = self._factors()
+            self._H = u @ gx
         return self._H
 
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -859,11 +842,9 @@ def erres(prob: MareProblem, H, *, above: float = np.inf) -> float:
     exact, so each entry is the one rounding of a_i + d_j, and elementwise
     work through two reused buffers.  Over a formed H it also takes one
     BLAS product per dense-kind A or D, and each band term is multiplied
-    into a buffer and added to P, D's as flat passes over the panel against
-    a zero-padded copy of the band, whose zeros add +0.0 where a shift
-    wraps to the next row.  Every entry is formed by the same
-    operations in the same order as over the whole matrix, so for a finite
-    H the value is bitwise the unpanelled evaluation from the same products
+    into a buffer and added to P.  Every entry is formed by the same
+    operations in the same order as over the whole matrix, so the value is
+    bitwise the unpanelled evaluation from the same products
     where BLAS rounds a row panel like the rows of the whole product.  The
     panel ratios combine by ``linalg._panel_ratio_max``, and any x/0
     decides the value (+inf), as over the whole matrix.  With ``above`` it
@@ -1002,27 +983,13 @@ def _residual_panels(prob: MareProblem, H, halves: list[list[int]]):
     off-diagonal products with H are outer-product terms of P, from the
     factors formed here; an array's are the in-panel passes below.
 
-    With two halves the two reductions over a formed H run at once (one on
-    a helper thread, ``linalg._together``), and each half gets a block
-    buffer as tall as its tallest block.  Each ``panels`` call allocates
-    its own buffers on the calling thread, and the arrays it yields are
-    those buffers, overwritten by its next panel.  The outer sums are K = 2
-    products [a, 1] @ [1; d] into the buffer (``_outer_sum_factors``): a_i
-    * 1 and 1 * d_j are exact, so each entry is round(a_i + d_j) in either
-    order, with or without a fused multiply-add, bitwise ``np.add``'s.
-    Over a formed H, each band o of H_p N_D is one multiply and one add
-    over the flattened panel, entry k against entry k - o, with the band
-    laid over the panel's rows in a copy made once per call (O(bands *
-    panel) floats).  The copy holds zeros at the columns that band o does
-    not reach, where the flat shift wraps to the next row: H is finite and
-    >= 0 there, so the product is +0.0 and P keeps its value, and every
-    other entry takes the product and the addition of the column-shifted
-    form, in the same band order.  A non-finite entry of H makes its own
-    ratio NaN already; the zeros can spread that NaN to a wrap neighbour in
-    its panel, which turns the value to +inf where G2 is zero there, as a
-    band term of that entry can over the columns.  Flattening a panel makes
-    a view where H is C-contiguous and a copy of that one panel where it is
-    not.
+    With two halves each half gets a block buffer as tall as its tallest
+    block.  Each ``panels`` call allocates its own buffers on the calling
+    thread, and the arrays it yields are those buffers, overwritten by its
+    next panel.  The outer sums are K = 2 products [a, 1] @ [1; d] into the
+    buffer (``_outer_sum_factors``): a_i * 1 and 1 * d_j are exact, so each
+    entry is round(a_i + d_j) in either order, with or without a fused
+    multiply-add, bitwise ``np.add``'s.
     """
     A, D = prob.A, prob.D
     m, n = A.n, D.n
@@ -1037,14 +1004,7 @@ def _residual_panels(prob: MareProblem, H, halves: list[list[int]]):
         u, gx = H._factors()
         rth = (left.T @ u) @ gx
     else:
-
-        def form_hf():
-            return H @ right
-
-        def form_rth():
-            return left.T @ H
-
-        hf, rth = _together(form_hf, form_rth) if len(halves) > 1 else (form_hf(), form_rth())
+        hf, rth = H @ right, left.T @ H
     # the factors of the outer-product terms [H Cl, Bl, P_A, H P_D] and
     # [Cr^T H; Br^T; R_A^T H; R_D^T]: a low-rank block's go to P for sign -1
     # and to Q for sign +1; a column range stands for those of H [Cl, P_D],
@@ -1109,13 +1069,6 @@ def _residual_panels(prob: MareProblem, H, halves: list[list[int]]):
 
     # the height of every panel's buffers
     height = max(tallest(_panel_edges(b1 - b0, n)) for h in halves for b0, b1 in zip(h, h[1:]))
-    # D's bands over a flattened panel: band o at the columns it reaches,
-    # zero where a flat shift by o wraps to the neighbouring row
-    d_tiles = []
-    for off, vals in d_bands:
-        tile = np.zeros((height, n))
-        tile[:, max(0, off) : n + min(0, off)] = vals
-        d_tiles.append((off, tile.reshape(-1)))
 
     def panel_rows(edges, rows_h, rows_hf):
         # (i0, i1, rows i0 to i1 of H) of each panel inside each block, from
@@ -1165,12 +1118,10 @@ def _residual_panels(prob: MareProblem, H, halves: list[list[int]]):
                     )
             if a_nmat is not None:
                 p += np.matmul(a_nmat[i0:i1], H, out=t)
-            # H_p N_D: band o pairs flat entry k of the panel with entry k - o
-            if d_tiles:
-                flat, pf, tf = panel.ravel(), p.reshape(-1), t.reshape(-1)
-                for off, tile in d_tiles:
-                    k0, k1 = max(0, off), h * n + min(0, off)
-                    pf[k0:k1] += np.multiply(flat[k0 - off : k1 - off], tile[k0:k1], out=tf[k0:k1])
+            # H_p N_D: band o pairs column j with column j - o of H_p
+            for off, vals in d_bands:
+                c0, c1 = max(0, off), min(n, n + off)
+                p[:, c0:c1] += np.multiply(panel[:, c0 - off : c1 - off], vals, out=t[:, c0:c1])
             if d_nmat is not None:
                 p += np.matmul(panel, d_nmat, out=t)
             if pos_sum is not None:

@@ -9,8 +9,8 @@ and of the dual iterate G (``report.G``, read for the ``solve`` runs only,
 so the dense reference's G is ``null``), ``erres_final``, ``frob_h`` and
 ``rank_h``, and every record's k, kernel order, ``lower_bound`` flag and
 value.  The dump also records how many CPUs the process may run on (its
-affinity count): with two or more, H and ``erres`` run their two row
-halves at once, with one both in order, and the values must not differ.  The fluid
+affinity count): with two or more, ``erres`` runs its two row halves at
+once, with one both in order, and the values must not differ.  The fluid
 instances, whose exact solution is known, also get ``ererr`` against it, so
 a stopping step that moved shows what it costs in accuracy (``null``
 elsewhere).  Floats are written in hex, so two dumps are equal exactly when

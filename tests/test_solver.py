@@ -52,6 +52,7 @@ from dadda.solver import (
     rank_of_iterate,
     relative_change,
     solve,
+    solve_dense,
 )
 
 
@@ -610,8 +611,8 @@ class TestErresPanels:
 
     def test_one_row_and_two_columns(self):
         # a one-row H against banded D (1, 2): one panel, a one-row product
-        # and D's flat band passes over a single row; a two-column H against
-        # banded A (2, 1), over two panels
+        # and D's column-shifted band passes over a single row; a two-column
+        # H against banded A (2, 1), over two panels
         rng = np.random.Generator(np.random.Philox(28))
         for n in (5, 4096):
             D = _blocks(rng, n, 1, 2)[0]
@@ -700,7 +701,8 @@ def _run_on_one_blas_thread(code):
 
 
 class TestRowHalves:
-    """H and erres run two row halves at once, bitwise as in one pass."""
+    """erres runs two row halves at once, bitwise as in one pass; H is one
+    product on either CPU count."""
 
     @staticmethod
     def _cases():
@@ -769,9 +771,8 @@ class TestRowHalves:
                         assert same_float(got, want), (planted, above, cpus, got, want)
 
     def test_h_at_odd_m_is_the_whole_product(self):
-        # the halves split at the multiple of BLAS's row tiles nearest the
-        # middle row, so with BLAS on one thread each row rounds as in the
-        # whole product, at any kernel order and with n off every tile width
+        # with BLAS on one thread H is bitwise the whole product, on one CPU
+        # or two, at any kernel order and with n off every tile width
         code = """
 import numpy as np
 from conftest import random_mare
@@ -791,13 +792,10 @@ def check(label):
 
 
 check("solve state")
-splits = 0
 for m, n in ((2049, 1001), (4097, 333), (1501, 701), (1027, 1023)):
     for r in (1, 2, 3, 5, 8, 16, 64):
-        splits += linalg._split_row(m, n, r) is not None
         state.u_blocks, state.X = [rng.uniform(size=(m, r))], rng.uniform(size=(r, n))
         check((m, n, r))
-assert splits >= 25, splits
 print("ok")
 """
         proc = _run_on_one_blas_thread(code)
@@ -838,7 +836,6 @@ print("ok")
         prob, _ = gen_fluid(2048, 1024)
         for edges in (linalg._panel_edges(2048, 1024), linalg._block_edges(2048, 1024, (1,))):
             assert len(linalg._row_halves(2048, 1024, edges)) == 2
-        assert linalg._split_row(2048, 1024, 1) is not None
         with tracer.Patches(tracer.TRACED, make):
             report = solve(prob)
             # the solve streams erres's rows and forms no H; reading the
@@ -1282,6 +1279,28 @@ print("ok")
 """
         proc = _run_on_one_blas_thread(code)
         assert proc.returncode == 0 and proc.stdout.split()[-1] == "ok", proc.stderr
+
+
+class TestCriticalAccuracy:
+    """The critical fluid queue, where doubling converges at rate 1/2: the
+    GTH kernels keep halving the error to rounding level, while LU-based
+    doubling stalls."""
+
+    CRITERIA = StopCriteria(
+        criterion="ererr", tolerance=1e-15, max_iterations=45, kernel_row_cap=1 << 20
+    )
+
+    def test_solve_reaches_rounding_level(self):
+        # 2.84e-14 at k = 45, with the hand-off at k = 5
+        prob, exact = gen_fluid(20, 20)
+        rep = solve(prob, criteria=self.CRITERIA, x_true=exact)
+        assert ererr(rep.H, exact) <= 1e-13
+
+    def test_the_dense_oracle_stalls(self):
+        # teeth: LU-based ADDA on the same input stalls at 5.30e-7 from k ~ 22
+        prob, exact = gen_fluid(20, 20)
+        rep = solve_dense(prob, criteria=self.CRITERIA, x_true=exact)
+        assert min(r.value for r in rep.records) > 1e-7
 
 
 def _tridiagonal_mare(order, seed):
