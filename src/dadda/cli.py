@@ -21,7 +21,7 @@ records (list of {k, value, kernel_order, seconds, lower_bound}).
 triplet-form ADDA, or null.  A record with ``lower_bound`` true holds a
 lower bound on erres above the tolerance in place of the full criterion:
 the certified factored bound, or the first row panel maximum above the
-tolerance, where erres stopped (see ``solver._stopping_loop``).
+tolerance, where erres stopped (see ``solver._stopping_rule``).
 """
 
 from __future__ import annotations

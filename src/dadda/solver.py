@@ -814,8 +814,8 @@ def advance(state: DaddaState) -> DaddaState:
 
 
 def erres(prob: MareProblem, H, *, above: float = np.inf) -> float:
-    """Entrywise relative residual of the iterate ``H``: an array, or a
-    :class:`DaddaState`.
+    """Entrywise relative residual of the iterate ``H``: an array, a
+    :class:`DaddaState` or an ADDA iterate, which is read as its H.
 
     |(HCH + N_A H + H N_D + B) - (diag(A) H + H diag(D))| over the
     diagonal group G2 = diag(A) H + H diag(D), maximized entrywise with
@@ -828,11 +828,11 @@ def erres(prob: MareProblem, H, *, above: float = np.inf) -> float:
 
     One fused kernel (:func:`_residual_panels`) evaluates it in row panels
     inside row blocks of H, so no m x n temporary is made.  After one shape
-    check, the blocks are worked out once per call: the row panels
-    (``linalg._panel_edges``) of an array or of an iterate's formed
-    :attr:`~DaddaState.H`, or the row blocks (:func:`_row_blocks`) in which
-    a DaddaState with any but a low-rank A is read from its factors, with
-    no H formed (module docstring, "One block loop").  The per-call
+    check, the blocks are worked out once per call: the row blocks
+    (:func:`_row_blocks`) in which a DaddaState with any but a low-rank A
+    is read from its factors, with no H formed (module docstring, "One
+    block loop"), or else the row panels (``linalg._panel_edges``) of the
+    array or of the iterate's H, which a DaddaState forms here.  The per-call
     invariants come first: the BLAS products H [Cl, P_D] (per block where
     streamed) and [Cr, R_A]^T H, the two factors of the outer-product
     terms (with N_A Ucheck, Ucheck and gamma X, gamma X N_D where
@@ -858,17 +858,18 @@ def erres(prob: MareProblem, H, *, above: float = np.inf) -> float:
     Both halves' buffers are allocated on the calling thread, the two block
     buffers as one array.  glibc gives each helper thread a heap arena of
     its own, which keeps a freed block buffer resident, and a new arena
-    whenever a helper starts before the last one has left its arena: with
-    the helper allocating its own block, fluid's peak RSS in the benchmark
-    read 174 MB alone and up to 189 MB beside a busy process, against
-    162 MB before.  And two separate block buffers freed together at the
-    top of the main heap exceed its trim threshold (twice the largest
-    mapped chunk freed so far), so they went back to the system after each
-    call and their pages faulted in again on the next, about 4.5 ms per
-    7.4 MB buffer here; one array of both raises that threshold on its
-    first free and stays in the heap (175-176 MB beside a busy process).
+    whenever a helper starts before the last one has left its arena, so a
+    helper allocating its own block raised fluid's peak RSS in the
+    benchmark.  And two separate block buffers freed together at the top of
+    the main heap exceed its trim threshold (twice the largest mapped chunk
+    freed so far), so they went back to the system after each call and
+    their pages faulted in again on the next, about 4.5 ms per 7.4 MB
+    buffer; one array of both raises that threshold on its first free and
+    stays in the heap.
     """
     m, n = prob.m, prob.n
+    if isinstance(H, _Quadruple):
+        H = H.H
     shape = (len(H.u_blocks[0]), H.X.shape[1]) if isinstance(H, DaddaState) else np.shape(H)
     if shape != (m, n):
         raise ValueError(f"iterate must have shape {(m, n)}, got {shape}")
@@ -1427,16 +1428,15 @@ def _erres_gate(prob: MareProblem):
 
 
 def _stopping_rule(prob: MareProblem, criteria: StopCriteria, x_true: np.ndarray | None):
-    """One solve's stopping rule, built before any set-up work.
+    """One solve's stopping rule, built before any set-up work: the function
+    ``measure(it)``, which returns the :class:`IterationRecord` of the
+    iterate ``it``, with ``seconds`` left for the loop to stamp.
 
-    Returns ``measure(it)``, an iterate's ``(value, lower_bound)``, and
-    ``erres_final(it, record)``, the final iterate's full erres (the last
-    record's value where it is one).  erres reads the iterate itself where
-    it streams the rows from the factors (:func:`_row_blocks`), else the
-    formed H, which is formed before erres is called.  The rule owns what the criterion
-    carries across steps: the erres gate, erres's early exit at the
-    tolerance, ``rchange``'s previous H and ``ererr``'s reference.  Each
-    criterion is called by its module name, so a rebinding sees each call.
+    erres is passed the iterate itself (:func:`erres`), the other criteria
+    its H.  The rule owns what the criterion carries across steps: the
+    erres gate, erres's early exit at the tolerance, ``rchange``'s previous
+    H and ``ererr``'s reference.  Each criterion is called by its module
+    name, so a rebinding sees each call.
     """
     kind, tol = criteria.criterion, criteria.tolerance
     if kind == "ererr":
@@ -1450,37 +1450,41 @@ def _stopping_rule(prob: MareProblem, criteria: StopCriteria, x_true: np.ndarray
     panelled = len(_panel_edges(prob.m, prob.n)) > 2
     h_prev = None
 
-    def measure(it) -> tuple[float, bool]:
+    def measure(it) -> IterationRecord:
         nonlocal h_prev
+        lower_bound = False
         if kind == "nres":
-            return normalized_residual(prob, it.H), False
-        if kind == "ererr":
-            return ererr(it.H, x_true), False
-        if kind == "rchange":
+            value = normalized_residual(prob, it.H)
+        elif kind == "ererr":
+            value = ererr(it.H, x_true)
+        elif kind == "rchange":
             # a hand-off's H is the very array of the state it was built from
             value = np.inf if h_prev is None else relative_change(it.H, h_prev)
             h_prev = it.H
-            return value, False
-        if gate is not None:
-            raw, slack = gate(it)
-            value = float(np.nanmax(raw - slack, initial=-np.inf))
-            if value > tol:
-                return value, True
-        # no local name holds H: the next step frees it before forming its own
-        rows = erres_rows(it)
-        value = erres(prob, rows, above=tol)
-        return value, value > tol and (panelled or rows is it)
+        else:
+            if gate is not None:
+                raw, slack = gate(it)
+                value = float(np.nanmax(raw - slack, initial=-np.inf))
+                lower_bound = value > tol
+            if not lower_bound:
+                value = erres(prob, it, above=tol)
+                lower_bound = value > tol and (panelled or _row_blocks(prob, it) is not None)
+        return IterationRecord(it.k, value, it.kernel_order, seconds=0.0, lower_bound=lower_bound)
 
-    def erres_final(it, record: IterationRecord) -> float:
-        if kind == "erres" and not record.lower_bound:
-            return record.value
-        return erres(prob, erres_rows(it))
+    return measure
 
-    def erres_rows(it):
-        # the iterate itself where erres streams its rows, else its formed H
-        return it if _row_blocks(prob, it) is not None else it.H
 
-    return measure, erres_final
+def _termination(records: list[IterationRecord], it, criteria: StopCriteria):
+    """How the solve ends after ``records``, the last of them the iterate
+    ``it``'s: ``"converged"``, ``"max_iterations"`` or
+    ``"kernel_cap_exceeded"``, or else the iterate to step next,
+    ``it.successor(cap)``, called once per step so a hand-off is built once."""
+    if records[-1].value <= criteria.tolerance:
+        return "converged"
+    if it.k >= criteria.max_iterations:
+        return "max_iterations"
+    successor = it.successor(criteria.kernel_row_cap)
+    return "kernel_cap_exceeded" if successor is None else successor
 
 
 def _stopping_loop(
@@ -1488,7 +1492,8 @@ def _stopping_loop(
     x_true: np.ndarray | None,
 ) -> SolveReport:
     """Build :func:`_stopping_rule`, the shifts (``make_shifts`` by default)
-    and the iterate ``start(prob, shifts)``, then step it until the rule stops.
+    and the iterate ``start(prob, shifts)``, then measure and step it until
+    :func:`_termination` ends the solve.
 
     ``start`` is :func:`initialize` or :class:`_DenseAdda`, and the iterate
     any of one protocol: ``k``, ``kernel_order``, ``H``, ``step()``,
@@ -1497,52 +1502,39 @@ def _stopping_loop(
     solve at the kernel row cap, and a DaddaState hands off to a
     :class:`_TripletAdda` once its next kernel would outgrow m + n.  The
     loop then drops the DaddaState, so its factor blocks are freed.  The
-    report's seconds count from before the rule is built; its
-    ``erres_final`` is always a full evaluation on the rows of the returned
-    H, and the report keeps the final iterate to form H and G on their
-    first read.
+    report's seconds count from before the rule is built.  Its
+    ``erres_final`` is the last record's value where that record is a full
+    erres evaluation, else ``erres`` of the final iterate, so always a full
+    evaluation on the rows of the returned H.  The report keeps the final
+    iterate to form H and G on their first read.
     """
     t0 = time.perf_counter()
-    measure, erres_final = _stopping_rule(prob, criteria, x_true)
+    measure = _stopping_rule(prob, criteria, x_true)
     shifts = make_shifts(prob) if shifts is None else shifts
     it = start(prob, shifts)
     records: list[IterationRecord] = []
     t_mark = t0
     while True:
-        value, lower_bound = measure(it)
+        records.append(measure(it))
         now = time.perf_counter()
-        records.append(
-            IterationRecord(
-                k=it.k,
-                value=value,
-                kernel_order=it.kernel_order,
-                seconds=now - t_mark,
-                lower_bound=lower_bound,
-            )
-        )
-        t_mark = now
-        if value <= criteria.tolerance:
-            termination = "converged"
+        records[-1].seconds, t_mark = now - t_mark, now
+        outcome = _termination(records, it, criteria)
+        if isinstance(outcome, str):
             break
-        if it.k >= criteria.max_iterations:
-            termination = "max_iterations"
-            break
-        successor = it.successor(criteria.kernel_row_cap)
-        if successor is None:
-            termination = "kernel_cap_exceeded"
-            break
-        it = successor
+        it = outcome
         it.step()
 
+    last = records[-1]
+    full = criteria.criterion == "erres" and not last.lower_bound
     return SolveReport(
-        termination=termination,
+        termination=outcome,
         iterations=it.k,
         criterion=criteria.criterion,
         tolerance=criteria.tolerance,
         alpha=shifts.alpha,
         beta=shifts.beta,
         records=records,
-        erres_final=erres_final(it, records[-1]),
+        erres_final=last.value if full else erres(prob, it),
         frob_h=it.frob(),
         rank_h=it.rank(),
         switched_at=it.switched_at,

@@ -1460,7 +1460,7 @@ class TestErresGate:
         # k = 5 converges
         called = [event[1] for event in events if event != "erres"]
         assert called == [4, 5]
-        assert events == [e for k in called for e in (("H", k), "erres")]
+        assert events == [e for k in called for e in ("erres", ("H", k))]
         assert [r.lower_bound for r in rep.records] == [True] * 5 + [False]
 
     @pytest.mark.parametrize("case", ["fluid 400x100", "fluid 7200x800", "tridiagonal 200"])
@@ -1528,6 +1528,20 @@ class TestIterateProtocol:
         rep = solve(self._prob(), criteria=StopCriteria(criterion="rchange", tolerance=1e-13))
         assert rep.switched_at == 4
         assert alive and not any(alive)
+
+    def test_erres_reads_an_adda_iterate_as_its_h(self):
+        # a triplet ADDA iterate one step past the hand-off, and the dense
+        # reference's, each bitwise its H's erres, with and without an exit
+        prob = self._prob()
+        sh = make_shifts(prob)
+        triplet = _run_state(prob, sh, 4).successor(StopCriteria().kernel_row_cap)
+        dense = _DenseAdda(prob, sh)
+        for it in (triplet, dense):
+            it.step()
+            full = erres(prob, it.H)
+            assert 0.0 < full < np.inf
+            for above in (np.inf, full, 0.5 * full):
+                assert same_float(erres(prob, it, above=above), erres(prob, it.H, above=above))
 
     def test_cap_stops_and_wins_over_the_hand_off(self):
         state = initialize(self._prob())
